@@ -27,20 +27,23 @@ void run(benchmark::State& state, RoutingPriority priority,
       c = std::max(c, static_cast<std::int32_t>(
                           s.parts_on_edge[static_cast<std::size_t>(e)].size()));
 
+    // One plan serves both casts: the representation phase builds it (its
+    // root depths feed the convergecast priorities) before the timed casts.
+    const ShortcutState st =
+        compute_shortcut_state(rig.net, rig.tree, p, s);
+
     const std::int64_t before = rig.net.total_rounds();
     run_component_broadcast(
-        rig.net, rig.tree, s,
+        rig.net, rig.tree, st.plan,
         [](NodeId, PartId) -> std::uint64_t { return 1; },
         [](NodeId, PartId, std::uint64_t, std::int32_t) {}, priority);
     const std::int64_t bcast = rig.net.total_rounds() - before;
 
     // The convergecast is where priorities bite: many components share one
     // parent edge and the deepest-rooted ones must go first.
-    const ShortcutState st =
-        compute_shortcut_state(rig.net, rig.tree, p, s);
     const std::int64_t mid = rig.net.total_rounds();
     run_component_convergecast(
-        rig.net, rig.tree, st.shortcut, st.root_depth_on_edge,
+        rig.net, rig.tree, st.plan,
         [](NodeId, PartId) -> std::uint64_t { return 1; },
         [](std::uint64_t a, std::uint64_t b) { return a + b; },
         [](NodeId, PartId, std::uint64_t) {}, priority);

@@ -26,16 +26,17 @@ void run(benchmark::State& state, NodeId side, std::int32_t threshold) {
     const ShortcutState st =
         compute_shortcut_state(rig.net, rig.tree, p, std::move(s));
 
-    // Broadcast then convergecast on all block components in parallel.
+    // Broadcast then convergecast on all block components in parallel, both
+    // on the one plan the shortcut's state carries.
     const std::int64_t before = rig.net.total_rounds();
     run_component_broadcast(
-        rig.net, rig.tree, st.shortcut,
+        rig.net, rig.tree, st.plan,
         [](NodeId, PartId) -> std::uint64_t { return 1; },
         [](NodeId, PartId, std::uint64_t, std::int32_t) {});
     const std::int64_t bcast = rig.net.total_rounds() - before;
 
     run_component_convergecast(
-        rig.net, rig.tree, st.shortcut, st.root_depth_on_edge,
+        rig.net, rig.tree, st.plan,
         [](NodeId, PartId) -> std::uint64_t { return 1; },
         [](std::uint64_t a, std::uint64_t b) { return a + b; },
         [](NodeId, PartId, std::uint64_t) {});

@@ -404,7 +404,11 @@ Scenario make_scenario(std::string_view spec) {
 
   FamilyResult built = family->build(args);
 
-  // Common re-weighting: weights=lo-hi with i.i.d. uniform weights.
+  // Common re-weighting: weights=lo-hi with i.i.d. uniform weights. wseed
+  // only seeds that draw, so it is diagnosed here rather than reported as
+  // unknown by a check whose accepted list names it.
+  LCS_CHECK(args.has("weights") || !args.has("wseed"),
+            "'wseed' requires weights=lo-hi");
   if (args.has("weights")) {
     const std::string range = args.get_string("weights", "");
     const auto dash = range.find('-');

@@ -11,6 +11,10 @@
 /// (root id, root depth) down its component. The root id doubles as a
 /// *block id*, unique within each part, which verification and part routing
 /// rely on.
+///
+/// The same knowledge, flattened per node, is the shortcut's
+/// `ComponentPlan` (tree_routing.h): built once here and reused by every
+/// superstep that routes on the shortcut.
 #pragma once
 
 #include "congest/network.h"
@@ -18,6 +22,7 @@
 #include "graph/graph.h"
 #include "graph/partition.h"
 #include "shortcut/shortcut.h"
+#include "shortcut/tree_routing.h"
 #include "tree/spanning_tree.h"
 
 namespace lcs {
@@ -40,6 +45,9 @@ struct ShortcutState {
 
   /// True if v's own-part component is the singleton {v}.
   congest::PerNode<bool> own_singleton;
+
+  /// The routing plan of `shortcut` on the tree, root depths included.
+  ComponentPlan plan;
 };
 
 /// Run the representation phase for `shortcut` (rounds accounted in `net`)

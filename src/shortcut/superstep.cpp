@@ -1,5 +1,8 @@
 #include "shortcut/superstep.h"
 
+#include <cstdint>
+#include <vector>
+
 #include "congest/message.h"
 #include "congest/network.h"
 #include "congest/process.h"
@@ -123,45 +126,23 @@ void run_superstep(congest::Network& net, const SpanningTree& tree,
     congest::run_phase(net, procs);
   }
 
-  // 2. Convergecast within components; roots hold the per-component result.
-  //    Keyed by (root, part) — a root may close components of several
-  //    parts — but indexed *per root node*, not in one shared map: every
-  //    slot is written and read only through that root's own callbacks, so
-  //    this is genuine per-node state and stays race-free when the engine
-  //    runs callbacks for different nodes on different workers (a shared
-  //    hash map would race on rehash when two roots finish in one round).
-  //    This holds regardless of the engine's round path: with parallel
-  //    promotion the aggregation rounds of large instances run delivery
-  //    and merge on the pool, while the many tiny superstep phases (the
-  //    one-round cross exchange, per-component cast tails) take the
-  //    engine's sequential fallback — per-node slots are the contract
-  //    that keeps both paths observably identical, so the accounting
-  //    (rounds, messages, charge labels) never depends on thread count.
-  std::vector<std::vector<std::pair<PartId, std::uint64_t>>> root_agg(
-      static_cast<std::size_t>(net.num_nodes()));
+  // 2. Convergecast within components; roots hold the per-component
+  //    result in a flat array keyed by the plan's rooted-component index.
+  //    Each entry belongs to one root node and is written and read only
+  //    through that node's callbacks, so it is per-node state.
+  const ComponentPlan& plan = state.plan;
+  std::vector<std::uint64_t> root_agg(plan.rooted.size(), hooks.identity);
   run_component_convergecast(
-      net, tree, state.shortcut, state.root_depth_on_edge, hooks.contribution,
-      hooks.combine,
+      net, tree, plan, hooks.contribution, hooks.combine,
       [&](NodeId root, PartId j, std::uint64_t agg) {
-        auto& slots = root_agg[static_cast<std::size_t>(root)];
-        for (auto& [part, value] : slots) {
-          if (part == j) {
-            value = agg;
-            return;
-          }
-        }
-        slots.emplace_back(j, agg);
+        root_agg[plan.rooted_index(root, j)] = agg;
       });
 
   // 3. Broadcast the aggregates back down the components.
   run_component_broadcast(
-      net, tree, state.shortcut,
-      [&](NodeId root, PartId j) -> std::uint64_t {
-        for (const auto& [part, value] :
-             root_agg[static_cast<std::size_t>(root)])
-          if (part == j) return value;
-        LCS_CHECK(false, "missing aggregate at component root");
-        return 0;
+      net, tree, plan,
+      [&](NodeId root, PartId j) {
+        return root_agg[plan.rooted_index(root, j)];
       },
       [&](NodeId v, PartId j, std::uint64_t value, std::int32_t) {
         hooks.on_aggregate(v, j, value);

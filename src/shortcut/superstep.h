@@ -18,7 +18,11 @@
 /// Singleton components short-circuit steps 2–3 locally (zero rounds).
 ///
 /// Verification and all part-level primitives are loops of this superstep
-/// with different hooks.
+/// with different hooks, all over one fixed shortcut. Steps 2–3 therefore
+/// run on the routing plan the shortcut's state already carries
+/// (`ShortcutState::plan`, tree_routing.h): a superstep builds no component
+/// topology, and its root aggregates sit in one flat array with an entry per
+/// rooted component, each written and read only by its root node.
 #pragma once
 
 #include <cstdint>

@@ -9,7 +9,9 @@
 /// `O(D + c)` rounds when messages over a contested edge are prioritized by
 /// (depth of the subtree root, subtree id).
 ///
-/// Two one-phase engines are provided:
+/// The per-node routing knowledge of one shortcut is built once into a
+/// `ComponentPlan` (flat per-node slices, see below) and shared by every
+/// phase that routes on that shortcut. Two one-phase engines run on it:
 ///  * `run_component_broadcast` — each component root injects one word; it
 ///    is delivered to every node of the component. Messages carry the root
 ///    depth, so the Lemma 2 priority is available on arrival (this is also
@@ -17,15 +19,21 @@
 ///    computed in the first place).
 ///  * `run_component_convergecast` — every node of a component contributes
 ///    one word; an associative, commutative combiner folds them toward the
-///    component root. Upward priorities use per-edge root depths that must
-///    have been computed beforehand (see representation.h).
+///    component root. Upward priorities use the per-edge root depths that
+///    `set_parent_root_depths` copied into the plan (see representation.h).
 ///
-/// Nodes only consult local data: the ids on their incident tree edges, the
-/// per-edge priorities, and callbacks that read/write their own node's slot.
+/// Nodes only consult local data: their own plan slices (the ids on their
+/// incident tree edges and the per-edge priorities), and callbacks that
+/// read/write their own node's slot. A phase's protocol state lives in flat
+/// buffers sized from the plan; node v touches only its own slices, and each
+/// child-edge queue has a single writer, the edge's upper endpoint.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <span>
+#include <vector>
 
 #include "congest/network.h"
 #include "graph/graph.h"
@@ -43,6 +51,65 @@ enum class RoutingPriority {
   kFifo,       ///< arrival order
 };
 
+/// What each node knows about the block components through it, for one
+/// shortcut on one tree (Section 4.1's distributed representation).
+///
+/// The arrays are CSR over nodes — node v's entries of `X` are
+/// `X[X_off[v] .. X_off[v + 1])` — except `queue_part`, which is CSR over
+/// `child_edge`. Protocols for node v read only v's entries.
+struct ComponentPlan {
+  /// One per part on an edge incident to the node.
+  struct Slot {
+    PartId part = kNoPart;
+    /// Child edges of the node that carry `part`.
+    std::int32_t expected = 0;
+    /// Depth of `part`'s component root, as recorded on the node's parent
+    /// edge; meaningful once `has_root_depths` is set.
+    std::int32_t parent_root_depth = -1;
+    /// `part` rides the node's parent edge (else the node roots it).
+    bool has_parent = false;
+  };
+
+  /// Parts whose component is rooted at the node, ascending.
+  std::vector<std::size_t> rooted_off;
+  std::vector<PartId> rooted;
+  /// The node's child edges, ascending EdgeId (the per-round flush order).
+  std::vector<std::size_t> child_off;
+  std::vector<EdgeId> child_edge;
+  /// Aligned with `child_edge` plus one: child edge k's parts, ascending,
+  /// are `queue_part[queue_off[k] .. queue_off[k + 1])`; a broadcast queues
+  /// at most one message per part, so the same range is that edge's queue.
+  std::vector<std::size_t> queue_off;
+  std::vector<PartId> queue_part;
+  /// One slot per incident part, ascending by part.
+  std::vector<std::size_t> slot_off;
+  std::vector<Slot> slots;
+  /// Set by `set_parent_root_depths`; the convergecast requires it.
+  bool has_root_depths = false;
+
+  std::span<const PartId> rooted_at(NodeId v) const {
+    const auto i = static_cast<std::size_t>(v);
+    return {rooted.data() + rooted_off[i], rooted_off[i + 1] - rooted_off[i]};
+  }
+  /// Position in `rooted` of the part-j component rooted at v (a flat key
+  /// for per-root state); fails if v does not root part j.
+  std::size_t rooted_index(NodeId v, PartId j) const;
+};
+
+/// Build the plan's broadcast half (rooted parts, child edges and their
+/// parts, slots without root depths) for `shortcut` on `tree`. Purely
+/// local knowledge: node v's slices come from the ids on its own incident
+/// tree edges.
+ComponentPlan make_component_plan(const SpanningTree& tree,
+                                  const Shortcut& shortcut);
+
+/// Complete the convergecast half: copy each node's parent-edge root depths
+/// into its slots. `root_depth_on_edge` must align element-wise with
+/// `shortcut.parts_on_edge` (see representation.h).
+void set_parent_root_depths(
+    ComponentPlan& plan, const SpanningTree& tree, const Shortcut& shortcut,
+    const std::vector<std::vector<std::int32_t>>& root_depth_on_edge);
+
 /// Broadcast one word from every block-component root to all nodes of that
 /// component.
 ///
@@ -51,7 +118,7 @@ enum class RoutingPriority {
 /// root_depth)` fires at every node of the component, including the root
 /// itself. Returns the phase stats (rounds, messages).
 congest::PhaseStats run_component_broadcast(
-    congest::Network& net, const SpanningTree& tree, const Shortcut& shortcut,
+    congest::Network& net, const SpanningTree& tree, const ComponentPlan& plan,
     const std::function<std::uint64_t(NodeId root, PartId j)>& root_value,
     const std::function<void(NodeId v, PartId j, std::uint64_t value,
                              std::int32_t root_depth)>& on_receive,
@@ -63,11 +130,9 @@ congest::PhaseStats run_component_broadcast(
 /// `contribution(v, j)` is invoked once per node per incident component and
 /// returns the word that node feeds in. `combine` must be associative and
 /// commutative. `on_root_result(v, j, agg)` fires at each component root.
-/// `root_depth_on_edge` must align element-wise with
-/// `shortcut.parts_on_edge` (see representation.h).
+/// The plan must carry root depths (`set_parent_root_depths`).
 congest::PhaseStats run_component_convergecast(
-    congest::Network& net, const SpanningTree& tree, const Shortcut& shortcut,
-    const std::vector<std::vector<std::int32_t>>& root_depth_on_edge,
+    congest::Network& net, const SpanningTree& tree, const ComponentPlan& plan,
     const std::function<std::uint64_t(NodeId v, PartId j)>& contribution,
     const std::function<std::uint64_t(std::uint64_t, std::uint64_t)>& combine,
     const std::function<void(NodeId root, PartId j, std::uint64_t agg)>&

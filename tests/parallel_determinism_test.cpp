@@ -6,9 +6,12 @@
 /// the historical vector-of-vectors reference. Exercised on the PR-1
 /// randomized stress harness (stress_util.h) over several topologies, on
 /// multi-phase reuse of one Network, on aborted phases, on mid-life thread
-/// count switches, and end to end on the shortcut-Boruvka MST pipeline.
+/// count switches, and end to end on the shortcut-Boruvka MST pipeline and
+/// on part-leader election.
 #include <gtest/gtest.h>
 
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "congest/message.h"
@@ -16,9 +19,15 @@
 #include "congest/process.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
+#include "graph/partition.h"
 #include "graph/reference.h"
 #include "mst/boruvka_shortcut.h"
 #include "mst/mwoe.h"
+#include "shortcut/existential.h"
+#include "shortcut/part_routing.h"
+#include "shortcut/representation.h"
+#include "shortcut/shortcut.h"
+#include "shortcut/superstep.h"
 #include "stress_util.h"
 #include "test_util.h"
 #include "util/check.h"
@@ -531,6 +540,10 @@ TEST(ParallelPipeline, ShortcutMstIsThreadCountInvariant) {
 
   for (const int threads : {2, 3, 8}) {
     testutil::Sim sim(g, 0, threads);
+    // A 7x7 grid sits far below the default fallback threshold; pinned at
+    // 0, every on_start and on_round of the shortcut stack (the routing
+    // plan's shared flat buffers included) runs on the worker pool.
+    ASSERT_EQ(sim.net.parallel_round_threshold(), 0) << "threads=" << threads;
     EXPECT_EQ(sim.tree.parent, seq.tree.parent) << "threads=" << threads;
     EXPECT_EQ(sim.tree.depth, seq.tree.depth) << "threads=" << threads;
     const DistributedMst got = mst_boruvka_shortcut(sim.net, sim.tree);
@@ -544,6 +557,42 @@ TEST(ParallelPipeline, ShortcutMstIsThreadCountInvariant) {
     EXPECT_EQ(sim.net.total_messages(), seq.net.total_messages())
         << "threads=" << threads;
   }
+}
+
+// Part routing alone on the parallel path: leader election over an ER
+// partition runs supersteps of convergecasts and broadcasts on one routing
+// plan, every callback on the workers (threshold 0), and must match the
+// sequential leaders, rounds and messages.
+TEST(ParallelPipeline, PartLeadersAreThreadCountInvariant) {
+  const Graph g = make_erdos_renyi(120, 0.05, 4);
+  const Partition p = make_random_bfs_partition(g, 12, 5);
+
+  const auto run = [&](int threads) {
+    testutil::Sim sim(g, 0, threads);
+    if (threads > 1) {
+      EXPECT_EQ(sim.net.parallel_round_threshold(), 0);
+    }
+    Shortcut s = greedy_blocked_shortcut(g, sim.tree, p, 3);
+    const std::int32_t b = block_parameter(g, p, s);
+    const ShortcutState state =
+        compute_shortcut_state(sim.net, sim.tree, p, std::move(s));
+    const NeighborParts neighbor_parts = exchange_neighbor_parts(sim.net, p);
+    auto leaders =
+        elect_part_leaders(sim.net, sim.tree, p, state, neighbor_parts, b);
+    return std::make_tuple(std::move(leaders), sim.net.total_rounds(),
+                           sim.net.total_messages());
+  };
+
+  const auto want = run(1);
+  const auto groups = p.members();
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    const PartId j = p.part(v);
+    if (j == kNoPart) continue;
+    EXPECT_EQ(std::get<0>(want)[static_cast<std::size_t>(v)],
+              groups[static_cast<std::size_t>(j)].front());
+  }
+  for (const int threads : {2, 3, 8})
+    EXPECT_EQ(run(threads), want) << "threads=" << threads;
 }
 
 }  // namespace

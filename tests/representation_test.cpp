@@ -1,12 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <vector>
+
 #include "graph/generators.h"
 #include "graph/graph.h"
 #include "graph/partition.h"
 #include "shortcut/existential.h"
 #include "shortcut/representation.h"
 #include "shortcut/shortcut.h"
+#include "shortcut/tree_routing.h"
 #include "test_util.h"
+#include "tree/spanning_tree.h"
 
 namespace lcs {
 namespace {
@@ -14,12 +20,72 @@ namespace {
 using testutil::Sim;
 using testutil::central_components;
 
+/// The routing plan against the centralized components: each node's slots
+/// are exactly the parts on its incident tree edges, `expected` counts the
+/// child edges carrying the part, a parent-edge slot holds its component
+/// root's depth, and the rooted parts are the components rooted there.
+void expect_plan_matches_components(const Graph& g, const SpanningTree& tree,
+                                    const Partition& p, const Shortcut& s,
+                                    const ComponentPlan& plan) {
+  const auto n = static_cast<std::size_t>(g.num_nodes());
+  std::vector<std::map<PartId, ComponentPlan::Slot>> want_slots(n);
+  std::vector<std::vector<PartId>> want_rooted(n);
+  for (PartId j = 0; j < p.num_parts; ++j) {
+    for (const auto& comp : central_components(g, tree, p, s, j)) {
+      if (comp.edges.empty()) continue;  // singletons: no tree edge, no slot
+      want_rooted[static_cast<std::size_t>(comp.root)].push_back(j);
+      for (const EdgeId e : comp.edges) {
+        const auto lower = static_cast<std::size_t>(tree.lower_endpoint(e));
+        const auto upper = static_cast<std::size_t>(tree.parent[lower]);
+        ComponentPlan::Slot& down = want_slots[upper][j];
+        down.part = j;
+        ++down.expected;
+        ComponentPlan::Slot& up = want_slots[lower][j];
+        up.part = j;
+        up.has_parent = true;
+        up.parent_root_depth = tree.depth[static_cast<std::size_t>(comp.root)];
+      }
+    }
+  }
+
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    const auto i = static_cast<std::size_t>(v);
+    const auto rooted = plan.rooted_at(v);
+    EXPECT_EQ(std::vector<PartId>(rooted.begin(), rooted.end()),
+              want_rooted[i])
+        << "node " << v;
+    ASSERT_EQ(plan.slot_off[i + 1] - plan.slot_off[i], want_slots[i].size())
+        << "node " << v;
+    std::size_t k = plan.slot_off[i];
+    for (const auto& [j, want] : want_slots[i]) {
+      const ComponentPlan::Slot& got = plan.slots[k++];
+      EXPECT_EQ(got.part, j) << "node " << v;
+      EXPECT_EQ(got.expected, want.expected) << "node " << v << " part " << j;
+      EXPECT_EQ(got.has_parent, want.has_parent)
+          << "node " << v << " part " << j;
+      EXPECT_EQ(got.parent_root_depth, want.parent_root_depth)
+          << "node " << v << " part " << j;
+    }
+    std::vector<EdgeId> children = tree.children_edges[i];
+    std::sort(children.begin(), children.end());
+    EXPECT_EQ(std::vector<EdgeId>(
+                  plan.child_edge.begin() +
+                      static_cast<std::ptrdiff_t>(plan.child_off[i]),
+                  plan.child_edge.begin() +
+                      static_cast<std::ptrdiff_t>(plan.child_off[i + 1])),
+              children)
+        << "node " << v;
+  }
+}
+
 void expect_representation_correct(const Graph& g, const Partition& p,
                                    std::int32_t threshold) {
   Sim setup(g);
   const Shortcut s = greedy_blocked_shortcut(g, setup.tree, p, threshold);
   const ShortcutState state =
       compute_shortcut_state(setup.net, setup.tree, p, s);
+  EXPECT_TRUE(state.plan.has_root_depths);
+  expect_plan_matches_components(g, setup.tree, p, s, state.plan);
 
   for (PartId j = 0; j < p.num_parts; ++j) {
     for (const auto& comp : central_components(g, setup.tree, p, s, j)) {

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <tuple>
+#include <vector>
 
+#include "congest/network.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
 #include "graph/partition.h"
@@ -49,7 +53,7 @@ TEST(TreeRouting, BroadcastReachesEveryComponentNodeExactlyOnce) {
     // (node, part) -> received values.
     std::map<std::pair<NodeId, PartId>, std::vector<std::uint64_t>> seen;
     run_component_broadcast(
-        setup.net, setup.tree, sc.s,
+        setup.net, setup.tree, make_component_plan(setup.tree, sc.s),
         [](NodeId root, PartId j) {
           return (static_cast<std::uint64_t>(root) << 20) |
                  static_cast<std::uint64_t>(j);
@@ -86,7 +90,7 @@ TEST(TreeRouting, ConvergecastSumsComponentContributions) {
 
     std::map<std::pair<NodeId, PartId>, std::uint64_t> results;
     run_component_convergecast(
-        setup.net, setup.tree, state.shortcut, state.root_depth_on_edge,
+        setup.net, setup.tree, state.plan,
         [](NodeId, PartId) -> std::uint64_t { return 1; },  // count nodes
         [](std::uint64_t a, std::uint64_t b) { return a + b; },
         [&](NodeId root, PartId j, std::uint64_t agg) {
@@ -115,7 +119,7 @@ TEST(TreeRouting, ConvergecastMinFindsComponentMinimum) {
 
   std::map<std::pair<NodeId, PartId>, std::uint64_t> results;
   run_component_convergecast(
-      setup.net, setup.tree, state.shortcut, state.root_depth_on_edge,
+      setup.net, setup.tree, state.plan,
       [](NodeId v, PartId) { return static_cast<std::uint64_t>(v); },
       [](std::uint64_t a, std::uint64_t b) { return std::min(a, b); },
       [&](NodeId root, PartId j, std::uint64_t agg) {
@@ -133,13 +137,13 @@ TEST(TreeRouting, ConvergecastMinFindsComponentMinimum) {
 }
 
 TEST(TreeRouting, FifoDispatchesSimultaneouslyReadyComponentsInPartOrder) {
-  // Regression test: ConvergecastProcess assigns the kFifo scheduling key
-  // (seq_) by walking its per-component state map when several components
-  // become ready in the same round, so that walk is part of the observable
-  // schedule. It used to be an unordered_map, whose iteration order is a
-  // standard-library artifact — reproducible on one platform, different on
-  // another. Pin the contract: simultaneously-ready components dispatch in
-  // ascending PartId order.
+  // Regression test: the convergecast assigns the kFifo scheduling key (a
+  // per-node sequence number) by walking the node's component slots when
+  // several components become ready in the same round, so that walk is part
+  // of the observable schedule. It used to walk an unordered_map, whose
+  // iteration order is a standard-library artifact — reproducible on one
+  // platform, different on another. Pin the contract: simultaneously-ready
+  // components dispatch in ascending PartId order.
   const Graph g = make_path(3);  // 0 - 1 - 2, rooted at 0
   Sim setup(g);
   constexpr PartId kParts = 10;
@@ -158,9 +162,12 @@ TEST(TreeRouting, FifoDispatchesSimultaneouslyReadyComponentsInPartOrder) {
     }
   }
 
+  ComponentPlan plan = make_component_plan(setup.tree, s);
+  set_parent_root_depths(plan, setup.tree, s, root_depth);
+
   std::vector<PartId> order;
   run_component_convergecast(
-      setup.net, setup.tree, s, root_depth,
+      setup.net, setup.tree, plan,
       [](NodeId v, PartId) { return static_cast<std::uint64_t>(v); },
       [](std::uint64_t a, std::uint64_t b) { return a + b; },
       [&](NodeId root, PartId j, std::uint64_t agg) {
@@ -175,6 +182,83 @@ TEST(TreeRouting, FifoDispatchesSimultaneouslyReadyComponentsInPartOrder) {
     EXPECT_EQ(order[static_cast<std::size_t>(j)], j) << "dispatch position " << j;
 }
 
+TEST(TreeRouting, BroadcastSendOrderOnContestedEdgesPerPriority) {
+  // Node 1 has three child edges whose ids run against node order, and the
+  // edge to node 2 carries four parts: 1 and 9 rooted at node 0 (depth 0),
+  // 3 and 5 rooted at node 1 (depth 1). Messages queue on that edge, so each
+  // priority rule yields its own send order. Pinned per rule: the sends of
+  // every round and the on_receive order they imply (the roots' own calls
+  // in node then part order, then each round's deliveries in ascending
+  // node order).
+  //   e0 = 0-1 {1, 9}   e1 = 1-4 {1, 5}
+  //   e2 = 1-3 {6, 9}   e3 = 1-2 {1, 3, 5, 9}
+  const Graph g(5, {{0, 1, 1}, {1, 4, 1}, {1, 3, 1}, {1, 2, 1}});
+  Shortcut s;
+  s.parts_on_edge = {{1, 9}, {1, 5}, {6, 9}, {1, 3, 5, 9}};
+  const auto root_of = [](PartId j) -> NodeId {
+    return j == 1 || j == 9 ? 0 : 1;
+  };
+  const auto word = [](NodeId root, PartId j) {
+    return static_cast<std::uint64_t>(100 * root + j);
+  };
+
+  struct Send {
+    EdgeId edge;
+    PartId part;
+  };
+  struct Case {
+    const char* name;
+    RoutingPriority priority;
+    // sends[r]: the sends of engine round r - 1 (sends[0]: on_start).
+    std::vector<std::vector<Send>> sends;
+  };
+  const std::vector<Send> start = {{0, 1}, {1, 5}, {2, 6}, {3, 3}};
+  const std::vector<Case> cases = {
+      {"root-depth", RoutingPriority::kRootDepth,
+       {start, {{0, 9}, {1, 1}, {3, 1}}, {{2, 9}, {3, 9}}, {{3, 5}}}},
+      {"part-id", RoutingPriority::kPartId,
+       {start, {{0, 9}, {1, 1}, {3, 1}}, {{2, 9}, {3, 5}}, {{3, 9}}}},
+      {"fifo", RoutingPriority::kFifo,
+       {start, {{0, 9}, {1, 1}, {3, 5}}, {{2, 9}, {3, 1}}, {{3, 9}}}},
+  };
+
+  using Delivery = std::tuple<NodeId, PartId, std::uint64_t, std::int32_t>;
+  for (const Case& c : cases) {
+    Sim setup(g);
+    std::vector<Delivery> want;
+    for (const PartId j : {1, 9, 3, 5, 6}) {
+      const NodeId root = root_of(j);
+      want.emplace_back(root, j, word(root, j),
+                        setup.tree.depth[static_cast<std::size_t>(root)]);
+    }
+    std::int64_t messages = 0;
+    for (const auto& round : c.sends) {
+      std::vector<Delivery> arrivals;
+      for (const Send& send : round) {
+        const NodeId root = root_of(send.part);
+        arrivals.emplace_back(setup.tree.lower_endpoint(send.edge), send.part,
+                              word(root, send.part),
+                              setup.tree.depth[static_cast<std::size_t>(root)]);
+      }
+      std::sort(arrivals.begin(), arrivals.end());  // one per node per round
+      want.insert(want.end(), arrivals.begin(), arrivals.end());
+      messages += static_cast<std::int64_t>(round.size());
+    }
+
+    std::vector<Delivery> got;
+    const congest::PhaseStats stats = run_component_broadcast(
+        setup.net, setup.tree, make_component_plan(setup.tree, s), word,
+        [&](NodeId v, PartId j, std::uint64_t value, std::int32_t depth) {
+          got.emplace_back(v, j, value, depth);
+        },
+        c.priority);
+    EXPECT_EQ(got, want) << c.name;
+    EXPECT_EQ(stats.rounds, static_cast<std::int64_t>(c.sends.size()))
+        << c.name;
+    EXPECT_EQ(stats.messages, messages) << c.name;
+  }
+}
+
 TEST(TreeRouting, Lemma2RoundBound) {
   // Rounds of a parallel broadcast/convergecast stay O(D + c): test with
   // slack factor 2 across families and congestion levels.
@@ -187,7 +271,7 @@ TEST(TreeRouting, Lemma2RoundBound) {
 
       const std::int64_t before = setup.net.total_rounds();
       run_component_broadcast(
-          setup.net, setup.tree, sc.s,
+          setup.net, setup.tree, make_component_plan(setup.tree, sc.s),
           [](NodeId, PartId) -> std::uint64_t { return 7; },
           [](NodeId, PartId, std::uint64_t, std::int32_t) {});
       const std::int64_t rounds = setup.net.total_rounds() - before;
@@ -212,7 +296,7 @@ TEST(TreeRouting, FullAncestorBroadcastCongestionStress) {
 
   const std::int64_t before = setup.net.total_rounds();
   run_component_broadcast(
-      setup.net, setup.tree, s,
+      setup.net, setup.tree, make_component_plan(setup.tree, s),
       [](NodeId, PartId) -> std::uint64_t { return 1; },
       [](NodeId, PartId, std::uint64_t, std::int32_t) {});
   EXPECT_LE(setup.net.total_rounds() - before, 2 * (setup.tree.height + c) + 8);

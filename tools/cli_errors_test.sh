@@ -101,6 +101,11 @@ expect_error_contains unknown_spec_key 2 "'frob'" \
 expect_error_contains unknown_spec_key_lists_accepted 2 'accepted:' \
   --algo=components --scenario='er:n=100,deg=4,frob=1'
 
+# wseed seeds only the weights= draw: alone it is diagnosed as such, not
+# as an unknown key whose accepted list names it.
+expect_error_contains wseed_without_weights 2 "'wseed' requires weights=lo-hi" \
+  --algo=components --scenario='er:n=50,deg=4,wseed=3'
+
 # A --sweep key that is not a parameter of the scenario family is rejected
 # before any expansion work (and names both the key and the family).
 expect_error_contains sweep_unknown_key 2 "'bogus'" \
