@@ -4,11 +4,12 @@
 /// `Network` executes *phases*: a phase instantiates one `Process` per node
 /// and runs synchronous rounds until the system is quiescent (no messages in
 /// flight, no wakeups pending) or a round limit trips. Rounds and messages
-/// are accounted exactly; coordination costs that a real deployment would
-/// pay but that the simulator performs centrally (e.g. the O(D) termination
-/// echo after a quiescent phase, or broadcasting a shared random seed) are
-/// charged explicitly through `charge()` with a label, so every round in
-/// `total_rounds()` is justified.
+/// are accounted exactly, and every round in `total_rounds()` is simulated:
+/// the shared random seed is flooded down the tree with real messages by
+/// `broadcast_word_from_root` (shortcut/tree_ops.h), while the engine's own
+/// detection that a phase has gone quiescent is free and uncharged. No
+/// library code calls `charge()`, so the `charges` object of every report
+/// is empty.
 ///
 /// The engine is activity-driven: per round it touches only nodes that
 /// received a message or requested a wakeup, so simulation work is
@@ -269,12 +270,9 @@ class Network {
     return parallel_threshold_;
   }
 
-  /// Account `rounds` additional rounds of explicitly-charged coordination.
-  /// Labels are aggregated for reporting. Conventional labels:
-  ///   "seed-broadcast" — flooding a shared random seed from the root;
-  ///   "termination"    — the O(D) convergecast echo that detects
-  ///                      quiescence, which the simulator observes for free.
-  /// New call sites should reuse these or add a short kebab-case label.
+  /// Account `rounds` additional rounds of explicitly-charged coordination,
+  /// aggregated per label for reporting. No library code calls it today
+  /// (see the file comment); only the engine's own tests exercise it.
   void charge(std::int64_t rounds, const std::string& label);
 
   std::int64_t total_rounds() const { return total_rounds_; }

@@ -83,14 +83,62 @@ bool same_partition_structure(const std::vector<PartId>& a,
   return true;
 }
 
+/// What a runner hands back to run_one, which owns the rest of the report
+/// (scenario, config, validation, timing) and the exit code.
 struct RunReport {
-  // Algorithm-specific payload, emitted under "result".
-  std::function<void(JsonWriter&)> result;
+  // The sections between "config" and "validation": "churn" and
+  // "checkpoints" for churn; "setup", "result" and "charges" for engine
+  // algorithms, whose runners write only their "result" fields here for
+  // set_engine_body to wrap. Unset for `none`.
+  std::function<void(JsonWriter&)> body;
+  // Threads the engine ran at, emitted under "timing"; -1 = no engine ran.
+  int threads = -1;
   // Validation payload, emitted under "validation"; `ok` drives exit code.
   bool validated = false;
   bool ok = true;
   std::function<void(JsonWriter&)> validation;
 };
+
+/// Engine accounting of a cell, normalized so the body cannot tell where it
+/// came from: a live network, or a cached shortcut record.
+struct EngineAccounting {
+  std::int64_t setup_rounds = 0;
+  std::int64_t setup_messages = 0;
+  std::int64_t algo_rounds = 0;
+  std::int64_t algo_messages = 0;
+  std::vector<std::pair<std::string, std::int64_t>> charges;
+};
+
+/// Wraps an engine runner's "result" fields into the engine body: "setup",
+/// "result" (the fields, then the algorithm's rounds and messages) and
+/// "charges".
+void set_engine_body(RunReport& rep, EngineAccounting acc, int threads) {
+  rep.threads = threads;
+  rep.body = [result = std::move(rep.body),
+              acc = std::move(acc)](JsonWriter& w) {
+    w.key("setup").begin_object();
+    w.kv("rounds", acc.setup_rounds);
+    w.kv("messages", acc.setup_messages);
+    w.end_object();
+
+    w.key("result").begin_object();
+    result(w);
+    w.kv("rounds", acc.algo_rounds);
+    w.kv("messages", acc.algo_messages);
+    w.end_object();
+
+    w.key("charges").begin_object();
+    for (const auto& [label, rounds] : acc.charges) w.kv(label, rounds);
+    w.end_object();
+  };
+}
+
+void configure_network(congest::Network& net, const RunOptions& o) {
+  net.set_validate(o.validate);
+  net.set_threads(o.threads);
+  if (o.parallel_threshold >= 0)
+    net.set_parallel_round_threshold(o.parallel_threshold);
+}
 
 RunReport run_components(congest::Network& net, const SpanningTree& tree,
                          const scenario::Scenario& sc, const RunOptions& o) {
@@ -111,7 +159,7 @@ RunReport run_components(congest::Network& net, const SpanningTree& tree,
   const std::int64_t components = static_cast<std::int64_t>(labels.size());
 
   RunReport rep;
-  rep.result = [components, failed, res](JsonWriter& w) {
+  rep.body = [components, failed, res](JsonWriter& w) {
     w.kv("components", components);
     w.kv("failed_edges", failed);
     w.kv("phases", res.phases);
@@ -139,7 +187,7 @@ RunReport run_mst(congest::Network& net, const SpanningTree& tree,
   const DistributedMst mst = mst_boruvka_shortcut(net, tree, opts);
 
   RunReport rep;
-  rep.result = [mst](JsonWriter& w) {
+  rep.body = [mst](JsonWriter& w) {
     w.kv("weight", mst.total_weight);
     w.kv("mst_edges", static_cast<std::int64_t>(mst.edges.size()));
     w.kv("phases", mst.phases);
@@ -164,7 +212,7 @@ RunReport run_mincut(congest::Network& net, const SpanningTree& tree,
   const MincutEstimate est = approx_mincut(net, tree, o.seed);
 
   RunReport rep;
-  rep.result = [est](JsonWriter& w) {
+  rep.body = [est](JsonWriter& w) {
     w.kv("estimate", est.estimate);
     w.kv("levels_tested", est.levels_tested);
   };
@@ -209,7 +257,7 @@ RunReport run_aggregate(congest::Network& net, const SpanningTree& tree,
   const std::int64_t leader_rounds = net.total_rounds() - before;
 
   RunReport rep;
-  rep.result = [stats, leader_rounds](JsonWriter& w) {
+  rep.body = [stats, leader_rounds](JsonWriter& w) {
     w.kv("trials", stats.trials);
     w.kv("iterations", stats.iterations);
     w.kv("used_c", stats.used_c);
@@ -241,6 +289,31 @@ RunReport run_aggregate(congest::Network& net, const SpanningTree& tree,
       w.kv("leaders_match", ok);
     };
   }
+  return rep;
+}
+
+/// The engine algorithms other than shortcut: a fresh network and BFS tree
+/// (the setup accounting), then the algorithm itself.
+RunReport run_engine(const scenario::Scenario& sc, const RunOptions& o) {
+  congest::Network net(sc.graph);
+  configure_network(net, o);
+  const SpanningTree tree = build_bfs_tree(net, /*root=*/0);
+  EngineAccounting acc;
+  acc.setup_rounds = net.total_rounds();
+  acc.setup_messages = net.total_messages();
+
+  RunReport rep;
+  if (o.algo == "components") rep = run_components(net, tree, sc, o);
+  else if (o.algo == "mst") rep = run_mst(net, tree, sc, o);
+  else if (o.algo == "mincut") rep = run_mincut(net, tree, sc, o);
+  else if (o.algo == "aggregate") rep = run_aggregate(net, tree, sc, o);
+  else LCS_CHECK(false, "unknown --algo '" + o.algo + "' (see --help)");
+
+  acc.algo_rounds = net.total_rounds() - acc.setup_rounds;
+  acc.algo_messages = net.total_messages() - acc.setup_messages;
+  for (const auto& [label, rounds] : net.charged_rounds())
+    acc.charges.emplace_back(label, rounds);
+  set_engine_body(rep, std::move(acc), net.threads());
   return rep;
 }
 
@@ -296,8 +369,8 @@ RunReport shortcut_report(const ShortcutRunRecord& rec,
       rec.backend_stats;
 
   RunReport rep;
-  rep.result = [stats, cong, block, dil, default_backend,
-                backend_stats](JsonWriter& w) {
+  rep.body = [stats, cong, block, dil, default_backend,
+              backend_stats](JsonWriter& w) {
     if (default_backend) {
       w.kv("trials", stats.trials);
       w.kv("iterations", stats.iterations);
@@ -331,6 +404,59 @@ RunReport shortcut_report(const ShortcutRunRecord& rec,
   return rep;
 }
 
+/// `--algo=shortcut`: the record comes from the cache hook when it has one,
+/// otherwise from a cold construction (stored back through the hook).
+RunReport run_shortcut(const scenario::Scenario& sc, const RunOptions& o,
+                       const RunHooks& hooks) {
+  const std::string backend_name =
+      o.backend.empty() ? std::string(backend::kDefaultBackend) : o.backend;
+  const backend::Backend* be = backend::find_backend(backend_name);
+  LCS_CHECK(be != nullptr, "unknown --backend '" + backend_name +
+                               "' (registered: " +
+                               backend::registered_backend_names() + ")");
+  if (const std::string reason = be->applicable(sc); !reason.empty()) {
+    std::string msg = "backend '" + backend_name +
+                      "' is not applicable to scenario '" + sc.spec +
+                      "': " + reason +
+                      " (accepted backends for this scenario: ";
+    bool first = true;
+    for (const std::string& name : backend::applicable_backend_names(sc)) {
+      if (!first) msg += ", ";
+      msg += name;
+      first = false;
+    }
+    msg += ")";
+    LCS_CHECK(false, msg);
+  }
+  ShortcutCacheKey key;
+  key.seed = o.seed;
+  key.backend = backend_name;
+  if (hooks.find_shortcut_record || hooks.store_shortcut_record) {
+    key.spec_hash = spec_hash(sc.spec);
+    key.partition_hash = partition_hash(sc.partition);
+  }
+  std::shared_ptr<const ShortcutRunRecord> record;
+  if (hooks.find_shortcut_record) record = hooks.find_shortcut_record(key, sc);
+  int threads = WorkerPool::resolve_threads(o.threads);
+  if (!record) {
+    congest::Network net(sc.graph);
+    configure_network(net, o);
+    const SpanningTree tree = build_bfs_tree(net, /*root=*/0);
+    record = std::make_shared<const ShortcutRunRecord>(
+        build_shortcut_record(net, tree, sc, key, *be));
+    if (hooks.store_shortcut_record)
+      hooks.store_shortcut_record(key, sc, record);
+    threads = net.threads();
+  }
+  RunReport rep = shortcut_report(*record, sc, o);
+  set_engine_body(rep,
+                  {record->setup_rounds, record->setup_messages,
+                   record->algo_rounds, record->algo_messages,
+                   record->charges},
+                  threads);
+  return rep;
+}
+
 // ------------------------------------------------------------------ churn --
 
 const char* verify_mode_name(dynamic::VerifyMode mode) {
@@ -348,58 +474,48 @@ void emit_quality(JsonWriter& w, const ForestQuality& q) {
   w.kv("product", q.product());
 }
 
-/// `--algo=churn`: resolve the base scenario, drive it through the verified
-/// churn stream, and emit one report object with a per-checkpoint array.
+/// The wrapper spec and the --churn flag are two spellings of the same
+/// thing; accept either, not both.
+dynamic::ChurnSpec churn_spec_of(const RunOptions& o) {
+  if (dynamic::is_churn_spec(o.scenario)) {
+    LCS_CHECK(o.churn.empty(),
+              "--churn and a churn: scenario wrapper are exclusive; put the "
+              "parameters in one place");
+    return dynamic::parse_churn_spec(o.scenario);
+  }
+  dynamic::ChurnSpec churn;
+  churn.base = o.scenario;
+  if (!o.churn.empty()) churn.params = dynamic::parse_churn_params(o.churn);
+  return churn;
+}
+
+/// `--algo=churn`: drive the base scenario through the verified churn
+/// stream; the body is the churn parameters and a per-checkpoint array.
 /// The churn run itself is centralized (thread-invariant by construction);
 /// under --validate the final snapshot is additionally solved by the
 /// distributed engine (at --threads) and cross-checked against the
 /// incrementally maintained forest, so the threads-1/2/4 golden gate
 /// exercises a real engine run too.
-int run_churn_cell(const RunOptions& o, const RunHooks& hooks, JsonWriter& w) {
-  // lcs-lint: allow(D2) wall_ms report field: explicitly timed, stripped by --no-timing
-  const auto t0 = std::chrono::steady_clock::now();
-
-  // The wrapper spec and the --churn flag are two spellings of the same
-  // thing; accept either, not both.
-  dynamic::ChurnSpec churn;
-  if (dynamic::is_churn_spec(o.scenario)) {
-    LCS_CHECK(o.churn.empty(),
-              "--churn and a churn: scenario wrapper are exclusive; put the "
-              "parameters in one place");
-    churn = dynamic::parse_churn_spec(o.scenario);
-  } else {
-    churn.base = o.scenario;
-    if (!o.churn.empty()) churn.params = dynamic::parse_churn_params(o.churn);
-  }
-  const std::shared_ptr<const scenario::Scenario> sc_ptr =
-      resolve_scenario(hooks, churn.base);
-  const scenario::Scenario& sc = *sc_ptr;
-  if (!o.save_graph_path.empty()) save_binary(sc.graph, o.save_graph_path);
-
-  const dynamic::ChurnResult res =
-      dynamic::run_churn(sc.graph, sc.partition.part_of, churn.params);
+RunReport churn_report(const scenario::Scenario& sc,
+                       const dynamic::ChurnParams& p, const RunOptions& o) {
+  dynamic::ChurnResult res =
+      dynamic::run_churn(sc.graph, sc.partition.part_of, p);
 
   // Engine cross-check: the distributed MST over the final snapshot must
   // reproduce the maintained forest (weight and exact edge set, matched by
   // sequence number through the snapshot's edge-id order).
-  bool validated = false;
-  bool ok = true;
-  std::function<void(JsonWriter&)> validation;
-  int engine_threads = -1;
+  RunReport rep;
   if (o.validate) {
-    validated = true;
+    rep.validated = true;
     const dynamic::DynamicGraph::Snapshot& snap = *res.final_snapshot;
     if (is_connected(snap.graph)) {
       congest::Network net(snap.graph);
-      net.set_validate(true);
-      net.set_threads(o.threads);
-      if (o.parallel_threshold >= 0)
-        net.set_parallel_round_threshold(o.parallel_threshold);
+      configure_network(net, o);
       const SpanningTree tree = build_bfs_tree(net, /*root=*/0);
       ShortcutMstOptions opts;
       opts.seed = o.seed;
       const DistributedMst mst = mst_boruvka_shortcut(net, tree, opts);
-      engine_threads = net.threads();
+      rep.threads = net.threads();
 
       std::vector<std::uint64_t> engine_seqs;
       engine_seqs.reserve(mst.edges.size());
@@ -414,124 +530,73 @@ int run_churn_cell(const RunOptions& o, const RunHooks& hooks, JsonWriter& w) {
         maintained_seqs.push_back(snap.seq[e]);
         maintained_weight += snap.graph.edge(util::checked_cast<EdgeId>(e)).w;
       }
-      ok = mst.total_weight == maintained_weight &&
-           engine_seqs == maintained_seqs;
+      rep.ok = mst.total_weight == maintained_weight &&
+               engine_seqs == maintained_seqs;
       const Weight w_engine = mst.total_weight;
-      const bool c_ok = ok;
-      validation = [w_engine, maintained_weight, c_ok](JsonWriter& w) {
+      const bool ok = rep.ok;
+      rep.validation = [w_engine, maintained_weight, ok](JsonWriter& w) {
         w.kv("oracle", "distributed Boruvka MST over the final snapshot");
         w.kv("oracle_weight", w_engine);
         w.kv("maintained_weight", maintained_weight);
-        w.kv("edges_match", c_ok);
+        w.kv("edges_match", ok);
       };
     } else {
-      validation = [](JsonWriter& w) {
+      rep.validation = [](JsonWriter& w) {
         w.kv("oracle",
              "skipped (final snapshot disconnected; per-checkpoint "
              "incremental-vs-oracle checks still ran)");
       };
     }
   }
-  const double wall_ms = std::chrono::duration<double, std::milli>(
-                             // lcs-lint: allow(D2) wall_ms report field: explicitly timed
-                             std::chrono::steady_clock::now() - t0)
-                             .count();
 
-  w.begin_object();
-  w.kv("schema", std::int64_t{1});
-  w.kv("algorithm", o.algo);
-
-  w.key("scenario").begin_object();
-  w.kv("spec", o.scenario);
-  w.kv("family", "churn");
-  w.key("base").begin_object();
-  w.kv("spec", sc.spec);
-  w.kv("family", sc.family);
-  w.kv("nodes", sc.graph.num_nodes());
-  w.kv("edges", sc.graph.num_edges());
-  w.kv("total_weight", sc.graph.total_weight());
-  w.kv("parts", sc.partition.num_parts);
-  if (o.metrics) {
-    w.kv("diameter_lb", diameter_double_sweep(sc.graph));
-    w.kv("max_part_diameter", max_part_diameter(sc.graph, sc.partition));
-  }
-  w.end_object();
-  w.end_object();
-
-  w.key("config").begin_object();
-  w.kv("seed", o.seed);
-  w.kv("validate", o.validate);
-  w.end_object();
-
-  const dynamic::ChurnParams& p = churn.params;
-  w.key("churn").begin_object();
-  w.kv("steps", p.steps);
-  w.kv("rate", p.rate);
-  w.kv("dfrac", p.delete_frac);
-  w.kv("seed", p.seed);
-  w.kv("weight_lo", p.weight_lo);
-  w.kv("weight_hi", p.weight_hi);
-  w.kv("verify", verify_mode_name(p.verify));
-  if (p.verify == dynamic::VerifyMode::kSampled)
-    w.kv("vperiod", p.verify_period);
-  w.kv("ops_per_step", res.ops_per_step);
-  w.kv("skipped_inserts", res.skipped_inserts);
-  w.kv("skipped_deletes", res.skipped_deletes);
-  w.end_object();
-
-  w.key("checkpoints").begin_array();
-  for (const dynamic::ChurnCheckpoint& cp : res.checkpoints) {
-    w.begin_object();
-    w.kv("step", cp.step);
-    w.kv("edges", cp.edges);
-    w.kv("components", cp.components);
-    w.kv("msf_weight", cp.msf_weight);
-    w.kv("msf_edges", cp.msf_edges);
-    w.key("quality").begin_object();
-    w.key("maintained").begin_object();
-    emit_quality(w, cp.maintained);
+  rep.body = [p, res = std::move(res)](JsonWriter& w) {
+    w.key("churn").begin_object();
+    w.kv("steps", p.steps);
+    w.kv("rate", p.rate);
+    w.kv("dfrac", p.delete_frac);
+    w.kv("seed", p.seed);
+    w.kv("weight_lo", p.weight_lo);
+    w.kv("weight_hi", p.weight_hi);
+    w.kv("verify", verify_mode_name(p.verify));
+    if (p.verify == dynamic::VerifyMode::kSampled)
+      w.kv("vperiod", p.verify_period);
+    w.kv("ops_per_step", res.ops_per_step);
+    w.kv("skipped_inserts", res.skipped_inserts);
+    w.kv("skipped_deletes", res.skipped_deletes);
     w.end_object();
-    w.key("fresh").begin_object();
-    emit_quality(w, cp.fresh);
-    w.end_object();
-    w.end_object();
-    w.key("counters").begin_object();
-    w.kv("inserts", cp.counters.inserts);
-    w.kv("deletes", cp.counters.deletes);
-    w.kv("msf_grows", cp.counters.msf_grows);
-    w.kv("msf_swaps", cp.counters.msf_swaps);
-    w.kv("msf_replacements", cp.counters.msf_replacements);
-    w.kv("msf_splits", cp.counters.msf_splits);
-    w.kv("uf_rebuilds", cp.counters.uf_rebuilds);
-    w.kv("uf_unions", cp.counters.uf_unions);
-    w.end_object();
-    w.kv("full_verifications", cp.full_verifications);
-    w.end_object();
-  }
-  w.end_array();
 
-  w.key("validation").begin_object();
-  w.kv("checked", validated);
-  if (validated) {
-    w.kv("ok", ok);
-    if (validation) validation(w);
-  }
-  w.end_object();
-
-  if (o.timing) {
-    w.key("timing").begin_object();
-    if (engine_threads >= 0) w.kv("threads", engine_threads);
-    w.kv("wall_ms", wall_ms);
-    w.end_object();
-  }
-  w.end_object();
-
-  if (validated && !ok) {
-    std::cerr << "VALIDATION FAILED for --algo=churn --scenario=" << o.scenario
-              << "\n";
-    return 1;
-  }
-  return 0;
+    w.key("checkpoints").begin_array();
+    for (const dynamic::ChurnCheckpoint& cp : res.checkpoints) {
+      w.begin_object();
+      w.kv("step", cp.step);
+      w.kv("edges", cp.edges);
+      w.kv("components", cp.components);
+      w.kv("msf_weight", cp.msf_weight);
+      w.kv("msf_edges", cp.msf_edges);
+      w.key("quality").begin_object();
+      w.key("maintained").begin_object();
+      emit_quality(w, cp.maintained);
+      w.end_object();
+      w.key("fresh").begin_object();
+      emit_quality(w, cp.fresh);
+      w.end_object();
+      w.end_object();
+      w.key("counters").begin_object();
+      w.kv("inserts", cp.counters.inserts);
+      w.kv("deletes", cp.counters.deletes);
+      w.kv("msf_grows", cp.counters.msf_grows);
+      w.kv("msf_swaps", cp.counters.msf_swaps);
+      w.kv("msf_replacements", cp.counters.msf_replacements);
+      w.kv("msf_splits", cp.counters.msf_splits);
+      w.kv("uf_rebuilds", cp.counters.uf_rebuilds);
+      w.kv("uf_unions", cp.counters.uf_unions);
+      w.end_object();
+      w.kv("full_verifications", cp.full_verifications);
+      w.end_object();
+    }
+    w.end_array();
+  };
+  return rep;
 }
 
 // ------------------------------------------------------------------ sweep --
@@ -693,109 +758,28 @@ std::string spec_with_param(const std::string& spec, const std::string& key,
   return out;
 }
 
-/// Runs one (algo, scenario) cell and emits its report object into `w`.
+/// Runs one (algo, scenario) cell and emits its report object into `w`:
+/// the runner for `o.algo` supplies the body, validation and engine thread
+/// count; the envelope around them is written here alone.
 /// Returns 0, or 1 when --validate found a mismatch.
 int run_one(const RunOptions& o, const RunHooks& hooks, JsonWriter& w) {
-  if (o.algo == "churn") return run_churn_cell(o, hooks, w);
-
   // lcs-lint: allow(D2) wall_ms report field: explicitly timed, stripped by --no-timing
   const auto t0 = std::chrono::steady_clock::now();
+  const std::optional<dynamic::ChurnSpec> churn =
+      o.algo == "churn" ? std::optional(churn_spec_of(o)) : std::nullopt;
   const std::shared_ptr<const scenario::Scenario> sc_ptr =
-      resolve_scenario(hooks, o.scenario);
+      resolve_scenario(hooks, churn ? churn->base : o.scenario);
   const scenario::Scenario& sc = *sc_ptr;
   if (!o.save_graph_path.empty()) save_binary(sc.graph, o.save_graph_path);
-
-  // Engine accounting of the cell, normalized so the emission below cannot
-  // tell where it came from: a live network, or a cached shortcut record.
-  bool have_engine = false;
-  std::int64_t setup_rounds = 0;
-  std::int64_t setup_messages = 0;
-  std::int64_t algo_rounds = 0;
-  std::int64_t algo_messages = 0;
-  std::vector<std::pair<std::string, std::int64_t>> charges;
-  int engine_threads = WorkerPool::resolve_threads(o.threads);
 
   // `--algo=none` stops after scenario resolution: no engine, no BFS tree,
   // no algorithm — the report is just the scenario section. This is the
   // cheap probe for generator scaling studies (`--sweep` over n) and the
   // CI large-n generation smoke.
-  std::optional<congest::Network> net;
-  const auto make_net = [&] {
-    net.emplace(sc.graph);
-    net->set_validate(o.validate);
-    net->set_threads(o.threads);
-    if (o.parallel_threshold >= 0)
-      net->set_parallel_round_threshold(o.parallel_threshold);
-  };
-
   RunReport rep;
-  const std::string backend_name =
-      o.backend.empty() ? std::string(backend::kDefaultBackend) : o.backend;
-  if (o.algo == "shortcut") {
-    have_engine = true;
-    const backend::Backend* be = backend::find_backend(backend_name);
-    LCS_CHECK(be != nullptr, "unknown --backend '" + backend_name +
-                                 "' (registered: " +
-                                 backend::registered_backend_names() + ")");
-    if (const std::string reason = be->applicable(sc); !reason.empty()) {
-      std::string msg = "backend '" + backend_name +
-                        "' is not applicable to scenario '" + sc.spec +
-                        "': " + reason +
-                        " (accepted backends for this scenario: ";
-      bool first = true;
-      for (const std::string& name : backend::applicable_backend_names(sc)) {
-        if (!first) msg += ", ";
-        msg += name;
-        first = false;
-      }
-      msg += ")";
-      LCS_CHECK(false, msg);
-    }
-    ShortcutCacheKey key;
-    key.seed = o.seed;
-    key.backend = backend_name;
-    if (hooks.find_shortcut_record || hooks.store_shortcut_record) {
-      key.spec_hash = spec_hash(sc.spec);
-      key.partition_hash = partition_hash(sc.partition);
-    }
-    std::shared_ptr<const ShortcutRunRecord> record;
-    if (hooks.find_shortcut_record)
-      record = hooks.find_shortcut_record(key, sc);
-    if (!record) {
-      make_net();
-      const SpanningTree tree = build_bfs_tree(*net, /*root=*/0);
-      auto built = std::make_shared<ShortcutRunRecord>(
-          build_shortcut_record(*net, tree, sc, key, *be));
-      record = built;
-      if (hooks.store_shortcut_record)
-        hooks.store_shortcut_record(key, sc, record);
-      engine_threads = net->threads();
-    }
-    rep = shortcut_report(*record, sc, o);
-    setup_rounds = record->setup_rounds;
-    setup_messages = record->setup_messages;
-    algo_rounds = record->algo_rounds;
-    algo_messages = record->algo_messages;
-    charges = record->charges;
-  } else if (o.algo != "none") {
-    have_engine = true;
-    make_net();
-    const SpanningTree tree = build_bfs_tree(*net, /*root=*/0);
-    setup_rounds = net->total_rounds();
-    setup_messages = net->total_messages();
-
-    if (o.algo == "components") rep = run_components(*net, tree, sc, o);
-    else if (o.algo == "mst") rep = run_mst(*net, tree, sc, o);
-    else if (o.algo == "mincut") rep = run_mincut(*net, tree, sc, o);
-    else if (o.algo == "aggregate") rep = run_aggregate(*net, tree, sc, o);
-    else LCS_CHECK(false, "unknown --algo '" + o.algo + "' (see --help)");
-
-    algo_rounds = net->total_rounds() - setup_rounds;
-    algo_messages = net->total_messages() - setup_messages;
-    for (const auto& [label, rounds] : net->charged_rounds())
-      charges.emplace_back(label, rounds);
-    engine_threads = net->threads();
-  }
+  if (churn) rep = churn_report(sc, churn->params, o);
+  else if (o.algo == "shortcut") rep = run_shortcut(sc, o, hooks);
+  else if (o.algo != "none") rep = run_engine(sc, o);
   const double wall_ms =
       // lcs-lint: allow(D2) wall_ms report field: explicitly timed
       std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
@@ -806,7 +790,14 @@ int run_one(const RunOptions& o, const RunHooks& hooks, JsonWriter& w) {
   w.kv("schema", std::int64_t{1});
   w.kv("algorithm", o.algo);
 
+  // A churn report names its own spec and nests the base scenario's fields
+  // under "base".
   w.key("scenario").begin_object();
+  if (churn) {
+    w.kv("spec", o.scenario);
+    w.kv("family", "churn");
+    w.key("base").begin_object();
+  }
   w.kv("spec", sc.spec);
   w.kv("family", sc.family);
   w.kv("nodes", sc.graph.num_nodes());
@@ -819,34 +810,20 @@ int run_one(const RunOptions& o, const RunHooks& hooks, JsonWriter& w) {
     w.kv("diameter_lb", diameter_double_sweep(sc.graph));
     w.kv("max_part_diameter", max_part_diameter(sc.graph, sc.partition));
   }
+  if (churn) w.end_object();
   w.end_object();
 
   w.key("config").begin_object();
   w.kv("seed", o.seed);
   // Only non-default backends mark the report: default-backend documents
   // stay byte-identical to the pre-registry pipeline (the golden contract).
-  if (o.algo == "shortcut" && backend_name != backend::kDefaultBackend)
-    w.kv("backend", backend_name);
+  if (!o.backend.empty() && o.backend != backend::kDefaultBackend)
+    w.kv("backend", o.backend);
   w.kv("validate", o.validate);
   if (o.algo == "components") w.kv("fail_rate", o.fail_rate);
   w.end_object();
 
-  if (have_engine) {
-    w.key("setup").begin_object();
-    w.kv("rounds", setup_rounds);
-    w.kv("messages", setup_messages);
-    w.end_object();
-
-    w.key("result").begin_object();
-    rep.result(w);
-    w.kv("rounds", algo_rounds);
-    w.kv("messages", algo_messages);
-    w.end_object();
-
-    w.key("charges").begin_object();
-    for (const auto& [label, rounds] : charges) w.kv(label, rounds);
-    w.end_object();
-  }
+  if (rep.body) rep.body(w);
 
   w.key("validation").begin_object();
   w.kv("checked", rep.validated);
@@ -858,7 +835,7 @@ int run_one(const RunOptions& o, const RunHooks& hooks, JsonWriter& w) {
 
   if (o.timing) {
     w.key("timing").begin_object();
-    if (have_engine) w.kv("threads", engine_threads);
+    if (rep.threads >= 0) w.kv("threads", rep.threads);
     w.kv("wall_ms", wall_ms);
     w.end_object();
   }

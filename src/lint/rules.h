@@ -3,14 +3,12 @@
 ///
 /// Two rule tiers:
 ///  - per-file rules (D1-D4, S1-S4) see one token stream at a time via
-///    RuleContext and are pure functions of that file — their output is
-///    cacheable by content hash;
+///    RuleContext and are pure functions of that file;
 ///  - project rules (A1-A4, U1) see every file's FileSummary at once,
 ///    because they reason about the include graph and cross-TU symbol
 ///    references.
 #pragma once
 
-#include <cstdint>
 #include <functional>
 #include <string>
 #include <string_view>
@@ -54,12 +52,10 @@ struct SuppressionRec {
   bool malformed = false;  ///< missing reason / unknown rule
 };
 
-/// Everything the pipeline extracts from one file in a single lex+parse:
-/// plain data, serializable into the incremental cache, so a warm run
-/// never re-lexes an unchanged file.
+/// Everything the pipeline extracts from one file in a single lex+parse;
+/// the project rules then run over these summaries alone.
 struct FileSummary {
-  std::string path;        ///< canonical repo-relative path (include_key)
-  std::uint64_t hash = 0;  ///< fnv1a64 of the raw bytes
+  std::string path;  ///< canonical repo-relative path (include_key)
   std::vector<IncludeDirective> includes;
   Outline outline;
   std::vector<Ref> refs;

@@ -62,7 +62,6 @@ class UpcastProcess final : public congest::Process {
         child_progress_[in.edge] = f;
       } else {
         child_progress_.erase(in.edge);
-        ++ended_children_;
       }
     }
     step(ctx);
@@ -101,7 +100,6 @@ class UpcastProcess final : public congest::Process {
   const SpanningTree& tree_;
   std::map<PartId, std::uint64_t> best_;
   std::map<EdgeId, PartId> child_progress_;  // child edge -> last frag id
-  int ended_children_ = 0;
   PartId emitted_up_to_ = -1;
   bool end_sent_ = false;
 };
@@ -191,32 +189,23 @@ DistributedMst mst_pipeline(congest::Network& net, const SpanningTree& tree) {
 
     // Root merges fragments locally (union-find over O(#fragments) words —
     // the root is a single node and this is its local computation).
-    UnionFind uf(static_cast<std::size_t>(n));
-    for (const auto& [frag, cand] : mwoes) {
+    const auto target_of = [&](PartId frag, std::uint64_t cand) {
       const auto& ed = g.edge(candidate_edge(cand));
-      const PartId target = fragments.part(ed.u) == frag
-                                ? fragments.part(ed.v)
-                                : fragments.part(ed.u);
-      uf.unite(static_cast<std::size_t>(frag), static_cast<std::size_t>(target));
-    }
-    // Representative = smallest fragment id in the merged component.
+      return fragments.part(ed.u) == frag ? fragments.part(ed.v)
+                                          : fragments.part(ed.u);
+    };
+    UnionFind uf(static_cast<std::size_t>(n));
+    for (const auto& [frag, cand] : mwoes)
+      uf.unite(static_cast<std::size_t>(frag),
+               static_cast<std::size_t>(target_of(frag, cand)));
+    // Representative = smallest fragment id in the merged component. A
+    // fragment and its merge target share a set, so one pass covers both.
     std::vector<PartId> rep(static_cast<std::size_t>(n), kNoPart);
     for (const auto& [frag, cand] : mwoes) {
-      (void)cand;
-      for (const PartId f : {frag}) {
-        const std::size_t root_id = uf.find(static_cast<std::size_t>(f));
-        if (rep[root_id] == kNoPart || f < rep[root_id]) rep[root_id] = f;
-      }
-    }
-    // Also consider merge targets as representative candidates.
-    for (const auto& [frag, cand] : mwoes) {
-      const auto& ed = g.edge(candidate_edge(cand));
-      const PartId target = fragments.part(ed.u) == frag
-                                ? fragments.part(ed.v)
-                                : fragments.part(ed.u);
-      const std::size_t root_id = uf.find(static_cast<std::size_t>(target));
-      if (rep[root_id] == kNoPart || target < rep[root_id])
-        rep[root_id] = target;
+      const std::size_t root_id = uf.find(static_cast<std::size_t>(frag));
+      const PartId smaller = std::min(frag, target_of(frag, cand));
+      if (rep[root_id] == kNoPart || smaller < rep[root_id])
+        rep[root_id] = smaller;
     }
 
     std::vector<DowncastProcess::Triple> triples;

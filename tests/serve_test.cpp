@@ -3,6 +3,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -12,6 +13,7 @@
 #include "serve/cache.h"
 #include "shortcut/persist.h"
 #include "util/check.h"
+#include "util/json_reader.h"
 
 namespace lcs {
 namespace {
@@ -256,6 +258,112 @@ TEST(ServeDriver, BackendChangesMissTheCacheAndWarmStartServesAll) {
     EXPECT_EQ(records.stats().disk_loads, 3);
   }
   fs::remove_all(dir);
+}
+
+std::vector<std::string> keys_of(const JsonValue& v) {
+  std::vector<std::string> keys;
+  for (const auto& member : v.as_object("report object"))
+    keys.push_back(member.first);
+  return keys;
+}
+
+std::set<std::string> timing_keys(const JsonValue& doc) {
+  const JsonValue* timing = doc.find("timing", "report");
+  if (timing == nullptr) return {};
+  const std::vector<std::string> keys = keys_of(*timing);
+  return {keys.begin(), keys.end()};
+}
+
+// Every golden and serve gate runs with timing off, so this pins the report
+// envelope with it on: the top-level key order of each report shape, and
+// `timing` carrying `threads` exactly when an engine ran (wall_ms is not
+// asserted — it is the one sanctioned nondeterminism).
+TEST(ServeDriver, ReportEnvelopeWithTimingPinsKeyOrder) {
+  const std::vector<std::string> engine_keys = {
+      "schema", "algorithm", "scenario", "config", "setup",
+      "result", "charges",   "validation", "timing"};
+  const std::vector<std::string> churn_keys = {
+      "schema", "algorithm", "scenario", "config",
+      "churn",  "checkpoints", "validation", "timing"};
+  const std::set<std::string> engine_timing = {"threads", "wall_ms"};
+  const std::set<std::string> wall_only = {"wall_ms"};
+
+  const auto run = [](const driver::RunOptions& o,
+                      const driver::RunHooks& hooks) {
+    std::string doc;
+    EXPECT_EQ(driver::run_document(o, hooks, doc), 0);
+    return parse_json(doc);
+  };
+
+  driver::RunOptions o;
+  o.scenario = "grid:w=6,h=6";
+  o.timing = true;
+
+  o.algo = "none";
+  const JsonValue none = run(o, {});
+  EXPECT_EQ(keys_of(none), (std::vector<std::string>{
+                               "schema", "algorithm", "scenario", "config",
+                               "validation", "timing"}));
+  EXPECT_EQ(timing_keys(none), wall_only);
+
+  o.algo = "mst";
+  o.threads = 2;
+  const JsonValue mst = run(o, {});
+  EXPECT_EQ(keys_of(mst), engine_keys);
+  ASSERT_EQ(timing_keys(mst), engine_timing);
+  EXPECT_EQ(mst.find("timing", "report")->find("threads", "timing")->as_int(
+                "timing.threads"),
+            2);
+  o.threads = 1;
+
+  // Shortcut cold (engine built) and warm (record served, no engine
+  // instantiated): the envelope must not tell the two apart.
+  const std::string dir = fresh_dir("lcs_envelope_records");
+  o.algo = "shortcut";
+  {
+    serve::ScenarioCache scenarios(dir);
+    serve::ShortcutRecordCache records(dir);
+    const auto hooks = hooks_for(scenarios, records);
+    const JsonValue cold = run(o, hooks);
+    const JsonValue warm = run(o, hooks);
+    EXPECT_EQ(records.stats().constructed, 1);
+    EXPECT_EQ(records.stats().memory_hits, 1);
+    EXPECT_EQ(keys_of(cold), engine_keys);
+    EXPECT_EQ(timing_keys(cold), engine_timing);
+    EXPECT_EQ(keys_of(warm), engine_keys);
+    EXPECT_EQ(timing_keys(warm), engine_timing);
+  }
+  fs::remove_all(dir);
+
+  // Churn: the shared scenario fields nest under `base`, and the engine
+  // runs only under validate when the final snapshot is connected.
+  o.algo = "churn";
+  o.scenario = "churn:base=grid:w=6,h=6;steps=20,rate=0.02,dfrac=0.3,seed=7";
+  o.validate = false;
+  const JsonValue churn_off = run(o, {});
+  ASSERT_EQ(keys_of(churn_off), churn_keys);
+  EXPECT_EQ(keys_of(*churn_off.find("scenario", "report")),
+            (std::vector<std::string>{"spec", "family", "base"}));
+  EXPECT_EQ(timing_keys(churn_off), wall_only);
+
+  o.validate = true;
+  const JsonValue connected = run(o, {});
+  ASSERT_EQ(keys_of(connected), churn_keys);
+  EXPECT_EQ(connected.find("validation", "report")
+                ->find("oracle", "validation")
+                ->as_string("validation.oracle"),
+            "distributed Boruvka MST over the final snapshot");
+  EXPECT_EQ(timing_keys(connected), engine_timing);
+
+  o.scenario = "churn:base=grid:w=6,h=6;steps=40,rate=0.1,dfrac=0.9,seed=7";
+  const JsonValue disconnected = run(o, {});
+  ASSERT_EQ(keys_of(disconnected), churn_keys);
+  EXPECT_EQ(disconnected.find("validation", "report")
+                ->find("oracle", "validation")
+                ->as_string("validation.oracle")
+                .rfind("skipped", 0),
+            0u);
+  EXPECT_EQ(timing_keys(disconnected), wall_only);
 }
 
 TEST(ServeDriver, ErrorDocumentsAreDeterministic) {

@@ -7,18 +7,15 @@
 ///   --list-rules       print the rule table (family, fixture count,
 ///                      rationale) and exit
 ///   --json             emit the machine-readable findings document
-///                      (schema lcs-lint-findings-v1) on stdout instead
+///                      (schema lcs-lint-findings-v2) on stdout instead
 ///                      of the human one-line-per-finding format
 ///   --graph-dot=FILE   write the project include graph as Graphviz DOT
 ///                      to FILE ('-' = stdout)
-///   --cache=FILE       incremental cache: unchanged files (by content
-///                      hash) are served from FILE without re-lexing
-///   --layers=FILE      layer manifest to enforce (default: auto-discover
-///                      src/lint/layers.txt)
 ///
 /// Lints every .cpp/.h under the given files/directories (recursively,
 /// skipping the lint_fixtures corpus) as ONE project — the per-file rules
-/// plus the include-graph rules (layering, cycles, IWYU, dead symbols) —
+/// plus the include-graph rules (layering, cycles, IWYU, dead symbols),
+/// with the layering read from the auto-discovered src/lint/layers.txt —
 /// and prints one line per finding:
 ///
 ///   file:line:col: RULE: message (fix: hint)
@@ -41,17 +38,15 @@ namespace {
 void usage(std::FILE* out) {
   std::fprintf(out,
                "usage: lcs_lint [--list-rules] [--json] [--graph-dot=FILE] "
-               "[--cache=FILE] [--layers=FILE] <path>...\n");
+               "<path>...\n");
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   std::vector<std::string> paths;
-  lcs::lint::Options options;
   bool json = false;
   std::string graph_dot_file;
-  std::string layers_file;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -69,14 +64,6 @@ int main(int argc, char** argv) {
     }
     if (arg.rfind("--graph-dot=", 0) == 0) {
       graph_dot_file = arg.substr(12);
-      continue;
-    }
-    if (arg.rfind("--cache=", 0) == 0) {
-      options.cache_file = arg.substr(8);
-      continue;
-    }
-    if (arg.rfind("--layers=", 0) == 0) {
-      layers_file = arg.substr(9);
       continue;
     }
     if (!arg.empty() && arg[0] == '-') {
@@ -97,19 +84,8 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if (!layers_file.empty()) {
-    std::ifstream in(layers_file, std::ios::binary);
-    if (!in) {
-      std::fprintf(stderr, "lcs_lint: cannot read layers file '%s'\n",
-                   layers_file.c_str());
-      return 2;
-    }
-    std::string text((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-    options.layers_text = std::move(text);
-  }
 
-  const lcs::lint::LintResult result = lcs::lint::lint_paths(paths, options);
+  const lcs::lint::LintResult result = lcs::lint::lint_paths(paths);
 
   if (!graph_dot_file.empty()) {
     if (graph_dot_file == "-") {
@@ -132,9 +108,9 @@ int main(int argc, char** argv) {
       std::printf("%s\n", lcs::lint::format_finding(f).c_str());
   }
   std::fprintf(stderr,
-               "lcs_lint: %d file(s) scanned (%d lexed, %d cache hit(s)), "
-               "%zu finding(s), %d suppression(s) honored\n",
-               result.files_scanned, result.files_lexed, result.cache_hits,
-               result.findings.size(), result.suppressions_used);
+               "lcs_lint: %d file(s) scanned, %zu finding(s), "
+               "%d suppression(s) honored\n",
+               result.files_scanned, result.findings.size(),
+               result.suppressions_used);
   return result.findings.empty() ? 0 : 1;
 }

@@ -10,8 +10,9 @@
 /// src/dynamic/), or `none` to stop after scenario resolution (generator
 /// studies, generation smoke).
 /// The report carries the scenario parameters, graph metrics, exact round/
-/// message accounting (setup vs algorithm), the engine's charged-round
-/// breakdown, oracle-validation results, and wall time.
+/// message accounting (setup vs algorithm), oracle-validation results, and
+/// wall time. Every counted round is simulated with real messages, so the
+/// report's `charges` object is always empty.
 ///
 /// Determinism: everything except the `timing` object is a pure function of
 /// (--scenario, --algo, --seed, --fail-rate, --validate, --metrics,

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# The one-command local static-analysis gate — the same three checks the
-# CI static-analysis job runs:
+# The one-command static-analysis gate, run as-is by the CI static-analysis
+# job and locally:
 #
 #   1. lcs_lint over src/ tools/ tests/ (determinism & safety rules);
 #   2. clang-tidy (profile in .clang-tidy) over compile_commands.json —
@@ -22,21 +22,7 @@ if [[ ! -x "$BUILD_DIR/lcs_lint" ]]; then
   cmake --build "$BUILD_DIR" -j"$(nproc)" --target lcs_lint >/dev/null
 fi
 echo "lint_all: [1/3] lcs_lint src tools tests"
-LINT_CACHE="$BUILD_DIR/lcs_lint_cache.json"
-
-# First pass populates the incremental cache (cold on a fresh build dir),
-# second pass must be served entirely from it — the warm run proves the
-# content-hash cache works, and its summary must report 0 files lexed.
-t0=$(date +%s%N)
-"$BUILD_DIR/lcs_lint" --cache="$LINT_CACHE" src tools tests || FAILED=1
-t1=$(date +%s%N)
-WARM_SUMMARY=$("$BUILD_DIR/lcs_lint" --cache="$LINT_CACHE" src tools tests 2>&1 >/dev/null) || FAILED=1
-t2=$(date +%s%N)
-echo "lint_all: lcs_lint cold $(( (t1 - t0) / 1000000 )) ms, warm $(( (t2 - t1) / 1000000 )) ms"
-if [[ "$WARM_SUMMARY" != *"(0 lexed,"* ]]; then
-  echo "lint_all: FAILED — warm lcs_lint run re-lexed files: $WARM_SUMMARY"
-  FAILED=1
-fi
+"$BUILD_DIR/lcs_lint" src tools tests || FAILED=1
 
 # --- 2. clang-tidy ---------------------------------------------------------
 if command -v clang-tidy >/dev/null 2>&1; then
