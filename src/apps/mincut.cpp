@@ -16,6 +16,9 @@ MincutEstimate approx_mincut(congest::Network& net, const SpanningTree& tree,
   const Graph& g = net.graph();
   const std::int64_t rounds_before = net.total_rounds();
 
+  // A single node has no cut: no level could ever drop an edge.
+  LCS_CHECK(g.num_nodes() >= 2, "min cut needs at least two nodes");
+
   MincutEstimate result;
   // Level k samples each edge with probability 2^-k. Level 0 keeps all
   // edges (connected by assumption); stop at the first disconnecting level.

@@ -20,15 +20,17 @@ namespace lcs {
 
 struct MincutEstimate {
   /// Estimated min cut: 2^k_star, where 1/2^k_star is the coarsest sampling
-  /// rate that disconnected the graph (1 if the full graph is already
-  /// disconnected). The true λ satisfies
+  /// rate that disconnected the graph. The graph is connected, so the sweep
+  /// starts at rate 1/2 (k_star >= 1) and never tests the full graph. The
+  /// true λ satisfies
   ///     estimate / O(log n) <= λ <= estimate * O(log n)   w.h.p.
   Weight estimate = 0;
   std::int32_t levels_tested = 0;
   std::int64_t rounds = 0;
 };
 
-/// Estimate the (unweighted) global min cut of `net.graph()`.
+/// Estimate the (unweighted) global min cut of `net.graph()`, which must be
+/// connected and have at least two nodes.
 MincutEstimate approx_mincut(congest::Network& net, const SpanningTree& tree,
                              std::uint64_t seed = 1);
 

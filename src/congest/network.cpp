@@ -593,6 +593,15 @@ PhaseStats Network::run(std::span<Process* const> procs,
   return stats;
 }
 
+void Network::add_replayed(const PhaseStats& stats) {
+  LCS_CHECK(!in_phase_,
+            "add_replayed may not be called while a phase is running");
+  LCS_CHECK(stats.rounds >= 0 && stats.messages >= 0,
+            "replayed stats must be non-negative");
+  total_rounds_ += stats.rounds;
+  total_messages_ += stats.messages;
+}
+
 void Network::charge(std::int64_t rounds, const std::string& label) {
   LCS_CHECK(rounds >= 0, "cannot charge negative rounds");
   total_rounds_ += rounds;

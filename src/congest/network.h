@@ -4,12 +4,16 @@
 /// `Network` executes *phases*: a phase instantiates one `Process` per node
 /// and runs synchronous rounds until the system is quiescent (no messages in
 /// flight, no wakeups pending) or a round limit trips. Rounds and messages
-/// are accounted exactly, and every round in `total_rounds()` is simulated:
-/// the shared random seed is flooded down the tree with real messages by
-/// `broadcast_word_from_root` (shortcut/tree_ops.h), while the engine's own
-/// detection that a phase has gone quiescent is free and uncharged. No
-/// library code calls `charge()`, so the `charges` object of every report
-/// is empty.
+/// are accounted exactly, and every round in `total_rounds()` was simulated
+/// by the engine at least once: the shared random seed is flooded down the
+/// tree with real messages by `broadcast_word_from_root`
+/// (shortcut/tree_ops.h), and the engine's own detection that a phase has
+/// gone quiescent is free and uncharged. The one schedule that is simulated
+/// once and then replayed is a shortcut's superstep (shortcut/superstep.h):
+/// its rounds and messages are fixed by the shortcut, never by the words it
+/// carries, so the runner simulates the first superstep and adds the same
+/// counts for each later one through `add_replayed`. No library code calls
+/// `charge()`, so the `charges` object of every report is empty.
 ///
 /// The engine is activity-driven: per round it touches only nodes that
 /// received a message or requested a wakeup, so simulation work is
@@ -274,6 +278,13 @@ class Network {
   /// aggregated per label for reporting. No library code calls it today
   /// (see the file comment); only the engine's own tests exercise it.
   void charge(std::int64_t rounds, const std::string& label);
+
+  /// Add the rounds and messages of a schedule that was simulated once by
+  /// `run` and is now replayed without the engine (the superstep runner,
+  /// shortcut/superstep.h). Unlike `charge` it records no label, so the
+  /// reports' `charges` stay empty. Never from inside a phase; the stats
+  /// must be non-negative.
+  void add_replayed(const PhaseStats& stats);
 
   std::int64_t total_rounds() const { return total_rounds_; }
   std::int64_t total_messages() const { return total_messages_; }

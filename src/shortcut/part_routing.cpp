@@ -46,8 +46,8 @@ congest::PerNode<std::uint64_t> part_min_flood(
     value[u64(v)] = std::min(value[u64(v)], received);
   };
 
-  for (std::int32_t step = 0; step < b_steps; ++step)
-    run_superstep(net, tree, partition, state, neighbor_parts, hooks);
+  SuperstepRunner superstep(net, tree, partition, state, neighbor_parts);
+  for (std::int32_t step = 0; step < b_steps; ++step) superstep.run(hooks);
   return value;
 }
 

@@ -6,10 +6,18 @@
 /// the historical vector-of-vectors reference. Exercised on the PR-1
 /// randomized stress harness (stress_util.h) over several topologies, on
 /// multi-phase reuse of one Network, on aborted phases, on mid-life thread
-/// count switches, and end to end on the shortcut-Boruvka MST pipeline and
-/// on part-leader election.
+/// count switches, end to end on the shortcut-Boruvka MST pipeline and on
+/// part-leader election, and on superstep replay (a runner's replayed
+/// supersteps against the engine).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <atomic>
+#include <cstdint>
+#include <functional>
+#include <optional>
+#include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -593,6 +601,281 @@ TEST(ParallelPipeline, PartLeadersAreThreadCountInvariant) {
   }
   for (const int threads : {2, 3, 8})
     EXPECT_EQ(run(threads), want) << "threads=" << threads;
+}
+
+// ---------------------------------------------------------------------------
+// Superstep replay: a SuperstepRunner simulates its first superstep on the
+// engine and replays every later one. Against a fresh runner per superstep
+// (every phase on the engine), each superstep must leave the same per-node
+// state, add the same rounds and messages, and make the same hook calls.
+
+/// Per-node protocol state and hook-call logs of one side of the
+/// comparison. Hooks for node v write only index v, so the logs stay
+/// race-free when the engine runs callbacks on worker threads.
+struct SuperstepWorld {
+  /// One hook call: {kind, and up to three arguments}.
+  using Call = std::array<std::uint64_t, 4>;
+  enum Kind : std::uint64_t { kContribution, kCrossMessage, kOnCross };
+
+  std::vector<std::uint64_t> value;
+  std::vector<std::uint64_t> aux;
+  /// Per node, in call order: contribution, cross_message and on_cross.
+  /// The engine and the replay call these in the same order at a node.
+  std::vector<std::vector<Call>> calls;
+  /// Per node: on_aggregate as {part, aggregate}. A node's calls for
+  /// different parts may come in any order, so these compare sorted.
+  std::vector<std::vector<Call>> aggregates;
+  std::atomic<std::int64_t> combines{0};
+
+  explicit SuperstepWorld(NodeId n)
+      : value(static_cast<std::size_t>(n)),
+        aux(static_cast<std::size_t>(n), 0),
+        calls(static_cast<std::size_t>(n)),
+        aggregates(static_cast<std::size_t>(n)) {
+    for (std::size_t v = 0; v < value.size(); ++v)
+      value[v] = (v * 2654435761u) % 1009;
+  }
+
+  void log(Kind kind, NodeId v, std::uint64_t a, std::uint64_t b,
+           std::uint64_t c) {
+    calls[static_cast<std::size_t>(v)].push_back(Call{kind, a, b, c});
+  }
+  void log_aggregate(NodeId v, std::uint64_t j, std::uint64_t agg) {
+    aggregates[static_cast<std::size_t>(v)].push_back(Call{0, j, agg, 0});
+  }
+
+  /// This superstep's logs (aggregates sorted per node); clears them.
+  std::pair<std::vector<std::vector<Call>>, std::vector<std::vector<Call>>>
+  take_calls() {
+    for (auto& list : aggregates) std::sort(list.begin(), list.end());
+    std::pair result{calls, aggregates};
+    for (auto& list : calls) list.clear();
+    for (auto& list : aggregates) list.clear();
+    return result;
+  }
+};
+
+enum class HookSet { kMinFlood, kSaturatingSum, kMaxVerdict, kNoExchange };
+
+/// Hooks over `w` whose per-node updates commute across parts (the
+/// superstep contract); every call except `combine` is logged, and
+/// `combine` is counted.
+SuperstepHooks make_logged_hooks(HookSet set, SuperstepWorld& w,
+                                 const Partition& p) {
+  static constexpr std::uint64_t kMax = ~std::uint64_t{0};
+  static constexpr std::uint64_t kCap = std::uint64_t{1} << 62;
+  const auto u = [](NodeId v) { return static_cast<std::size_t>(v); };
+  const auto uj = [](PartId j) { return static_cast<std::uint64_t>(j); };
+  const auto un = [](NodeId v) { return static_cast<std::uint64_t>(v); };
+  SuperstepHooks h;
+  std::function<std::uint64_t(NodeId, PartId)> contribution;
+  std::function<std::uint64_t(std::uint64_t, std::uint64_t)> combine;
+  std::function<void(NodeId, PartId, std::uint64_t)> on_aggregate;
+  std::function<std::optional<std::uint64_t>(NodeId, NodeId, EdgeId)> cross;
+  std::function<void(NodeId, NodeId, EdgeId, std::uint64_t)> on_cross;
+  switch (set) {
+    case HookSet::kMinFlood:
+      h.identity = kMax;
+      combine = [](std::uint64_t a, std::uint64_t b) { return std::min(a, b); };
+      contribution = [&w, &p, u](NodeId v, PartId j) {
+        return p.part(v) == j ? w.value[u(v)] : kMax;
+      };
+      on_aggregate = [&w, &p, u](NodeId v, PartId j, std::uint64_t agg) {
+        if (p.part(v) == j) w.value[u(v)] = std::min(w.value[u(v)], agg);
+      };
+      cross = [&w, u](NodeId v, NodeId, EdgeId) {
+        return std::optional<std::uint64_t>(w.value[u(v)]);
+      };
+      on_cross = [&w, u](NodeId v, NodeId, EdgeId, std::uint64_t x) {
+        w.value[u(v)] = std::min(w.value[u(v)], x);
+      };
+      break;
+    case HookSet::kSaturatingSum:
+      // Relays contribute too, and a third of the cross edges stay silent.
+      h.identity = 0;
+      combine = [](std::uint64_t a, std::uint64_t b) {
+        return std::min(a + b, kCap);
+      };
+      contribution = [&w, &p, u, uj, un](NodeId v, PartId j) {
+        const std::uint64_t own = p.part(v) == j ? w.value[u(v)] % 97 : 0;
+        return own + 1 + (un(v) * 7 + uj(j)) % 5;
+      };
+      on_aggregate = [&w, u, uj](NodeId v, PartId j, std::uint64_t agg) {
+        w.aux[u(v)] += agg * (uj(j) + 1);
+      };
+      cross = [&w, u, un](NodeId v, NodeId to,
+                          EdgeId e) -> std::optional<std::uint64_t> {
+        if ((un(v) + un(to) + static_cast<std::uint64_t>(e)) % 3 == 0)
+          return std::nullopt;
+        return w.value[u(v)] % 1000 + un(to);
+      };
+      on_cross = [&w, u, un](NodeId v, NodeId from, EdgeId, std::uint64_t x) {
+        w.value[u(v)] += x ^ un(from);
+      };
+      break;
+    case HookSet::kMaxVerdict:
+      h.identity = 0;
+      combine = [](std::uint64_t a, std::uint64_t b) { return std::max(a, b); };
+      contribution = [&w, &p, u](NodeId v, PartId j) -> std::uint64_t {
+        return p.part(v) == j ? w.value[u(v)] % 3 : 0;
+      };
+      on_aggregate = [&w, &p, u](NodeId v, PartId j, std::uint64_t agg) {
+        if (p.part(v) == j) w.aux[u(v)] = std::max(w.aux[u(v)], agg);
+      };
+      cross = [&w, u](NodeId v, NodeId,
+                      EdgeId) -> std::optional<std::uint64_t> {
+        if (w.aux[u(v)] == 0) return std::nullopt;
+        return w.aux[u(v)];
+      };
+      on_cross = [&w, u](NodeId v, NodeId, EdgeId, std::uint64_t x) {
+        w.aux[u(v)] = std::max(w.aux[u(v)], x);
+      };
+      break;
+    case HookSet::kNoExchange:
+      h.identity = 0;
+      combine = [](std::uint64_t a, std::uint64_t b) { return a ^ b; };
+      contribution = [&w, u, uj](NodeId v, PartId j) {
+        return w.value[u(v)] * 31 + uj(j);
+      };
+      on_aggregate = [&w, u, uj](NodeId v, PartId j, std::uint64_t agg) {
+        w.aux[u(v)] ^= agg + uj(j);
+      };
+      break;
+  }
+  h.combine = [&w, combine](std::uint64_t a, std::uint64_t b) {
+    w.combines.fetch_add(1, std::memory_order_relaxed);
+    return combine(a, b);
+  };
+  h.contribution = [&w, contribution, uj](NodeId v, PartId j) {
+    const std::uint64_t word = contribution(v, j);
+    w.log(SuperstepWorld::kContribution, v, uj(j), word, 0);
+    return word;
+  };
+  h.on_aggregate = [&w, on_aggregate, uj](NodeId v, PartId j,
+                                          std::uint64_t agg) {
+    w.log_aggregate(v, uj(j), agg);
+    on_aggregate(v, j, agg);
+  };
+  if (cross) {
+    h.cross_message = [&w, cross, un](NodeId v, NodeId to, EdgeId e) {
+      const auto word = cross(v, to, e);
+      w.log(SuperstepWorld::kCrossMessage, v, un(to),
+            static_cast<std::uint64_t>(e),
+            word.has_value() ? *word : ~std::uint64_t{0});
+      return word;
+    };
+    h.on_cross = [&w, on_cross, un](NodeId v, NodeId from, EdgeId e,
+                                    std::uint64_t x) {
+      w.log(SuperstepWorld::kOnCross, v, un(from),
+            static_cast<std::uint64_t>(e), x);
+      on_cross(v, from, e, x);
+    };
+  }
+  return h;
+}
+
+TEST(ParallelSuperstep, ReplayMatchesEngine) {
+  struct Family {
+    const char* name;
+    Graph g;
+    Partition p;
+    NodeId root;
+  };
+  std::vector<Family> families;
+  {
+    Graph g = make_grid(9, 9);
+    Partition p = make_random_bfs_partition(g, 9, 2);
+    families.push_back({"grid", std::move(g), std::move(p), 0});
+  }
+  {
+    Graph g = make_erdos_renyi(90, 0.05, 3);
+    Partition p = make_random_bfs_partition(g, 10, 4);
+    families.push_back({"er", std::move(g), std::move(p), 0});
+  }
+  {
+    Graph g = make_genus_grid(8, 8, 3, 5);
+    Partition p = make_random_bfs_partition(g, 7, 6);
+    families.push_back({"genus", std::move(g), std::move(p), 0});
+  }
+  {
+    const NodeId n = 61;
+    families.push_back({"wheel", make_wheel(n),
+                        make_cycle_arcs_partition(n, 6), n - 1});
+  }
+  // The second superstep's verdicts are all still 0, so its exchange sends
+  // nothing and takes no round.
+  const std::vector<HookSet> steps = {
+      HookSet::kMinFlood,      HookSet::kMaxVerdict, HookSet::kSaturatingSum,
+      HookSet::kNoExchange,    HookSet::kMaxVerdict, HookSet::kSaturatingSum,
+      HookSet::kMinFlood,      HookSet::kNoExchange};
+
+  for (const Family& f : families) {
+    for (const int threads : {1, 3}) {
+      SCOPED_TRACE(std::string(f.name) + " threads=" + std::to_string(threads));
+      testutil::Sim sim(f.g, f.root, threads);
+      Shortcut s = greedy_blocked_shortcut(f.g, sim.tree, f.p, 3);
+      const ShortcutState state =
+          compute_shortcut_state(sim.net, sim.tree, f.p, std::move(s));
+      const NeighborParts neighbor_parts =
+          exchange_neighbor_parts(sim.net, f.p);
+
+      SuperstepWorld replayed(f.g.num_nodes());
+      SuperstepWorld engine(f.g.num_nodes());
+      SuperstepRunner runner(sim.net, sim.tree, f.p, state, neighbor_parts);
+      for (std::size_t i = 0; i < steps.size(); ++i) {
+        SCOPED_TRACE("superstep " + std::to_string(i));
+        const auto measure = [&](auto&& body) {
+          const std::int64_t r0 = sim.net.total_rounds();
+          const std::int64_t m0 = sim.net.total_messages();
+          body();
+          return std::make_pair(sim.net.total_rounds() - r0,
+                                sim.net.total_messages() - m0);
+        };
+        const auto got = measure(
+            [&] { runner.run(make_logged_hooks(steps[i], replayed, f.p)); });
+        const auto want = measure([&] {
+          SuperstepRunner fresh(sim.net, sim.tree, f.p, state,
+                                neighbor_parts);
+          fresh.run(make_logged_hooks(steps[i], engine, f.p));
+        });
+        EXPECT_EQ(got, want);
+        EXPECT_GT(want.first, 0);
+        EXPECT_EQ(replayed.value, engine.value);
+        EXPECT_EQ(replayed.aux, engine.aux);
+        EXPECT_EQ(replayed.combines.load(), engine.combines.load());
+        EXPECT_EQ(replayed.take_calls(), engine.take_calls());
+      }
+      EXPECT_TRUE(sim.net.charged_rounds().empty());
+    }
+  }
+}
+
+class AddReplayedInsidePhaseProcess final : public Process {
+ public:
+  explicit AddReplayedInsidePhaseProcess(Network* net) : net_(net) {}
+  void on_start(Context&) override { net_->add_replayed(PhaseStats{1, 1}); }
+  void on_round(Context&, std::span<const Incoming>) override {}
+
+ private:
+  Network* net_;
+};
+
+TEST(ParallelSuperstep, AddReplayedGuards) {
+  const Graph g = make_path(3);
+  Network net(g);
+  net.add_replayed(PhaseStats{3, 5});
+  EXPECT_EQ(net.total_rounds(), 3);
+  EXPECT_EQ(net.total_messages(), 5);
+  EXPECT_TRUE(net.charged_rounds().empty());
+
+  EXPECT_THROW(net.add_replayed(PhaseStats{-1, 0}), CheckFailure);
+  EXPECT_THROW(net.add_replayed(PhaseStats{0, -1}), CheckFailure);
+  std::vector<AddReplayedInsidePhaseProcess> procs(
+      static_cast<std::size_t>(g.num_nodes()),
+      AddReplayedInsidePhaseProcess(&net));
+  EXPECT_THROW(congest::run_phase(net, procs), CheckFailure);
+  EXPECT_EQ(net.total_rounds(), 3);
+  EXPECT_EQ(net.total_messages(), 5);
 }
 
 }  // namespace

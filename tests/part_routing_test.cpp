@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <utility>
+
 #include "congest/process.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
@@ -10,6 +13,7 @@
 #include "shortcut/shortcut.h"
 #include "shortcut/superstep.h"
 #include "test_util.h"
+#include "util/check.h"
 
 namespace lcs {
 namespace {
@@ -146,6 +150,59 @@ TEST(PartRouting, RoundsWithinTheorem2Bound) {
                      r.b);
   const std::int64_t rounds = setup.net.total_rounds() - before;
   EXPECT_LE(rounds, r.b * (3 * (setup.tree.height + r.c) + 16));
+}
+
+// The superstep runner derives its same-part edge list from
+// NeighborParts::of, so the exchange must align with the adjacency: entry k
+// of node v is the part of v's k-th neighbor, kNoPart included.
+TEST(PartRouting, NeighborPartsAlignWithAdjacency) {
+  const NodeId n = 41;
+  const Graph wheel = make_wheel(n);
+  const Partition arcs = make_cycle_arcs_partition(n, 5);
+  ASSERT_EQ(arcs.part(n - 1), kNoPart);  // the hub
+  const Graph er = make_erdos_renyi(90, 0.05, 3);
+  const Partition bfs = make_random_bfs_partition(er, 8, 2);
+
+  for (const auto& [g, p] : {std::pair{&wheel, &arcs}, std::pair{&er, &bfs}}) {
+    Sim setup(*g);
+    const NeighborParts got = exchange_neighbor_parts(setup.net, *p);
+    ASSERT_EQ(got.of.size(), static_cast<std::size_t>(g->num_nodes()));
+    for (NodeId v = 0; v < g->num_nodes(); ++v) {
+      const auto nbs = g->neighbors(v);
+      const auto& parts = got.of[static_cast<std::size_t>(v)];
+      ASSERT_EQ(parts.size(), static_cast<std::size_t>(g->degree(v)))
+          << "node " << v;
+      for (std::size_t k = 0; k < nbs.size(); ++k)
+        EXPECT_EQ(parts[k], p->part(nbs[k].node))
+            << "node " << v << " neighbor " << k;
+    }
+  }
+}
+
+// A runner checks its inputs against the network when it is built: a
+// NeighborParts row shorter than the node's adjacency would otherwise be
+// read out of bounds by the cross exchange.
+TEST(PartRouting, SuperstepRunnerRejectsMismatchedInputs) {
+  const Graph g = make_grid(6, 6);
+  Sim setup(g);
+  const auto p = make_grid_rows_partition(6, 6, 3);
+  Routed r = prepare(setup, p, 2);
+  const auto build = [&](const Partition& partition,
+                         const NeighborParts& neighbor_parts) {
+    SuperstepRunner runner(setup.net, setup.tree, partition, r.state,
+                           neighbor_parts);
+  };
+  EXPECT_NO_THROW(build(p, r.neighbor_parts));
+
+  NeighborParts short_row = r.neighbor_parts;
+  short_row.of[7].pop_back();
+  EXPECT_THROW(build(p, short_row), CheckFailure);
+  NeighborParts missing_node = r.neighbor_parts;
+  missing_node.of.pop_back();
+  EXPECT_THROW(build(p, missing_node), CheckFailure);
+  Partition short_partition = p;
+  short_partition.part_of.pop_back();
+  EXPECT_THROW(build(short_partition, r.neighbor_parts), CheckFailure);
 }
 
 TEST(PartRouting, SingletonPartsTrivially) {

@@ -106,6 +106,11 @@ expect_error_contains unknown_spec_key_lists_accepted 2 'accepted:' \
 expect_error_contains wseed_without_weights 2 "'wseed' requires weights=lo-hi" \
   --algo=components --scenario='er:n=50,deg=4,wseed=3'
 
+# A one-node graph has no cut: mincut says so up front instead of sweeping
+# every sampling level without ever dropping an edge.
+expect_error_contains mincut_single_node 2 'min cut needs at least two nodes' \
+  --algo=mincut --scenario='path:n=1'
+
 # A --sweep key that is not a parameter of the scenario family is rejected
 # before any expansion work (and names both the key and the family).
 expect_error_contains sweep_unknown_key 2 "'bogus'" \
