@@ -9,10 +9,13 @@
 /// tree with real messages by `broadcast_word_from_root`
 /// (shortcut/tree_ops.h), and the engine's own detection that a phase has
 /// gone quiescent is free and uncharged. The one schedule that is simulated
-/// once and then replayed is a shortcut's superstep (shortcut/superstep.h):
-/// its rounds and messages are fixed by the shortcut, never by the words it
-/// carries, so the runner simulates the first superstep and adds the same
-/// counts for each later one through `add_replayed`. No library code calls
+/// once and then replayed is a shortcut's superstep (shortcut/superstep.h),
+/// whose rounds and messages are fixed by the shortcut, never by the words
+/// it carries: its convergecast is simulated once per runner, its broadcast
+/// repeats the schedule `compute_shortcut_state` simulated once per
+/// shortcut, and its one-round exchange is counted without the engine (one
+/// message per word, one round if any word was sent). The runner adds what
+/// the engine did not run through `add_replayed`. No library code calls
 /// `charge()`, so the `charges` object of every report is empty.
 ///
 /// The engine is activity-driven: per round it touches only nodes that
@@ -279,11 +282,11 @@ class Network {
   /// (see the file comment); only the engine's own tests exercise it.
   void charge(std::int64_t rounds, const std::string& label);
 
-  /// Add the rounds and messages of a schedule that was simulated once by
-  /// `run` and is now replayed without the engine (the superstep runner,
-  /// shortcut/superstep.h). Unlike `charge` it records no label, so the
-  /// reports' `charges` stay empty. Never from inside a phase; the stats
-  /// must be non-negative.
+  /// Add the rounds and messages of protocol steps counted without the
+  /// engine: schedules `run` simulated once, replayed, and the superstep's
+  /// one-round exchange (the superstep runner, shortcut/superstep.h).
+  /// Unlike `charge` it records no label, so the reports' `charges` stay
+  /// empty. Never from inside a phase; the stats must be non-negative.
   void add_replayed(const PhaseStats& stats);
 
   std::int64_t total_rounds() const { return total_rounds_; }

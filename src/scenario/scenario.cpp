@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <string>
 #include <utility>
 
 #include "graph/generators.h"
@@ -33,6 +35,15 @@ NodeId as_node(std::int64_t v, const std::string& key) {
   LCS_CHECK(v >= 0 && v <= std::numeric_limits<NodeId>::max(),
             "scenario parameter '" + key + "' out of 32-bit id range");
   return util::checked_cast<NodeId>(v);
+}
+
+/// A count parameter must lie in [1, max]; the diagnosis names the key,
+/// the range and what it applies to.
+void check_count_in_range(const std::string& key, std::int64_t value,
+                          NodeId max, const std::string& what) {
+  LCS_CHECK(value >= 1 && value <= max,
+            "'" + key + "' must be in [1, " + std::to_string(max) + "] for " +
+                what);
 }
 
 /// The registry-wide suggested part count: ~sqrt(n) connected blobs, the
@@ -263,10 +274,13 @@ std::vector<Family> make_builtin_families() {
                   "cycle + hub (D = 2); parts = rim arcs, hub unassigned",
                   [](SpecArgs& a) {
                     const NodeId n = as_node(a.get_int("n", 513), "n");
-                    const PartId arcs =
-                        util::checked_cast<PartId>(as_node(a.get_int("arcs", 8), "arcs"));
-                    return FamilyResult{make_wheel(n),
-                                        make_cycle_arcs_partition(n, arcs)};
+                    const std::int64_t arcs = a.get_int("arcs", 8);
+                    Graph g = make_wheel(n);
+                    check_count_in_range("arcs", arcs, n - 1,
+                                         "wheel:n=" + std::to_string(n));
+                    return FamilyResult{
+                        std::move(g), make_cycle_arcs_partition(
+                                          n, util::checked_cast<PartId>(arcs))};
                   },
                   {"n", "arcs"}});
 
@@ -426,10 +440,12 @@ Scenario make_scenario(std::string_view spec) {
   // the ~sqrt(n) random-BFS default.
   Partition partition;
   if (args.has("parts")) {
-    const PartId k =
-        util::checked_cast<PartId>(as_node(args.require_int("parts"), "parts"));
-    partition =
-        make_random_bfs_partition(built.graph, k, args.get_uint("pseed", 1));
+    const std::int64_t k = args.require_int("parts");
+    const NodeId n = built.graph.num_nodes();
+    check_count_in_range("parts", k, n,
+                         "a " + std::to_string(n) + "-node graph");
+    partition = make_random_bfs_partition(
+        built.graph, util::checked_cast<PartId>(k), args.get_uint("pseed", 1));
   } else if (built.partition.has_value()) {
     partition = std::move(*built.partition);
   } else {

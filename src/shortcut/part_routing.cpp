@@ -1,6 +1,8 @@
 #include "shortcut/part_routing.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <optional>
 
 #include "congest/network.h"
 #include "congest/process.h"
@@ -28,23 +30,23 @@ congest::PerNode<std::uint64_t> part_min_flood(
       value[static_cast<std::size_t>(v)] = kNoValue;
 
   const auto u64 = [](NodeId v) { return static_cast<std::size_t>(v); };
-  SuperstepHooks hooks;
-  hooks.identity = kNoValue;
-  hooks.combine = [](std::uint64_t a, std::uint64_t b) {
-    return std::min(a, b);
-  };
-  hooks.contribution = [&](NodeId v, PartId j) {
+  const auto contribution = [&](NodeId v, PartId j) {
     return partition.part(v) == j ? value[u64(v)] : kNoValue;
   };
-  hooks.on_aggregate = [&](NodeId v, PartId j, std::uint64_t agg) {
+  const auto min = [](std::uint64_t a, std::uint64_t b) {
+    return std::min(a, b);
+  };
+  const auto on_aggregate = [&](NodeId v, PartId j, std::uint64_t agg) {
     if (partition.part(v) == j) value[u64(v)] = std::min(value[u64(v)], agg);
   };
-  hooks.cross_message = [&](NodeId v, NodeId, EdgeId) {
+  const auto cross_message = [&](NodeId v, NodeId, EdgeId) {
     return std::optional<std::uint64_t>(value[u64(v)]);
   };
-  hooks.on_cross = [&](NodeId v, NodeId, EdgeId, std::uint64_t received) {
+  const auto on_cross = [&](NodeId v, NodeId, EdgeId, std::uint64_t received) {
     value[u64(v)] = std::min(value[u64(v)], received);
   };
+  const SuperstepHooks hooks{contribution, min,           kNoValue,
+                             on_aggregate, cross_message, on_cross};
 
   SuperstepRunner superstep(net, tree, partition, state, neighbor_parts);
   for (std::int32_t step = 0; step < b_steps; ++step) superstep.run(hooks);

@@ -61,7 +61,8 @@ ShortcutState compute_shortcut_state(congest::Network& net,
     }
   };
   state.plan = make_component_plan(tree, state.shortcut);
-  run_component_broadcast(net, tree, state.plan, root_value, on_receive);
+  state.broadcast =
+      run_component_broadcast(net, tree, state.plan, root_value, on_receive);
 
   // Singleton components: a part node with no incident own-part shortcut
   // edge roots its own (empty) component. This is purely local knowledge.

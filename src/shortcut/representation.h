@@ -14,7 +14,8 @@
 ///
 /// The same knowledge, flattened per node, is the shortcut's
 /// `ComponentPlan` (tree_routing.h): built once here and reused by every
-/// superstep that routes on the shortcut.
+/// superstep that routes on the shortcut, together with the broadcast's
+/// `PhaseStats`, which every superstep's broadcast on the plan repeats.
 #pragma once
 
 #include "congest/network.h"
@@ -48,6 +49,13 @@ struct ShortcutState {
 
   /// The routing plan of `shortcut` on the tree, root depths included.
   ComponentPlan plan;
+
+  /// The rounds and messages of the representation broadcast on `plan`.
+  /// A broadcast's sends on a plan depend only on the plan, the part ids
+  /// and the root depths, never on the words, so this is every later
+  /// broadcast's cost on the same plan: the superstep runner
+  /// (superstep.h) adds it instead of simulating the broadcast again.
+  congest::PhaseStats broadcast;
 };
 
 /// Run the representation phase for `shortcut` (rounds accounted in `net`)

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <optional>
+#include <functional>
 #include <vector>
 
 #include "congest/message.h"
@@ -62,41 +62,6 @@ class PartExchangeProcess final : public congest::Process {
   std::vector<PartId>& out_;
 };
 
-/// One round: part members send hook-provided words to same-part neighbors.
-class CrossExchangeProcess final : public congest::Process {
- public:
-  CrossExchangeProcess(NodeId id, const Partition& partition,
-                       const NeighborParts& neighbor_parts,
-                       const SuperstepHooks& hooks)
-      : id_(id),
-        partition_(partition),
-        neighbor_parts_(neighbor_parts),
-        hooks_(hooks) {}
-
-  void on_start(Context& ctx) override {
-    const PartId j = partition_.part(id_);
-    if (j == kNoPart) return;
-    const auto nbs = ctx.neighbors();
-    const auto& parts = neighbor_parts_.of[static_cast<std::size_t>(id_)];
-    for (std::size_t k = 0; k < nbs.size(); ++k) {
-      if (parts[k] != j) continue;
-      const auto msg = hooks_.cross_message(id_, nbs[k].node, nbs[k].edge);
-      if (msg.has_value()) ctx.send(nbs[k].edge, Message(0, *msg));
-    }
-  }
-
-  void on_round(Context&, std::span<const Incoming> inbox) override {
-    for (const auto& in : inbox)
-      hooks_.on_cross(id_, in.from, in.edge, in.msg.words[0]);
-  }
-
- private:
-  NodeId id_;
-  const Partition& partition_;
-  const NeighborParts& neighbor_parts_;
-  const SuperstepHooks& hooks_;
-};
-
 /// `0 .. count - 1` stably sorted by `key(i)`, a value below `num_keys`.
 template <class Key>
 std::vector<std::size_t> counting_order(std::size_t count,
@@ -131,8 +96,7 @@ SuperstepRunner::SuperstepRunner(congest::Network& net,
     : net_(net),
       tree_(tree),
       partition_(partition),
-      state_(state),
-      neighbor_parts_(neighbor_parts) {
+      state_(state) {
   const Graph& g = net.graph();
   const NodeId n = net.num_nodes();
   const auto un = static_cast<std::size_t>(n);
@@ -161,6 +125,7 @@ SuperstepRunner::SuperstepRunner(congest::Network& net,
   delivery_ = counting_order(cross_.size(), un, [&](std::size_t i) {
     return static_cast<std::size_t>(cross_[i].to);
   });
+  cross_word_.resize(cross_.size());
 
   // Every slot with its parent slot (same part at the tree parent),
   // shallowest nodes first.
@@ -195,112 +160,41 @@ SuperstepRunner::SuperstepRunner(congest::Network& net,
       by_depth_.push_back(TreeSlot{s, parent, v});
     }
   }
-}
+  // Every superstep's broadcast replays the schedule the representation
+  // phase simulated on this plan: one message per parent-edge slot.
+  LCS_CHECK(state.broadcast.messages == parent_slots_,
+            "shortcut state's broadcast is not one message per parent-edge "
+            "slot");
 
-void SuperstepRunner::run(const SuperstepHooks& hooks) {
-  LCS_CHECK(hooks.contribution && hooks.combine && hooks.on_aggregate,
-            "superstep hooks incomplete");
-  LCS_CHECK(!hooks.cross_message || static_cast<bool>(hooks.on_cross),
-            "cross_message requires on_cross");
-  if (recorded_) {
-    replay(hooks);
-  } else {
-    record(hooks);
-  }
-
-  // Singleton components never exchange intra-component messages: their
-  // aggregate is the node's own contribution (a local computation, zero
-  // rounds).
-  for (NodeId v = 0; v < net_.num_nodes(); ++v) {
-    if (!state_.own_singleton[static_cast<std::size_t>(v)]) continue;
-    const PartId j = partition_.part(v);
-    hooks.on_aggregate(v, j, hooks.contribution(v, j));
-  }
-}
-
-void SuperstepRunner::record(const SuperstepHooks& hooks) {
-  // 1. Cross-edge exchange between adjacent supernodes over G[Pi] edges.
-  if (hooks.cross_message) {
-    std::vector<CrossExchangeProcess> procs;
-    procs.reserve(static_cast<std::size_t>(net_.num_nodes()));
-    for (NodeId v = 0; v < net_.num_nodes(); ++v)
-      procs.emplace_back(v, partition_, neighbor_parts_, hooks);
-    congest::run_phase(net_, procs);
-  }
-
-  // 2. Convergecast within components; roots hold the per-component
-  //    result in a flat array keyed by the plan's rooted-component index.
-  //    Each entry belongs to one root node and is written and read only
-  //    through that node's callbacks, so it is per-node state.
-  const ComponentPlan& plan = state_.plan;
-  std::vector<std::uint64_t> root_agg(plan.rooted.size(), hooks.identity);
-  const congest::PhaseStats up = run_component_convergecast(
-      net_, tree_, plan, hooks.contribution, hooks.combine,
-      [&](NodeId root, PartId j, std::uint64_t agg) {
-        root_agg[plan.rooted_index(root, j)] = agg;
-      });
-
-  // 3. Broadcast the aggregates back down the components.
-  const congest::PhaseStats down = run_component_broadcast(
-      net_, tree_, plan,
-      [&](NodeId root, PartId j) {
-        return root_agg[plan.rooted_index(root, j)];
-      },
-      [&](NodeId v, PartId j, std::uint64_t value, std::int32_t) {
-        hooks.on_aggregate(v, j, value);
-      });
-
-  // The replay sends one message per slot that rides its parent edge, in
-  // each direction; the schedule just simulated must agree.
-  LCS_CHECK(up.messages == parent_slots_ && down.messages == parent_slots_,
-            "superstep schedule is not one message per parent-edge slot");
-  tree_stats_ = {up.rounds + down.rounds, up.messages + down.messages};
-  recorded_ = true;
-}
-
-void SuperstepRunner::replay(const SuperstepHooks& hooks) {
-  congest::PhaseStats stats = tree_stats_;
-
-  // 1. Cross-edge exchange: one round if any word was sent.
-  if (hooks.cross_message) {
-    cross_word_.resize(cross_.size());
-    std::int64_t sent = 0;
-    for (std::size_t i = 0; i < cross_.size(); ++i) {
-      const CrossEdge& x = cross_[i];
-      cross_word_[i] = hooks.cross_message(x.from, x.to, x.edge);
-      if (cross_word_[i].has_value()) ++sent;
-    }
-    for (const std::size_t i : delivery_) {
-      if (!cross_word_[i].has_value()) continue;
-      const CrossEdge& x = cross_[i];
-      hooks.on_cross(x.to, x.from, x.edge, *cross_word_[i]);
-    }
-    stats.rounds += sent > 0 ? 1 : 0;
-    stats.messages += sent;
-  }
-
-  // 2. Convergecast: contributions in the engine's on_start order, then
-  //    children fold into parents, deepest nodes first.
-  const ComponentPlan& plan = state_.plan;
+  // Root slots in the plan's rooted order (node, then part), and the
+  // singleton components.
+  for (std::size_t s = 0; s < plan.slots.size(); ++s)
+    if (!plan.slots[s].has_parent) root_slot_.push_back(s);
+  LCS_CHECK(root_slot_.size() == plan.rooted.size(),
+            "component plan's rooted parts misaligned with its slots");
+  for (NodeId v = 0; v < n; ++v)
+    if (state.own_singleton[static_cast<std::size_t>(v)])
+      singletons_.push_back(v);
   acc_.resize(plan.slots.size());
-  for (NodeId v = 0; v < net_.num_nodes(); ++v) {
-    const auto i = static_cast<std::size_t>(v);
-    for (std::size_t s = plan.slot_off[i]; s < plan.slot_off[i + 1]; ++s)
-      acc_[s] = hooks.contribution(v, plan.slots[s].part);
-  }
-  for (auto it = by_depth_.rbegin(); it != by_depth_.rend(); ++it) {
-    if (it->parent != kRootSlot)
-      acc_[it->parent] = hooks.combine(acc_[it->parent], acc_[it->slot]);
-  }
+}
 
-  // 3. Broadcast: shallowest first, so a parent slot already holds its
-  //    component root's aggregate when its children copy it.
-  for (const TreeSlot& t : by_depth_) {
-    if (t.parent != kRootSlot) acc_[t.slot] = acc_[t.parent];
-    hooks.on_aggregate(t.node, plan.slots[t.slot].part, acc_[t.slot]);
-  }
-
-  net_.add_replayed(stats);
+congest::PhaseStats SuperstepRunner::converge_on_engine(
+    const std::function<std::uint64_t(NodeId, PartId)>& contribution,
+    const std::function<std::uint64_t(std::uint64_t, std::uint64_t)>&
+        combine) {
+  // Each root slot belongs to one root node and is written only through
+  // that node's callback, so it is per-node state.
+  const ComponentPlan& plan = state_.plan;
+  const congest::PhaseStats up = run_component_convergecast(
+      net_, tree_, plan, contribution, combine,
+      [&](NodeId root, PartId j, std::uint64_t agg) {
+        acc_[root_slot_[plan.rooted_index(root, j)]] = agg;
+      });
+  // Later convergecasts fold one message per slot that rides its parent
+  // edge; the schedule just simulated must agree.
+  LCS_CHECK(up.messages == parent_slots_,
+            "convergecast is not one message per parent-edge slot");
+  return up;
 }
 
 }  // namespace lcs

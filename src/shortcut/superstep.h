@@ -23,37 +23,43 @@
 /// tree_routing.h), and a `SuperstepRunner` built once per (shortcut,
 /// partition) runs the loop.
 ///
-/// ## Simulated once, replayed after
+/// ## One engine phase per runner
 ///
-/// The runner's first superstep runs all three steps on the engine and
-/// keeps the `PhaseStats` of steps 2–3. Every later superstep makes the
-/// same hook calls without the engine and adds the rounds and messages
-/// through `Network::add_replayed`:
+/// Only the runner's first convergecast runs on the engine. Everything else
+/// makes the same hook calls on the host and adds its rounds and messages
+/// through one `Network::add_replayed` call per superstep:
 ///  * exchange — `cross_message` over the runner's list of same-part
 ///    directed edges in send order (sender ascending, then adjacency order),
-///    then `on_cross` in the engine's delivery order (receiver ascending,
-///    then send order); 1 round if any message was sent, plus one message
-///    per word;
-///  * convergecast — `contribution` for every slot in node/slot order (the
-///    engine's `on_start` order), then each slot that rides its parent edge
-///    folds into its parent's slot of the same part, deepest nodes first;
+///    then `on_cross` in delivery order (receiver ascending, then send
+///    order); 1 round if any word was sent, plus one message per word;
+///  * convergecast — the first superstep runs it on the engine and keeps its
+///    `PhaseStats`; every later one calls `contribution` for every slot in
+///    node/slot order (the engine's `on_start` order), then folds each slot
+///    that rides its parent edge into its parent's slot of the same part,
+///    deepest nodes first, and adds the kept stats;
 ///  * broadcast — every slot takes its component root's aggregate and
-///    `on_aggregate` fires once per slot, shallowest nodes first;
-///  * plus the first superstep's convergecast and broadcast stats.
+///    `on_aggregate` fires once per slot, shallowest nodes first; its
+///    rounds and messages are `ShortcutState::broadcast`;
+///  * singletons — `on_aggregate` with the node's own `contribution`, from a
+///    list built with the runner.
 ///
-/// Why a replay is exact: a node's sends in steps 2–3 depend only on the
-/// part ids and root depths on its tree edges (the Lemma 2 keys) and on how
-/// many child messages have arrived — all fixed by the plan, never by the
-/// words being aggregated — so every superstep on one plan has the same
-/// schedule, one message per slot that rides its parent edge (checked when
-/// recording). `combine` is associative and commutative and every hook
-/// touches only its own node's state, so the replay makes the same hook
-/// calls with the same arguments, each once, and only the interleaving
-/// across nodes differs. Two orders are not kept, so hooks must not depend
-/// on them: how `combine` groups its operands, and the order of one node's
-/// `on_aggregate` calls for different parts. Every other call at a node
-/// comes in the engine's order. The first superstep runs under the
-/// engine's CONGEST checks.
+/// Why this is exact: a node's sends in steps 2–3 depend only on the part
+/// ids and root depths on its tree edges (the Lemma 2 keys) and on how many
+/// child messages have arrived — all fixed by the plan, never by the words
+/// being aggregated — so every convergecast on one plan has the first one's
+/// schedule, and every broadcast has the schedule `compute_shortcut_state`
+/// simulated on the same plan. Each sends one message per slot that rides
+/// its parent edge (checked). The exchange is one round with no schedule to
+/// simulate: each word is one message over a directed edge that appears
+/// once in the runner's list. `combine` is associative and commutative and
+/// every hook touches only its own node's state, so the runner makes the
+/// engine's hook calls with the same arguments, each once, and only the
+/// interleaving across nodes differs. Two orders are not kept, so hooks
+/// must not depend on them: how `combine` groups its operands, and the
+/// order of one node's `on_aggregate` calls for different parts. Every
+/// other call at a node comes in the engine's order. The first convergecast
+/// runs under the engine's CONGEST checks; the broadcast's schedule is
+/// checked when `compute_shortcut_state` runs it.
 #pragma once
 
 #include <cstddef>
@@ -61,6 +67,7 @@
 #include <functional>
 #include <limits>
 #include <optional>
+#include <type_traits>
 #include <vector>
 
 #include "congest/network.h"
@@ -68,6 +75,7 @@
 #include "graph/graph.h"
 #include "graph/partition.h"
 #include "shortcut/representation.h"
+#include "shortcut/tree_routing.h"
 #include "tree/spanning_tree.h"
 
 namespace lcs {
@@ -83,43 +91,60 @@ struct NeighborParts {
 NeighborParts exchange_neighbor_parts(congest::Network& net,
                                       const Partition& partition);
 
+/// Both exchange hooks of a superstep without the cross-edge exchange.
+struct NoExchange {};
+
+/// The hooks of one superstep, typed so the runner calls them inline. Build
+/// them by class template argument deduction:
+///
+///     SuperstepHooks hooks{contribution, combine, identity, on_aggregate,
+///                          cross_message, on_cross};
+///
+/// Leave out the last two to skip the exchange (both become `NoExchange`).
+template <class Contribution, class Combine, class OnAggregate,
+          class CrossMessage = NoExchange, class OnCross = NoExchange>
 struct SuperstepHooks {
-  /// Word fed by node v into the aggregate of its part-j component. Called
-  /// for every node of the component (relays included); return `identity`
-  /// to contribute nothing.
-  std::function<std::uint64_t(NodeId v, PartId j)> contribution;
-  /// Associative + commutative combiner and its identity element; the
-  /// grouping of its operands is unspecified.
-  std::function<std::uint64_t(std::uint64_t, std::uint64_t)> combine;
+  /// `std::uint64_t(NodeId v, PartId j)`: the word fed by node v into the
+  /// aggregate of its part-j component. Called for every node of the
+  /// component (relays included); return `identity` to contribute nothing.
+  Contribution contribution;
+  /// `std::uint64_t(std::uint64_t, std::uint64_t)`: associative and
+  /// commutative, with identity element `identity`; the grouping of its
+  /// operands is unspecified.
+  Combine combine;
   std::uint64_t identity = 0;
-  /// Fires at every node of the component with the component-wide aggregate;
-  /// a node's calls for different parts come in no fixed order.
-  std::function<void(NodeId v, PartId j, std::uint64_t agg)> on_aggregate;
-  /// Cross-edge message from part member v to same-part neighbor w over
-  /// edge e; return std::nullopt to stay silent. May be null to skip the
-  /// exchange round entirely.
-  std::function<std::optional<std::uint64_t>(NodeId v, NodeId w, EdgeId e)>
-      cross_message;
-  /// Delivery of a cross-edge message.
-  std::function<void(NodeId v, NodeId from, EdgeId e, std::uint64_t value)>
-      on_cross;
+  /// `void(NodeId v, PartId j, std::uint64_t agg)`: fires at every node of
+  /// the component with the component-wide aggregate; a node's calls for
+  /// different parts come in no fixed order.
+  OnAggregate on_aggregate;
+  /// `std::optional<std::uint64_t>(NodeId v, NodeId w, EdgeId e)`: the
+  /// cross-edge word from part member v to same-part neighbor w over edge
+  /// e; std::nullopt stays silent.
+  CrossMessage cross_message{};
+  /// `void(NodeId v, NodeId from, EdgeId e, std::uint64_t value)`: the
+  /// delivery of a cross-edge word.
+  OnCross on_cross{};
 };
 
-/// Runs supersteps over one fixed shortcut and partition: the first on the
-/// engine, every later one replayed (see the file comment). Holds
-/// references to all its arguments, which must outlive it; a runner is
-/// meant to be local to one call and is not safe to share across threads.
+/// Runs supersteps over one fixed shortcut and partition, with one engine
+/// phase in all: the first superstep's convergecast (see the file comment).
+/// Holds references to `net`, `tree`, `partition` and `state`, which must
+/// outlive it; a runner is meant to be local to one call and is not safe to
+/// share across threads.
 class SuperstepRunner {
  public:
   /// Checks that `tree`, `partition`, `state` and `neighbor_parts` are
-  /// sized for `net` (`neighbor_parts.of[v]` aligned with v's adjacency).
+  /// sized for `net` (`neighbor_parts.of[v]` aligned with v's adjacency)
+  /// and that `state.broadcast` sent one message per parent-edge slot.
   SuperstepRunner(congest::Network& net, const SpanningTree& tree,
                   const Partition& partition, const ShortcutState& state,
                   const NeighborParts& neighbor_parts);
 
-  /// Execute one superstep. Rounds and messages are accounted in `net`;
+  /// Execute one superstep. `hooks` is a `SuperstepHooks` or any type with
+  /// the same six members. Rounds and messages are accounted in `net`;
   /// O(D + c) rounds per call.
-  void run(const SuperstepHooks& hooks);
+  template <class Hooks>
+  void run(const Hooks& hooks);
 
  private:
   /// A same-part directed edge: member `from` may send to `to` over `edge`.
@@ -139,32 +164,108 @@ class SuperstepRunner {
     NodeId node = kNoNode;
   };
 
-  void record(const SuperstepHooks& hooks);
-  void replay(const SuperstepHooks& hooks);
+  /// The first convergecast, on the engine: each root slot of `acc_` takes
+  /// its component's aggregate. Returns the phase's stats.
+  congest::PhaseStats converge_on_engine(
+      const std::function<std::uint64_t(NodeId, PartId)>& contribution,
+      const std::function<std::uint64_t(std::uint64_t, std::uint64_t)>&
+          combine);
 
   congest::Network& net_;
   const SpanningTree& tree_;
   const Partition& partition_;
   const ShortcutState& state_;
-  const NeighborParts& neighbor_parts_;
 
-  /// Same-part directed edges in send order, and their indices in the
-  /// engine's delivery order.
+  /// Same-part directed edges in send order, and their indices in
+  /// delivery order.
   std::vector<CrossEdge> cross_;
   std::vector<std::size_t> delivery_;
   /// Every slot of the plan, shallowest nodes first (ties by node id, then
   /// slot order).
   std::vector<TreeSlot> by_depth_;
   std::int64_t parent_slots_ = 0;
+  /// The slot of each rooted component, by its index in `plan.rooted`.
+  std::vector<std::size_t> root_slot_;
+  /// Nodes whose own-part component is a singleton, ascending.
+  std::vector<NodeId> singletons_;
 
-  /// The first superstep's convergecast + broadcast stats; set once
-  /// `recorded_`.
-  bool recorded_ = false;
-  congest::PhaseStats tree_stats_;
+  /// The first convergecast's stats, once it has run.
+  std::optional<congest::PhaseStats> converge_stats_;
 
-  /// Replay scratch: per-slot accumulators and per-cross-edge words.
+  /// Per-slot accumulators and per-cross-edge words.
   std::vector<std::uint64_t> acc_;
   std::vector<std::optional<std::uint64_t>> cross_word_;
 };
+
+template <class Hooks>
+void SuperstepRunner::run(const Hooks& hooks) {
+  using CrossMessage = std::remove_cvref_t<decltype(hooks.cross_message)>;
+  using OnCross = std::remove_cvref_t<decltype(hooks.on_cross)>;
+  constexpr bool kExchange = !std::is_same_v<CrossMessage, NoExchange>;
+  static_assert(kExchange == !std::is_same_v<OnCross, NoExchange>,
+                "cross_message and on_cross come together");
+  const ComponentPlan& plan = state_.plan;
+  congest::PhaseStats stats = state_.broadcast;
+
+  // 1. Cross-edge exchange between adjacent supernodes over G[Pi] edges:
+  //    one round if any word was sent.
+  if constexpr (kExchange) {
+    std::int64_t sent = 0;
+    for (std::size_t i = 0; i < cross_.size(); ++i) {
+      const CrossEdge& x = cross_[i];
+      cross_word_[i] = hooks.cross_message(x.from, x.to, x.edge);
+      if (cross_word_[i].has_value()) ++sent;
+    }
+    for (const std::size_t i : delivery_) {
+      if (!cross_word_[i].has_value()) continue;
+      const CrossEdge& x = cross_[i];
+      hooks.on_cross(x.to, x.from, x.edge, *cross_word_[i]);
+    }
+    stats.rounds += sent > 0 ? 1 : 0;
+    stats.messages += sent;
+  }
+
+  // 2. Convergecast within components, into the root slots of `acc_`.
+  if (!converge_stats_.has_value()) {
+    converge_stats_ = converge_on_engine(
+        [&hooks](NodeId v, PartId j) -> std::uint64_t {
+          return hooks.contribution(v, j);
+        },
+        [&hooks](std::uint64_t a, std::uint64_t b) -> std::uint64_t {
+          return hooks.combine(a, b);
+        });
+  } else {
+    // Contributions in the engine's on_start order, then children fold
+    // into parents, deepest nodes first.
+    for (NodeId v = 0; v < net_.num_nodes(); ++v) {
+      const auto i = static_cast<std::size_t>(v);
+      for (std::size_t s = plan.slot_off[i]; s < plan.slot_off[i + 1]; ++s)
+        acc_[s] = hooks.contribution(v, plan.slots[s].part);
+    }
+    for (auto it = by_depth_.rbegin(); it != by_depth_.rend(); ++it) {
+      if (it->parent != kRootSlot)
+        acc_[it->parent] = hooks.combine(acc_[it->parent], acc_[it->slot]);
+    }
+    stats.rounds += converge_stats_->rounds;
+    stats.messages += converge_stats_->messages;
+  }
+
+  // 3. Broadcast: shallowest first, so a parent slot already holds its
+  //    component root's aggregate when its children copy it.
+  for (const TreeSlot& t : by_depth_) {
+    if (t.parent != kRootSlot) acc_[t.slot] = acc_[t.parent];
+    hooks.on_aggregate(t.node, plan.slots[t.slot].part, acc_[t.slot]);
+  }
+
+  // 4. Singleton components never exchange intra-component messages: their
+  //    aggregate is the node's own contribution (a local computation, zero
+  //    rounds).
+  for (const NodeId v : singletons_) {
+    const PartId j = partition_.part(v);
+    hooks.on_aggregate(v, j, hooks.contribution(v, j));
+  }
+
+  net_.add_replayed(stats);
+}
 
 }  // namespace lcs

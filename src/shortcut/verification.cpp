@@ -1,7 +1,10 @@
 #include "shortcut/verification.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <limits>
+#include <optional>
+#include <vector>
 
 #include "congest/network.h"
 #include "graph/graph.h"
@@ -68,25 +71,26 @@ VerificationResult verify_block_parameter(congest::Network& net,
   // Every phase below is a loop of supersteps on the same shortcut.
   SuperstepRunner superstep(net, tree, partition, state, neighbor_parts);
 
+  const auto min = [](std::uint64_t a, std::uint64_t b) {
+    return std::min(a, b);
+  };
+
   // --- Phase V1: leader min-flood over the supergraph --------------------
   {
-    SuperstepHooks hooks;
-    hooks.identity = kIdentityMin;
-    hooks.combine = [](std::uint64_t a, std::uint64_t b) {
-      return std::min(a, b);
-    };
-    hooks.contribution = [&](NodeId v, PartId j) {
+    const auto contribution = [&](NodeId v, PartId j) {
       return is_member(v, j) ? lead[u64(v)] : kIdentityMin;
     };
-    hooks.on_aggregate = [&](NodeId v, PartId j, std::uint64_t agg) {
+    const auto on_aggregate = [&](NodeId v, PartId j, std::uint64_t agg) {
       if (is_member(v, j)) lead[u64(v)] = std::min(lead[u64(v)], agg);
     };
-    hooks.cross_message = [&](NodeId v, NodeId, EdgeId) {
+    const auto cross_message = [&](NodeId v, NodeId, EdgeId) {
       return std::optional<std::uint64_t>(lead[u64(v)]);
     };
-    hooks.on_cross = [&](NodeId v, NodeId, EdgeId, std::uint64_t value) {
+    const auto on_cross = [&](NodeId v, NodeId, EdgeId, std::uint64_t value) {
       lead[u64(v)] = std::min(lead[u64(v)], value);
     };
+    const SuperstepHooks hooks{contribution, min,           kIdentityMin,
+                               on_aggregate, cross_message, on_cross};
     for (std::int32_t step = 0; step < b_limit; ++step)
       superstep.run(hooks);
   }
@@ -98,17 +102,12 @@ VerificationResult verify_block_parameter(congest::Network& net,
         state.own_block_root[u64(v)]);
     depth_s[u64(v)] = (lead[u64(v)] == block) ? 0 : kInfDepth;
   }
+  // V2 and V2.5 both announce (leader, depth) across part edges.
+  const auto lead_and_depth = [&](NodeId v, NodeId, EdgeId) {
+    return std::optional<std::uint64_t>(pack(lead[u64(v)], depth_s[u64(v)]));
+  };
   {
-    SuperstepHooks hooks;
-    hooks.identity = kIdentityMin;
-    hooks.combine = [](std::uint64_t a, std::uint64_t b) {
-      return std::min(a, b);
-    };
-    hooks.cross_message = [&](NodeId v, NodeId, EdgeId) {
-      return std::optional<std::uint64_t>(
-          pack(lead[u64(v)], depth_s[u64(v)]));
-    };
-    hooks.on_cross = [&](NodeId v, NodeId, EdgeId, std::uint64_t value) {
+    const auto on_cross = [&](NodeId v, NodeId, EdgeId, std::uint64_t value) {
       const std::uint64_t other_lead = value >> 32;
       const std::uint64_t other_depth = value & 0xFFFFFFFFu;
       if (other_lead != lead[u64(v)]) {
@@ -117,14 +116,16 @@ VerificationResult verify_block_parameter(congest::Network& net,
         best_cand[u64(v)] = std::min(best_cand[u64(v)], other_depth + 1);
       }
     };
-    hooks.contribution = [&](NodeId v, PartId j) {
+    const auto contribution = [&](NodeId v, PartId j) {
       if (!is_member(v, j)) return kIdentityMin;
       return std::min(depth_s[u64(v)], best_cand[u64(v)]);
     };
-    hooks.on_aggregate = [&](NodeId v, PartId j, std::uint64_t agg) {
+    const auto on_aggregate = [&](NodeId v, PartId j, std::uint64_t agg) {
       if (is_member(v, j))
         depth_s[u64(v)] = std::min<std::uint64_t>(agg, kInfDepth);
     };
+    const SuperstepHooks hooks{contribution, min,            kIdentityMin,
+                               on_aggregate, lead_and_depth, on_cross};
     for (std::int32_t step = 0; step < b_limit; ++step) {
       std::fill(best_cand.begin(), best_cand.end(),
                 static_cast<std::uint64_t>(kInfDepth));
@@ -135,16 +136,8 @@ VerificationResult verify_block_parameter(congest::Network& net,
   // --- Phase V2.5: choose one boundary edge to the BFS parent ------------
   {
     std::vector<std::uint64_t> cand_edge(n, kIdentityMin);
-    SuperstepHooks hooks;
-    hooks.identity = kIdentityMin;
-    hooks.combine = [](std::uint64_t a, std::uint64_t b) {
-      return std::min(a, b);
-    };
-    hooks.cross_message = [&](NodeId v, NodeId, EdgeId) {
-      return std::optional<std::uint64_t>(
-          pack(lead[u64(v)], depth_s[u64(v)]));
-    };
-    hooks.on_cross = [&](NodeId v, NodeId, EdgeId e, std::uint64_t value) {
+    const auto on_cross = [&](NodeId v, NodeId, EdgeId e,
+                              std::uint64_t value) {
       const std::uint64_t other_lead = value >> 32;
       const std::uint64_t other_depth = value & 0xFFFFFFFFu;
       const std::uint64_t mine = depth_s[u64(v)];
@@ -159,36 +152,39 @@ VerificationResult verify_block_parameter(congest::Network& net,
             std::min(cand_edge[u64(v)], static_cast<std::uint64_t>(e));
       }
     };
-    hooks.contribution = [&](NodeId v, PartId j) {
+    const auto contribution = [&](NodeId v, PartId j) {
       return is_member(v, j) ? cand_edge[u64(v)] : kIdentityMin;
     };
-    hooks.on_aggregate = [&](NodeId v, PartId j, std::uint64_t agg) {
+    const auto on_aggregate = [&](NodeId v, PartId j, std::uint64_t agg) {
       if (is_member(v, j)) parent_choice[u64(v)] = agg;
     };
-    superstep.run(hooks);
+    superstep.run(SuperstepHooks{contribution, min, kIdentityMin,
+                                 on_aggregate, lead_and_depth, on_cross});
   }
 
   // --- Phase V3: count supernodes up the super-BFS tree ------------------
   {
-    SuperstepHooks sum_hooks;
-    sum_hooks.identity = 0;
-    sum_hooks.combine = sat_add;
-    sum_hooks.contribution = [&](NodeId v, PartId j) -> std::uint64_t {
+    const auto sum = [](std::uint64_t a, std::uint64_t b) {
+      return sat_add(a, b);
+    };
+    const auto contribution = [&](NodeId v, PartId j) -> std::uint64_t {
       if (!is_member(v, j)) return 0;
       return sat_add(pending_in[u64(v)], flag[u64(v)] ? kHuge : 0);
     };
-    sum_hooks.on_aggregate = [&](NodeId v, PartId j, std::uint64_t agg) {
+    const auto on_aggregate = [&](NodeId v, PartId j, std::uint64_t agg) {
       if (is_member(v, j)) last_agg[u64(v)] = agg;
     };
 
     // V3.0: aggregate-only superstep so the deepest components know their
     // own flag totals before sending.
-    superstep.run(sum_hooks);
+    superstep.run(SuperstepHooks{contribution, sum, 0, on_aggregate});
 
+    const auto on_cross = [&](NodeId v, NodeId, EdgeId, std::uint64_t value) {
+      pending_in[u64(v)] = sat_add(pending_in[u64(v)], value);
+    };
     for (std::int32_t tau = b_limit; tau >= 1; --tau) {
-      SuperstepHooks hooks = sum_hooks;
-      hooks.cross_message = [&, tau](NodeId v, NodeId,
-                                     EdgeId e) -> std::optional<std::uint64_t> {
+      const auto cross_message =
+          [&, tau](NodeId v, NodeId, EdgeId e) -> std::optional<std::uint64_t> {
         if (depth_s[u64(v)] != static_cast<std::uint64_t>(tau)) {
           return std::nullopt;
         }
@@ -197,10 +193,8 @@ VerificationResult verify_block_parameter(congest::Network& net,
         }
         return sat_add(last_agg[u64(v)], 1);  // this component's subtree count
       };
-      hooks.on_cross = [&](NodeId v, NodeId, EdgeId, std::uint64_t value) {
-        pending_in[u64(v)] = sat_add(pending_in[u64(v)], value);
-      };
-      superstep.run(hooks);
+      superstep.run(SuperstepHooks{contribution, sum, 0, on_aggregate,
+                                   cross_message, on_cross});
     }
   }
 
@@ -214,28 +208,28 @@ VerificationResult verify_block_parameter(congest::Network& net,
     }
   }
   {
-    SuperstepHooks hooks;
-    hooks.identity = kUnknown;
-    hooks.combine = [](std::uint64_t a, std::uint64_t b) {
+    const auto max = [](std::uint64_t a, std::uint64_t b) {
       return std::max(a, b);
     };
-    hooks.cross_message = [&](NodeId v, NodeId,
-                              EdgeId) -> std::optional<std::uint64_t> {
+    const auto cross_message = [&](NodeId v, NodeId,
+                                   EdgeId) -> std::optional<std::uint64_t> {
       if (verdict[u64(v)] == kUnknown) return std::nullopt;
       return pack(lead[u64(v)], verdict[u64(v)]);
     };
-    hooks.on_cross = [&](NodeId v, NodeId, EdgeId, std::uint64_t value) {
+    const auto on_cross = [&](NodeId v, NodeId, EdgeId, std::uint64_t value) {
       const std::uint64_t other_lead = value >> 32;
       const std::uint64_t other_verdict = value & 0xFFFFFFFFu;
       if (other_lead == lead[u64(v)])
         verdict[u64(v)] = std::max(verdict[u64(v)], other_verdict);
     };
-    hooks.contribution = [&](NodeId v, PartId j) {
+    const auto contribution = [&](NodeId v, PartId j) {
       return is_member(v, j) ? verdict[u64(v)] : kUnknown;
     };
-    hooks.on_aggregate = [&](NodeId v, PartId j, std::uint64_t agg) {
+    const auto on_aggregate = [&](NodeId v, PartId j, std::uint64_t agg) {
       if (is_member(v, j)) verdict[u64(v)] = std::max(verdict[u64(v)], agg);
     };
+    const SuperstepHooks hooks{contribution, max,           kUnknown,
+                               on_aggregate, cross_message, on_cross};
     for (std::int32_t step = 0; step < b_limit; ++step)
       superstep.run(hooks);
   }

@@ -1,7 +1,10 @@
 #include "util/cast.h"
+#include "util/check.h"
 #include "util/worker_pool.h"
 
 #include <algorithm>
+#include <exception>
+#include <string>
 
 namespace lcs {
 
@@ -14,11 +17,22 @@ int WorkerPool::resolve_threads(int requested) {
 WorkerPool::WorkerPool(int workers) : num_workers_(std::max(1, workers)) {
   errors_.resize(static_cast<std::size_t>(num_workers_));
   threads_.reserve(static_cast<std::size_t>(num_workers_ - 1));
-  for (int w = 1; w < num_workers_; ++w)
-    threads_.emplace_back([this, w] { worker_main(w); });
+  try {
+    for (int w = 1; w < num_workers_; ++w)
+      threads_.emplace_back([this, w] { worker_main(w); });
+  } catch (const std::exception& e) {
+    // The destructor does not run for a constructor that throws: stop the
+    // started workers here. How many started depends on the host, so the
+    // message names only the request.
+    shut_down();
+    throw CheckFailure("could not start " + std::to_string(num_workers_ - 1) +
+                       " worker threads: " + e.what());
+  }
 }
 
-WorkerPool::~WorkerPool() {
+WorkerPool::~WorkerPool() { shut_down(); }
+
+void WorkerPool::shut_down() {
   {
     std::lock_guard<std::mutex> lock(mu_);
     shutdown_ = true;

@@ -44,6 +44,8 @@ class WorkerPool {
   static int resolve_threads(int requested);
 
   /// Spawn a team of `workers` (>= 1); `workers - 1` threads are created.
+  /// If one cannot be started, the started ones are joined and the
+  /// constructor throws `CheckFailure` naming the requested thread count.
   explicit WorkerPool(int workers);
   ~WorkerPool();
 
@@ -84,9 +86,10 @@ class WorkerPool {
   /// Block until all `size()` workers of the current job arrive.
   void stage_barrier();
   void worker_main(int index);
+  /// Wake every worker with `shutdown_` set and join it.
+  void shut_down();
 
   int num_workers_;
-  std::vector<std::thread> threads_;
 
   std::mutex mu_;
   std::condition_variable work_cv_;
@@ -103,6 +106,10 @@ class WorkerPool {
   std::condition_variable barrier_cv_;
   int barrier_arrived_ = 0;
   std::uint64_t barrier_epoch_ = 0;
+
+  // Declared last, after every member the workers use, so those outlive
+  // the threads however the constructor exits.
+  std::vector<std::thread> threads_;
 };
 
 }  // namespace lcs

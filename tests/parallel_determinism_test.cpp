@@ -7,8 +7,8 @@
 /// randomized stress harness (stress_util.h) over several topologies, on
 /// multi-phase reuse of one Network, on aborted phases, on mid-life thread
 /// count switches, end to end on the shortcut-Boruvka MST pipeline and on
-/// part-leader election, and on superstep replay (a runner's replayed
-/// supersteps against the engine).
+/// part-leader election, and on the superstep runner (its host pipeline
+/// against an engine-only superstep).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <span>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -36,8 +37,10 @@
 #include "shortcut/representation.h"
 #include "shortcut/shortcut.h"
 #include "shortcut/superstep.h"
+#include "shortcut/tree_routing.h"
 #include "stress_util.h"
 #include "test_util.h"
+#include "tree/spanning_tree.h"
 #include "util/check.h"
 
 namespace lcs {
@@ -604,10 +607,12 @@ TEST(ParallelPipeline, PartLeadersAreThreadCountInvariant) {
 }
 
 // ---------------------------------------------------------------------------
-// Superstep replay: a SuperstepRunner simulates its first superstep on the
-// engine and replays every later one. Against a fresh runner per superstep
-// (every phase on the engine), each superstep must leave the same per-node
-// state, add the same rounds and messages, and make the same hook calls.
+// Superstep runner against the engine: a SuperstepRunner runs only its first
+// convergecast on the engine and everything else on the host. Against an
+// engine-only superstep (the exchange, the convergecast and the broadcast
+// each an engine phase), every superstep, the first included, must leave
+// the same per-node state, add the same rounds and messages, and make the
+// same hook calls.
 
 /// Per-node protocol state and hook-call logs of one side of the
 /// comparison. Hooks for node v write only index v, so the logs stay
@@ -620,7 +625,7 @@ struct SuperstepWorld {
   std::vector<std::uint64_t> value;
   std::vector<std::uint64_t> aux;
   /// Per node, in call order: contribution, cross_message and on_cross.
-  /// The engine and the replay call these in the same order at a node.
+  /// The engine and the runner call these in the same order at a node.
   std::vector<std::vector<Call>> calls;
   /// Per node: on_aggregate as {part, aggregate}. A node's calls for
   /// different parts may come in any order, so these compare sorted.
@@ -657,17 +662,29 @@ struct SuperstepWorld {
 
 enum class HookSet { kMinFlood, kSaturatingSum, kMaxVerdict, kNoExchange };
 
+/// The six superstep hooks as std::function members; `cross_message` and
+/// `on_cross` are null for a superstep without the exchange.
+struct LoggedHooks {
+  std::function<std::uint64_t(NodeId, PartId)> contribution;
+  std::function<std::uint64_t(std::uint64_t, std::uint64_t)> combine;
+  std::uint64_t identity = 0;
+  std::function<void(NodeId, PartId, std::uint64_t)> on_aggregate;
+  std::function<std::optional<std::uint64_t>(NodeId, NodeId, EdgeId)>
+      cross_message;
+  std::function<void(NodeId, NodeId, EdgeId, std::uint64_t)> on_cross;
+};
+
 /// Hooks over `w` whose per-node updates commute across parts (the
 /// superstep contract); every call except `combine` is logged, and
 /// `combine` is counted.
-SuperstepHooks make_logged_hooks(HookSet set, SuperstepWorld& w,
-                                 const Partition& p) {
+LoggedHooks make_logged_hooks(HookSet set, SuperstepWorld& w,
+                              const Partition& p) {
   static constexpr std::uint64_t kMax = ~std::uint64_t{0};
   static constexpr std::uint64_t kCap = std::uint64_t{1} << 62;
   const auto u = [](NodeId v) { return static_cast<std::size_t>(v); };
   const auto uj = [](PartId j) { return static_cast<std::uint64_t>(j); };
   const auto un = [](NodeId v) { return static_cast<std::uint64_t>(v); };
-  SuperstepHooks h;
+  LoggedHooks h;
   std::function<std::uint64_t(NodeId, PartId)> contribution;
   std::function<std::uint64_t(std::uint64_t, std::uint64_t)> combine;
   std::function<void(NodeId, PartId, std::uint64_t)> on_aggregate;
@@ -774,14 +791,87 @@ SuperstepHooks make_logged_hooks(HookSet set, SuperstepWorld& w,
   return h;
 }
 
-TEST(ParallelSuperstep, ReplayMatchesEngine) {
-  struct Family {
-    const char* name;
-    Graph g;
-    Partition p;
-    NodeId root;
-  };
-  std::vector<Family> families;
+/// The reference exchange: one round in which every part member sends
+/// `cross_message`'s word to each same-part neighbor, in adjacency order.
+class ReferenceExchangeProcess final : public Process {
+ public:
+  ReferenceExchangeProcess(NodeId id, const Partition& partition,
+                           const NeighborParts& neighbor_parts,
+                           const LoggedHooks& hooks)
+      : id_(id),
+        partition_(&partition),
+        neighbor_parts_(&neighbor_parts),
+        hooks_(&hooks) {}
+
+  void on_start(Context& ctx) override {
+    const PartId j = partition_->part(id_);
+    if (j == kNoPart) return;
+    const auto nbs = ctx.neighbors();
+    const auto& parts = neighbor_parts_->of[static_cast<std::size_t>(id_)];
+    for (std::size_t k = 0; k < nbs.size(); ++k) {
+      if (parts[k] != j) continue;
+      const auto word = hooks_->cross_message(id_, nbs[k].node, nbs[k].edge);
+      if (word.has_value()) ctx.send(nbs[k].edge, Message(0, *word));
+    }
+  }
+
+  void on_round(Context&, std::span<const Incoming> inbox) override {
+    for (const auto& in : inbox)
+      hooks_->on_cross(id_, in.from, in.edge, in.msg.words[0]);
+  }
+
+ private:
+  NodeId id_;
+  const Partition* partition_;
+  const NeighborParts* neighbor_parts_;
+  const LoggedHooks* hooks_;
+};
+
+/// The reference superstep, every step an engine phase: the exchange (if
+/// the hooks have one), the convergecast and the broadcast on the plan, and
+/// then the singleton components' local aggregates.
+void engine_superstep(Network& net, const SpanningTree& tree,
+                      const Partition& p, const ShortcutState& state,
+                      const NeighborParts& neighbor_parts,
+                      const LoggedHooks& h) {
+  if (h.cross_message) {
+    std::vector<ReferenceExchangeProcess> procs;
+    for (NodeId v = 0; v < net.num_nodes(); ++v)
+      procs.emplace_back(v, p, neighbor_parts, h);
+    congest::run_phase(net, procs);
+  }
+  const ComponentPlan& plan = state.plan;
+  std::vector<std::uint64_t> root_agg(plan.rooted.size(), h.identity);
+  run_component_convergecast(net, tree, plan, h.contribution, h.combine,
+                             [&](NodeId root, PartId j, std::uint64_t agg) {
+                               root_agg[plan.rooted_index(root, j)] = agg;
+                             });
+  run_component_broadcast(
+      net, tree, plan,
+      [&](NodeId root, PartId j) {
+        return root_agg[plan.rooted_index(root, j)];
+      },
+      [&](NodeId v, PartId j, std::uint64_t value, std::int32_t) {
+        h.on_aggregate(v, j, value);
+      });
+  for (NodeId v = 0; v < net.num_nodes(); ++v) {
+    if (!state.own_singleton[static_cast<std::size_t>(v)]) continue;
+    const PartId j = p.part(v);
+    h.on_aggregate(v, j, h.contribution(v, j));
+  }
+}
+
+/// A graph, its partition and the BFS root the superstep tests use.
+struct SuperstepFamily {
+  const char* name;
+  Graph g;
+  Partition p;
+  NodeId root;
+};
+
+/// Grid, ER, genus and wheel (hub unassigned) with random-BFS or arc parts.
+std::vector<SuperstepFamily> superstep_families() {
+  std::vector<SuperstepFamily> families;
   {
     Graph g = make_grid(9, 9);
     Partition p = make_random_bfs_partition(g, 9, 2);
@@ -799,9 +889,13 @@ TEST(ParallelSuperstep, ReplayMatchesEngine) {
   }
   {
     const NodeId n = 61;
-    families.push_back({"wheel", make_wheel(n),
-                        make_cycle_arcs_partition(n, 6), n - 1});
+    families.push_back(
+        {"wheel", make_wheel(n), make_cycle_arcs_partition(n, 6), n - 1});
   }
+  return families;
+}
+
+TEST(ParallelSuperstep, ReplayMatchesEngine) {
   // The second superstep's verdicts are all still 0, so its exchange sends
   // nothing and takes no round.
   const std::vector<HookSet> steps = {
@@ -809,7 +903,7 @@ TEST(ParallelSuperstep, ReplayMatchesEngine) {
       HookSet::kNoExchange,    HookSet::kMaxVerdict, HookSet::kSaturatingSum,
       HookSet::kMinFlood,      HookSet::kNoExchange};
 
-  for (const Family& f : families) {
+  for (const SuperstepFamily& f : superstep_families()) {
     for (const int threads : {1, 3}) {
       SCOPED_TRACE(std::string(f.name) + " threads=" + std::to_string(threads));
       testutil::Sim sim(f.g, f.root, threads);
@@ -819,7 +913,7 @@ TEST(ParallelSuperstep, ReplayMatchesEngine) {
       const NeighborParts neighbor_parts =
           exchange_neighbor_parts(sim.net, f.p);
 
-      SuperstepWorld replayed(f.g.num_nodes());
+      SuperstepWorld hosted(f.g.num_nodes());
       SuperstepWorld engine(f.g.num_nodes());
       SuperstepRunner runner(sim.net, sim.tree, f.p, state, neighbor_parts);
       for (std::size_t i = 0; i < steps.size(); ++i) {
@@ -831,21 +925,68 @@ TEST(ParallelSuperstep, ReplayMatchesEngine) {
           return std::make_pair(sim.net.total_rounds() - r0,
                                 sim.net.total_messages() - m0);
         };
-        const auto got = measure(
-            [&] { runner.run(make_logged_hooks(steps[i], replayed, f.p)); });
+        const auto got = measure([&] {
+          const LoggedHooks h = make_logged_hooks(steps[i], hosted, f.p);
+          if (h.cross_message) {
+            runner.run(h);
+          } else {
+            runner.run(SuperstepHooks{h.contribution, h.combine, h.identity,
+                                      h.on_aggregate});
+          }
+        });
         const auto want = measure([&] {
-          SuperstepRunner fresh(sim.net, sim.tree, f.p, state,
-                                neighbor_parts);
-          fresh.run(make_logged_hooks(steps[i], engine, f.p));
+          engine_superstep(sim.net, sim.tree, f.p, state, neighbor_parts,
+                           make_logged_hooks(steps[i], engine, f.p));
         });
         EXPECT_EQ(got, want);
         EXPECT_GT(want.first, 0);
-        EXPECT_EQ(replayed.value, engine.value);
-        EXPECT_EQ(replayed.aux, engine.aux);
-        EXPECT_EQ(replayed.combines.load(), engine.combines.load());
-        EXPECT_EQ(replayed.take_calls(), engine.take_calls());
+        EXPECT_EQ(hosted.value, engine.value);
+        EXPECT_EQ(hosted.aux, engine.aux);
+        EXPECT_EQ(hosted.combines.load(), engine.combines.load());
+        EXPECT_EQ(hosted.take_calls(), engine.take_calls());
       }
       EXPECT_TRUE(sim.net.charged_rounds().empty());
+    }
+  }
+}
+
+// The representation broadcast's stats are the plan's broadcast schedule:
+// any other broadcast on the same plan, whatever words it carries, takes
+// the same rounds and sends one message per slot that rides its parent
+// edge. The superstep runner adds these stats instead of simulating it.
+TEST(ParallelRepresentation, BroadcastStatsAreThePlansSchedule) {
+  for (const SuperstepFamily& f : superstep_families()) {
+    for (const int threads : {1, 3}) {
+      SCOPED_TRACE(std::string(f.name) + " threads=" + std::to_string(threads));
+      testutil::Sim sim(f.g, f.root, threads);
+      Shortcut s = greedy_blocked_shortcut(f.g, sim.tree, f.p, 3);
+      const ShortcutState state =
+          compute_shortcut_state(sim.net, sim.tree, f.p, std::move(s));
+      const ComponentPlan& plan = state.plan;
+      const auto parent_slots =
+          std::count_if(plan.slots.begin(), plan.slots.end(),
+                        [](const ComponentPlan::Slot& slot) {
+                          return slot.has_parent;
+                        });
+      EXPECT_GT(state.broadcast.rounds, 0);
+      EXPECT_EQ(state.broadcast.messages, parent_slots);
+
+      const auto ignore = [](NodeId, PartId, std::uint64_t, std::int32_t) {};
+      const PhaseStats zeros = run_component_broadcast(
+          sim.net, sim.tree, plan, [](NodeId, PartId) { return 0; }, ignore);
+      const PhaseStats mixed = run_component_broadcast(
+          sim.net, sim.tree, plan,
+          [](NodeId root, PartId j) {
+            return static_cast<std::uint64_t>(root) * 7919 +
+                   static_cast<std::uint64_t>(j);
+          },
+          ignore);
+      EXPECT_EQ(std::make_pair(zeros.rounds, zeros.messages),
+                std::make_pair(state.broadcast.rounds,
+                               state.broadcast.messages));
+      EXPECT_EQ(std::make_pair(mixed.rounds, mixed.messages),
+                std::make_pair(state.broadcast.rounds,
+                               state.broadcast.messages));
     }
   }
 }

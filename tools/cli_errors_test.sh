@@ -111,6 +111,23 @@ expect_error_contains wseed_without_weights 2 "'wseed' requires weights=lo-hi" \
 expect_error_contains mincut_single_node 2 'min cut needs at least two nodes' \
   --algo=mincut --scenario='path:n=1'
 
+# A part count outside [1, n] names its key and the legal range, not just
+# "part count out of range" from the partition generator.
+expect_error_contains wheel_arcs_out_of_range 2 "'arcs'" \
+  --algo=components --scenario='wheel:n=4'
+expect_error_contains parts_out_of_range 2 "'parts'" \
+  --algo=components --scenario='grid:w=4,parts=17'
+
+# A worker thread that cannot be started fails the run instead of hanging
+# it: under a 1 GB address-space limit, 999 thread stacks cannot all be
+# mapped. The subshell keeps the limit off the rest of this script.
+limited_run() { (ulimit -v 1000000; exec timeout 20 "$lcs_run" "$@"); }
+lcs_run="$run"
+run=limited_run
+expect_error_contains worker_threads_unavailable 2 'worker threads' \
+  --algo=mst --scenario='grid:w=4' --threads=1000 --no-timing
+run="$lcs_run"
+
 # A --sweep key that is not a parameter of the scenario family is rejected
 # before any expansion work (and names both the key and the family).
 expect_error_contains sweep_unknown_key 2 "'bogus'" \
