@@ -259,13 +259,19 @@ std::vector<Family> make_builtin_families() {
                   "connected Erdos-Renyi; p= explicit or deg= average degree",
                   [](SpecArgs& a) {
                     const NodeId n = as_node(a.get_int("n", 1024), "n");
-                    const double p =
-                        a.has("p") ? a.require_double("p")
-                                   : a.get_double("deg", 6.0) /
-                                         static_cast<double>(std::max<NodeId>(n, 1));
+                    double p = 0.0;
+                    if (a.has("p")) {
+                      p = a.require_double("p");
+                      LCS_CHECK(p >= 0.0 && p <= 1.0,
+                                "'p' must be in [0, 1] for er");
+                    } else {
+                      // deg= saturates at the complete graph.
+                      p = std::min(a.get_double("deg", 6.0) /
+                                       static_cast<double>(std::max<NodeId>(n, 1)),
+                                   1.0);
+                    }
                     return FamilyResult{
-                        make_erdos_renyi(n, std::min(p, 1.0),
-                                         a.get_uint("seed", 1)),
+                        make_erdos_renyi(n, p, a.get_uint("seed", 1)),
                         std::nullopt};
                   },
                   {"n", "p", "deg", "seed"}});

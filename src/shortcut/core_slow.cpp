@@ -133,10 +133,8 @@ CoreResult core_slow_threshold(congest::Network& net, const SpanningTree& tree,
   CoreResult result;
   result.shortcut.parts_on_edge.resize(
       static_cast<std::size_t>(net.graph().num_edges()));
-  result.parent_edge_unusable.assign(static_cast<std::size_t>(n), false);
   for (NodeId v = 0; v < n; ++v) {
     auto& p = procs[static_cast<std::size_t>(v)];
-    result.parent_edge_unusable[static_cast<std::size_t>(v)] = p.unusable;
     const EdgeId pe = tree.parent_edge[static_cast<std::size_t>(v)];
     if (pe != kNoEdge && !p.unusable) {
       result.shortcut.parts_on_edge[static_cast<std::size_t>(pe)] =

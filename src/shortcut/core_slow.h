@@ -21,8 +21,6 @@ namespace lcs {
 
 struct CoreResult {
   Shortcut shortcut;
-  /// Per node: whether its parent edge was declared unusable.
-  congest::PerNode<bool> parent_edge_unusable;
 };
 
 /// Run CoreSlow with congestion budget `c` (threshold 2c).

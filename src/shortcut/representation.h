@@ -12,10 +12,11 @@
 /// *block id*, unique within each part, which verification and part routing
 /// rely on.
 ///
-/// The same knowledge, flattened per node, is the shortcut's
-/// `ComponentPlan` (tree_routing.h): built once here and reused by every
-/// superstep that routes on the shortcut, together with the broadcast's
-/// `PhaseStats`, which every superstep's broadcast on the plan repeats.
+/// That knowledge, flattened per node, is the shortcut's `ComponentPlan`
+/// (tree_routing.h): built here before the broadcast, which runs on it and
+/// writes each parent-edge slot's root depth, and reused by every superstep
+/// that routes on the shortcut, together with the broadcast's `PhaseStats`,
+/// which every superstep's broadcast on the plan repeats.
 #pragma once
 
 #include "congest/network.h"
@@ -32,22 +33,14 @@ namespace lcs {
 struct ShortcutState {
   Shortcut shortcut;
 
-  /// Aligned with shortcut.parts_on_edge[e]: the node id / depth of the
-  /// block-component root for that (edge, part) pair.
-  std::vector<std::vector<NodeId>> root_id_on_edge;
-  std::vector<std::vector<std::int32_t>> root_depth_on_edge;
-
-  /// For each node v in a part: the block id (component root) and its depth
-  /// for v's own component. Nodes with no incident own-part shortcut edge
-  /// form singleton components rooted at themselves. kNoNode for nodes
-  /// outside every part.
+  /// For each node v in a part: the block id (component root) of v's own
+  /// component. Nodes with no incident own-part shortcut edge form
+  /// singleton components rooted at themselves. kNoNode for nodes outside
+  /// every part.
   congest::PerNode<NodeId> own_block_root;
-  congest::PerNode<std::int32_t> own_block_root_depth;
 
-  /// True if v's own-part component is the singleton {v}.
-  congest::PerNode<bool> own_singleton;
-
-  /// The routing plan of `shortcut` on the tree, root depths included.
+  /// The routing plan of `shortcut` on the tree, root depths included. A
+  /// part member is a singleton exactly when it has no slot for its part.
   ComponentPlan plan;
 
   /// The rounds and messages of the representation broadcast on `plan`.

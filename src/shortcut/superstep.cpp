@@ -103,7 +103,6 @@ SuperstepRunner::SuperstepRunner(congest::Network& net,
   const ComponentPlan& plan = state.plan;
   LCS_CHECK(tree.depth.size() == un && tree.parent.size() == un &&
                 partition.part_of.size() == un &&
-                state.own_singleton.size() == un &&
                 plan.slot_off.size() == un + 1 &&
                 neighbor_parts.of.size() == un,
             "superstep inputs sized for a different network");
@@ -144,17 +143,9 @@ SuperstepRunner::SuperstepRunner(congest::Network& net,
       std::size_t parent = kRootSlot;
       if (slot.has_parent) {
         LCS_CHECK(up != kNoNode, "the tree root has no parent slot");
-        const auto u = static_cast<std::size_t>(up);
-        const auto first =
-            plan.slots.begin() + static_cast<std::ptrdiff_t>(plan.slot_off[u]);
-        const auto last = plan.slots.begin() +
-                          static_cast<std::ptrdiff_t>(plan.slot_off[u + 1]);
-        const auto it = std::lower_bound(
-            first, last, slot.part,
-            [](const ComponentPlan::Slot& a, PartId p) { return a.part < p; });
-        LCS_CHECK(it != last && it->part == slot.part,
+        parent = plan.slot_index(up, slot.part);
+        LCS_CHECK(parent < plan.slots.size(),
                   "component plan has a slot without its parent slot");
-        parent = static_cast<std::size_t>(it - plan.slots.begin());
         ++parent_slots_;
       }
       by_depth_.push_back(TreeSlot{s, parent, v});
@@ -166,35 +157,28 @@ SuperstepRunner::SuperstepRunner(congest::Network& net,
             "shortcut state's broadcast is not one message per parent-edge "
             "slot");
 
-  // Root slots in the plan's rooted order (node, then part), and the
-  // singleton components.
-  for (std::size_t s = 0; s < plan.slots.size(); ++s)
-    if (!plan.slots[s].has_parent) root_slot_.push_back(s);
-  LCS_CHECK(root_slot_.size() == plan.rooted.size(),
-            "component plan's rooted parts misaligned with its slots");
-  for (NodeId v = 0; v < n; ++v)
-    if (state.own_singleton[static_cast<std::size_t>(v)])
+  // A part member with no slot for its part is a singleton component.
+  for (NodeId v = 0; v < n; ++v) {
+    const PartId j = partition.part(v);
+    if (j != kNoPart && plan.slot_index(v, j) == plan.slots.size())
       singletons_.push_back(v);
+  }
   acc_.resize(plan.slots.size());
 }
 
-congest::PhaseStats SuperstepRunner::converge_on_engine(
-    const std::function<std::uint64_t(NodeId, PartId)>& contribution,
-    const std::function<std::uint64_t(std::uint64_t, std::uint64_t)>&
-        combine) {
-  // Each root slot belongs to one root node and is written only through
-  // that node's callback, so it is per-node state.
-  const ComponentPlan& plan = state_.plan;
+void SuperstepRunner::simulate_convergecast() {
+  // The schedule never depends on the words, so placeholders stand in for
+  // the hooks' words.
   const congest::PhaseStats up = run_component_convergecast(
-      net_, tree_, plan, contribution, combine,
-      [&](NodeId root, PartId j, std::uint64_t agg) {
-        acc_[root_slot_[plan.rooted_index(root, j)]] = agg;
-      });
-  // Later convergecasts fold one message per slot that rides its parent
-  // edge; the schedule just simulated must agree.
+      net_, tree_, state_.plan,
+      [](NodeId, PartId) -> std::uint64_t { return 0; },
+      [](std::uint64_t a, std::uint64_t b) { return a | b; },
+      [](NodeId, PartId, std::uint64_t) {});
+  // The host fold sends one message per slot that rides its parent edge;
+  // the schedule just simulated must agree.
   LCS_CHECK(up.messages == parent_slots_,
             "convergecast is not one message per parent-edge slot");
-  return up;
+  converge_stats_ = up;
 }
 
 }  // namespace lcs

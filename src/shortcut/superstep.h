@@ -25,46 +25,49 @@
 ///
 /// ## One engine phase per runner
 ///
-/// Only the runner's first convergecast runs on the engine. Everything else
-/// makes the same hook calls on the host and adds its rounds and messages
-/// through one `Network::add_replayed` call per superstep:
+/// Every superstep, the first included, takes one value path on the host:
+/// it makes the hook calls below and adds its rounds and messages through
+/// one `Network::add_replayed` call.
 ///  * exchange — `cross_message` over the runner's list of same-part
 ///    directed edges in send order (sender ascending, then adjacency order),
 ///    then `on_cross` in delivery order (receiver ascending, then send
 ///    order); 1 round if any word was sent, plus one message per word;
-///  * convergecast — the first superstep runs it on the engine and keeps its
-///    `PhaseStats`; every later one calls `contribution` for every slot in
-///    node/slot order (the engine's `on_start` order), then folds each slot
-///    that rides its parent edge into its parent's slot of the same part,
-///    deepest nodes first, and adds the kept stats;
+///  * convergecast — `contribution` for every slot in node/slot order (the
+///    engine's `on_start` order), then each slot that rides its parent edge
+///    folds into its parent's slot of the same part, deepest nodes first;
 ///  * broadcast — every slot takes its component root's aggregate and
 ///    `on_aggregate` fires once per slot, shallowest nodes first; its
 ///    rounds and messages are `ShortcutState::broadcast`;
-///  * singletons — `on_aggregate` with the node's own `contribution`, from a
-///    list built with the runner.
+///  * singletons — `on_aggregate` with the node's own `contribution`, for
+///    each part member without a plan slot for its part.
+///
+/// The runner's one engine phase is the convergecast's schedule, run once
+/// on the plan with placeholder words (each node contributes 0, `|`
+/// combines) by the first call; the engine charges it, and every later
+/// call adds its kept stats. No user hook runs inside an engine phase.
 ///
 /// Why this is exact: a node's sends in steps 2–3 depend only on the part
 /// ids and root depths on its tree edges (the Lemma 2 keys) and on how many
 /// child messages have arrived — all fixed by the plan, never by the words
-/// being aggregated — so every convergecast on one plan has the first one's
-/// schedule, and every broadcast has the schedule `compute_shortcut_state`
-/// simulated on the same plan. Each sends one message per slot that rides
-/// its parent edge (checked). The exchange is one round with no schedule to
-/// simulate: each word is one message over a directed edge that appears
-/// once in the runner's list. `combine` is associative and commutative and
-/// every hook touches only its own node's state, so the runner makes the
-/// engine's hook calls with the same arguments, each once, and only the
-/// interleaving across nodes differs. Two orders are not kept, so hooks
-/// must not depend on them: how `combine` groups its operands, and the
-/// order of one node's `on_aggregate` calls for different parts. Every
-/// other call at a node comes in the engine's order. The first convergecast
-/// runs under the engine's CONGEST checks; the broadcast's schedule is
-/// checked when `compute_shortcut_state` runs it.
+/// being aggregated — so every convergecast on one plan has the schedule
+/// of the placeholder one, and every broadcast has the schedule
+/// `compute_shortcut_state` simulated on the same plan. Each sends one
+/// message per slot that rides its parent edge (checked). The exchange is
+/// one round with no schedule to simulate: each word is one message over a
+/// directed edge that appears once in the runner's list. `combine` is
+/// associative and commutative and every hook touches only its own node's
+/// state, so the runner makes the engine's hook calls with the same
+/// arguments, each once, and only the interleaving across nodes differs.
+/// Two orders are not kept, so hooks must not depend on them: how
+/// `combine` groups its operands, and the order of one node's
+/// `on_aggregate` calls for different parts. Every other call at a node
+/// comes in the engine's order. The convergecast's schedule runs under the
+/// engine's CONGEST checks once per runner; the broadcast's is checked when
+/// `compute_shortcut_state` runs it.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <optional>
 #include <type_traits>
@@ -127,7 +130,8 @@ struct SuperstepHooks {
 };
 
 /// Runs supersteps over one fixed shortcut and partition, with one engine
-/// phase in all: the first superstep's convergecast (see the file comment).
+/// phase in all: the convergecast's schedule, run by the first superstep
+/// (see the file comment).
 /// Holds references to `net`, `tree`, `partition` and `state`, which must
 /// outlive it; a runner is meant to be local to one call and is not safe to
 /// share across threads.
@@ -164,12 +168,9 @@ class SuperstepRunner {
     NodeId node = kNoNode;
   };
 
-  /// The first convergecast, on the engine: each root slot of `acc_` takes
-  /// its component's aggregate. Returns the phase's stats.
-  congest::PhaseStats converge_on_engine(
-      const std::function<std::uint64_t(NodeId, PartId)>& contribution,
-      const std::function<std::uint64_t(std::uint64_t, std::uint64_t)>&
-          combine);
+  /// Runs the convergecast's schedule on the engine with placeholder words
+  /// and keeps its stats in `converge_stats_`.
+  void simulate_convergecast();
 
   congest::Network& net_;
   const SpanningTree& tree_;
@@ -184,12 +185,10 @@ class SuperstepRunner {
   /// slot order).
   std::vector<TreeSlot> by_depth_;
   std::int64_t parent_slots_ = 0;
-  /// The slot of each rooted component, by its index in `plan.rooted`.
-  std::vector<std::size_t> root_slot_;
   /// Nodes whose own-part component is a singleton, ascending.
   std::vector<NodeId> singletons_;
 
-  /// The first convergecast's stats, once it has run.
+  /// The convergecast's stats, once the first call has simulated it.
   std::optional<congest::PhaseStats> converge_stats_;
 
   /// Per-slot accumulators and per-cross-edge words.
@@ -225,29 +224,24 @@ void SuperstepRunner::run(const Hooks& hooks) {
     stats.messages += sent;
   }
 
-  // 2. Convergecast within components, into the root slots of `acc_`.
-  if (!converge_stats_.has_value()) {
-    converge_stats_ = converge_on_engine(
-        [&hooks](NodeId v, PartId j) -> std::uint64_t {
-          return hooks.contribution(v, j);
-        },
-        [&hooks](std::uint64_t a, std::uint64_t b) -> std::uint64_t {
-          return hooks.combine(a, b);
-        });
-  } else {
-    // Contributions in the engine's on_start order, then children fold
-    // into parents, deepest nodes first.
-    for (NodeId v = 0; v < net_.num_nodes(); ++v) {
-      const auto i = static_cast<std::size_t>(v);
-      for (std::size_t s = plan.slot_off[i]; s < plan.slot_off[i + 1]; ++s)
-        acc_[s] = hooks.contribution(v, plan.slots[s].part);
-    }
-    for (auto it = by_depth_.rbegin(); it != by_depth_.rend(); ++it) {
-      if (it->parent != kRootSlot)
-        acc_[it->parent] = hooks.combine(acc_[it->parent], acc_[it->slot]);
-    }
+  // 2. Convergecast within components, into the root slots of `acc_`:
+  //    contributions in the engine's on_start order, then children fold
+  //    into parents, deepest nodes first. The first call simulates the
+  //    schedule, which the engine charges; later calls add its stats.
+  for (NodeId v = 0; v < net_.num_nodes(); ++v) {
+    const auto i = static_cast<std::size_t>(v);
+    for (std::size_t s = plan.slot_off[i]; s < plan.slot_off[i + 1]; ++s)
+      acc_[s] = hooks.contribution(v, plan.slots[s].part);
+  }
+  for (auto it = by_depth_.rbegin(); it != by_depth_.rend(); ++it) {
+    if (it->parent != kRootSlot)
+      acc_[it->parent] = hooks.combine(acc_[it->parent], acc_[it->slot]);
+  }
+  if (converge_stats_.has_value()) {
     stats.rounds += converge_stats_->rounds;
     stats.messages += converge_stats_->messages;
+  } else {
+    simulate_convergecast();
   }
 
   // 3. Broadcast: shallowest first, so a parent slot already holds its

@@ -107,7 +107,7 @@ congest::PhaseStats run_plan_phase(congest::Network& net, Phase& phase) {
 void check_plan(const congest::Network& net, const SpanningTree& tree,
                 const ComponentPlan& plan) {
   const auto n = static_cast<std::size_t>(net.num_nodes());
-  LCS_CHECK(plan.rooted_off.size() == n + 1 && plan.slot_off.size() == n + 1 &&
+  LCS_CHECK(plan.child_off.size() == n + 1 && plan.slot_off.size() == n + 1 &&
                 tree.depth.size() == n,
             "component plan built for a different network");
 }
@@ -142,10 +142,15 @@ class BroadcastPhase {
         heap_len_(plan.child_edge.size(), 0),
         seq_(static_cast<std::size_t>(tree.num_nodes()), 0) {}
 
+  // The node's slots without a parent edge are the components it roots,
+  // ascending by part.
   void start(Context& ctx) {
     const NodeId v = ctx.id();
-    const std::int32_t my_depth = tree_.depth[static_cast<std::size_t>(v)];
-    for (const PartId j : plan_.rooted_at(v)) {
+    const auto i = static_cast<std::size_t>(v);
+    const std::int32_t my_depth = tree_.depth[i];
+    for (std::size_t s = plan_.slot_off[i]; s < plan_.slot_off[i + 1]; ++s) {
+      if (plan_.slots[s].has_parent) continue;
+      const PartId j = plan_.slots[s].part;
       const std::uint64_t value = root_value_(v, j);
       on_receive_(v, j, value, my_depth);
       enqueue_down(v, j, value, my_depth);
@@ -244,18 +249,11 @@ class ConvergecastPhase {
   }
 
   void round(Context& ctx, std::span<const Incoming> inbox) {
-    const auto i = static_cast<std::size_t>(ctx.id());
-    const auto [first, last] =
-        slice(plan_.slots, plan_.slot_off[i], plan_.slot_off[i + 1]);
     for (const auto& in : inbox) {
-      const auto j = util::checked_cast<PartId>(in.msg.words[0]);
-      const auto it = std::lower_bound(
-          first, last, j,
-          [](const ComponentPlan::Slot& s, PartId p) { return s.part < p; });
-      LCS_CHECK(it != last && it->part == j,
-                "convergecast message for unknown id");
-      SlotState& st =
-          state_[static_cast<std::size_t>(it - plan_.slots.begin())];
+      const std::size_t s = plan_.slot_index(
+          ctx.id(), util::checked_cast<PartId>(in.msg.words[0]));
+      LCS_CHECK(s < plan_.slots.size(), "convergecast message for unknown id");
+      SlotState& st = state_[s];
       st.acc = combine_(st.acc, in.msg.words[1]);
       ++st.received;
     }
@@ -325,22 +323,21 @@ class ConvergecastPhase {
 
 }  // namespace
 
-std::size_t ComponentPlan::rooted_index(NodeId v, PartId j) const {
+std::size_t ComponentPlan::slot_index(NodeId v, PartId j) const {
   const auto i = static_cast<std::size_t>(v);
-  const auto [first, last] = slice(rooted, rooted_off[i], rooted_off[i + 1]);
-  const auto it = std::lower_bound(first, last, j);
-  LCS_CHECK(it != last && *it == j, "no component of that part rooted here");
-  return static_cast<std::size_t>(it - rooted.begin());
+  const auto [first, last] = slice(slots, slot_off[i], slot_off[i + 1]);
+  const auto it = std::lower_bound(
+      first, last, j, [](const Slot& s, PartId p) { return s.part < p; });
+  if (it == last || it->part != j) return slots.size();
+  return static_cast<std::size_t>(it - slots.begin());
 }
 
 ComponentPlan make_component_plan(const SpanningTree& tree,
                                   const Shortcut& shortcut) {
   const auto n = static_cast<std::size_t>(tree.num_nodes());
   ComponentPlan plan;
-  plan.rooted_off.reserve(n + 1);
   plan.child_off.reserve(n + 1);
   plan.slot_off.reserve(n + 1);
-  plan.rooted_off.push_back(0);
   plan.child_off.push_back(0);
   plan.queue_off.push_back(0);
   plan.slot_off.push_back(0);
@@ -387,40 +384,11 @@ ComponentPlan make_component_plan(const SpanningTree& tree,
         ++slot.expected;
         ++c;
       }
-      if (!slot.has_parent) plan.rooted.push_back(slot.part);
       plan.slots.push_back(slot);
     }
-    plan.rooted_off.push_back(plan.rooted.size());
     plan.slot_off.push_back(plan.slots.size());
   }
   return plan;
-}
-
-void set_parent_root_depths(
-    ComponentPlan& plan, const SpanningTree& tree, const Shortcut& shortcut,
-    const std::vector<std::vector<std::int32_t>>& root_depth_on_edge) {
-  const auto n = static_cast<std::size_t>(tree.num_nodes());
-  LCS_CHECK(plan.slot_off.size() == n + 1,
-            "component plan built for a different tree");
-  for (std::size_t v = 0; v < n; ++v) {
-    const EdgeId pe = tree.parent_edge[v];
-    if (pe == kNoEdge) continue;
-    const auto& list = shortcut.parts_on_edge[static_cast<std::size_t>(pe)];
-    const auto& depths = root_depth_on_edge[static_cast<std::size_t>(pe)];
-    LCS_CHECK(list.size() == depths.size(),
-              "root depths misaligned with shortcut");
-    std::size_t k = 0;
-    for (std::size_t s = plan.slot_off[v]; s < plan.slot_off[v + 1]; ++s) {
-      ComponentPlan::Slot& slot = plan.slots[s];
-      if (!slot.has_parent) continue;
-      LCS_CHECK(k < list.size() && list[k] == slot.part,
-                "component plan built for a different shortcut");
-      slot.parent_root_depth = depths[k++];
-    }
-    LCS_CHECK(k == list.size(),
-              "component plan built for a different shortcut");
-  }
-  plan.has_root_depths = true;
 }
 
 congest::PhaseStats run_component_broadcast(

@@ -15,12 +15,12 @@
 ///  * `run_component_broadcast` — each component root injects one word; it
 ///    is delivered to every node of the component. Messages carry the root
 ///    depth, so the Lemma 2 priority is available on arrival (this is also
-///    how the per-edge root depths of the "distributed representation" are
-///    computed in the first place).
+///    how the plan's parent-edge root depths, part of the "distributed
+///    representation", are computed in the first place).
 ///  * `run_component_convergecast` — every node of a component contributes
 ///    one word; an associative, commutative combiner folds them toward the
-///    component root. Upward priorities use the per-edge root depths that
-///    `set_parent_root_depths` copied into the plan (see representation.h).
+///    component root. Upward priorities use the parent-edge root depths the
+///    representation broadcast wrote into the plan (see representation.h).
 ///
 /// Nodes only consult local data: their own plan slices (the ids on their
 /// incident tree edges and the per-edge priorities), and callbacks that
@@ -32,7 +32,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <span>
 #include <vector>
 
 #include "congest/network.h"
@@ -64,15 +63,13 @@ struct ComponentPlan {
     /// Child edges of the node that carry `part`.
     std::int32_t expected = 0;
     /// Depth of `part`'s component root, as recorded on the node's parent
-    /// edge; meaningful once `has_root_depths` is set.
+    /// edge: set on parent-edge slots by the representation broadcast, -1
+    /// on the others.
     std::int32_t parent_root_depth = -1;
     /// `part` rides the node's parent edge (else the node roots it).
     bool has_parent = false;
   };
 
-  /// Parts whose component is rooted at the node, ascending.
-  std::vector<std::size_t> rooted_off;
-  std::vector<PartId> rooted;
   /// The node's child edges, ascending EdgeId (the per-round flush order).
   std::vector<std::size_t> child_off;
   std::vector<EdgeId> child_edge;
@@ -81,34 +78,24 @@ struct ComponentPlan {
   /// at most one message per part, so the same range is that edge's queue.
   std::vector<std::size_t> queue_off;
   std::vector<PartId> queue_part;
-  /// One slot per incident part, ascending by part.
+  /// One slot per incident part, ascending by part. The slots without a
+  /// parent edge are the components rooted at the node.
   std::vector<std::size_t> slot_off;
   std::vector<Slot> slots;
-  /// Set by `set_parent_root_depths`; the convergecast requires it.
+  /// Set once every parent-edge slot holds its root depth (see
+  /// representation.h); the convergecast requires it.
   bool has_root_depths = false;
 
-  std::span<const PartId> rooted_at(NodeId v) const {
-    const auto i = static_cast<std::size_t>(v);
-    return {rooted.data() + rooted_off[i], rooted_off[i + 1] - rooted_off[i]};
-  }
-  /// Position in `rooted` of the part-j component rooted at v (a flat key
-  /// for per-root state); fails if v does not root part j.
-  std::size_t rooted_index(NodeId v, PartId j) const;
+  /// Index in `slots` of v's slot for part j (a flat key for per-slot
+  /// state), or `slots.size()` if v has none.
+  std::size_t slot_index(NodeId v, PartId j) const;
 };
 
-/// Build the plan's broadcast half (rooted parts, child edges and their
-/// parts, slots without root depths) for `shortcut` on `tree`. Purely
-/// local knowledge: node v's slices come from the ids on its own incident
-/// tree edges.
+/// Build the plan (child edges and their parts, slots without root depths)
+/// for `shortcut` on `tree`. Purely local knowledge: node v's slices come
+/// from the ids on its own incident tree edges.
 ComponentPlan make_component_plan(const SpanningTree& tree,
                                   const Shortcut& shortcut);
-
-/// Complete the convergecast half: copy each node's parent-edge root depths
-/// into its slots. `root_depth_on_edge` must align element-wise with
-/// `shortcut.parts_on_edge` (see representation.h).
-void set_parent_root_depths(
-    ComponentPlan& plan, const SpanningTree& tree, const Shortcut& shortcut,
-    const std::vector<std::vector<std::int32_t>>& root_depth_on_edge);
 
 /// Broadcast one word from every block-component root to all nodes of that
 /// component.
@@ -130,7 +117,7 @@ congest::PhaseStats run_component_broadcast(
 /// `contribution(v, j)` is invoked once per node per incident component and
 /// returns the word that node feeds in. `combine` must be associative and
 /// commutative. `on_root_result(v, j, agg)` fires at each component root.
-/// The plan must carry root depths (`set_parent_root_depths`).
+/// The plan must carry root depths (`has_root_depths`).
 congest::PhaseStats run_component_convergecast(
     congest::Network& net, const SpanningTree& tree, const ComponentPlan& plan,
     const std::function<std::uint64_t(NodeId v, PartId j)>& contribution,

@@ -607,12 +607,12 @@ TEST(ParallelPipeline, PartLeadersAreThreadCountInvariant) {
 }
 
 // ---------------------------------------------------------------------------
-// Superstep runner against the engine: a SuperstepRunner runs only its first
-// convergecast on the engine and everything else on the host. Against an
-// engine-only superstep (the exchange, the convergecast and the broadcast
-// each an engine phase), every superstep, the first included, must leave
-// the same per-node state, add the same rounds and messages, and make the
-// same hook calls.
+// Superstep runner against the engine: a SuperstepRunner makes every hook
+// call on the host and runs only the convergecast's schedule, with
+// placeholder words, on the engine. Against an engine-only superstep (the
+// exchange, the convergecast and the broadcast each an engine phase), every
+// superstep, the first included, must leave the same per-node state, add
+// the same rounds and messages, and make the same hook calls.
 
 /// Per-node protocol state and hook-call logs of one side of the
 /// comparison. Hooks for node v write only index v, so the logs stay
@@ -841,22 +841,36 @@ void engine_superstep(Network& net, const SpanningTree& tree,
     congest::run_phase(net, procs);
   }
   const ComponentPlan& plan = state.plan;
-  std::vector<std::uint64_t> root_agg(plan.rooted.size(), h.identity);
+  std::vector<std::uint64_t> root_agg(plan.slots.size(), h.identity);
   run_component_convergecast(net, tree, plan, h.contribution, h.combine,
                              [&](NodeId root, PartId j, std::uint64_t agg) {
-                               root_agg[plan.rooted_index(root, j)] = agg;
+                               root_agg[plan.slot_index(root, j)] = agg;
                              });
   run_component_broadcast(
       net, tree, plan,
       [&](NodeId root, PartId j) {
-        return root_agg[plan.rooted_index(root, j)];
+        return root_agg[plan.slot_index(root, j)];
       },
       [&](NodeId v, PartId j, std::uint64_t value, std::int32_t) {
         h.on_aggregate(v, j, value);
       });
+  // A member is a singleton when none of its tree edges carries its part;
+  // read off the shortcut itself, not the plan the runner uses.
+  const auto carries = [&](EdgeId e, PartId j) {
+    const auto& list =
+        state.shortcut.parts_on_edge[static_cast<std::size_t>(e)];
+    return std::binary_search(list.begin(), list.end(), j);
+  };
   for (NodeId v = 0; v < net.num_nodes(); ++v) {
-    if (!state.own_singleton[static_cast<std::size_t>(v)]) continue;
+    const auto i = static_cast<std::size_t>(v);
     const PartId j = p.part(v);
+    if (j == kNoPart) continue;
+    const EdgeId up = tree.parent_edge[i];
+    if (up != kNoEdge && carries(up, j)) continue;
+    if (std::any_of(tree.children_edges[i].begin(),
+                    tree.children_edges[i].end(),
+                    [&](EdgeId e) { return carries(e, j); }))
+      continue;
     h.on_aggregate(v, j, h.contribution(v, j));
   }
 }

@@ -23,17 +23,16 @@ using testutil::central_components;
 /// The routing plan against the centralized components: each node's slots
 /// are exactly the parts on its incident tree edges, `expected` counts the
 /// child edges carrying the part, a parent-edge slot holds its component
-/// root's depth, and the rooted parts are the components rooted there.
+/// root's depth, and the slots without a parent edge are the components
+/// rooted there (with no depth).
 void expect_plan_matches_components(const Graph& g, const SpanningTree& tree,
                                     const Partition& p, const Shortcut& s,
                                     const ComponentPlan& plan) {
   const auto n = static_cast<std::size_t>(g.num_nodes());
   std::vector<std::map<PartId, ComponentPlan::Slot>> want_slots(n);
-  std::vector<std::vector<PartId>> want_rooted(n);
   for (PartId j = 0; j < p.num_parts; ++j) {
     for (const auto& comp : central_components(g, tree, p, s, j)) {
       if (comp.edges.empty()) continue;  // singletons: no tree edge, no slot
-      want_rooted[static_cast<std::size_t>(comp.root)].push_back(j);
       for (const EdgeId e : comp.edges) {
         const auto lower = static_cast<std::size_t>(tree.lower_endpoint(e));
         const auto upper = static_cast<std::size_t>(tree.parent[lower]);
@@ -50,10 +49,6 @@ void expect_plan_matches_components(const Graph& g, const SpanningTree& tree,
 
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     const auto i = static_cast<std::size_t>(v);
-    const auto rooted = plan.rooted_at(v);
-    EXPECT_EQ(std::vector<PartId>(rooted.begin(), rooted.end()),
-              want_rooted[i])
-        << "node " << v;
     ASSERT_EQ(plan.slot_off[i + 1] - plan.slot_off[i], want_slots[i].size())
         << "node " << v;
     std::size_t k = plan.slot_off[i];
@@ -87,28 +82,18 @@ void expect_representation_correct(const Graph& g, const Partition& p,
   EXPECT_TRUE(state.plan.has_root_depths);
   expect_plan_matches_components(g, setup.tree, p, s, state.plan);
 
+  // Part members know their block root, and a member has no slot for its
+  // part exactly when its component is a singleton.
+  const std::size_t no_slot = state.plan.slots.size();
   for (PartId j = 0; j < p.num_parts; ++j) {
     for (const auto& comp : central_components(g, setup.tree, p, s, j)) {
-      // Every edge slot of the component must name the true root and depth.
-      for (const EdgeId e : comp.edges) {
-        const auto& list = s.parts_on_edge[static_cast<std::size_t>(e)];
-        const auto it = std::lower_bound(list.begin(), list.end(), j);
-        ASSERT_TRUE(it != list.end() && *it == j);
-        const auto idx = static_cast<std::size_t>(it - list.begin());
-        EXPECT_EQ(state.root_id_on_edge[static_cast<std::size_t>(e)][idx],
-                  comp.root);
-        EXPECT_EQ(state.root_depth_on_edge[static_cast<std::size_t>(e)][idx],
-                  setup.tree.depth[static_cast<std::size_t>(comp.root)]);
-      }
-      // Part members of the component must know their block root.
       for (const NodeId v : comp.nodes) {
         if (p.part(v) != j) continue;
         EXPECT_EQ(state.own_block_root[static_cast<std::size_t>(v)],
-                  comp.root);
-        EXPECT_EQ(state.own_block_root_depth[static_cast<std::size_t>(v)],
-                  setup.tree.depth[static_cast<std::size_t>(comp.root)]);
-        EXPECT_EQ(state.own_singleton[static_cast<std::size_t>(v)],
-                  comp.edges.empty());
+                  comp.root)
+            << "node " << v;
+        EXPECT_EQ(state.plan.slot_index(v, j) == no_slot, comp.edges.empty())
+            << "node " << v;
       }
     }
   }
@@ -138,12 +123,10 @@ TEST(Representation, SingletonsRootThemselves) {
   s.parts_on_edge.resize(static_cast<std::size_t>(g.num_edges()));
   const ShortcutState state =
       compute_shortcut_state(setup.net, setup.tree, p, s);
+  EXPECT_TRUE(state.plan.slots.empty());
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     ASSERT_NE(p.part(v), kNoPart);
     EXPECT_EQ(state.own_block_root[static_cast<std::size_t>(v)], v);
-    EXPECT_TRUE(state.own_singleton[static_cast<std::size_t>(v)]);
-    EXPECT_EQ(state.own_block_root_depth[static_cast<std::size_t>(v)],
-              setup.tree.depth[static_cast<std::size_t>(v)]);
   }
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "congest/network.h"
@@ -153,17 +154,15 @@ TEST(TreeRouting, FifoDispatchesSimultaneouslyReadyComponentsInPartOrder) {
   // finds all ten ready at once in on_start.
   Shortcut s;
   s.parts_on_edge.assign(static_cast<std::size_t>(g.num_edges()), {});
-  std::vector<std::vector<std::int32_t>> root_depth(
-      static_cast<std::size_t>(g.num_edges()));
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    for (PartId j = 0; j < kParts; ++j) {
+    for (PartId j = 0; j < kParts; ++j)
       s.parts_on_edge[static_cast<std::size_t>(e)].push_back(j);
-      root_depth[static_cast<std::size_t>(e)].push_back(0);  // root: node 0
-    }
   }
 
   ComponentPlan plan = make_component_plan(setup.tree, s);
-  set_parent_root_depths(plan, setup.tree, s, root_depth);
+  for (ComponentPlan::Slot& slot : plan.slots)
+    if (slot.has_parent) slot.parent_root_depth = 0;  // root: node 0
+  plan.has_root_depths = true;
 
   std::vector<PartId> order;
   run_component_convergecast(
@@ -180,6 +179,29 @@ TEST(TreeRouting, FifoDispatchesSimultaneouslyReadyComponentsInPartOrder) {
   ASSERT_EQ(order.size(), static_cast<std::size_t>(kParts));
   for (PartId j = 0; j < kParts; ++j)
     EXPECT_EQ(order[static_cast<std::size_t>(j)], j) << "dispatch position " << j;
+}
+
+TEST(TreeRouting, SlotIndexFindsANodesSlotForAPart) {
+  // 0 - 1 - 2 - 3 rooted at 0; parts {2, 5} on edge 0-1 and {5} on 1-2.
+  // Slots by node: 0 {2, 5}, 1 {2, 5}, 2 {5}, 3 none.
+  const Graph g = make_path(4);
+  Sim setup(g);
+  Shortcut s;
+  s.parts_on_edge = {{2, 5}, {5}, {}};
+  const ComponentPlan plan = make_component_plan(setup.tree, s);
+  ASSERT_EQ(plan.slots.size(), 5u);
+  const std::size_t none = plan.slots.size();
+
+  const std::vector<std::tuple<NodeId, PartId, std::size_t>> present = {
+      {0, 2, 0}, {0, 5, 1}, {1, 2, 2}, {1, 5, 3}, {2, 5, 4}};
+  for (const auto& [v, j, want] : present) {
+    EXPECT_EQ(plan.slot_index(v, j), want) << "node " << v << " part " << j;
+    EXPECT_EQ(plan.slots[want].part, j);
+  }
+  // Parts below, between and above a node's slots, and a node with none.
+  for (const auto& [v, j] : std::vector<std::pair<NodeId, PartId>>{
+           {0, 0}, {0, 3}, {0, 9}, {2, 2}, {2, 7}, {3, 2}, {3, 5}})
+    EXPECT_EQ(plan.slot_index(v, j), none) << "node " << v << " part " << j;
 }
 
 TEST(TreeRouting, BroadcastSendOrderOnContestedEdgesPerPriority) {

@@ -14,7 +14,6 @@
 #include "util/check.h"
 #include "util/random.h"
 #include "util/sorted.h"
-#include "util/stats.h"
 #include "util/table.h"
 
 namespace lcs {
@@ -197,31 +196,6 @@ TEST(HashCoin, SharedRandomnessAgreesAcrossCallers) {
   // for the same (seed, part) get the same answer.
   for (std::uint64_t part = 0; part < 50; ++part)
     EXPECT_EQ(hash_coin(77, part, 0.5), hash_coin(77, part, 0.5));
-}
-
-TEST(Summary, BasicMoments) {
-  Summary s;
-  for (double v : {1.0, 2.0, 3.0, 4.0}) s.add(v);
-  EXPECT_EQ(s.count(), 4u);
-  EXPECT_DOUBLE_EQ(s.sum(), 10.0);
-  EXPECT_DOUBLE_EQ(s.mean(), 2.5);
-  EXPECT_DOUBLE_EQ(s.min(), 1.0);
-  EXPECT_DOUBLE_EQ(s.max(), 4.0);
-  EXPECT_NEAR(s.stddev(), 1.2909944, 1e-6);
-}
-
-TEST(Summary, Percentiles) {
-  Summary s;
-  for (int i = 1; i <= 100; ++i) s.add(static_cast<double>(i));
-  EXPECT_DOUBLE_EQ(s.percentile(0), 1.0);
-  EXPECT_DOUBLE_EQ(s.percentile(100), 100.0);
-  EXPECT_NEAR(s.median(), 50.5, 1e-9);
-}
-
-TEST(Summary, EmptyThrows) {
-  Summary s;
-  EXPECT_THROW(s.mean(), CheckFailure);
-  EXPECT_THROW(s.percentile(50), CheckFailure);
 }
 
 TEST(Table, AlignsColumnsAndRejectsBadRows) {

@@ -118,6 +118,17 @@ expect_error_contains wheel_arcs_out_of_range 2 "'arcs'" \
 expect_error_contains parts_out_of_range 2 "'parts'" \
   --algo=components --scenario='grid:w=4,parts=17'
 
+# An explicit ER edge probability outside [0, 1] is diagnosed with its key,
+# never clamped into the complete graph (deg= alone saturates there).
+expect_error_contains er_p_out_of_range 2 "'p' must be in [0, 1]" \
+  --algo=none --scenario='er:n=20,p=1.5' --no-timing
+
+# A check's location is repo-relative: the error document is the same bytes
+# whatever directory the binary was built in.
+expect_error_contains check_location_repo_relative 2 \
+  'at src/graph/generators.cpp:' \
+  --algo=components --scenario='grid:w=0'
+
 # A worker thread that cannot be started fails the run instead of hanging
 # it: under a 1 GB address-space limit, 999 thread stacks cannot all be
 # mapped. The subshell keeps the limit off the rest of this script.
