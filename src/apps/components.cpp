@@ -32,7 +32,7 @@ congest::PerNode<std::uint64_t> alive_candidates(
     const PartId mine = fragments.part(v);
     if (mine == kNoPart) continue;
     const auto nbs = g.neighbors(v);
-    const auto& nb_parts = neighbor_parts.of[static_cast<std::size_t>(v)];
+    const auto nb_parts = neighbor_parts.of(v);
     for (std::size_t k = 0; k < nbs.size(); ++k) {
       if (nb_parts[k] == mine) continue;
       if (!alive[static_cast<std::size_t>(nbs[k].edge)]) continue;
@@ -79,17 +79,15 @@ ComponentsResult distributed_components(congest::Network& net,
     params.b = found.stats.used_b;
     const std::int32_t b_steps = 3 * found.stats.used_b;
 
+    // The MWOE flood and the merge broadcast share one runner.
+    SuperstepRunner runner(net, tree, fragments, found.state, neighbor_parts);
     const auto local =
         alive_candidates(g, fragments, neighbor_parts, edge_alive);
-    const auto mwoe =
-        part_min_flood(net, tree, fragments, found.state, neighbor_parts,
-                       b_steps, local);
+    const auto mwoe = part_min_flood(runner, b_steps, local);
 
     StarMergeStep step = star_merge_step(g, fragments, neighbor_parts, mwoe,
                                          seed, phase, unused_marks);
-    const auto delivered =
-        part_broadcast(net, tree, fragments, found.state, neighbor_parts,
-                       b_steps, step.proposals);
+    const auto delivered = part_min_flood(runner, b_steps, step.proposals);
     apply_merges(fragments, delivered);
 
     if (!global_or(net, tree, step.has_outgoing)) break;

@@ -4,19 +4,30 @@
 /// `Network` executes *phases*: a phase instantiates one `Process` per node
 /// and runs synchronous rounds until the system is quiescent (no messages in
 /// flight, no wakeups pending) or a round limit trips. Rounds and messages
-/// are accounted exactly, and every round in `total_rounds()` was simulated
-/// by the engine at least once: the shared random seed is flooded down the
-/// tree with real messages by `broadcast_word_from_root`
-/// (shortcut/tree_ops.h), and the engine's own detection that a phase has
-/// gone quiescent is free and uncharged. The one schedule that is simulated
-/// once and then replayed is a shortcut's superstep (shortcut/superstep.h),
-/// whose rounds and messages are fixed by the shortcut, never by the words
-/// it carries: its convergecast is simulated once per runner, its broadcast
-/// repeats the schedule `compute_shortcut_state` simulated once per
-/// shortcut, and its one-round exchange is counted without the engine (one
-/// message per word, one round if any word was sent). The runner adds what
-/// the engine did not run through `add_replayed`. No library code calls
-/// `charge()`, so the `charges` object of every report is empty.
+/// are accounted exactly; the engine's own detection that a phase has gone
+/// quiescent is free and uncharged. Some schedules are not simulated on
+/// every use, because their rounds and messages are fixed in advance, never
+/// by the words they carry. These are counted off the engine and added
+/// through `add_replayed`:
+///
+///  * `broadcast_word_from_root` (shortcut/tree_ops.h): height rounds and
+///    n − 1 messages, counted on the host from the tree;
+///  * `global_or` (shortcut/tree_ops.h): 2·height rounds and 2(n − 1)
+///    messages, counted on the host from the tree;
+///  * `exchange_neighbor_parts` (shortcut/superstep.h): one round and 2m
+///    messages, counted on the host from the graph;
+///  * a shortcut's superstep (shortcut/superstep.h): its convergecast is
+///    simulated once per runner and replayed, its broadcast repeats the
+///    schedule `compute_shortcut_state` simulated once per shortcut, and
+///    its one-round exchange is counted on the host (one message per word,
+///    one round if any word was sent);
+///  * the supersteps past an idempotent flood's fixed point (Theorem 2's
+///    min-floods, Verification's V1, V2 and V4) and Verification's silent
+///    V3 levels: each repeats an earlier superstep's sends exactly and is
+///    charged as its copy (`SuperstepRunner::repeat_last`).
+///
+/// No library code calls `charge()`, so the `charges` object of every
+/// report is empty.
 ///
 /// The engine is activity-driven: per round it touches only nodes that
 /// received a message or requested a wakeup, so simulation work is
@@ -283,10 +294,10 @@ class Network {
   void charge(std::int64_t rounds, const std::string& label);
 
   /// Add the rounds and messages of protocol steps counted without the
-  /// engine: schedules `run` simulated once, replayed, and the superstep's
-  /// one-round exchange (the superstep runner, shortcut/superstep.h).
-  /// Unlike `charge` it records no label, so the reports' `charges` stay
-  /// empty. Never from inside a phase; the stats must be non-negative.
+  /// engine (the list in the file comment): schedules `run` simulated once,
+  /// replayed, and schedules fixed in advance, counted on the host. Unlike
+  /// `charge` it records no label, so the reports' `charges` stay empty.
+  /// Never from inside a phase; the stats must be non-negative.
   void add_replayed(const PhaseStats& stats);
 
   std::int64_t total_rounds() const { return total_rounds_; }

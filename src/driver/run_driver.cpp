@@ -8,6 +8,7 @@
 #include <optional>
 #include <set>
 #include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -136,8 +137,8 @@ void set_engine_body(RunReport& rep, EngineAccounting acc, int threads) {
 void configure_network(congest::Network& net, const RunOptions& o) {
   net.set_validate(o.validate);
   net.set_threads(o.threads);
-  if (o.parallel_threshold >= 0)
-    net.set_parallel_round_threshold(o.parallel_threshold);
+  if (o.parallel_threshold.has_value())
+    net.set_parallel_round_threshold(*o.parallel_threshold);
 }
 
 RunReport run_components(congest::Network& net, const SpanningTree& tree,
@@ -867,6 +868,9 @@ int run_document(const RunOptions& o, const RunHooks& hooks,
   LCS_CHECK(o.sweep.empty() || !dynamic::is_churn_spec(o.scenario),
             "--sweep cannot rewrite a churn: wrapper spec; pass the base "
             "spec via --scenario and the churn parameters via --churn");
+  LCS_CHECK(!o.parallel_threshold.has_value() || *o.parallel_threshold >= 0,
+            "parallel_threshold (--parallel-threshold) must be >= 0, got " +
+                std::to_string(o.parallel_threshold.value_or(0)));
 
   // Buffer the whole document and hand it back only once it is complete: a
   // failing run (bad spec, mid-sweep CheckFailure) must never leave partial

@@ -34,6 +34,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -53,7 +54,8 @@ struct RunOptions {
   std::string sweep;            ///< empty = single run
   std::string save_graph_path;  ///< empty = don't save
   int threads = 1;
-  std::int64_t parallel_threshold = -1;  ///< engine default
+  /// Engine adaptive-fallback override, >= 0; unset = engine default.
+  std::optional<std::int64_t> parallel_threshold;
   std::uint64_t seed = 1;
   double fail_rate = 0.25;  ///< components: failed-edge fraction
   bool validate = false;

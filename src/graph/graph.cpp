@@ -58,6 +58,11 @@ std::span<const Graph::Neighbor> Graph::neighbors(NodeId v) const {
   return {adjacency_.data() + begin, end - begin};
 }
 
+std::size_t Graph::adjacency_offset(NodeId v) const {
+  LCS_CHECK(v >= 0 && v < num_nodes_, "node id out of range");
+  return static_cast<std::size_t>(offsets_[static_cast<std::size_t>(v)]);
+}
+
 NodeId Graph::degree(NodeId v) const {
   return util::checked_cast<NodeId>(neighbors(v).size());
 }

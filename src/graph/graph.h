@@ -13,6 +13,7 @@
 ///    structure (trees, shortcuts, partitions) layer their own state on top.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -53,6 +54,10 @@ class Graph {
   const Edge& edge(EdgeId e) const;
   std::span<const Neighbor> neighbors(NodeId v) const;
   NodeId degree(NodeId v) const;
+  /// Position of `neighbors(v)[0]` in the flat adjacency of all nodes
+  /// (node-major, 2m entries), so an array with one entry per adjacency
+  /// entry can be stored flat: v's k-th entry is at `adjacency_offset(v) + k`.
+  std::size_t adjacency_offset(NodeId v) const;
 
   /// The endpoint of `e` that is not `v`. Requires `v` to be an endpoint.
   NodeId other_endpoint(EdgeId e, NodeId v) const;

@@ -49,18 +49,16 @@ DistributedMst mst_boruvka_shortcut(congest::Network& net,
     params.b = found.stats.used_b;
     const std::int32_t b_steps = 3 * found.stats.used_b;
 
-    // (3) Fragment MWOE via Theorem-2 min-flood on the shortcut.
+    // (3) Fragment MWOE via Theorem-2 min-flood on the shortcut. Both
+    //     floods of the phase share one runner.
+    SuperstepRunner runner(net, tree, fragments, found.state, neighbor_parts);
     const auto local = local_mwoe_candidates(g, fragments, neighbor_parts);
-    const auto mwoe =
-        part_min_flood(net, tree, fragments, found.state, neighbor_parts,
-                       b_steps, local);
+    const auto mwoe = part_min_flood(runner, b_steps, local);
 
     // (4) Star merges: mark MST edges, propose, broadcast, apply.
     StarMergeStep step = star_merge_step(g, fragments, neighbor_parts, mwoe,
                                          options.seed, phase, mst_edge);
-    const auto delivered =
-        part_broadcast(net, tree, fragments, found.state, neighbor_parts,
-                       b_steps, step.proposals);
+    const auto delivered = part_min_flood(runner, b_steps, step.proposals);
     apply_merges(fragments, delivered);
 
     // (5) Termination: does any fragment still have an outgoing edge?

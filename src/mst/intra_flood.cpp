@@ -50,7 +50,7 @@ class MinFloodProcess final : public congest::Process {
   void announce(Context& ctx) {
     const PartId mine = partition_.part(id_);
     const auto nbs = ctx.neighbors();
-    const auto& nb_parts = neighbor_parts_.of[static_cast<std::size_t>(id_)];
+    const auto nb_parts = neighbor_parts_.of(id_);
     for (std::size_t k = 0; k < nbs.size(); ++k) {
       if (nb_parts[k] == mine) ctx.send(nbs[k].edge, Message(0, value));
     }

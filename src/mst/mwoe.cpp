@@ -31,7 +31,7 @@ congest::PerNode<std::uint64_t> local_mwoe_candidates(
     const PartId mine = fragments.part(v);
     if (mine == kNoPart) continue;
     const auto nbs = g.neighbors(v);
-    const auto& nb_parts = neighbor_parts.of[static_cast<std::size_t>(v)];
+    const auto nb_parts = neighbor_parts.of(v);
     for (std::size_t k = 0; k < nbs.size(); ++k) {
       if (nb_parts[k] == mine) continue;  // internal edge
       const auto cand =

@@ -17,40 +17,59 @@
 namespace lcs {
 
 congest::PerNode<std::uint64_t> part_min_flood(
-    congest::Network& net, const SpanningTree& tree, const Partition& partition,
-    const ShortcutState& state, const NeighborParts& neighbor_parts,
-    std::int32_t b_steps, const congest::PerNode<std::uint64_t>& init) {
+    SuperstepRunner& runner, std::int32_t b_steps,
+    const congest::PerNode<std::uint64_t>& init) {
+  const Partition& partition = runner.partition();
   LCS_CHECK(b_steps >= 1, "need at least one superstep");
-  LCS_CHECK(init.size() == static_cast<std::size_t>(net.num_nodes()),
+  LCS_CHECK(init.size() == partition.part_of.size(),
             "one value per node required");
 
   congest::PerNode<std::uint64_t> value = init;
-  for (NodeId v = 0; v < net.num_nodes(); ++v)
-    if (partition.part(v) == kNoPart)
-      value[static_cast<std::size_t>(v)] = kNoValue;
+  for (std::size_t v = 0; v < value.size(); ++v)
+    if (partition.part_of[v] == kNoPart) value[v] = kNoValue;
 
-  const auto u64 = [](NodeId v) { return static_cast<std::size_t>(v); };
+  // Every write lowers a value; a superstep that lowers none is the
+  // flood's fixed point.
+  bool changed = false;
+  const auto lower = [&](NodeId v, std::uint64_t candidate) {
+    std::uint64_t& mine = value[static_cast<std::size_t>(v)];
+    if (candidate < mine) {
+      mine = candidate;
+      changed = true;
+    }
+  };
   const auto contribution = [&](NodeId v, PartId j) {
-    return partition.part(v) == j ? value[u64(v)] : kNoValue;
+    return partition.part(v) == j ? value[static_cast<std::size_t>(v)]
+                                  : kNoValue;
   };
   const auto min = [](std::uint64_t a, std::uint64_t b) {
     return std::min(a, b);
   };
   const auto on_aggregate = [&](NodeId v, PartId j, std::uint64_t agg) {
-    if (partition.part(v) == j) value[u64(v)] = std::min(value[u64(v)], agg);
+    if (partition.part(v) == j) lower(v, agg);
   };
   const auto cross_message = [&](NodeId v, NodeId, EdgeId) {
-    return std::optional<std::uint64_t>(value[u64(v)]);
+    return std::optional<std::uint64_t>(value[static_cast<std::size_t>(v)]);
   };
   const auto on_cross = [&](NodeId v, NodeId, EdgeId, std::uint64_t received) {
-    value[u64(v)] = std::min(value[u64(v)], received);
+    lower(v, received);
   };
   const SuperstepHooks hooks{contribution, min,           kNoValue,
                              on_aggregate, cross_message, on_cross};
-
-  SuperstepRunner superstep(net, tree, partition, state, neighbor_parts);
-  for (std::int32_t step = 0; step < b_steps; ++step) superstep.run(hooks);
+  run_to_fixed_point(runner, b_steps, [&] {
+    changed = false;
+    runner.run(hooks);
+    return changed;
+  });
   return value;
+}
+
+congest::PerNode<std::uint64_t> part_min_flood(
+    congest::Network& net, const SpanningTree& tree, const Partition& partition,
+    const ShortcutState& state, const NeighborParts& neighbor_parts,
+    std::int32_t b_steps, const congest::PerNode<std::uint64_t>& init) {
+  SuperstepRunner runner(net, tree, partition, state, neighbor_parts);
+  return part_min_flood(runner, b_steps, init);
 }
 
 congest::PerNode<NodeId> elect_part_leaders(

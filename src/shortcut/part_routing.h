@@ -35,8 +35,16 @@ inline constexpr std::uint64_t kNoValue =
 
 /// Min-flood: after the call, every member of every part holds the minimum
 /// of `init` over the members of its part (entries of non-members are
-/// ignored). `b_steps` must be at least the block parameter of the shortcut
-/// described by `state`. O(b_steps · (D + c)) rounds.
+/// ignored). `b_steps` must be at least the block parameter of the
+/// runner's shortcut. O(b_steps · (D + c)) rounds, all of them charged;
+/// the supersteps past the flood's fixed point are charged without being
+/// run (`run_to_fixed_point`). One runner serves any number of floods on
+/// its shortcut and partition.
+congest::PerNode<std::uint64_t> part_min_flood(
+    SuperstepRunner& runner, std::int32_t b_steps,
+    const congest::PerNode<std::uint64_t>& init);
+
+/// The same min-flood on a runner of its own over `state`.
 congest::PerNode<std::uint64_t> part_min_flood(
     congest::Network& net, const SpanningTree& tree, const Partition& partition,
     const ShortcutState& state, const NeighborParts& neighbor_parts,

@@ -6,7 +6,6 @@
 #include <functional>
 #include <vector>
 
-#include "congest/message.h"
 #include "congest/network.h"
 #include "congest/process.h"
 #include "graph/graph.h"
@@ -20,47 +19,6 @@
 namespace lcs {
 
 namespace {
-
-using congest::Context;
-using congest::Incoming;
-using congest::Message;
-
-/// One round: every node announces its part id on all incident edges.
-class PartExchangeProcess final : public congest::Process {
- public:
-  PartExchangeProcess(NodeId id, const Partition& partition,
-                      std::vector<PartId>& out)
-      : id_(id), partition_(partition), out_(out) {}
-
-  void on_start(Context& ctx) override {
-    const auto encoded = static_cast<std::uint64_t>(
-        partition_.part(id_) == kNoPart
-            ? std::uint64_t{0}
-            : static_cast<std::uint64_t>(partition_.part(id_)) + 1);
-    for (const auto& nb : ctx.neighbors()) ctx.send(nb.edge, Message(0, encoded));
-    out_.assign(ctx.neighbors().size(), kNoPart);
-  }
-
-  void on_round(Context& ctx, std::span<const Incoming> inbox) override {
-    for (const auto& in : inbox) {
-      // Locate the neighbor slot for this edge.
-      const auto nbs = ctx.neighbors();
-      for (std::size_t k = 0; k < nbs.size(); ++k) {
-        if (nbs[k].edge == in.edge) {
-          out_[k] = in.msg.words[0] == 0
-                        ? kNoPart
-                        : util::checked_cast<PartId>(in.msg.words[0] - 1);
-          break;
-        }
-      }
-    }
-  }
-
- private:
-  NodeId id_;
-  const Partition& partition_;
-  std::vector<PartId>& out_;
-};
 
 /// `0 .. count - 1` stably sorted by `key(i)`, a value below `num_keys`.
 template <class Key>
@@ -78,13 +36,18 @@ std::vector<std::size_t> counting_order(std::size_t count,
 
 NeighborParts exchange_neighbor_parts(congest::Network& net,
                                       const Partition& partition) {
+  const Graph& g = net.graph();
+  LCS_CHECK(partition.part_of.size() ==
+                static_cast<std::size_t>(net.num_nodes()),
+            "partition sized for a different network");
   NeighborParts result;
-  result.of.resize(static_cast<std::size_t>(net.num_nodes()));
-  std::vector<PartExchangeProcess> procs;
-  procs.reserve(static_cast<std::size_t>(net.num_nodes()));
+  result.graph = &g;
+  result.parts.reserve(2 * static_cast<std::size_t>(g.num_edges()));
   for (NodeId v = 0; v < net.num_nodes(); ++v)
-    procs.emplace_back(v, partition, result.of[static_cast<std::size_t>(v)]);
-  congest::run_phase(net, procs);
+    for (const Graph::Neighbor& nb : g.neighbors(v))
+      result.parts.push_back(partition.part(nb.node));
+  const auto messages = static_cast<std::int64_t>(result.parts.size());
+  net.add_replayed({messages > 0 ? 1 : 0, messages});
   return result;
 }
 
@@ -103,17 +66,18 @@ SuperstepRunner::SuperstepRunner(congest::Network& net,
   const ComponentPlan& plan = state.plan;
   LCS_CHECK(tree.depth.size() == un && tree.parent.size() == un &&
                 partition.part_of.size() == un &&
-                plan.slot_off.size() == un + 1 &&
-                neighbor_parts.of.size() == un,
+                plan.slot_off.size() == un + 1,
             "superstep inputs sized for a different network");
+  LCS_CHECK(neighbor_parts.graph == &g &&
+                neighbor_parts.parts.size() ==
+                    2 * static_cast<std::size_t>(g.num_edges()),
+            "neighbor parts misaligned with the adjacency");
 
   // Same-part directed edges in the exchange's send order, then their
   // delivery order: receiver ascending, send order within a receiver.
   for (NodeId v = 0; v < n; ++v) {
     const auto nbs = g.neighbors(v);
-    const auto& parts = neighbor_parts.of[static_cast<std::size_t>(v)];
-    LCS_CHECK(parts.size() == nbs.size(),
-              "neighbor parts misaligned with the adjacency");
+    const auto parts = neighbor_parts.of(v);
     const PartId j = partition.part(v);
     if (j == kNoPart) continue;
     for (std::size_t k = 0; k < nbs.size(); ++k) {
@@ -179,6 +143,13 @@ void SuperstepRunner::simulate_convergecast() {
   LCS_CHECK(up.messages == parent_slots_,
             "convergecast is not one message per parent-edge slot");
   converge_stats_ = up;
+}
+
+void SuperstepRunner::repeat_last(std::int64_t count) {
+  LCS_CHECK(count >= 0, "cannot repeat a superstep a negative number of times");
+  LCS_CHECK(last_stats_.has_value(), "no superstep to repeat");
+  net_.add_replayed(
+      {last_stats_->rounds * count, last_stats_->messages * count});
 }
 
 }  // namespace lcs

@@ -64,12 +64,35 @@
 /// comes in the engine's order. The convergecast's schedule runs under the
 /// engine's CONGEST checks once per runner; the broadcast's is checked when
 /// `compute_shortcut_state` runs it.
+///
+/// ## Neighbor parts
+///
+/// The runner's same-part edges come from `NeighborParts`: what each node
+/// learns in one round in which every node tells each neighbor its part id.
+/// It is one flat `PartId` array aligned with the graph's adjacency (2m
+/// entries, node-major), and `of(v)` is node v's row as a span. That round
+/// is counted on the host: 2m messages, one round.
+///
+/// ## Fixed-point repeats
+///
+/// Min-floods (part_routing.h) and Verification's V1, V2 and V4 are
+/// idempotent: a superstep that writes no new value into the flood's state
+/// leaves every hook's input as it found it, so each later superstep would
+/// make the same calls, send the same words and write nothing either.
+/// Their hooks set a flag on every write that changes a value;
+/// `run_to_fixed_point` ends the loop at the first superstep that sets
+/// none, and `repeat_last` charges the remaining supersteps as copies of
+/// it: its rounds and messages (exchange, convergecast and broadcast),
+/// each once per copy. Verification's V3 charges its silent levels the same
+/// way. What is charged is still the paper's full schedule; only host work
+/// shrinks.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <optional>
+#include <span>
 #include <type_traits>
 #include <vector>
 
@@ -83,14 +106,27 @@
 
 namespace lcs {
 
-/// Per-node knowledge cached across supersteps: each node's list of
-/// neighbors' part ids (learned in a single setup round).
+/// Per-node knowledge cached across supersteps: the part id of every
+/// neighbor, learned in one round. One `PartId` per adjacency entry, flat
+/// in the graph's adjacency order, so node v's row is a span aligned with
+/// `Graph::neighbors(v)`.
 struct NeighborParts {
-  /// Aligned with Graph::neighbors(v).
-  congest::PerNode<std::vector<PartId>> of;
+  /// The graph whose adjacency `parts` is aligned with.
+  const Graph* graph = nullptr;
+  /// Entry `graph->adjacency_offset(v) + k` is the part of v's k-th
+  /// neighbor (kNoPart for a neighbor in no part).
+  std::vector<PartId> parts;
+
+  /// Node v's row: entry k is the part of `graph->neighbors(v)[k].node`.
+  std::span<const PartId> of(NodeId v) const {
+    return std::span<const PartId>(parts).subspan(
+        graph->adjacency_offset(v), graph->neighbors(v).size());
+  }
 };
 
-/// One-round exchange in which every node tells its neighbors its part id.
+/// The one round in which every node tells each neighbor its part id,
+/// counted on the host: 2m messages, one per directed edge, and one round
+/// (none on a graph without edges).
 NeighborParts exchange_neighbor_parts(congest::Network& net,
                                       const Partition& partition);
 
@@ -137,18 +173,27 @@ struct SuperstepHooks {
 /// share across threads.
 class SuperstepRunner {
  public:
-  /// Checks that `tree`, `partition`, `state` and `neighbor_parts` are
-  /// sized for `net` (`neighbor_parts.of[v]` aligned with v's adjacency)
-  /// and that `state.broadcast` sent one message per parent-edge slot.
+  /// Checks that `tree`, `partition` and `state` are sized for `net`,
+  /// that `neighbor_parts` was learned on `net`'s graph, and that
+  /// `state.broadcast` sent one message per parent-edge slot.
   SuperstepRunner(congest::Network& net, const SpanningTree& tree,
                   const Partition& partition, const ShortcutState& state,
                   const NeighborParts& neighbor_parts);
+
+  const Partition& partition() const { return partition_; }
 
   /// Execute one superstep. `hooks` is a `SuperstepHooks` or any type with
   /// the same six members. Rounds and messages are accounted in `net`;
   /// O(D + c) rounds per call.
   template <class Hooks>
   void run(const Hooks& hooks);
+
+  /// Account `count` more supersteps that repeat the last `run` exactly:
+  /// its rounds and messages, its exchange and convergecast included, each
+  /// `count` times. No hook runs. Only for supersteps that would send what
+  /// the last one sent and change no state: a flood past its fixed point
+  /// (`run_to_fixed_point`), or Verification's silent V3 levels after V3.0.
+  void repeat_last(std::int64_t count);
 
  private:
   /// A same-part directed edge: member `from` may send to `to` over `edge`.
@@ -190,6 +235,8 @@ class SuperstepRunner {
 
   /// The convergecast's stats, once the first call has simulated it.
   std::optional<congest::PhaseStats> converge_stats_;
+  /// The whole cost of the last superstep, once one has run.
+  std::optional<congest::PhaseStats> last_stats_;
 
   /// Per-slot accumulators and per-cross-edge words.
   std::vector<std::uint64_t> acc_;
@@ -237,12 +284,8 @@ void SuperstepRunner::run(const Hooks& hooks) {
     if (it->parent != kRootSlot)
       acc_[it->parent] = hooks.combine(acc_[it->parent], acc_[it->slot]);
   }
-  if (converge_stats_.has_value()) {
-    stats.rounds += converge_stats_->rounds;
-    stats.messages += converge_stats_->messages;
-  } else {
-    simulate_convergecast();
-  }
+  const bool simulate = !converge_stats_.has_value();
+  if (simulate) simulate_convergecast();
 
   // 3. Broadcast: shallowest first, so a parent slot already holds its
   //    component root's aggregate when its children copy it.
@@ -259,7 +302,28 @@ void SuperstepRunner::run(const Hooks& hooks) {
     hooks.on_aggregate(v, j, hooks.contribution(v, j));
   }
 
-  net_.add_replayed(stats);
+  const congest::PhaseStats& up = *converge_stats_;
+  last_stats_ = {stats.rounds + up.rounds, stats.messages + up.messages};
+  // The engine already charged the convergecast it just simulated.
+  net_.add_replayed(simulate ? stats : *last_stats_);
+}
+
+/// Runs up to `steps` supersteps of an idempotent flood on `runner`.
+/// `step()` runs one superstep and returns whether any hook wrote a new
+/// value into the flood's state. The first superstep that writes nothing
+/// leaves the state as it found it, so every later one would make the same
+/// calls with the same words and write nothing too: they are charged as
+/// copies of it (`repeat_last`) instead of run. The charged schedule is
+/// still all `steps` supersteps.
+template <class Step>
+void run_to_fixed_point(SuperstepRunner& runner, std::int32_t steps,
+                        Step step) {
+  for (std::int32_t i = 0; i < steps; ++i) {
+    if (!step()) {
+      runner.repeat_last(steps - i - 1);
+      return;
+    }
+  }
 }
 
 }  // namespace lcs

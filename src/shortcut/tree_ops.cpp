@@ -1,132 +1,39 @@
 #include "shortcut/tree_ops.h"
 
-#include "congest/message.h"
+#include <algorithm>
+#include <cstdint>
+
 #include "congest/network.h"
 #include "congest/process.h"
-#include "graph/graph.h"
 #include "tree/spanning_tree.h"
-#include "util/cast.h"
 #include "util/check.h"
 
 namespace lcs {
 
 namespace {
 
-using congest::Context;
-using congest::Incoming;
-using congest::Message;
-
-class TreeBroadcastProcess final : public congest::Process {
- public:
-  TreeBroadcastProcess(NodeId id, const SpanningTree& tree,
-                       std::uint64_t root_word, std::uint64_t& out)
-      : id_(id), tree_(tree), root_word_(root_word), out_(out) {}
-
-  void on_start(Context& ctx) override {
-    if (id_ != tree_.root) return;
-    out_ = root_word_;
-    forward(ctx, root_word_);
-  }
-
-  void on_round(Context& ctx, std::span<const Incoming> inbox) override {
-    for (const auto& in : inbox) {
-      out_ = in.msg.words[0];
-      forward(ctx, out_);
-    }
-  }
-
- private:
-  void forward(Context& ctx, std::uint64_t word) {
-    for (const EdgeId ce : tree_.children_edges[static_cast<std::size_t>(id_)])
-      ctx.send(ce, Message(0, word));
-  }
-
-  NodeId id_;
-  const SpanningTree& tree_;
-  std::uint64_t root_word_;
-  std::uint64_t& out_;
-};
-
-enum OrTag : std::uint32_t { kUp, kDown };
-
-class GlobalOrProcess final : public congest::Process {
- public:
-  GlobalOrProcess(NodeId id, const SpanningTree& tree, bool bit)
-      : id_(id), tree_(tree), acc_(bit) {}
-
-  bool result = false;
-
-  void on_start(Context& ctx) override {
-    pending_ = util::checked_cast<int>(
-        tree_.children_edges[static_cast<std::size_t>(id_)].size());
-    maybe_send_up(ctx);
-  }
-
-  void on_round(Context& ctx, std::span<const Incoming> inbox) override {
-    for (const auto& in : inbox) {
-      if (in.msg.tag == kUp) {
-        acc_ = acc_ || in.msg.words[0] != 0;
-        --pending_;
-      } else {
-        finish(ctx, in.msg.words[0] != 0);
-      }
-    }
-    maybe_send_up(ctx);
-  }
-
- private:
-  void maybe_send_up(Context& ctx) {
-    if (sent_up_ || pending_ > 0) return;
-    sent_up_ = true;
-    if (id_ == tree_.root) {
-      finish(ctx, acc_);
-    } else {
-      ctx.send(tree_.parent_edge[static_cast<std::size_t>(id_)],
-               Message(kUp, acc_ ? 1 : 0));
-    }
-  }
-
-  void finish(Context& ctx, bool value) {
-    result = value;
-    for (const EdgeId ce : tree_.children_edges[static_cast<std::size_t>(id_)])
-      ctx.send(ce, Message(kDown, value ? 1 : 0));
-  }
-
-  NodeId id_;
-  const SpanningTree& tree_;
-  bool acc_;
-  int pending_ = 0;
-  bool sent_up_ = false;
-};
+/// One message per tree edge: n − 1 of them.
+std::int64_t tree_edges(const congest::Network& net, const SpanningTree& tree) {
+  LCS_CHECK(net.num_nodes() >= 1 && tree.num_nodes() == net.num_nodes(),
+            "tree sized for a different network");
+  return static_cast<std::int64_t>(net.num_nodes()) - 1;
+}
 
 }  // namespace
 
 congest::PerNode<std::uint64_t> broadcast_word_from_root(
     congest::Network& net, const SpanningTree& tree, std::uint64_t word) {
-  congest::PerNode<std::uint64_t> out(
-      static_cast<std::size_t>(net.num_nodes()), 0);
-  std::vector<TreeBroadcastProcess> procs;
-  procs.reserve(out.size());
-  for (NodeId v = 0; v < net.num_nodes(); ++v)
-    procs.emplace_back(v, tree, word, out[static_cast<std::size_t>(v)]);
-  congest::run_phase(net, procs);
-  return out;
+  net.add_replayed({tree.height, tree_edges(net, tree)});
+  return congest::PerNode<std::uint64_t>(
+      static_cast<std::size_t>(net.num_nodes()), word);
 }
 
 bool global_or(congest::Network& net, const SpanningTree& tree,
                const congest::PerNode<bool>& bits) {
   LCS_CHECK(bits.size() == static_cast<std::size_t>(net.num_nodes()),
             "one bit per node required");
-  std::vector<GlobalOrProcess> procs;
-  procs.reserve(bits.size());
-  for (NodeId v = 0; v < net.num_nodes(); ++v)
-    procs.emplace_back(v, tree, bits[static_cast<std::size_t>(v)]);
-  congest::run_phase(net, procs);
-  // All nodes must agree; return (and assert) the common value.
-  const bool result = procs.front().result;
-  for (const auto& p : procs)
-    LCS_CHECK(p.result == result, "global OR disagreement");
-  return result;
+  net.add_replayed({2 * std::int64_t{tree.height}, 2 * tree_edges(net, tree)});
+  return std::find(bits.begin(), bits.end(), true) != bits.end();
 }
 
 }  // namespace lcs

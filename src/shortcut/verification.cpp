@@ -12,6 +12,7 @@
 #include "shortcut/representation.h"
 #include "shortcut/superstep.h"
 #include "tree/spanning_tree.h"
+#include "util/cast.h"
 #include "util/check.h"
 
 namespace lcs {
@@ -75,24 +76,37 @@ VerificationResult verify_block_parameter(congest::Network& net,
     return std::min(a, b);
   };
 
+  // V1, V2 and V4 are idempotent floods: each hook write that changes a
+  // value sets `changed`, and the first superstep that sets nothing ends
+  // the loop (run_to_fixed_point charges the rest as its copies).
+  bool changed = false;
+  const auto assign = [&](auto& slot, auto value) {
+    if (slot == value) return;
+    slot = value;
+    changed = true;
+  };
+
   // --- Phase V1: leader min-flood over the supergraph --------------------
   {
     const auto contribution = [&](NodeId v, PartId j) {
       return is_member(v, j) ? lead[u64(v)] : kIdentityMin;
     };
     const auto on_aggregate = [&](NodeId v, PartId j, std::uint64_t agg) {
-      if (is_member(v, j)) lead[u64(v)] = std::min(lead[u64(v)], agg);
+      if (is_member(v, j)) assign(lead[u64(v)], std::min(lead[u64(v)], agg));
     };
     const auto cross_message = [&](NodeId v, NodeId, EdgeId) {
       return std::optional<std::uint64_t>(lead[u64(v)]);
     };
     const auto on_cross = [&](NodeId v, NodeId, EdgeId, std::uint64_t value) {
-      lead[u64(v)] = std::min(lead[u64(v)], value);
+      assign(lead[u64(v)], std::min(lead[u64(v)], value));
     };
     const SuperstepHooks hooks{contribution, min,           kIdentityMin,
                                on_aggregate, cross_message, on_cross};
-    for (std::int32_t step = 0; step < b_limit; ++step)
+    run_to_fixed_point(superstep, b_limit, [&] {
+      changed = false;
       superstep.run(hooks);
+      return changed;
+    });
   }
 
   // --- Phase V2: BFS depths from self-believed leader supernodes ---------
@@ -107,11 +121,13 @@ VerificationResult verify_block_parameter(congest::Network& net,
     return std::optional<std::uint64_t>(pack(lead[u64(v)], depth_s[u64(v)]));
   };
   {
+    // `best_cand` is scratch, reset before every superstep: writing it
+    // changes no state.
     const auto on_cross = [&](NodeId v, NodeId, EdgeId, std::uint64_t value) {
       const std::uint64_t other_lead = value >> 32;
       const std::uint64_t other_depth = value & 0xFFFFFFFFu;
       if (other_lead != lead[u64(v)]) {
-        flag[u64(v)] = 1;
+        assign(flag[u64(v)], char{1});
       } else if (other_depth != kInfDepth) {
         best_cand[u64(v)] = std::min(best_cand[u64(v)], other_depth + 1);
       }
@@ -122,15 +138,17 @@ VerificationResult verify_block_parameter(congest::Network& net,
     };
     const auto on_aggregate = [&](NodeId v, PartId j, std::uint64_t agg) {
       if (is_member(v, j))
-        depth_s[u64(v)] = std::min<std::uint64_t>(agg, kInfDepth);
+        assign(depth_s[u64(v)], std::min<std::uint64_t>(agg, kInfDepth));
     };
     const SuperstepHooks hooks{contribution, min,            kIdentityMin,
                                on_aggregate, lead_and_depth, on_cross};
-    for (std::int32_t step = 0; step < b_limit; ++step) {
+    run_to_fixed_point(superstep, b_limit, [&] {
+      changed = false;
       std::fill(best_cand.begin(), best_cand.end(),
                 static_cast<std::uint64_t>(kInfDepth));
       superstep.run(hooks);
-    }
+      return changed;
+    });
   }
 
   // --- Phase V2.5: choose one boundary edge to the BFS parent ------------
@@ -179,10 +197,20 @@ VerificationResult verify_block_parameter(congest::Network& net,
     // own flag totals before sending.
     superstep.run(SuperstepHooks{contribution, sum, 0, on_aggregate});
 
+    // Level tau sends only from depth tau. Above the deepest depth any
+    // member reached, a level sends nothing, so it changes nothing and
+    // costs what V3.0 did: those levels are charged as its copies.
+    std::uint64_t deepest = 0;
+    for (const std::uint64_t d : depth_s)
+      if (d != kInfDepth) deepest = std::max(deepest, d);
+    const auto first_tau = util::checked_cast<std::int32_t>(
+        std::min<std::uint64_t>(deepest, static_cast<std::uint64_t>(b_limit)));
+    superstep.repeat_last(b_limit - first_tau);
+
     const auto on_cross = [&](NodeId v, NodeId, EdgeId, std::uint64_t value) {
       pending_in[u64(v)] = sat_add(pending_in[u64(v)], value);
     };
-    for (std::int32_t tau = b_limit; tau >= 1; --tau) {
+    for (std::int32_t tau = first_tau; tau >= 1; --tau) {
       const auto cross_message =
           [&, tau](NodeId v, NodeId, EdgeId e) -> std::optional<std::uint64_t> {
         if (depth_s[u64(v)] != static_cast<std::uint64_t>(tau)) {
@@ -220,18 +248,22 @@ VerificationResult verify_block_parameter(congest::Network& net,
       const std::uint64_t other_lead = value >> 32;
       const std::uint64_t other_verdict = value & 0xFFFFFFFFu;
       if (other_lead == lead[u64(v)])
-        verdict[u64(v)] = std::max(verdict[u64(v)], other_verdict);
+        assign(verdict[u64(v)], std::max(verdict[u64(v)], other_verdict));
     };
     const auto contribution = [&](NodeId v, PartId j) {
       return is_member(v, j) ? verdict[u64(v)] : kUnknown;
     };
     const auto on_aggregate = [&](NodeId v, PartId j, std::uint64_t agg) {
-      if (is_member(v, j)) verdict[u64(v)] = std::max(verdict[u64(v)], agg);
+      if (is_member(v, j))
+        assign(verdict[u64(v)], std::max(verdict[u64(v)], agg));
     };
     const SuperstepHooks hooks{contribution, max,           kUnknown,
                                on_aggregate, cross_message, on_cross};
-    for (std::int32_t step = 0; step < b_limit; ++step)
+    run_to_fixed_point(superstep, b_limit, [&] {
+      changed = false;
       superstep.run(hooks);
+      return changed;
+    });
   }
 
   // --- Local decisions ----------------------------------------------------

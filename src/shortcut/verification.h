@@ -20,6 +20,11 @@
 /// count, so a part passes only if its supergraph really has a single
 /// leader, a complete BFS, and at most `b_limit` supernodes. Every member
 /// of a part reaches the same verdict (checked).
+///
+/// Every loop is charged all of its supersteps, as the paper counts them,
+/// but not all of them run: the floods (1, 2 and 4) stop at their fixed
+/// point, and step 3 skips the levels above the deepest BFS depth. Those
+/// supersteps are charged as copies (superstep.h, "Fixed-point repeats").
 #pragma once
 
 #include "congest/network.h"

@@ -807,7 +807,7 @@ class ReferenceExchangeProcess final : public Process {
     const PartId j = partition_->part(id_);
     if (j == kNoPart) return;
     const auto nbs = ctx.neighbors();
-    const auto& parts = neighbor_parts_->of[static_cast<std::size_t>(id_)];
+    const auto parts = neighbor_parts_->of(id_);
     for (std::size_t k = 0; k < nbs.size(); ++k) {
       if (parts[k] != j) continue;
       const auto word = hooks_->cross_message(id_, nbs[k].node, nbs[k].edge);
@@ -875,40 +875,6 @@ void engine_superstep(Network& net, const SpanningTree& tree,
   }
 }
 
-/// A graph, its partition and the BFS root the superstep tests use.
-struct SuperstepFamily {
-  const char* name;
-  Graph g;
-  Partition p;
-  NodeId root;
-};
-
-/// Grid, ER, genus and wheel (hub unassigned) with random-BFS or arc parts.
-std::vector<SuperstepFamily> superstep_families() {
-  std::vector<SuperstepFamily> families;
-  {
-    Graph g = make_grid(9, 9);
-    Partition p = make_random_bfs_partition(g, 9, 2);
-    families.push_back({"grid", std::move(g), std::move(p), 0});
-  }
-  {
-    Graph g = make_erdos_renyi(90, 0.05, 3);
-    Partition p = make_random_bfs_partition(g, 10, 4);
-    families.push_back({"er", std::move(g), std::move(p), 0});
-  }
-  {
-    Graph g = make_genus_grid(8, 8, 3, 5);
-    Partition p = make_random_bfs_partition(g, 7, 6);
-    families.push_back({"genus", std::move(g), std::move(p), 0});
-  }
-  {
-    const NodeId n = 61;
-    families.push_back(
-        {"wheel", make_wheel(n), make_cycle_arcs_partition(n, 6), n - 1});
-  }
-  return families;
-}
-
 TEST(ParallelSuperstep, ReplayMatchesEngine) {
   // The second superstep's verdicts are all still 0, so its exchange sends
   // nothing and takes no round.
@@ -917,7 +883,7 @@ TEST(ParallelSuperstep, ReplayMatchesEngine) {
       HookSet::kNoExchange,    HookSet::kMaxVerdict, HookSet::kSaturatingSum,
       HookSet::kMinFlood,      HookSet::kNoExchange};
 
-  for (const SuperstepFamily& f : superstep_families()) {
+  for (const testutil::SuperstepFamily& f : testutil::superstep_families()) {
     for (const int threads : {1, 3}) {
       SCOPED_TRACE(std::string(f.name) + " threads=" + std::to_string(threads));
       testutil::Sim sim(f.g, f.root, threads);
@@ -969,7 +935,7 @@ TEST(ParallelSuperstep, ReplayMatchesEngine) {
 // the same rounds and sends one message per slot that rides its parent
 // edge. The superstep runner adds these stats instead of simulating it.
 TEST(ParallelRepresentation, BroadcastStatsAreThePlansSchedule) {
-  for (const SuperstepFamily& f : superstep_families()) {
+  for (const testutil::SuperstepFamily& f : testutil::superstep_families()) {
     for (const int threads : {1, 3}) {
       SCOPED_TRACE(std::string(f.name) + " threads=" + std::to_string(threads));
       testutil::Sim sim(f.g, f.root, threads);

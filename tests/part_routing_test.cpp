@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
+#include <initializer_list>
+#include <optional>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "congest/process.h"
 #include "graph/generators.h"
@@ -154,7 +159,8 @@ TEST(PartRouting, RoundsWithinTheorem2Bound) {
 
 // The superstep runner derives its same-part edge list from
 // NeighborParts::of, so the exchange must align with the adjacency: entry k
-// of node v is the part of v's k-th neighbor, kNoPart included.
+// of node v is the part of v's k-th neighbor, kNoPart included. The
+// exchange is one round with one message per directed edge.
 TEST(PartRouting, NeighborPartsAlignWithAdjacency) {
   const NodeId n = 41;
   const Graph wheel = make_wheel(n);
@@ -165,11 +171,15 @@ TEST(PartRouting, NeighborPartsAlignWithAdjacency) {
 
   for (const auto& [g, p] : {std::pair{&wheel, &arcs}, std::pair{&er, &bfs}}) {
     Sim setup(*g);
+    const std::int64_t r0 = setup.net.total_rounds();
+    const std::int64_t m0 = setup.net.total_messages();
     const NeighborParts got = exchange_neighbor_parts(setup.net, *p);
-    ASSERT_EQ(got.of.size(), static_cast<std::size_t>(g->num_nodes()));
+    EXPECT_EQ(setup.net.total_rounds() - r0, 1);
+    EXPECT_EQ(setup.net.total_messages() - m0, 2 * g->num_edges());
+    ASSERT_EQ(got.parts.size(), 2 * static_cast<std::size_t>(g->num_edges()));
     for (NodeId v = 0; v < g->num_nodes(); ++v) {
       const auto nbs = g->neighbors(v);
-      const auto& parts = got.of[static_cast<std::size_t>(v)];
+      const auto parts = got.of(v);
       ASSERT_EQ(parts.size(), static_cast<std::size_t>(g->degree(v)))
           << "node " << v;
       for (std::size_t k = 0; k < nbs.size(); ++k)
@@ -179,9 +189,10 @@ TEST(PartRouting, NeighborPartsAlignWithAdjacency) {
   }
 }
 
-// A runner checks its inputs against the network when it is built: a
-// NeighborParts row shorter than the node's adjacency would otherwise be
-// read out of bounds by the cross exchange.
+// A runner checks its inputs against the network when it is built:
+// NeighborParts shorter than the adjacency would be read out of bounds by
+// the cross exchange, and NeighborParts learned on another graph describe
+// other edges.
 TEST(PartRouting, SuperstepRunnerRejectsMismatchedInputs) {
   const Graph g = make_grid(6, 6);
   Sim setup(g);
@@ -194,12 +205,13 @@ TEST(PartRouting, SuperstepRunnerRejectsMismatchedInputs) {
   };
   EXPECT_NO_THROW(build(p, r.neighbor_parts));
 
-  NeighborParts short_row = r.neighbor_parts;
-  short_row.of[7].pop_back();
-  EXPECT_THROW(build(p, short_row), CheckFailure);
-  NeighborParts missing_node = r.neighbor_parts;
-  missing_node.of.pop_back();
-  EXPECT_THROW(build(p, missing_node), CheckFailure);
+  NeighborParts short_parts = r.neighbor_parts;
+  short_parts.parts.pop_back();
+  EXPECT_THROW(build(p, short_parts), CheckFailure);
+  const Graph other = make_grid(6, 6);
+  NeighborParts other_graph = r.neighbor_parts;
+  other_graph.graph = &other;
+  EXPECT_THROW(build(p, other_graph), CheckFailure);
   Partition short_partition = p;
   short_partition.part_of.pop_back();
   EXPECT_THROW(build(short_partition, r.neighbor_parts), CheckFailure);
@@ -220,6 +232,109 @@ TEST(PartRouting, SingletonPartsTrivially) {
                                           neighbor_parts, 1);
   for (NodeId v = 0; v < g.num_nodes(); ++v)
     EXPECT_EQ(leaders[static_cast<std::size_t>(v)], v);
+}
+
+// ---------------------------------------------------------------------------
+// Fixed-point stop. `part_min_flood` stops running supersteps at the first
+// one that lowers no value and charges the rest as its copies. The
+// reference below runs every superstep with the same hooks and no stop;
+// both must leave the same values and the same totals on their networks.
+
+/// part_min_flood without the stop: all `b_steps` supersteps run.
+congest::PerNode<std::uint64_t> full_min_flood(
+    Sim& sim, const Partition& p, const ShortcutState& state,
+    const NeighborParts& neighbor_parts, std::int32_t b_steps,
+    const congest::PerNode<std::uint64_t>& init) {
+  congest::PerNode<std::uint64_t> value = init;
+  for (NodeId v = 0; v < sim.net.num_nodes(); ++v)
+    if (p.part(v) == kNoPart) value[static_cast<std::size_t>(v)] = kNoValue;
+  const auto u = [](NodeId v) { return static_cast<std::size_t>(v); };
+  const SuperstepHooks hooks{
+      [&](NodeId v, PartId j) { return p.part(v) == j ? value[u(v)] : kNoValue; },
+      [](std::uint64_t a, std::uint64_t b) { return std::min(a, b); },
+      kNoValue,
+      [&](NodeId v, PartId j, std::uint64_t agg) {
+        if (p.part(v) == j) value[u(v)] = std::min(value[u(v)], agg);
+      },
+      [&](NodeId v, NodeId, EdgeId) {
+        return std::optional<std::uint64_t>(value[u(v)]);
+      },
+      [&](NodeId v, NodeId, EdgeId, std::uint64_t x) {
+        value[u(v)] = std::min(value[u(v)], x);
+      }};
+  SuperstepRunner runner(sim.net, sim.tree, p, state, neighbor_parts);
+  for (std::int32_t step = 0; step < b_steps; ++step) runner.run(hooks);
+  return value;
+}
+
+TEST(PartRouting, FixedPointStopMatchesFullSchedule) {
+  std::int32_t widest = 0;
+  for (const testutil::SuperstepFamily& f : testutil::superstep_families()) {
+    SCOPED_TRACE(f.name);
+    // Two networks on the same graph, one per side, so their totals compare.
+    Sim stop(f.g, f.root);
+    Sim full(f.g, f.root);
+    Routed rs = prepare(stop, f.p, 1);
+    Routed rf = prepare(full, f.p, 1);
+    widest = std::max(widest, rs.b);
+    const auto n = static_cast<std::size_t>(f.g.num_nodes());
+
+    // Scattered values; every member already at its part's minimum (the
+    // first superstep is the fixed point); one source per part (a
+    // broadcast); no value at all.
+    congest::PerNode<std::uint64_t> scattered(n);
+    for (std::size_t v = 0; v < n; ++v) scattered[v] = (v * 2654435761u) % 997;
+    congest::PerNode<std::uint64_t> settled(n, kNoValue);
+    for (std::size_t v = 0; v < n; ++v)
+      if (f.p.part_of[v] != kNoPart)
+        settled[v] = static_cast<std::uint64_t>(f.p.part_of[v]);
+    congest::PerNode<std::uint64_t> sourced(n, kNoValue);
+    const auto groups = f.p.members();
+    for (const auto& members : groups)
+      sourced[static_cast<std::size_t>(members.back())] = members.size();
+    const congest::PerNode<std::uint64_t> empty(n, kNoValue);
+
+    using Values = congest::PerNode<std::uint64_t>;
+    for (const Values* init :
+         std::initializer_list<const Values*>{&scattered, &settled, &sourced,
+                                              &empty}) {
+      for (const std::int32_t b_steps : {1, 2, rs.b, 3 * rs.b, 20 * rs.b}) {
+        SCOPED_TRACE("b_steps=" + std::to_string(b_steps));
+        const auto got = part_min_flood(stop.net, stop.tree, f.p, rs.state,
+                                        rs.neighbor_parts, b_steps, *init);
+        const auto want = full_min_flood(full, f.p, rf.state,
+                                         rf.neighbor_parts, b_steps, *init);
+        EXPECT_EQ(got, want);
+        ASSERT_EQ(stop.net.total_rounds(), full.net.total_rounds());
+        ASSERT_EQ(stop.net.total_messages(), full.net.total_messages());
+      }
+    }
+
+    // Leader election, and two floods sharing one runner (as Boruvka's
+    // phases do): the second starts at its fixed point.
+    const std::int32_t far = 20 * rs.b;
+    congest::PerNode<std::uint64_t> ids(n);
+    for (std::size_t v = 0; v < n; ++v) ids[v] = v;
+    const auto leaders = elect_part_leaders(stop.net, stop.tree, f.p,
+                                            rs.state, rs.neighbor_parts, far);
+    const auto want_ids =
+        full_min_flood(full, f.p, rf.state, rf.neighbor_parts, far, ids);
+    for (std::size_t v = 0; v < n; ++v) {
+      if (f.p.part_of[v] == kNoPart) continue;
+      EXPECT_EQ(static_cast<std::uint64_t>(leaders[v]), want_ids[v]);
+    }
+    SuperstepRunner runner(stop.net, stop.tree, f.p, rs.state,
+                           rs.neighbor_parts);
+    const auto first = part_min_flood(runner, far, scattered);
+    const auto again = part_min_flood(runner, far, first);
+    EXPECT_EQ(first, full_min_flood(full, f.p, rf.state, rf.neighbor_parts,
+                                    far, scattered));
+    EXPECT_EQ(again, full_min_flood(full, f.p, rf.state, rf.neighbor_parts,
+                                    far, first));
+    EXPECT_EQ(stop.net.total_rounds(), full.net.total_rounds());
+    EXPECT_EQ(stop.net.total_messages(), full.net.total_messages());
+  }
+  EXPECT_GE(widest, 3) << "some flood needs several supersteps";
 }
 
 }  // namespace

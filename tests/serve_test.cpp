@@ -385,6 +385,36 @@ TEST(ServeDriver, ErrorDocumentsAreDeterministic) {
   EXPECT_NE(doc1.find("nonsense"), std::string::npos);
 }
 
+// lcs_run's --parallel-threshold and lcs_serve's "parallel_threshold" both
+// land in RunOptions: a negative value is an error naming the key, never
+// a silent fall back to the engine default.
+TEST(ServeDriver, NegativeParallelThresholdIsRejected) {
+  driver::RunOptions o;
+  o.algo = "mst";
+  o.scenario = "grid:w=4";
+  o.timing = false;
+  o.parallel_threshold = -5;
+  std::string out;
+  try {
+    driver::run_document(o, driver::RunHooks{}, out);
+    FAIL() << "negative parallel_threshold accepted";
+  } catch (const CheckFailure& e) {
+    const std::string message = e.what();
+    EXPECT_NE(message.find("parallel_threshold"), std::string::npos)
+        << message;
+    EXPECT_NE(message.find("got -5"), std::string::npos) << message;
+  }
+  EXPECT_TRUE(out.empty());
+
+  // Zero (every round parallel) is legal and moves no byte.
+  std::string unset_doc;
+  o.parallel_threshold.reset();
+  EXPECT_EQ(driver::run_document(o, driver::RunHooks{}, unset_doc), 0);
+  o.parallel_threshold = 0;
+  EXPECT_EQ(driver::run_document(o, driver::RunHooks{}, out), 0);
+  EXPECT_EQ(out, unset_doc);
+}
+
 TEST(ServeDriver, SpecHashIsStableAcrossRuns) {
   // Cache file names embed this hash; a drifting hash function would
   // silently orphan every on-disk entry. Pin the FNV-1a constants.

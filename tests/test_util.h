@@ -6,9 +6,11 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "congest/network.h"
+#include "graph/generators.h"
 #include "graph/graph.h"
 #include "graph/partition.h"
 #include "graph/union_find.h"
@@ -37,6 +39,40 @@ struct Sim {
               threads != 1 ? net.set_parallel_round_threshold(0) : void(),
               build_bfs_tree(net, root))) {}
 };
+
+/// A graph, its partition and the BFS root the superstep tests use.
+struct SuperstepFamily {
+  const char* name;
+  Graph g;
+  Partition p;
+  NodeId root;
+};
+
+/// Grid, ER, genus and wheel (hub unassigned) with random-BFS or arc parts.
+inline std::vector<SuperstepFamily> superstep_families() {
+  std::vector<SuperstepFamily> families;
+  {
+    Graph g = make_grid(9, 9);
+    Partition p = make_random_bfs_partition(g, 9, 2);
+    families.push_back({"grid", std::move(g), std::move(p), 0});
+  }
+  {
+    Graph g = make_erdos_renyi(90, 0.05, 3);
+    Partition p = make_random_bfs_partition(g, 10, 4);
+    families.push_back({"er", std::move(g), std::move(p), 0});
+  }
+  {
+    Graph g = make_genus_grid(8, 8, 3, 5);
+    Partition p = make_random_bfs_partition(g, 7, 6);
+    families.push_back({"genus", std::move(g), std::move(p), 0});
+  }
+  {
+    const NodeId n = 61;
+    families.push_back(
+        {"wheel", make_wheel(n), make_cycle_arcs_partition(n, 6), n - 1});
+  }
+  return families;
+}
 
 /// One block component of a part, computed centrally.
 struct CentralComponent {

@@ -2,7 +2,8 @@
 # CLI graceful-degradation gate for lcs_run.
 #
 # Every user-input failure (malformed scenario spec, unknown algorithm, bad
-# sweep range, malformed churn parameters) must:
+# sweep range, malformed churn parameters, a flag value that does not parse,
+# an unknown argument) must:
 #   * exit nonzero (2 for contract-check diagnoses),
 #   * emit one well-formed JSON error object on stdout
 #     ({"error": {"type", "message", "exit_code"}}) so driving tooling always
@@ -138,6 +139,23 @@ run=limited_run
 expect_error_contains worker_threads_unavailable 2 'worker threads' \
   --algo=mst --scenario='grid:w=4' --threads=1000 --no-timing
 run="$lcs_run"
+
+# Flag parsing fails the same way: a value that does not parse (or
+# overflows its type) and an unknown argument are JSON error documents
+# naming the flag and the value.
+expect_error_contains bad_flag_value 2 "bad value 'abc' for --seed" \
+  --algo=mst --scenario='grid:w=4' --seed=abc
+expect_error_contains bad_flag_value_overflow 2 \
+  "bad value '99999999999' for --threads" \
+  --algo=mst --scenario='grid:w=4' --threads=99999999999
+expect_error_contains unknown_flag 2 "unknown argument '--frobnicate=1'" \
+  --algo=mst --scenario='grid:w=4' --frobnicate=1
+
+# A negative engine threshold is rejected by name, never ignored (lcs_serve
+# answers its "parallel_threshold" field with the same document).
+expect_error_contains negative_parallel_threshold 2 \
+  'parallel_threshold (--parallel-threshold) must be >= 0, got -5' \
+  --algo=mst --scenario='grid:w=4' --parallel-threshold=-5 --no-timing
 
 # A --sweep key that is not a parameter of the scenario family is rejected
 # before any expansion work (and names both the key and the family).

@@ -11,8 +11,8 @@
 /// studies, generation smoke).
 /// The report carries the scenario parameters, graph metrics, exact round/
 /// message accounting (setup vs algorithm), oracle-validation results, and
-/// wall time. Every counted round is simulated with real messages, so the
-/// report's `charges` object is always empty.
+/// wall time. Rounds and messages are exact and none is charged under a
+/// label, so the report's `charges` object is always empty.
 ///
 /// Determinism: everything except the `timing` object is a pure function of
 /// (--scenario, --algo, --seed, --fail-rate, --validate, --metrics,
@@ -95,6 +95,16 @@ bool take_value(const char* arg, const char* name, std::string& out) {
   return true;
 }
 
+/// A usage error is a user-input failure like any other: a JSON error
+/// document on stdout, its message echoed on stderr (with `usage` after
+/// it, if given), exit code 2.
+[[noreturn]] void usage_error(const std::string& message,
+                              const char* usage = "") {
+  std::cout << driver::error_document("usage", message, 2);
+  std::cerr << "lcs_run: " << message << "\n" << usage;
+  std::exit(2);
+}
+
 /// Strict numeric flag parsing: the whole value must parse (a typo like
 /// --threads=4x is a usage error, not 4).
 template <class T>
@@ -102,10 +112,8 @@ T parse_flag(const std::string& value, const char* flag) {
   T out{};
   const auto res =
       std::from_chars(value.data(), value.data() + value.size(), out);
-  if (res.ec != std::errc() || res.ptr != value.data() + value.size()) {
-    std::cerr << "lcs_run: bad value '" << value << "' for " << flag << "\n";
-    std::exit(2);
-  }
+  if (res.ec != std::errc() || res.ptr != value.data() + value.size())
+    usage_error("bad value '" + value + "' for " + flag);
   return out;
 }
 
@@ -150,8 +158,7 @@ Options parse_args(int argc, char** argv) {
       std::cout << kUsage;
       std::exit(0);
     }
-    std::cerr << "lcs_run: unknown argument '" << arg << "'\n" << kUsage;
-    std::exit(2);
+    usage_error("unknown argument '" + std::string(arg) + "'", kUsage);
   }
   return o;
 }

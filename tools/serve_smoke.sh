@@ -70,6 +70,8 @@ add err_family '{"id":"err_family","algo":"components","scenario":"frobnicate:n=
   '--algo=components --scenario=frobnicate:n=10 --no-timing'
 add err_sweep '{"id":"err_sweep","algo":"components","scenario":"er:n=100,deg=4","sweep":"bogus=1..4","timing":false}' \
   '--algo=components --scenario=er:n=100,deg=4 --sweep=bogus=1..4 --no-timing'
+add err_threshold '{"id":"err_threshold","algo":"mst","scenario":"er:n=100,deg=4,seed=5","parallel_threshold":-5,"timing":false}' \
+  '--algo=mst --scenario=er:n=100,deg=4,seed=5 --parallel-threshold=-5 --no-timing'
 
 # Expected bytes and exit codes from the one-shot tool.
 for id in "${IDS[@]}"; do
