@@ -14,30 +14,23 @@ namespace lcs {
 PartAggregator::PartAggregator(congest::Network& net, const SpanningTree& tree,
                                const Partition& partition,
                                FindShortcutParams params)
-    : net_(net), tree_(tree), partition_(partition) {
-  FindShortcutResult found =
-      find_shortcut_doubling(net, tree, partition, params);
-  state_ = std::move(found.state);
-  stats_ = found.stats;
-  b_steps_ = 3 * stats_.used_b;
-  neighbor_parts_ = exchange_neighbor_parts(net, partition);
-}
+    : found_(find_shortcut_doubling(net, tree, partition, params)),
+      neighbor_parts_(exchange_neighbor_parts(net, partition)),
+      b_steps_(3 * found_.stats.used_b),
+      runner_(net, tree, partition, found_.state, neighbor_parts_) {}
 
 congest::PerNode<std::uint64_t> PartAggregator::min(
     const congest::PerNode<std::uint64_t>& values) {
-  return part_min_flood(net_, tree_, partition_, state_, neighbor_parts_,
-                        b_steps_, values);
+  return part_min_flood(runner_, b_steps_, values);
 }
 
 congest::PerNode<NodeId> PartAggregator::leaders() {
-  return elect_part_leaders(net_, tree_, partition_, state_, neighbor_parts_,
-                            b_steps_);
+  return elect_part_leaders(runner_, b_steps_);
 }
 
 congest::PerNode<std::uint64_t> PartAggregator::broadcast(
     const congest::PerNode<std::uint64_t>& value_at_source) {
-  return part_broadcast(net_, tree_, partition_, state_, neighbor_parts_,
-                        b_steps_, value_at_source);
+  return part_min_flood(runner_, b_steps_, value_at_source);
 }
 
 }  // namespace lcs

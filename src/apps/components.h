@@ -4,10 +4,14 @@
 /// sampling-based min-cut (both members of the Ω̃(√n + D) problem family
 /// the paper's framework accelerates).
 ///
-/// The algorithm is unweighted Boruvka: fragments repeatedly merge along
-/// the smallest-id alive outgoing edge, with fragment aggregation running
-/// on freshly constructed tree-restricted shortcuts (communication may use
-/// every physical edge; only candidate edges are filtered to `edge_alive`).
+/// The algorithm is unweighted Boruvka: the shortcut Boruvka loop that MST
+/// also runs (mst/boruvka_common.h), with the smallest-id alive outgoing
+/// edge as each node's candidate. Each phase builds a `PartAggregator` for
+/// the current fragments (FindShortcut with doubling, then the fragment-id
+/// exchange), min-floods the candidates and broadcasts the star-merge
+/// proposals on its one runner, merges, and ends with a tree OR.
+/// Communication may use every physical edge; only candidate edges are
+/// filtered to `edge_alive`.
 #pragma once
 
 #include "congest/network.h"

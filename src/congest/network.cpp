@@ -11,25 +11,6 @@
 
 namespace lcs::congest {
 
-std::int64_t ChargeTable::at(std::string_view label) const {
-  const auto it = std::lower_bound(
-      entries_.begin(), entries_.end(), label,
-      [](const Entry& a, std::string_view b) { return a.first < b; });
-  LCS_CHECK(it != entries_.end() && it->first == label,
-            "no rounds charged under this label");
-  return it->second;
-}
-
-void ChargeTable::add(std::string_view label, std::int64_t rounds) {
-  const auto it = std::lower_bound(
-      entries_.begin(), entries_.end(), label,
-      [](const Entry& a, std::string_view b) { return a.first < b; });
-  if (it != entries_.end() && it->first == label)
-    it->second += rounds;
-  else
-    entries_.insert(it, Entry{std::string(label), rounds});
-}
-
 Network::Network(const Graph& graph) : graph_(&graph) {
   const auto n = static_cast<std::size_t>(graph.num_nodes());
   // Stamps start below any tick the engine will ever produce, so every
@@ -600,18 +581,6 @@ void Network::add_replayed(const PhaseStats& stats) {
             "replayed stats must be non-negative");
   total_rounds_ += stats.rounds;
   total_messages_ += stats.messages;
-}
-
-void Network::charge(std::int64_t rounds, const std::string& label) {
-  LCS_CHECK(rounds >= 0, "cannot charge negative rounds");
-  total_rounds_ += rounds;
-  charged_.add(label, rounds);
-}
-
-void Network::reset_accounting() {
-  total_rounds_ = 0;
-  total_messages_ = 0;
-  charged_.clear();
 }
 
 }  // namespace lcs::congest

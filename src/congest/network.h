@@ -26,9 +26,6 @@
 ///    V3 levels: each repeats an earlier superstep's sends exactly and is
 ///    charged as its copy (`SuperstepRunner::repeat_last`).
 ///
-/// No library code calls `charge()`, so the `charges` object of every
-/// report is empty.
-///
 /// The engine is activity-driven: per round it touches only nodes that
 /// received a message or requested a wakeup, so simulation work is
 /// proportional to the total message count, not rounds × nodes.
@@ -131,12 +128,12 @@
 /// rules in process.h (each process touches only its own node's state),
 /// every observable is bit-identical at every thread count and every
 /// fallback threshold: inbox contents and per-node delivery order, node
-/// processing order, `PhaseStats`, `total_rounds` / `total_messages`,
-/// charged labels, and validation diagnostics. The only thing parallel
-/// mode may change is which thread a callback runs on — so process code
-/// must be race-free across *different* nodes (the faithfulness contract
-/// already requires that; a process that mutates state shared between
-/// nodes is outside the CONGEST model).
+/// processing order, `PhaseStats`, `total_rounds` / `total_messages`, and
+/// validation diagnostics. The only thing parallel mode may change is
+/// which thread a callback runs on — so process code must be race-free
+/// across *different* nodes (the faithfulness contract already requires
+/// that; a process that mutates state shared between nodes is outside the
+/// CONGEST model).
 ///
 /// `set_threads(1)` (the default) is the unchanged sequential engine with
 /// zero synchronization; `set_threads(0)` resolves to the hardware
@@ -160,8 +157,6 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <string>
-#include <string_view>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -208,31 +203,6 @@ struct alignas(128) SendLane {
 struct PhaseStats {
   std::int64_t rounds = 0;
   std::int64_t messages = 0;
-};
-
-/// Flat label → rounds accounting for `Network::charge`. A sorted
-/// vector of (label, rounds) pairs: the handful of distinct labels a run
-/// produces makes a tree map pure overhead. Iteration yields pairs in
-/// lexicographic label order (as `std::map` did).
-class ChargeTable {
- public:
-  using Entry = std::pair<std::string, std::int64_t>;
-  using const_iterator = std::vector<Entry>::const_iterator;
-
-  /// Rounds charged under `label`; fails if the label was never charged.
-  std::int64_t at(std::string_view label) const;
-
-  bool empty() const { return entries_.empty(); }
-  std::size_t size() const { return entries_.size(); }
-  const_iterator begin() const { return entries_.begin(); }
-  const_iterator end() const { return entries_.end(); }
-
- private:
-  friend class Network;
-  void add(std::string_view label, std::int64_t rounds);
-  void clear() { entries_.clear(); }
-
-  std::vector<Entry> entries_;  // sorted by label
 };
 
 class Network {
@@ -288,24 +258,14 @@ class Network {
     return parallel_threshold_;
   }
 
-  /// Account `rounds` additional rounds of explicitly-charged coordination,
-  /// aggregated per label for reporting. No library code calls it today
-  /// (see the file comment); only the engine's own tests exercise it.
-  void charge(std::int64_t rounds, const std::string& label);
-
   /// Add the rounds and messages of protocol steps counted without the
   /// engine (the list in the file comment): schedules `run` simulated once,
-  /// replayed, and schedules fixed in advance, counted on the host. Unlike
-  /// `charge` it records no label, so the reports' `charges` stay empty.
+  /// replayed, and schedules fixed in advance, counted on the host.
   /// Never from inside a phase; the stats must be non-negative.
   void add_replayed(const PhaseStats& stats);
 
   std::int64_t total_rounds() const { return total_rounds_; }
   std::int64_t total_messages() const { return total_messages_; }
-  const ChargeTable& charged_rounds() const { return charged_; }
-
-  /// Reset the accumulated totals (the topology is preserved).
-  void reset_accounting();
 
   /// Scratch storage reused by `run_phase` across phases so building the
   /// `Process*` view allocates only until the high-water mark is reached.
@@ -495,7 +455,6 @@ class Network {
 
   std::int64_t total_rounds_ = 0;
   std::int64_t total_messages_ = 0;
-  ChargeTable charged_;
 };
 
 /// White-box access for the engine's own tests — never use outside

@@ -88,8 +88,8 @@ bool same_partition_structure(const std::vector<PartId>& a,
 /// (scenario, config, validation, timing) and the exit code.
 struct RunReport {
   // The sections between "config" and "validation": "churn" and
-  // "checkpoints" for churn; "setup", "result" and "charges" for engine
-  // algorithms, whose runners write only their "result" fields here for
+  // "checkpoints" for churn; "setup" and "result" for engine algorithms,
+  // whose runners write only their "result" fields here for
   // set_engine_body to wrap. Unset for `none`.
   std::function<void(JsonWriter&)> body;
   // Threads the engine ran at, emitted under "timing"; -1 = no engine ran.
@@ -107,16 +107,14 @@ struct EngineAccounting {
   std::int64_t setup_messages = 0;
   std::int64_t algo_rounds = 0;
   std::int64_t algo_messages = 0;
-  std::vector<std::pair<std::string, std::int64_t>> charges;
 };
 
-/// Wraps an engine runner's "result" fields into the engine body: "setup",
-/// "result" (the fields, then the algorithm's rounds and messages) and
-/// "charges".
-void set_engine_body(RunReport& rep, EngineAccounting acc, int threads) {
+/// Wraps an engine runner's "result" fields into the engine body: "setup"
+/// and "result" (the fields, then the algorithm's rounds and messages).
+void set_engine_body(RunReport& rep, const EngineAccounting& acc,
+                     int threads) {
   rep.threads = threads;
-  rep.body = [result = std::move(rep.body),
-              acc = std::move(acc)](JsonWriter& w) {
+  rep.body = [result = std::move(rep.body), acc](JsonWriter& w) {
     w.key("setup").begin_object();
     w.kv("rounds", acc.setup_rounds);
     w.kv("messages", acc.setup_messages);
@@ -126,10 +124,6 @@ void set_engine_body(RunReport& rep, EngineAccounting acc, int threads) {
     result(w);
     w.kv("rounds", acc.algo_rounds);
     w.kv("messages", acc.algo_messages);
-    w.end_object();
-
-    w.key("charges").begin_object();
-    for (const auto& [label, rounds] : acc.charges) w.kv(label, rounds);
     w.end_object();
   };
 }
@@ -312,9 +306,7 @@ RunReport run_engine(const scenario::Scenario& sc, const RunOptions& o) {
 
   acc.algo_rounds = net.total_rounds() - acc.setup_rounds;
   acc.algo_messages = net.total_messages() - acc.setup_messages;
-  for (const auto& [label, rounds] : net.charged_rounds())
-    acc.charges.emplace_back(label, rounds);
-  set_engine_body(rep, std::move(acc), net.threads());
+  set_engine_body(rep, acc, net.threads());
   return rep;
 }
 
@@ -345,8 +337,6 @@ ShortcutRunRecord build_shortcut_record(congest::Network& net,
   rec.backend_stats = std::move(out.stats);
   rec.algo_rounds = net.total_rounds() - rec.setup_rounds;
   rec.algo_messages = net.total_messages() - rec.setup_messages;
-  for (const auto& [label, rounds] : net.charged_rounds())
-    rec.charges.emplace_back(label, rounds);
   return rec;
 }
 
@@ -452,8 +442,7 @@ RunReport run_shortcut(const scenario::Scenario& sc, const RunOptions& o,
   RunReport rep = shortcut_report(*record, sc, o);
   set_engine_body(rep,
                   {record->setup_rounds, record->setup_messages,
-                   record->algo_rounds, record->algo_messages,
-                   record->charges},
+                   record->algo_rounds, record->algo_messages},
                   threads);
   return rep;
 }
@@ -707,15 +696,12 @@ Sweep parse_sweep(const std::string& directive) {
 /// reads must fail before any point is resolved — an N-point sweep of a
 /// typo'd key would otherwise burn N generator runs to produce N copies of
 /// the same unknown-parameter diagnosis (or, for a family that ignored the
-/// key, N identical points presented as a scaling curve). Families that
-/// did not declare their vocabulary (externally registered) skip the check
-/// and fail at the first point as before.
+/// key, N identical points presented as a scaling curve).
 void check_sweep_key(const std::string& spec, const std::string& key) {
   const scenario::Family* family =
       scenario::find_family(scenario::parse_spec(spec).family());
   if (family == nullptr) return;  // unknown family: diagnosed at resolution
   const std::vector<std::string> keys = scenario::accepted_param_keys(*family);
-  if (keys.empty()) return;
   if (std::find(keys.begin(), keys.end(), key) != keys.end()) return;
   std::string msg = "--sweep key '" + key + "' is not a parameter of scenario family '" +
                     family->name + "' (accepted: ";
@@ -868,6 +854,8 @@ int run_document(const RunOptions& o, const RunHooks& hooks,
   LCS_CHECK(o.sweep.empty() || !dynamic::is_churn_spec(o.scenario),
             "--sweep cannot rewrite a churn: wrapper spec; pass the base "
             "spec via --scenario and the churn parameters via --churn");
+  LCS_CHECK(o.threads >= 0, "threads (--threads) must be >= 0, got " +
+                                std::to_string(o.threads));
   LCS_CHECK(!o.parallel_threshold.has_value() || *o.parallel_threshold >= 0,
             "parallel_threshold (--parallel-threshold) must be >= 0, got " +
                 std::to_string(o.parallel_threshold.value_or(0)));

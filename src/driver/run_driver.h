@@ -22,7 +22,7 @@
 ///    `ShortcutCacheKey`. On a hit the engine is not instantiated at all:
 ///    congestion, block parameter, dilation, and the validation section are
 ///    recomputed from the cached structures (they are pure functions of
-///    them), and the round/message/charge accounting comes from the record.
+///    them), and the round/message accounting comes from the record.
 ///    A cold `--algo=shortcut` run renders from the record it just built,
 ///    so warm and cold responses share every byte.
 ///

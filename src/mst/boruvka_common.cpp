@@ -1,14 +1,29 @@
 #include "mst/boruvka_common.h"
 
+#include <algorithm>
+#include <cmath>
+
+#include "apps/aggregate.h"
+#include "congest/network.h"
 #include "congest/process.h"
 #include "graph/graph.h"
 #include "graph/partition.h"
 #include "mst/mwoe.h"
+#include "shortcut/find_shortcut.h"
 #include "shortcut/superstep.h"
+#include "shortcut/tree_ops.h"
+#include "tree/spanning_tree.h"
 #include "util/cast.h"
 #include "util/check.h"
+#include "util/random.h"
 
 namespace lcs {
+
+std::int32_t boruvka_phase_cap(NodeId n) {
+  return 8 * util::checked_trunc<std::int32_t>(
+                 std::log2(std::max<double>(2.0, n))) +
+         20;
+}
 
 StarMergeStep star_merge_step(const Graph& g, const Partition& fragments,
                               const NeighborParts& neighbor_parts,
@@ -75,6 +90,52 @@ DistributedMst finish_mst(const Graph& g, const std::vector<bool>& mst_edge,
     }
   }
   return result;
+}
+
+ShortcutBoruvkaRun shortcut_boruvka(congest::Network& net,
+                                    const SpanningTree& tree,
+                                    const CandidateRule& candidates,
+                                    std::uint64_t seed, std::uint64_t salt,
+                                    FindShortcutParams first_params) {
+  const Graph& g = net.graph();
+  const std::int64_t rounds_before = net.total_rounds();
+  ShortcutBoruvkaRun run;
+  run.fragments = make_singleton_partition(g.num_nodes());
+  run.mst_edge.assign(static_cast<std::size_t>(g.num_edges()), false);
+  FindShortcutParams params = first_params;
+
+  const std::int32_t max_phases = boruvka_phase_cap(g.num_nodes());
+  for (std::int32_t phase = 0;; ++phase) {
+    LCS_CHECK(phase < max_phases, "Boruvka did not converge (bug)");
+
+    // (1) Shortcut for the current fragments, warm-started at the last
+    //     phase's (c, b), then the fragment-id exchange.
+    params.seed = hash64(seed, salt, phase);
+    PartAggregator agg(net, tree, run.fragments, params);
+    params.c = agg.construction_stats().used_c;
+    params.b = agg.construction_stats().used_b;
+
+    // (2) Fragment MWOE via Theorem-2 min-flood on the shortcut.
+    const auto mwoe =
+        agg.min(candidates(run.fragments, agg.neighbor_parts()));
+
+    // (3) Star merges: mark MST edges, propose, broadcast, apply. The
+    //     aggregator refers to the fragments, so they change only after its
+    //     last use.
+    const StarMergeStep step =
+        star_merge_step(g, run.fragments, agg.neighbor_parts(), mwoe, seed,
+                        phase, run.mst_edge);
+    const auto delivered = agg.broadcast(step.proposals);
+    apply_merges(run.fragments, delivered);
+
+    // (4) Termination: does any fragment still have an outgoing edge?
+    if (!global_or(net, tree, step.has_outgoing)) {
+      run.phases = phase + 1;
+      break;
+    }
+  }
+  run.rounds = net.total_rounds() - rounds_before;
+  return run;
 }
 
 }  // namespace lcs

@@ -1,7 +1,5 @@
 #include "mst/boruvka_intra.h"
 
-#include <cmath>
-
 #include "congest/network.h"
 #include "graph/graph.h"
 #include "graph/partition.h"
@@ -11,7 +9,6 @@
 #include "shortcut/superstep.h"
 #include "shortcut/tree_ops.h"
 #include "tree/spanning_tree.h"
-#include "util/cast.h"
 #include "util/check.h"
 
 namespace lcs {
@@ -26,10 +23,7 @@ DistributedMst mst_boruvka_intra(congest::Network& net,
   Partition fragments = make_singleton_partition(n);
   std::vector<bool> mst_edge(static_cast<std::size_t>(g.num_edges()), false);
 
-  const std::int32_t max_phases =
-      8 * util::checked_trunc<std::int32_t>(
-              std::log2(std::max<double>(2.0, n))) +
-      20;
+  const std::int32_t max_phases = boruvka_phase_cap(n);
   std::int32_t phase = 0;
   for (;; ++phase) {
     LCS_CHECK(phase < max_phases, "Boruvka did not converge (bug)");

@@ -1,14 +1,16 @@
 /// \file boruvka_shortcut.h
 /// Lemma 4: distributed MST via Boruvka + tree-restricted shortcuts.
 ///
-/// Each phase: (1) neighbors exchange fragment ids; (2) FindShortcut (with
-/// Appendix-A doubling, warm-started from the previous phase) constructs a
-/// shortcut for the current fragment partition; (3) the fragment MWOE is
-/// min-flooded over the shortcut supergraph (Theorem 2 routing); (4) star
-/// merges are proposed, broadcast over the same shortcut, and applied; (5)
-/// an O(D) tree OR-convergecast decides termination. On graphs with good
-/// shortcuts every phase costs Õ(D), giving Õ(D) MST overall — the paper's
-/// headline application.
+/// MST runs the shortcut Boruvka loop of boruvka_common.h with the
+/// (weight, edge id) MWOE as each node's candidate. Each phase: (1) a
+/// `PartAggregator` builds the shortcut for the current fragments
+/// (FindShortcut with Appendix-A doubling, warm-started from the previous
+/// phase), then neighbors exchange fragment ids; (2) the fragment MWOE is
+/// min-flooded over the shortcut supergraph (Theorem 2 routing); (3) star
+/// merges are proposed, broadcast on the aggregator's runner, and applied;
+/// (4) an O(D) tree OR-convergecast decides termination. On graphs with
+/// good shortcuts every phase costs Õ(D), giving Õ(D) MST overall — the
+/// paper's headline application.
 #pragma once
 
 #include "congest/network.h"

@@ -1,8 +1,9 @@
 /// \file mwoe.h
 /// Minimum-weight-outgoing-edge plumbing shared by all Boruvka variants.
 ///
-/// Every Boruvka phase starts the same way: nodes exchange fragment ids
-/// with their neighbors (one round), then each node computes the cheapest
+/// Every Boruvka phase finds its candidates the same way: nodes exchange
+/// fragment ids with their neighbors (one round; the shortcut variants do it
+/// after building the phase's shortcut), then each node computes the cheapest
 /// incident edge leaving its fragment, encoded as one word so that the
 /// minimum over a fragment can be computed with any min-aggregation:
 ///     packed = (weight << 32) | edge id          (kNoValue = no candidate)

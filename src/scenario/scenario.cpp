@@ -130,16 +130,12 @@ void SpecArgs::check_all_consumed(
   for (std::size_t i = 0; i < params_.size(); ++i) {
     if (consumed_[i]) continue;
     std::string msg = "unknown parameter '" + params_[i].first +
-                      "' for scenario family '" + family_ + "'";
-    if (!known_keys.empty()) {
-      msg += " (accepted: ";
-      for (std::size_t k = 0; k < known_keys.size(); ++k) {
-        if (k > 0) msg += ", ";
-        msg += known_keys[k];
-      }
-      msg += ")";
+                      "' for scenario family '" + family_ + "' (accepted: ";
+    for (std::size_t k = 0; k < known_keys.size(); ++k) {
+      if (k > 0) msg += ", ";
+      msg += known_keys[k];
     }
-    LCS_CHECK(false, msg);
+    LCS_CHECK(false, msg + ")");
   }
 }
 
@@ -376,26 +372,15 @@ std::vector<Family> make_builtin_families() {
   return fams;
 }
 
-std::vector<Family>& registry() {
-  static std::vector<Family> fams = make_builtin_families();
+}  // namespace
+
+const std::vector<Family>& families() {
+  static const std::vector<Family> fams = make_builtin_families();
   return fams;
 }
 
-}  // namespace
-
-void register_family(Family family) {
-  LCS_CHECK(!family.name.empty() && family.build != nullptr,
-            "scenario family needs a name and a builder");
-  for (const Family& f : registry())
-    LCS_CHECK(f.name != family.name,
-              "scenario family '" + family.name + "' is already registered");
-  registry().push_back(std::move(family));
-}
-
-const std::vector<Family>& families() { return registry(); }
-
 const Family* find_family(std::string_view name) {
-  for (const Family& f : registry())
+  for (const Family& f : families())
     if (f.name == name) return &f;
   return nullptr;
 }
@@ -407,7 +392,6 @@ const std::vector<std::string>& common_param_keys() {
 }
 
 std::vector<std::string> accepted_param_keys(const Family& family) {
-  if (family.param_keys.empty()) return {};
   std::vector<std::string> keys = family.param_keys;
   keys.insert(keys.end(), common_param_keys().begin(),
               common_param_keys().end());

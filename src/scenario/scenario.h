@@ -106,7 +106,7 @@ struct FamilyResult {
   std::optional<Partition> partition;
 };
 
-/// A registered graph family.
+/// A built-in graph family.
 struct Family {
   std::string name;
   std::string params_help;  ///< e.g. "w=32,h=w" — defaults shown inline
@@ -115,19 +115,14 @@ struct Family {
   /// Machine-readable accepted keys, excluding the common keys every family
   /// takes (see `common_param_keys`). Drivers consult this to reject a
   /// `--sweep` over a key the family would never read *before* expanding the
-  /// sweep. Externally registered families may leave it empty, which means
-  /// "not declared" — key checks are then skipped, not failed.
+  /// sweep. Every family declares its keys.
   std::vector<std::string> param_keys;
 };
 
-/// Register an additional family (e.g. from an experiment binary). The
-/// name must not collide with a built-in or previously registered family.
-void register_family(Family family);
-
-/// All registered families (built-ins first), for help output.
+/// The fixed list of families, for help output.
 const std::vector<Family>& families();
 
-/// Registered family by name, or nullptr.
+/// Family by name, or nullptr.
 const Family* find_family(std::string_view name);
 
 /// Keys the registry handles for every family (partition and weight
@@ -135,7 +130,6 @@ const Family* find_family(std::string_view name);
 const std::vector<std::string>& common_param_keys();
 
 /// Every key `family` accepts: its own `param_keys` plus the common keys.
-/// Empty when the family did not declare its keys (see Family::param_keys).
 std::vector<std::string> accepted_param_keys(const Family& family);
 
 /// Parse without building: returns (family, params) or throws CheckFailure

@@ -61,7 +61,12 @@ driver::RunOptions parse_request(const JsonValue& v) {
     else if (key == "churn") o.churn = val.as_string(what);
     else if (key == "sweep") o.sweep = val.as_string(what);
     else if (key == "seed") o.seed = val.as_uint(what);
-    else if (key == "threads") o.threads = util::checked_cast<int>(val.as_int(what));
+    else if (key == "threads") {
+      const std::int64_t threads = val.as_int(what);
+      LCS_CHECK(std::in_range<int>(threads),
+                what + " does not fit an int, got " + std::to_string(threads));
+      o.threads = util::checked_cast<int>(threads);
+    }
     else if (key == "parallel_threshold")
       o.parallel_threshold = val.as_int(what);
     else if (key == "fail_rate") o.fail_rate = val.as_double(what);

@@ -1,45 +1,18 @@
 #include "shortcut/backend/backend.h"
 
-#include <utility>
-
 #include "scenario/scenario.h"
 #include "shortcut/backend/builtins.h"
-#include "util/check.h"
 
 namespace lcs::backend {
 
-namespace {
-
-std::vector<Backend> make_builtin_backends() {
-  std::vector<Backend> list;
-  list.push_back(make_hiz16_backend());
-  list.push_back(make_kkoi19_backend());
-  list.push_back(make_naive_backend());
+const std::vector<Backend>& backends() {
+  static const std::vector<Backend> list = {
+      make_hiz16_backend(), make_kkoi19_backend(), make_naive_backend()};
   return list;
 }
-
-std::vector<Backend>& registry() {
-  static std::vector<Backend> list = make_builtin_backends();
-  return list;
-}
-
-}  // namespace
-
-void register_backend(Backend backend) {
-  LCS_CHECK(!backend.name.empty() && backend.construct != nullptr &&
-                backend.applicable != nullptr,
-            "shortcut backend needs a name, an applicability predicate, and "
-            "a construction");
-  for (const Backend& b : registry())
-    LCS_CHECK(b.name != backend.name,
-              "shortcut backend '" + backend.name + "' is already registered");
-  registry().push_back(std::move(backend));
-}
-
-const std::vector<Backend>& backends() { return registry(); }
 
 const Backend* find_backend(std::string_view name) {
-  for (const Backend& b : registry())
+  for (const Backend& b : backends())
     if (b.name == name) return &b;
   return nullptr;
 }
@@ -47,14 +20,14 @@ const Backend* find_backend(std::string_view name) {
 std::vector<std::string> applicable_backend_names(
     const scenario::Scenario& sc) {
   std::vector<std::string> names;
-  for (const Backend& b : registry())
+  for (const Backend& b : backends())
     if (b.applicable(sc).empty()) names.push_back(b.name);
   return names;
 }
 
 std::string registered_backend_names() {
   std::string names;
-  for (const Backend& b : registry()) {
+  for (const Backend& b : backends()) {
     if (!names.empty()) names += ", ";
     names += b.name;
   }

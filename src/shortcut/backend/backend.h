@@ -1,6 +1,7 @@
 /// \file backend.h
-/// The `ShortcutBackend` registry: pluggable shortcut constructions behind
-/// one vocabulary, mirroring the scenario-family registry (scenario.h).
+/// The `ShortcutBackend` registry: a fixed list of shortcut constructions
+/// behind one vocabulary, mirroring the scenario-family registry
+/// (scenario.h).
 ///
 /// A *backend* is one way to turn (scenario, engine, BFS tree, seed) into a
 /// tree-restricted shortcut: a spanning tree of its choosing plus the
@@ -87,7 +88,7 @@ struct BackendOutput {
   std::vector<std::pair<std::string, std::int64_t>> stats;
 };
 
-/// A registered shortcut construction.
+/// A shortcut construction.
 struct Backend {
   std::string name;
   std::string paper;    ///< citation tag for --list-backends and the README
@@ -97,20 +98,16 @@ struct Backend {
   std::function<BackendOutput(const BackendInput&)> construct;
 };
 
-/// Register an additional backend (e.g. from an experiment binary). The
-/// name must not collide with a built-in or previously registered backend.
-void register_backend(Backend backend);
-
-/// All registered backends (built-ins first), for help output.
+/// The fixed list of backends: hiz16, kkoi19, naive.
 const std::vector<Backend>& backends();
 
-/// Registered backend by name, or nullptr.
+/// Backend by name, or nullptr.
 const Backend* find_backend(std::string_view name);
 
-/// Names of the registered backends applicable to `sc`, in registry order.
+/// Names of the backends applicable to `sc`, in registry order.
 std::vector<std::string> applicable_backend_names(const scenario::Scenario& sc);
 
-/// "hiz16, kkoi19, naive, ..." — all registered names, for diagnostics.
+/// "hiz16, kkoi19, naive" — every backend name, for diagnostics.
 std::string registered_backend_names();
 
 }  // namespace lcs::backend

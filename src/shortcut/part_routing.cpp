@@ -72,24 +72,27 @@ congest::PerNode<std::uint64_t> part_min_flood(
   return part_min_flood(runner, b_steps, init);
 }
 
+congest::PerNode<NodeId> elect_part_leaders(SuperstepRunner& runner,
+                                            std::int32_t b_steps) {
+  const Partition& partition = runner.partition();
+  const std::size_t n = partition.part_of.size();
+  congest::PerNode<std::uint64_t> ids(n);
+  for (std::size_t v = 0; v < n; ++v) ids[v] = static_cast<std::uint64_t>(v);
+  const auto mins = part_min_flood(runner, b_steps, ids);
+  congest::PerNode<NodeId> leaders(n, kNoNode);
+  for (std::size_t v = 0; v < n; ++v) {
+    if (partition.part_of[v] != kNoPart)
+      leaders[v] = util::checked_cast<NodeId>(mins[v]);
+  }
+  return leaders;
+}
+
 congest::PerNode<NodeId> elect_part_leaders(
     congest::Network& net, const SpanningTree& tree, const Partition& partition,
     const ShortcutState& state, const NeighborParts& neighbor_parts,
     std::int32_t b_steps) {
-  congest::PerNode<std::uint64_t> ids(
-      static_cast<std::size_t>(net.num_nodes()), kNoValue);
-  for (NodeId v = 0; v < net.num_nodes(); ++v)
-    ids[static_cast<std::size_t>(v)] = static_cast<std::uint64_t>(v);
-  const auto mins = part_min_flood(net, tree, partition, state,
-                                   neighbor_parts, b_steps, ids);
-  congest::PerNode<NodeId> leaders(static_cast<std::size_t>(net.num_nodes()),
-                                   kNoNode);
-  for (NodeId v = 0; v < net.num_nodes(); ++v) {
-    if (partition.part(v) != kNoPart)
-      leaders[static_cast<std::size_t>(v)] =
-          util::checked_cast<NodeId>(mins[static_cast<std::size_t>(v)]);
-  }
-  return leaders;
+  SuperstepRunner runner(net, tree, partition, state, neighbor_parts);
+  return elect_part_leaders(runner, b_steps);
 }
 
 congest::PerNode<std::uint64_t> part_broadcast(

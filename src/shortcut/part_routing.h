@@ -50,7 +50,12 @@ congest::PerNode<std::uint64_t> part_min_flood(
     const ShortcutState& state, const NeighborParts& neighbor_parts,
     std::int32_t b_steps, const congest::PerNode<std::uint64_t>& init);
 
-/// Theorem 2(i): every part member learns the smallest node id in its part.
+/// Theorem 2(i): every part member learns the smallest node id in its part
+/// (a min-flood of member ids on `runner`).
+congest::PerNode<NodeId> elect_part_leaders(SuperstepRunner& runner,
+                                            std::int32_t b_steps);
+
+/// The same election on a runner of its own over `state`.
 congest::PerNode<NodeId> elect_part_leaders(
     congest::Network& net, const SpanningTree& tree, const Partition& partition,
     const ShortcutState& state, const NeighborParts& neighbor_parts,

@@ -119,12 +119,6 @@ std::string encode_shortcut_record(const ShortcutRunRecord& record) {
   w.put_i64(record.algo_rounds);
   w.put_i64(record.algo_messages);
 
-  w.put_u32(util::checked_cast<std::uint32_t>(record.charges.size()));
-  for (const auto& [label, rounds] : record.charges) {
-    w.put_string(label);
-    w.put_i64(rounds);
-  }
-
   w.put_u32(util::checked_cast<std::uint32_t>(record.backend_stats.size()));
   for (const auto& [label, value] : record.backend_stats) {
     w.put_string(label);
@@ -197,14 +191,6 @@ ShortcutRunRecord decode_shortcut_record(std::string_view bytes,
   record.setup_messages = r.get_i64("setup messages");
   record.algo_rounds = r.get_i64("algorithm rounds");
   record.algo_messages = r.get_i64("algorithm messages");
-
-  const std::uint32_t charge_count = r.get_u32("charge count");
-  record.charges.reserve(charge_count);
-  for (std::uint32_t i = 0; i < charge_count; ++i) {
-    std::string label(r.get_string("charge label"));
-    const std::int64_t rounds = r.get_i64("charge rounds");
-    record.charges.emplace_back(std::move(label), rounds);
-  }
 
   const std::uint32_t stat_count = r.get_u32("backend stat count");
   record.backend_stats.reserve(stat_count);

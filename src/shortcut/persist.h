@@ -10,8 +10,8 @@
 ///    shortcut (per-edge part lists) — from which congestion / block /
 ///    dilation and the validation section are recomputed, and
 ///  * the engine accounting the construction consumed (setup and algorithm
-///    rounds/messages, the charged-round breakdown, FindShortcut stats),
-///    which cannot be recomputed without re-running the engine.
+///    rounds/messages, FindShortcut stats), which cannot be recomputed
+///    without re-running the engine.
 ///
 /// The record is keyed by (spec hash, partition hash, seed, backend);
 /// decoding verifies the keys match the scenario and backend it is being
@@ -20,7 +20,7 @@
 ///
 /// ## File format (`.lcss`)
 ///
-///     magic 'LCSS' | u32 version (2)
+///     magic 'LCSS' | u32 version (3)
 ///     u64 spec_hash | u64 partition_hash | u64 seed | string backend
 ///     i32 root | u64 n | n x i32 parent_edge
 ///     u64 m | per tree edge with a nonempty part list:
@@ -29,12 +29,13 @@
 ///            | i64 rounds
 ///     i64 setup_rounds | i64 setup_messages
 ///     i64 algo_rounds | i64 algo_messages
-///     u32 charge_count | charge_count x (string label | i64 rounds)
 ///     u32 backend_stat_count | backend_stat_count x (string label | i64)
 ///
-/// Version history: v1 had no backend field and no backend stats; v1 files
-/// are rejected loudly ("unsupported shortcut record version 1" — delete
-/// the cache directory to regenerate), never misread as v2.
+/// Version history: v1 had no backend field and no backend stats; v2 stored
+/// a labelled charge list (always empty) between the algorithm messages and
+/// the backend stats. Older files are rejected loudly ("unsupported
+/// shortcut record version 2"), never misread as v3; `lcs_serve` recomputes
+/// and rewrites any record it cannot load.
 ///
 /// All fields little-endian via util/bytes.h; truncation and layout drift
 /// are diagnosed field-by-field. Writes go through the same atomic
@@ -54,7 +55,7 @@
 
 namespace lcs {
 
-inline constexpr std::uint32_t kShortcutRecordVersion = 2;
+inline constexpr std::uint32_t kShortcutRecordVersion = 3;
 
 /// One cached `--algo=shortcut` construction (see file comment).
 struct ShortcutRunRecord {
@@ -76,7 +77,6 @@ struct ShortcutRunRecord {
   std::int64_t setup_messages = 0;
   std::int64_t algo_rounds = 0;
   std::int64_t algo_messages = 0;
-  std::vector<std::pair<std::string, std::int64_t>> charges;
 };
 
 /// Rebuild a full SpanningTree from its parent-edge array (parents, depths,

@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <map>
+#include <string>
+#include <utility>
 
 #include "apps/aggregate.h"
 #include "apps/components.h"
@@ -11,7 +13,9 @@
 #include "graph/graph.h"
 #include "graph/partition.h"
 #include "graph/reference.h"
+#include "shortcut/find_shortcut.h"
 #include "shortcut/part_routing.h"
+#include "shortcut/superstep.h"
 #include "test_util.h"
 #include "util/random.h"
 
@@ -135,6 +139,71 @@ TEST(Aggregate, MinAndLeaderAndBroadcast) {
   for (NodeId v = 0; v < g.num_nodes(); ++v)
     EXPECT_EQ(delivered[static_cast<std::size_t>(v)],
               static_cast<std::uint64_t>(p.part(v)) * 7 + 1);
+}
+
+// One aggregator serves every operation on the one runner it built; the
+// per-call signatures build a runner per call. On identical networks the
+// two must return the same values and add the same rounds and messages,
+// operation by operation.
+TEST(Aggregate, SharedRunnerMatchesPerCallSignatures) {
+  for (const testutil::SuperstepFamily& f : testutil::superstep_families()) {
+    for (const int threads : {1, 3}) {
+      SCOPED_TRACE(std::string(f.name) + " threads=" + std::to_string(threads));
+      Sim shared(f.g, f.root, threads);
+      Sim per_call(f.g, f.root, threads);
+      shared.net.set_parallel_round_threshold(0);
+      per_call.net.set_parallel_round_threshold(0);
+      const auto totals = [](const Sim& sim) {
+        return std::make_pair(sim.net.total_rounds(),
+                              sim.net.total_messages());
+      };
+
+      PartAggregator agg(shared.net, shared.tree, f.p);
+      const FindShortcutResult found = find_shortcut_doubling(
+          per_call.net, per_call.tree, f.p, FindShortcutParams{});
+      const NeighborParts nb = exchange_neighbor_parts(per_call.net, f.p);
+      const std::int32_t b_steps = 3 * found.stats.used_b;
+      EXPECT_EQ(agg.construction_stats().used_b, found.stats.used_b);
+      EXPECT_EQ(agg.construction_stats().rounds, found.stats.rounds);
+      EXPECT_EQ(agg.neighbor_parts().parts, nb.parts);
+      EXPECT_EQ(totals(shared), totals(per_call));
+
+      const auto values_for = [&](std::uint64_t salt) {
+        congest::PerNode<std::uint64_t> values(
+            static_cast<std::size_t>(f.g.num_nodes()));
+        for (std::size_t v = 0; v < values.size(); ++v)
+          values[v] = (v * 2654435761u + salt) % 1000;
+        return values;
+      };
+      const auto first = values_for(17);
+      EXPECT_EQ(agg.min(first),
+                part_min_flood(per_call.net, per_call.tree, f.p, found.state,
+                               nb, b_steps, first));
+      EXPECT_EQ(totals(shared), totals(per_call));
+
+      const auto leaders = agg.leaders();
+      EXPECT_EQ(leaders, elect_part_leaders(per_call.net, per_call.tree, f.p,
+                                            found.state, nb, b_steps));
+      EXPECT_EQ(totals(shared), totals(per_call));
+
+      congest::PerNode<std::uint64_t> source(
+          static_cast<std::size_t>(f.g.num_nodes()), kNoValue);
+      for (NodeId v = 0; v < f.g.num_nodes(); ++v)
+        if (leaders[static_cast<std::size_t>(v)] == v)
+          source[static_cast<std::size_t>(v)] =
+              static_cast<std::uint64_t>(f.p.part(v)) * 7 + 1;
+      EXPECT_EQ(agg.broadcast(source),
+                part_broadcast(per_call.net, per_call.tree, f.p, found.state,
+                               nb, b_steps, source));
+      EXPECT_EQ(totals(shared), totals(per_call));
+
+      const auto second = values_for(501);
+      EXPECT_EQ(agg.min(second),
+                part_min_flood(per_call.net, per_call.tree, f.p, found.state,
+                               nb, b_steps, second));
+      EXPECT_EQ(totals(shared), totals(per_call));
+    }
+  }
 }
 
 TEST(Aggregate, WheelArcsFastAggregation) {

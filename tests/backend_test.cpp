@@ -1,6 +1,6 @@
-/// Tests for the ShortcutBackend registry (shortcut/backend/): registration
-/// invariants, applicability, and every built-in construction against the
-/// shortcut oracles.
+/// Tests for the ShortcutBackend registry (shortcut/backend/): the fixed
+/// list and its lookups, applicability, and every built-in construction
+/// against the shortcut oracles.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -14,7 +14,6 @@
 #include "shortcut/shortcut.h"
 #include "tree/bfs_tree.h"
 #include "tree/spanning_tree.h"
-#include "util/check.h"
 
 namespace lcs::backend {
 namespace {
@@ -34,18 +33,6 @@ TEST(BackendRegistry, BuiltinsComeFirstAndResolveByName) {
     EXPECT_FALSE(b.summary.empty()) << b.name;
   }
   EXPECT_EQ(find_backend("frobnicate"), nullptr);
-}
-
-TEST(BackendRegistry, RejectsCollidingAndIncompleteRegistrations) {
-  Backend dup;
-  dup.name = "hiz16";
-  dup.applicable = [](const scenario::Scenario&) { return std::string(); };
-  dup.construct = [](const BackendInput&) { return BackendOutput{}; };
-  EXPECT_THROW(register_backend(dup), CheckFailure);
-  Backend incomplete;
-  incomplete.name = "no-construct";
-  incomplete.applicable = dup.applicable;
-  EXPECT_THROW(register_backend(incomplete), CheckFailure);
 }
 
 TEST(BackendRegistry, ApplicabilityGatesKkoi19ToKtree) {

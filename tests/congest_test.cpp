@@ -188,20 +188,6 @@ TEST(Network, RoundLimitCatchesNonQuiescence) {
                CheckFailure);
 }
 
-TEST(Network, ChargedRoundsAccumulateWithLabels) {
-  const Graph g = make_path(2);
-  Network net(g);
-  net.charge(5, "seed-broadcast");
-  net.charge(3, "termination");
-  net.charge(2, "seed-broadcast");
-  EXPECT_EQ(net.total_rounds(), 10);
-  EXPECT_EQ(net.charged_rounds().at("seed-broadcast"), 7);
-  EXPECT_EQ(net.charged_rounds().at("termination"), 3);
-  net.reset_accounting();
-  EXPECT_EQ(net.total_rounds(), 0);
-  EXPECT_TRUE(net.charged_rounds().empty());
-}
-
 TEST(Network, AccountingAccumulatesAcrossPhases) {
   const Graph g = make_path(4);
   Network net(g);

@@ -169,6 +169,24 @@ TEST(Mst, DeterministicForFixedSeed) {
   EXPECT_EQ(s1.net.total_rounds(), s2.net.total_rounds());
 }
 
+// CoreFast samples parts only when c > 2·log2 n (gamma = 4); below that no
+// count depends on the shortcut seeds, so no golden sees the seed stream.
+// Starting the doubling at c = 64 on 64 nodes makes every phase sample, and
+// the exact counts pin MST's seed stream: its salt and the (c, b) carried
+// from phase to phase.
+TEST(Mst, SampledCoreFastPinsTheSeedStream) {
+  const Graph g = with_random_weights(make_grid(8, 8), 1, 1000, 3);
+  Sim sim(g);
+  const std::int64_t messages_before = sim.net.total_messages();
+  ShortcutMstOptions options;
+  options.seed = 5;
+  options.shortcut_params.c = 64;
+  const DistributedMst mst = mst_boruvka_shortcut(sim.net, sim.tree, options);
+  EXPECT_EQ(mst.edges, kruskal_mst(g).edges);
+  EXPECT_EQ(mst.rounds, 17928);
+  EXPECT_EQ(sim.net.total_messages() - messages_before, 169537);
+}
+
 TEST(Mst, PhaseCountLogarithmic) {
   const Graph g = with_random_weights(make_grid(10, 10), 1, 1000, 4);
   Sim sim(g);

@@ -41,7 +41,6 @@ ShortcutRunRecord sample_record(const scenario::Scenario& sc) {
   rec.setup_messages = 20;
   rec.algo_rounds = 30;
   rec.algo_messages = 40;
-  rec.charges = {{"core", 100}, {"verify", 50}};
   rec.backend_stats = {{"width", 3}, {"steiner_edges", 17}};
   return rec;
 }
@@ -67,7 +66,6 @@ void expect_same_record(const ShortcutRunRecord& a,
   EXPECT_EQ(a.setup_messages, b.setup_messages);
   EXPECT_EQ(a.algo_rounds, b.algo_rounds);
   EXPECT_EQ(a.algo_messages, b.algo_messages);
-  EXPECT_EQ(a.charges, b.charges);
   EXPECT_EQ(a.backend_stats, b.backend_stats);
 }
 
@@ -187,16 +185,18 @@ TEST(ShortcutRecord, FileRoundTripAndVersionRejection) {
                                                rec.partition_hash,
                                                rec.backend));
 
-  // Other format versions are rejected by name, never guessed at — both a
-  // future version and a stale v1 file (pre-backend layout: parsing it as
-  // v2 would misread the tree root as string length).
+  // Other format versions are rejected by name, never guessed at: a future
+  // version, a stale v1 file (pre-backend layout: parsing it as v3 would
+  // misread the tree root as string length) and a v2 file (its charge list
+  // would be misread as the backend stat count).
   std::string bytes;
   {
     std::ifstream in(path, std::ios::binary);
     bytes.assign(std::istreambuf_iterator<char>(in),
                  std::istreambuf_iterator<char>());
   }
-  for (const std::uint32_t bad_version : {kShortcutRecordVersion + 1, 1u}) {
+  for (const std::uint32_t bad_version :
+       {kShortcutRecordVersion + 1, 1u, 2u}) {
     bytes[4] = util::truncate_cast<char>(bad_version);
     {
       std::ofstream out(path, std::ios::binary);

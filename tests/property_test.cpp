@@ -155,14 +155,9 @@ TEST_P(PipelineProperty, Theorem3EndToEnd) {
               groups[static_cast<std::size_t>(j)].front());
   }
 
-  // Accounting sanity: rounds and messages were actually consumed and the
-  // charged labels are a subset of the totals.
+  // Accounting sanity: rounds and messages were actually consumed.
   EXPECT_GT(sim.net.total_rounds(), 0);
   EXPECT_GT(sim.net.total_messages(), 0);
-  std::int64_t charged = 0;
-  for (const auto& [label, rounds] : sim.net.charged_rounds())
-    charged += rounds;
-  EXPECT_LE(charged, sim.net.total_rounds());
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -117,11 +117,6 @@ TEST(Registry, FamilyLookupAndAcceptedKeys) {
     EXPECT_NE(std::find(accepted.begin(), accepted.end(), key),
               accepted.end())
         << key;
-
-  // A family that declared nothing opts out of pre-expansion checks.
-  scenario::Family undeclared = *grid;
-  undeclared.param_keys.clear();
-  EXPECT_TRUE(scenario::accepted_param_keys(undeclared).empty());
 }
 
 TEST(Registry, DeclaredKeysMatchWhatBuildersConsume) {
@@ -237,17 +232,6 @@ TEST(Registry, FileScenarioDiagnosesMissingAndDisconnected) {
   }
   EXPECT_THROW(make_scenario("file:" + path), CheckFailure);
   std::remove(path.c_str());
-}
-
-TEST(Registry, RegisterFamilyRejectsDuplicates) {
-  EXPECT_THROW(scenario::register_family(
-                   {"grid", "", "",
-                    [](scenario::SpecArgs&) {
-                      return scenario::FamilyResult{make_scenario("path:n=2").graph,
-                                                    std::nullopt};
-                    },
-                    /*param_keys=*/{}}),
-               CheckFailure);
 }
 
 }  // namespace

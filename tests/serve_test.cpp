@@ -280,8 +280,8 @@ std::set<std::string> timing_keys(const JsonValue& doc) {
 // asserted — it is the one sanctioned nondeterminism).
 TEST(ServeDriver, ReportEnvelopeWithTimingPinsKeyOrder) {
   const std::vector<std::string> engine_keys = {
-      "schema", "algorithm", "scenario", "config", "setup",
-      "result", "charges",   "validation", "timing"};
+      "schema", "algorithm", "scenario",   "config",
+      "setup",  "result",    "validation", "timing"};
   const std::vector<std::string> churn_keys = {
       "schema", "algorithm", "scenario", "config",
       "churn",  "checkpoints", "validation", "timing"};
@@ -413,6 +413,43 @@ TEST(ServeDriver, NegativeParallelThresholdIsRejected) {
   o.parallel_threshold = 0;
   EXPECT_EQ(driver::run_document(o, driver::RunHooks{}, out), 0);
   EXPECT_EQ(out, unset_doc);
+}
+
+// A negative thread count is an error naming the key on every path: the
+// warm shortcut path, which builds no network, and --algo=none included.
+TEST(ServeDriver, NegativeThreadsIsRejectedWithAWarmRecordCache) {
+  const std::string dir = fresh_dir("lcs_record_cache_threads");
+  {
+    serve::ScenarioCache scenarios(dir);
+    serve::ShortcutRecordCache records(dir);
+    const auto hooks = hooks_for(scenarios, records);
+    driver::RunOptions o;
+    o.algo = "shortcut";
+    o.scenario = "grid:w=6";
+    o.timing = false;
+    std::string cold_doc;
+    EXPECT_EQ(driver::run_document(o, hooks, cold_doc), 0);
+    EXPECT_EQ(records.stats().constructed, 1);
+
+    o.threads = -1;
+    for (const char* algo : {"shortcut", "mst", "none"}) {
+      SCOPED_TRACE(algo);
+      o.algo = algo;
+      std::string out;
+      try {
+        driver::run_document(o, hooks, out);
+        FAIL() << "negative threads accepted";
+      } catch (const CheckFailure& e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "threads (--threads) must be >= 0, got -1"),
+                  std::string::npos)
+            << e.what();
+      }
+      EXPECT_TRUE(out.empty());
+    }
+    EXPECT_EQ(records.stats().constructed, 1);
+  }
+  fs::remove_all(dir);
 }
 
 TEST(ServeDriver, SpecHashIsStableAcrossRuns) {

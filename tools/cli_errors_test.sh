@@ -157,6 +157,16 @@ expect_error_contains negative_parallel_threshold 2 \
   'parallel_threshold (--parallel-threshold) must be >= 0, got -5' \
   --algo=mst --scenario='grid:w=4' --parallel-threshold=-5 --no-timing
 
+# A negative thread count is rejected by name on every path, the runs that
+# start no engine included (lcs_serve answers its "threads" field with the
+# same document, also when the shortcut record is already cached).
+expect_error_contains negative_threads 2 \
+  'threads (--threads) must be >= 0, got -1' \
+  --algo=mst --scenario='grid:w=4' --threads=-1 --no-timing
+expect_error_contains negative_threads_no_engine 2 \
+  'threads (--threads) must be >= 0, got -1' \
+  --algo=none --scenario='grid:w=4' --threads=-1 --no-timing
+
 # A --sweep key that is not a parameter of the scenario family is rejected
 # before any expansion work (and names both the key and the family).
 expect_error_contains sweep_unknown_key 2 "'bogus'" \

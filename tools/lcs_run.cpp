@@ -11,8 +11,8 @@
 /// studies, generation smoke).
 /// The report carries the scenario parameters, graph metrics, exact round/
 /// message accounting (setup vs algorithm), oracle-validation results, and
-/// wall time. Rounds and messages are exact and none is charged under a
-/// label, so the report's `charges` object is always empty.
+/// wall time. Rounds and messages are exact: the engine simulates or
+/// counts every step, never estimates one.
 ///
 /// Determinism: everything except the `timing` object is a pure function of
 /// (--scenario, --algo, --seed, --fail-rate, --validate, --metrics,

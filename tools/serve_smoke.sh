@@ -72,6 +72,10 @@ add err_sweep '{"id":"err_sweep","algo":"components","scenario":"er:n=100,deg=4"
   '--algo=components --scenario=er:n=100,deg=4 --sweep=bogus=1..4 --no-timing'
 add err_threshold '{"id":"err_threshold","algo":"mst","scenario":"er:n=100,deg=4,seed=5","parallel_threshold":-5,"timing":false}' \
   '--algo=mst --scenario=er:n=100,deg=4,seed=5 --parallel-threshold=-5 --no-timing'
+# A negative thread count on a shortcut key the matrix also requests: the
+# error must not depend on whether that record is already cached.
+add err_threads '{"id":"err_threads","algo":"shortcut","scenario":"rmat:scale=7,deg=5,seed=3","seed":7,"threads":-1,"timing":false}' \
+  '--algo=shortcut --scenario=rmat:scale=7,deg=5,seed=3 --seed=7 --threads=-1 --no-timing'
 
 # Expected bytes and exit codes from the one-shot tool.
 for id in "${IDS[@]}"; do
@@ -137,6 +141,20 @@ reversed="$TMP/requests_reversed.jsonl"
 dir="$TMP/reversed"
 "$serve" --parallel-requests=4 < "$reversed" 2>/dev/null | split_frames "$dir"
 check_replay "reversed_order" "$dir"
+
+# A "threads" value that does not fit an int names the field (lcs_run's
+# flag parser words its own diagnosis, so this one is not a byte-identity
+# cell).
+payload=$(printf '%s\n' \
+  '{"id":"threads_range","algo":"mst","scenario":"grid:w=4","threads":99999999999,"timing":false}' \
+  '{"cmd":"quit"}' | "$serve" 2>/dev/null)
+if [[ "$payload" != *"request field 'threads' does not fit an int, got 99999999999"* ]]; then
+  echo "FAIL threads_range: diagnosis does not name the field:" >&2
+  echo "$payload" >&2
+  failures=$((failures + 1))
+else
+  echo "ok   threads_range"
+fi
 
 if [[ "$failures" -ne 0 ]]; then
   echo "serve_smoke: $failures failure(s)" >&2
