@@ -27,20 +27,10 @@ void run(benchmark::State& state, NodeId side, std::int32_t threshold) {
         compute_shortcut_state(rig.net, rig.tree, p, std::move(s));
 
     // Broadcast then convergecast on all block components in parallel, both
-    // on the one plan the shortcut's state carries.
-    const std::int64_t before = rig.net.total_rounds();
-    run_component_broadcast(
-        rig.net, rig.tree, st.plan,
-        [](NodeId, PartId) -> std::uint64_t { return 1; },
-        [](NodeId, PartId, std::uint64_t, std::int32_t) {});
-    const std::int64_t bcast = rig.net.total_rounds() - before;
-
-    run_component_convergecast(
-        rig.net, rig.tree, st.plan,
-        [](NodeId, PartId) -> std::uint64_t { return 1; },
-        [](std::uint64_t a, std::uint64_t b) { return a + b; },
-        [](NodeId, PartId, std::uint64_t) {});
-    const std::int64_t conv = rig.net.total_rounds() - before - bcast;
+    // on the one plan the shortcut's state carries, counted on the host.
+    const std::int64_t bcast =
+        broadcast_schedule(rig.tree, st.plan).stats.rounds;
+    const std::int64_t conv = convergecast_schedule(rig.tree, st.plan).rounds;
 
     state.counters["n"] = g.num_nodes();
     state.counters["D"] = rig.tree.height;

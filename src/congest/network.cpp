@@ -444,6 +444,7 @@ PhaseStats Network::run(std::span<Process* const> procs,
             "Network::run is not reentrant (called from a process "
             "callback?)");
   in_phase_ = true;
+  ++phases_;
   struct InPhaseReset {  // clears the flag on every exit, aborts included
     bool* flag;
     ~InPhaseReset() { *flag = false; }

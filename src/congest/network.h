@@ -5,26 +5,35 @@
 /// and runs synchronous rounds until the system is quiescent (no messages in
 /// flight, no wakeups pending) or a round limit trips. Rounds and messages
 /// are accounted exactly; the engine's own detection that a phase has gone
-/// quiescent is free and uncharged. Some schedules are not simulated on
-/// every use, because their rounds and messages are fixed in advance, never
-/// by the words they carry. These are counted off the engine and added
-/// through `add_replayed`:
+/// quiescent is free and uncharged. Most schedules are not simulated at
+/// all, because their rounds and messages are fixed in advance by the tree,
+/// the graph, the routing plan and the ids, never by the words they carry.
+/// These are counted on the host and added through `add_replayed`:
 ///
 ///  * `broadcast_word_from_root` (shortcut/tree_ops.h): height rounds and
-///    n − 1 messages, counted on the host from the tree;
+///    n − 1 messages, from the tree;
 ///  * `global_or` (shortcut/tree_ops.h): 2·height rounds and 2(n − 1)
-///    messages, counted on the host from the tree;
+///    messages, from the tree;
 ///  * `exchange_neighbor_parts` (shortcut/superstep.h): one round and 2m
-///    messages, counted on the host from the graph;
-///  * a shortcut's superstep (shortcut/superstep.h): its convergecast is
-///    simulated once per runner and replayed, its broadcast repeats the
-///    schedule `compute_shortcut_state` simulated once per shortcut, and
-///    its one-round exchange is counted on the host (one message per word,
-///    one round if any word was sent);
+///    messages, from the graph;
+///  * Lemma 2's broadcast and convergecast on a shortcut's routing plan
+///    (shortcut/tree_routing.h): `compute_shortcut_state` counts both once
+///    per shortcut and charges the broadcast;
+///  * a shortcut's superstep (shortcut/superstep.h): those two casts' stats
+///    plus its one-round exchange (one message per word, one round if any
+///    word was sent);
+///  * CoreSlow's id stream and CoreFast's sampled stream and routing phase
+///    (shortcut/core_slow.h, shortcut/core_fast.h), from the tree and the
+///    part ids;
 ///  * the supersteps past an idempotent flood's fixed point (Theorem 2's
 ///    min-floods, Verification's V1, V2 and V4) and Verification's silent
 ///    V3 levels: each repeats an earlier superstep's sends exactly and is
 ///    charged as its copy (`SuperstepRunner::repeat_last`).
+///
+/// So the shortcut layer runs no engine phase. What still runs on the
+/// engine is the BFS tree (tree/bfs_tree.h) and the MST baselines
+/// `mst_pipeline` (mst/pipeline.h) and `intra_part_min_flood`
+/// (mst/intra_flood.h); `phases()` counts the phases `run` has executed.
 ///
 /// The engine is activity-driven: per round it touches only nodes that
 /// received a message or requested a wakeup, so simulation work is
@@ -259,13 +268,16 @@ class Network {
   }
 
   /// Add the rounds and messages of protocol steps counted without the
-  /// engine (the list in the file comment): schedules `run` simulated once,
-  /// replayed, and schedules fixed in advance, counted on the host.
-  /// Never from inside a phase; the stats must be non-negative.
+  /// engine (the list in the file comment): schedules fixed in advance,
+  /// counted on the host, and supersteps charged as copies of an earlier
+  /// one. Never from inside a phase; the stats must be non-negative.
   void add_replayed(const PhaseStats& stats);
 
   std::int64_t total_rounds() const { return total_rounds_; }
   std::int64_t total_messages() const { return total_messages_; }
+  /// The number of phases `run` has executed (started, aborted ones
+  /// included). `add_replayed` adds none.
+  std::int64_t phases() const { return phases_; }
 
   /// Scratch storage reused by `run_phase` across phases so building the
   /// `Process*` view allocates only until the high-water mark is reached.
@@ -455,6 +467,7 @@ class Network {
 
   std::int64_t total_rounds_ = 0;
   std::int64_t total_messages_ = 0;
+  std::int64_t phases_ = 0;
 };
 
 /// White-box access for the engine's own tests — never use outside

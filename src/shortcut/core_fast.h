@@ -12,6 +12,19 @@
 /// Finally *all* ids are routed up the tree until their first unusable edge
 /// (a Lemma 2 tree-routing instance, O(D + c) rounds w.h.p.).
 ///
+/// Round accounting: all three phases are counted on the host and charged
+/// through `Network::add_replayed`; none runs on the engine. The seed flood
+/// is `broadcast_word_from_root` (tree_ops.h). The sampled stream is
+/// CoreSlow's (`stream_ids_up`, core_slow.h) over the active ids, with an
+/// edge unusable once `threshold` distinct ids want it. In the routing
+/// phase every node forwards each distinct id it learns over a usable
+/// parent edge: its own id is released at the start, any other in the
+/// round it first arrives, and each round the smallest released id departs
+/// (`depart_by_key`, tree_routing.h). Each phase takes latest departure + 2
+/// rounds, one message per id or end marker sent. `tests/engine_reference.h`
+/// keeps the engine protocols these passes replace, and
+/// `tests/core_test.cpp` checks one against the other.
+///
 /// Guarantees (Lemma 5): congestion ≤ 8c w.h.p.; at least half the parts
 /// get ≤ 3b block components whenever a (c, b) shortcut exists.
 #pragma once

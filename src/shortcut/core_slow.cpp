@@ -1,112 +1,66 @@
 #include "shortcut/core_slow.h"
 
 #include <algorithm>
-#include <set>
+#include <cstdint>
+#include <utility>
+#include <vector>
 
-#include "congest/message.h"
 #include "congest/network.h"
 #include "congest/process.h"
 #include "graph/graph.h"
 #include "graph/partition.h"
+#include "shortcut/tree_routing.h"
 #include "tree/spanning_tree.h"
-#include "util/cast.h"
 #include "util/check.h"
 
 namespace lcs {
 
-namespace {
-
-using congest::Context;
-using congest::Incoming;
-using congest::Message;
-
-enum Tag : std::uint32_t { kId, kEnd };
-
-/// Bottom-up list streaming: wait for END from every child, union the ids,
-/// decide usability of the parent edge, stream ids (or just END) upward.
-class CoreSlowProcess final : public congest::Process {
- public:
-  CoreSlowProcess(NodeId id, const SpanningTree& tree, PartId own_part,
-                  std::int32_t threshold)
-      : id_(id), tree_(tree), threshold_(threshold) {
-    if (own_part != kNoPart) ids_.insert(own_part);
-  }
-
-  // Outputs.
-  bool unusable = false;
-  std::vector<PartId> assigned;  ///< ids on the parent edge (usable only)
-
-  void on_start(Context& ctx) override {
-    pending_children_ = util::checked_cast<int>(
-        tree_.children_edges[static_cast<std::size_t>(id_)].size());
-    if (pending_children_ == 0) begin_streaming(ctx);
-  }
-
-  void on_round(Context& ctx, std::span<const Incoming> inbox) override {
-    for (const auto& in : inbox) {
-      switch (in.msg.tag) {
-        case kId: {
-          const auto j = util::checked_cast<PartId>(in.msg.words[0]);
-          // Cap the stored set just above the threshold: once the edge is
-          // over budget the exact surplus no longer matters.
-          if (util::checked_cast<std::int32_t>(ids_.size()) <= threshold_)
-            ids_.insert(j);
-          break;
-        }
-        case kEnd:
-          --pending_children_;
-          break;
-        default:
-          LCS_CHECK(false, "unknown CoreSlow tag");
-      }
+IdStream stream_ids_up(const SpanningTree& tree,
+                       const congest::PerNode<PartId>& own,
+                       std::int64_t limit, EdgeId num_edges) {
+  const std::size_t n = tree.depth.size();
+  LCS_CHECK(own.size() == n, "one part id per node required");
+  IdStream out;
+  out.parts_on_edge.resize(static_cast<std::size_t>(num_edges));
+  out.unusable.assign(n, false);
+  // Per node: the round it starts streaming, one after its last child's
+  // end marker (-1, the start, for a leaf).
+  std::vector<std::int64_t> start(n, -1);
+  std::vector<PartId> ids;  // scratch: one node's distinct ids
+  std::int64_t latest = -1;
+  std::int64_t messages = 0;
+  const std::vector<NodeId> order = nodes_by_depth(tree);
+  for (auto it = order.rbegin(); it != order.rend(); ++it) {
+    const auto i = static_cast<std::size_t>(*it);
+    const EdgeId pe = tree.parent_edge[i];
+    if (pe == kNoEdge) continue;  // the tree root informs no one
+    ids.clear();
+    if (own[i] != kNoPart) ids.push_back(own[i]);
+    for (const EdgeId ce : tree.children_edges[i]) {
+      const auto& below = out.parts_on_edge[static_cast<std::size_t>(ce)];
+      ids.insert(ids.end(), below.begin(), below.end());
     }
-    if (!streaming_ && pending_children_ == 0) {
-      begin_streaming(ctx);
-    } else if (streaming_) {
-      continue_streaming(ctx);
-    }
-  }
+    std::sort(ids.begin(), ids.end());
+    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
 
- private:
-  void begin_streaming(Context& ctx) {
-    streaming_ = true;
-    if (util::checked_cast<std::int32_t>(ids_.size()) > threshold_) {
-      unusable = true;
+    // The ids (on a usable edge), one per round, then the end marker.
+    std::int64_t end_marker = start[i];
+    if (static_cast<std::int64_t>(ids.size()) >= limit) {
+      out.unusable[i] = true;
     } else {
-      assigned.assign(ids_.begin(), ids_.end());
+      end_marker += static_cast<std::int64_t>(ids.size());
+      messages += static_cast<std::int64_t>(ids.size());
+      out.parts_on_edge[static_cast<std::size_t>(pe)] = ids;
     }
-    cursor_ = 0;
-    continue_streaming(ctx);
+    ++messages;
+    latest = std::max(latest, end_marker);
+    std::int64_t& parent_start =
+        start[static_cast<std::size_t>(tree.parent[i])];
+    parent_start = std::max(parent_start, end_marker + 1);
   }
-
-  void continue_streaming(Context& ctx) {
-    if (end_sent_) return;
-    const EdgeId pe = tree_.parent_edge[static_cast<std::size_t>(id_)];
-    if (pe == kNoEdge) {  // tree root: nothing above to inform
-      end_sent_ = true;
-      return;
-    }
-    if (!unusable && cursor_ < assigned.size()) {
-      ctx.send(pe, Message(kId, static_cast<std::uint64_t>(
-                                    assigned[cursor_++])));
-      ctx.wake_next_round();
-      return;
-    }
-    ctx.send(pe, Message(kEnd));
-    end_sent_ = true;
-  }
-
-  NodeId id_;
-  const SpanningTree& tree_;
-  std::int32_t threshold_;
-  std::set<PartId> ids_;
-  int pending_children_ = 0;
-  bool streaming_ = false;
-  bool end_sent_ = false;
-  std::size_t cursor_ = 0;
-};
-
-}  // namespace
+  out.stats = cast_stats(latest, messages);
+  return out;
+}
 
 CoreResult core_slow(congest::Network& net, const SpanningTree& tree,
                      const congest::PerNode<PartId>& active_part_of,
@@ -119,28 +73,15 @@ CoreResult core_slow_threshold(congest::Network& net, const SpanningTree& tree,
                                const congest::PerNode<PartId>& active_part_of,
                                std::int32_t threshold) {
   LCS_CHECK(threshold >= 1, "threshold must be positive");
-  const NodeId n = net.num_nodes();
-  LCS_CHECK(active_part_of.size() == static_cast<std::size_t>(n),
+  LCS_CHECK(active_part_of.size() == static_cast<std::size_t>(net.num_nodes()),
             "one part id per node required");
-
-  std::vector<CoreSlowProcess> procs;
-  procs.reserve(static_cast<std::size_t>(n));
-  for (NodeId v = 0; v < n; ++v)
-    procs.emplace_back(v, tree, active_part_of[static_cast<std::size_t>(v)],
-                       threshold);
-  congest::run_phase(net, procs);
-
+  // An edge stays usable with at most `threshold` distinct ids.
+  IdStream stream = stream_ids_up(tree, active_part_of,
+                                  std::int64_t{threshold} + 1,
+                                  net.graph().num_edges());
+  net.add_replayed(stream.stats);
   CoreResult result;
-  result.shortcut.parts_on_edge.resize(
-      static_cast<std::size_t>(net.graph().num_edges()));
-  for (NodeId v = 0; v < n; ++v) {
-    auto& p = procs[static_cast<std::size_t>(v)];
-    const EdgeId pe = tree.parent_edge[static_cast<std::size_t>(v)];
-    if (pe != kNoEdge && !p.unusable) {
-      result.shortcut.parts_on_edge[static_cast<std::size_t>(pe)] =
-          std::move(p.assigned);
-    }
-  }
+  result.shortcut.parts_on_edge = std::move(stream.parts_on_edge);
   return result;
 }
 

@@ -171,6 +171,12 @@ ShortcutRunRecord decode_shortcut_record(std::string_view bytes,
     LCS_CHECK(parts.empty(), "shortcut record repeats edge " + std::to_string(e));
     const std::uint32_t count = r.get_u32("part count");
     LCS_CHECK(count >= 1, "shortcut record lists edge with no parts");
+    // Each part id takes 4 bytes: a count the remaining bytes cannot hold
+    // is diagnosed before it sizes an allocation.
+    LCS_CHECK(count <= r.remaining() / 4,
+              "shortcut record part count " + std::to_string(count) +
+                  " exceeds the remaining " + std::to_string(r.remaining()) +
+                  " bytes on edge " + std::to_string(e));
     parts.reserve(count);
     for (std::uint32_t j = 0; j < count; ++j) {
       const PartId p = r.get_i32("part id");
@@ -193,6 +199,11 @@ ShortcutRunRecord decode_shortcut_record(std::string_view bytes,
   record.algo_messages = r.get_i64("algorithm messages");
 
   const std::uint32_t stat_count = r.get_u32("backend stat count");
+  // Each stat takes at least 16 bytes (a label length and a value).
+  LCS_CHECK(stat_count <= r.remaining() / 16,
+            "shortcut record backend stat count " +
+                std::to_string(stat_count) + " exceeds the remaining " +
+                std::to_string(r.remaining()) + " bytes");
   record.backend_stats.reserve(stat_count);
   for (std::uint32_t i = 0; i < stat_count; ++i) {
     std::string label(r.get_string("backend stat label"));

@@ -13,10 +13,12 @@
 /// rely on.
 ///
 /// That knowledge, flattened per node, is the shortcut's `ComponentPlan`
-/// (tree_routing.h): built here before the broadcast, which runs on it and
-/// writes each parent-edge slot's root depth, and reused by every superstep
-/// that routes on the shortcut, together with the broadcast's `PhaseStats`,
-/// which every superstep's broadcast on the plan repeats.
+/// (tree_routing.h): built here, then completed with each parent-edge
+/// slot's root depth by the broadcast, and reused by every superstep that
+/// routes on the shortcut. The broadcast is counted on the host
+/// (`broadcast_schedule`) and charged once; its `PhaseStats`, and those of
+/// a convergecast on the finished plan (`convergecast_schedule`), are what
+/// every superstep's two casts on the plan cost.
 #pragma once
 
 #include "congest/network.h"
@@ -44,15 +46,17 @@ struct ShortcutState {
   ComponentPlan plan;
 
   /// The rounds and messages of the representation broadcast on `plan`.
-  /// A broadcast's sends on a plan depend only on the plan, the part ids
-  /// and the root depths, never on the words, so this is every later
-  /// broadcast's cost on the same plan: the superstep runner
-  /// (superstep.h) adds it instead of simulating the broadcast again.
+  /// A cast's sends on a plan depend only on the plan, the part ids and
+  /// the root depths, never on the words, so this is every later
+  /// broadcast's cost on the same plan, and `convergecast` every
+  /// convergecast's: the superstep runner (superstep.h) adds both.
   congest::PhaseStats broadcast;
+  congest::PhaseStats convergecast;
 };
 
-/// Run the representation phase for `shortcut` (rounds accounted in `net`)
-/// and bundle the results. The shortcut must be valid for (tree, partition).
+/// Run the representation phase for `shortcut` (its broadcast's rounds are
+/// accounted in `net`) and bundle the results. The shortcut must be valid
+/// for (tree, partition).
 ShortcutState compute_shortcut_state(congest::Network& net,
                                      const SpanningTree& tree,
                                      const Partition& partition,

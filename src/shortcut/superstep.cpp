@@ -3,17 +3,14 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "congest/network.h"
-#include "congest/process.h"
 #include "graph/graph.h"
 #include "graph/partition.h"
 #include "shortcut/representation.h"
 #include "shortcut/tree_routing.h"
 #include "tree/spanning_tree.h"
-#include "util/cast.h"
 #include "util/check.h"
 
 namespace lcs {
@@ -56,10 +53,7 @@ SuperstepRunner::SuperstepRunner(congest::Network& net,
                                  const Partition& partition,
                                  const ShortcutState& state,
                                  const NeighborParts& neighbor_parts)
-    : net_(net),
-      tree_(tree),
-      partition_(partition),
-      state_(state) {
+    : net_(net), partition_(partition), state_(state) {
   const Graph& g = net.graph();
   const NodeId n = net.num_nodes();
   const auto un = static_cast<std::size_t>(n);
@@ -90,35 +84,14 @@ SuperstepRunner::SuperstepRunner(congest::Network& net,
   });
   cross_word_.resize(cross_.size());
 
-  // Every slot with its parent slot (same part at the tree parent),
-  // shallowest nodes first.
-  const std::int32_t height =
-      n == 0 ? 0 : *std::max_element(tree.depth.begin(), tree.depth.end());
-  const std::vector<std::size_t> nodes =
-      counting_order(un, util::checked_usize(height) + 1, [&](std::size_t v) {
-        return util::checked_usize(tree.depth[v]);
-      });
-  by_depth_.reserve(plan.slots.size());
-  for (const std::size_t i : nodes) {
-    const auto v = util::checked_cast<NodeId>(i);
-    const NodeId up = tree.parent[i];
-    for (std::size_t s = plan.slot_off[i]; s < plan.slot_off[i + 1]; ++s) {
-      const ComponentPlan::Slot& slot = plan.slots[s];
-      std::size_t parent = kRootSlot;
-      if (slot.has_parent) {
-        LCS_CHECK(up != kNoNode, "the tree root has no parent slot");
-        parent = plan.slot_index(up, slot.part);
-        LCS_CHECK(parent < plan.slots.size(),
-                  "component plan has a slot without its parent slot");
-        ++parent_slots_;
-      }
-      by_depth_.push_back(TreeSlot{s, parent, v});
-    }
-  }
-  // Every superstep's broadcast replays the schedule the representation
-  // phase simulated on this plan: one message per parent-edge slot.
-  LCS_CHECK(state.broadcast.messages == parent_slots_,
-            "shortcut state's broadcast is not one message per parent-edge "
+  // Every superstep's casts repeat the schedules the representation phase
+  // counted on this plan: one message per parent-edge slot each.
+  const auto parent_slots = std::count_if(
+      plan.slots.begin(), plan.slots.end(),
+      [](const ComponentPlan::Slot& slot) { return slot.has_parent(); });
+  LCS_CHECK(state.broadcast.messages == parent_slots &&
+                state.convergecast.messages == parent_slots,
+            "shortcut state's casts are not one message per parent-edge "
             "slot");
 
   // A part member with no slot for its part is a singleton component.
@@ -128,21 +101,6 @@ SuperstepRunner::SuperstepRunner(congest::Network& net,
       singletons_.push_back(v);
   }
   acc_.resize(plan.slots.size());
-}
-
-void SuperstepRunner::simulate_convergecast() {
-  // The schedule never depends on the words, so placeholders stand in for
-  // the hooks' words.
-  const congest::PhaseStats up = run_component_convergecast(
-      net_, tree_, state_.plan,
-      [](NodeId, PartId) -> std::uint64_t { return 0; },
-      [](std::uint64_t a, std::uint64_t b) { return a | b; },
-      [](NodeId, PartId, std::uint64_t) {});
-  // The host fold sends one message per slot that rides its parent edge;
-  // the schedule just simulated must agree.
-  LCS_CHECK(up.messages == parent_slots_,
-            "convergecast is not one message per parent-edge slot");
-  converge_stats_ = up;
 }
 
 void SuperstepRunner::repeat_last(std::int64_t count) {

@@ -23,11 +23,11 @@
 /// tree_routing.h), and a `SuperstepRunner` built once per (shortcut,
 /// partition) runs the loop.
 ///
-/// ## One engine phase per runner
+/// ## No engine phase
 ///
-/// Every superstep, the first included, takes one value path on the host:
-/// it makes the hook calls below and adds its rounds and messages through
-/// one `Network::add_replayed` call.
+/// Every superstep takes one value path on the host: it makes the hook
+/// calls below and adds its rounds and messages through one
+/// `Network::add_replayed` call.
 ///  * exchange — `cross_message` over the runner's list of same-part
 ///    directed edges in send order (sender ascending, then adjacency order),
 ///    then `on_cross` in delivery order (receiver ascending, then send
@@ -35,35 +35,29 @@
 ///  * convergecast — `contribution` for every slot in node/slot order (the
 ///    engine's `on_start` order), then each slot that rides its parent edge
 ///    folds into its parent's slot of the same part, deepest nodes first;
+///    its rounds and messages are `ShortcutState::convergecast`;
 ///  * broadcast — every slot takes its component root's aggregate and
 ///    `on_aggregate` fires once per slot, shallowest nodes first; its
 ///    rounds and messages are `ShortcutState::broadcast`;
 ///  * singletons — `on_aggregate` with the node's own `contribution`, for
 ///    each part member without a plan slot for its part.
 ///
-/// The runner's one engine phase is the convergecast's schedule, run once
-/// on the plan with placeholder words (each node contributes 0, `|`
-/// combines) by the first call; the engine charges it, and every later
-/// call adds its kept stats. No user hook runs inside an engine phase.
-///
 /// Why this is exact: a node's sends in steps 2–3 depend only on the part
-/// ids and root depths on its tree edges (the Lemma 2 keys) and on how many
-/// child messages have arrived — all fixed by the plan, never by the words
-/// being aggregated — so every convergecast on one plan has the schedule
-/// of the placeholder one, and every broadcast has the schedule
-/// `compute_shortcut_state` simulated on the same plan. Each sends one
-/// message per slot that rides its parent edge (checked). The exchange is
-/// one round with no schedule to simulate: each word is one message over a
+/// ids and root depths on its tree edges (the Lemma 2 keys) and on when
+/// its items reach it — all fixed by the plan, never by the words being
+/// aggregated — so every convergecast and every broadcast on one plan has
+/// the schedule `compute_shortcut_state` counted on it (tree_routing.h's
+/// host passes, checked against the engine protocols in the tests). Each
+/// sends one message per slot that rides its parent edge. The exchange is
+/// one round with no schedule to count: each word is one message over a
 /// directed edge that appears once in the runner's list. `combine` is
 /// associative and commutative and every hook touches only its own node's
-/// state, so the runner makes the engine's hook calls with the same
-/// arguments, each once, and only the interleaving across nodes differs.
-/// Two orders are not kept, so hooks must not depend on them: how
+/// state, so the runner makes the engine protocols' hook calls with the
+/// same arguments, each once, and only the interleaving across nodes
+/// differs. Two orders are not kept, so hooks must not depend on them: how
 /// `combine` groups its operands, and the order of one node's
 /// `on_aggregate` calls for different parts. Every other call at a node
-/// comes in the engine's order. The convergecast's schedule runs under the
-/// engine's CONGEST checks once per runner; the broadcast's is checked when
-/// `compute_shortcut_state` runs it.
+/// comes in the engine protocols' order.
 ///
 /// ## Neighbor parts
 ///
@@ -90,7 +84,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <limits>
 #include <optional>
 #include <span>
 #include <type_traits>
@@ -165,17 +158,17 @@ struct SuperstepHooks {
   OnCross on_cross{};
 };
 
-/// Runs supersteps over one fixed shortcut and partition, with one engine
-/// phase in all: the convergecast's schedule, run by the first superstep
-/// (see the file comment).
-/// Holds references to `net`, `tree`, `partition` and `state`, which must
+/// Runs supersteps over one fixed shortcut and partition on the host,
+/// without an engine phase (see the file comment).
+/// Holds references to `net`, `partition` and `state`, which must
 /// outlive it; a runner is meant to be local to one call and is not safe to
 /// share across threads.
 class SuperstepRunner {
  public:
   /// Checks that `tree`, `partition` and `state` are sized for `net`,
   /// that `neighbor_parts` was learned on `net`'s graph, and that
-  /// `state.broadcast` sent one message per parent-edge slot.
+  /// `state.broadcast` and `state.convergecast` each send one message per
+  /// parent-edge slot.
   SuperstepRunner(congest::Network& net, const SpanningTree& tree,
                   const Partition& partition, const ShortcutState& state,
                   const NeighborParts& neighbor_parts);
@@ -202,23 +195,7 @@ class SuperstepRunner {
     NodeId to = kNoNode;
     EdgeId edge = kNoEdge;
   };
-  /// `TreeSlot::parent` of a slot whose node roots its component.
-  static constexpr std::size_t kRootSlot =
-      std::numeric_limits<std::size_t>::max();
-  /// A slot of the plan with its node and, if it rides the node's parent
-  /// edge, the parent's slot of the same part (else kRootSlot).
-  struct TreeSlot {
-    std::size_t slot = 0;
-    std::size_t parent = kRootSlot;
-    NodeId node = kNoNode;
-  };
-
-  /// Runs the convergecast's schedule on the engine with placeholder words
-  /// and keeps its stats in `converge_stats_`.
-  void simulate_convergecast();
-
   congest::Network& net_;
-  const SpanningTree& tree_;
   const Partition& partition_;
   const ShortcutState& state_;
 
@@ -226,15 +203,9 @@ class SuperstepRunner {
   /// delivery order.
   std::vector<CrossEdge> cross_;
   std::vector<std::size_t> delivery_;
-  /// Every slot of the plan, shallowest nodes first (ties by node id, then
-  /// slot order).
-  std::vector<TreeSlot> by_depth_;
-  std::int64_t parent_slots_ = 0;
   /// Nodes whose own-part component is a singleton, ascending.
   std::vector<NodeId> singletons_;
 
-  /// The convergecast's stats, once the first call has simulated it.
-  std::optional<congest::PhaseStats> converge_stats_;
   /// The whole cost of the last superstep, once one has run.
   std::optional<congest::PhaseStats> last_stats_;
 
@@ -251,7 +222,9 @@ void SuperstepRunner::run(const Hooks& hooks) {
   static_assert(kExchange == !std::is_same_v<OnCross, NoExchange>,
                 "cross_message and on_cross come together");
   const ComponentPlan& plan = state_.plan;
-  congest::PhaseStats stats = state_.broadcast;
+  congest::PhaseStats stats = {
+      state_.convergecast.rounds + state_.broadcast.rounds,
+      state_.convergecast.messages + state_.broadcast.messages};
 
   // 1. Cross-edge exchange between adjacent supernodes over G[Pi] edges:
   //    one round if any word was sent.
@@ -273,25 +246,30 @@ void SuperstepRunner::run(const Hooks& hooks) {
 
   // 2. Convergecast within components, into the root slots of `acc_`:
   //    contributions in the engine's on_start order, then children fold
-  //    into parents, deepest nodes first. The first call simulates the
-  //    schedule, which the engine charges; later calls add its stats.
+  //    into parents, deepest nodes first.
   for (NodeId v = 0; v < net_.num_nodes(); ++v) {
     const auto i = static_cast<std::size_t>(v);
     for (std::size_t s = plan.slot_off[i]; s < plan.slot_off[i + 1]; ++s)
       acc_[s] = hooks.contribution(v, plan.slots[s].part);
   }
-  for (auto it = by_depth_.rbegin(); it != by_depth_.rend(); ++it) {
-    if (it->parent != kRootSlot)
-      acc_[it->parent] = hooks.combine(acc_[it->parent], acc_[it->slot]);
+  for (auto it = plan.by_depth.rbegin(); it != plan.by_depth.rend(); ++it) {
+    const auto i = static_cast<std::size_t>(*it);
+    for (std::size_t s = plan.slot_off[i + 1]; s-- > plan.slot_off[i];) {
+      const std::size_t up = plan.slots[s].parent;
+      if (up != ComponentPlan::kNoSlot)
+        acc_[up] = hooks.combine(acc_[up], acc_[s]);
+    }
   }
-  const bool simulate = !converge_stats_.has_value();
-  if (simulate) simulate_convergecast();
 
   // 3. Broadcast: shallowest first, so a parent slot already holds its
   //    component root's aggregate when its children copy it.
-  for (const TreeSlot& t : by_depth_) {
-    if (t.parent != kRootSlot) acc_[t.slot] = acc_[t.parent];
-    hooks.on_aggregate(t.node, plan.slots[t.slot].part, acc_[t.slot]);
+  for (const NodeId v : plan.by_depth) {
+    const auto i = static_cast<std::size_t>(v);
+    for (std::size_t s = plan.slot_off[i]; s < plan.slot_off[i + 1]; ++s) {
+      const std::size_t up = plan.slots[s].parent;
+      if (up != ComponentPlan::kNoSlot) acc_[s] = acc_[up];
+      hooks.on_aggregate(v, plan.slots[s].part, acc_[s]);
+    }
   }
 
   // 4. Singleton components never exchange intra-component messages: their
@@ -302,10 +280,8 @@ void SuperstepRunner::run(const Hooks& hooks) {
     hooks.on_aggregate(v, j, hooks.contribution(v, j));
   }
 
-  const congest::PhaseStats& up = *converge_stats_;
-  last_stats_ = {stats.rounds + up.rounds, stats.messages + up.messages};
-  // The engine already charged the convergecast it just simulated.
-  net_.add_replayed(simulate ? stats : *last_stats_);
+  last_stats_ = stats;
+  net_.add_replayed(stats);
 }
 
 /// Runs up to `steps` supersteps of an idempotent flood on `runner`.

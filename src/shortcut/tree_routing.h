@@ -11,27 +11,49 @@
 ///
 /// The per-node routing knowledge of one shortcut is built once into a
 /// `ComponentPlan` (flat per-node slices, see below) and shared by every
-/// phase that routes on that shortcut. Two one-phase engines run on it:
-///  * `run_component_broadcast` — each component root injects one word; it
-///    is delivered to every node of the component. Messages carry the root
-///    depth, so the Lemma 2 priority is available on arrival (this is also
-///    how the plan's parent-edge root depths, part of the "distributed
-///    representation", are computed in the first place).
-///  * `run_component_convergecast` — every node of a component contributes
-///    one word; an associative, commutative combiner folds them toward the
-///    component root. Upward priorities use the parent-edge root depths the
-///    representation broadcast wrote into the plan (see representation.h).
+/// cast that routes on that shortcut. Both casts are counted on the host,
+/// never simulated on the engine:
+///  * `broadcast_schedule` — each component root injects one word, which
+///    reaches every node of the component. Messages carry the root depth,
+///    so the Lemma 2 priority is available on arrival; the pass also yields
+///    each slot's component root, which is how the plan's parent-edge root
+///    depths (part of the "distributed representation", representation.h)
+///    are learned in the first place.
+///  * `convergecast_schedule` — every node of a component contributes one
+///    word, folded toward the component root. Upward priorities use the
+///    parent-edge root depths the representation broadcast wrote into the
+///    plan.
 ///
-/// Nodes only consult local data: their own plan slices (the ids on their
-/// incident tree edges and the per-edge priorities), and callbacks that
-/// read/write their own node's slot. A phase's protocol state lives in flat
-/// buffers sized from the plan; node v touches only its own slices, and each
-/// child-edge queue has a single writer, the edge's upper endpoint.
+/// ## The schedule
+///
+/// Each cast is a set of one-message-per-round queues on tree edges. A
+/// node's sends depend only on the part ids and root depths on its tree
+/// edges and on the rounds its items reach it, never on the words being
+/// cast, so one pass over the tree gives every item's departure round:
+/// shallowest nodes first for the broadcast (each node's queue on its
+/// parent edge holds the words its parent forwards down), deepest first for
+/// the convergecast (each node's queue on its parent edge holds its
+/// components' partial aggregates).
+///  * On every edge, each round, the released pending item with the
+///    smallest key departs (`depart_by_key`).
+///  * An item is released in the round its node learned it: -1 for what
+///    the node knows at the start, else the round after the departure that
+///    brought it (for a convergecast, the last of its children's).
+///  * Keys: `kRootDepth` orders by (root depth, part), `kPartId` by part,
+///    `kFifo` by (release, part).
+///  * A cast sends one message per item and takes latest departure + 2
+///    rounds — the start's sends are delivered in the first round, and the
+///    last message arrives in the round after it departs — or 0 rounds if
+///    nothing was sent (`cast_stats`).
+///
+/// `tests/engine_reference.h` keeps the engine protocols these passes
+/// replace, and `tests/tree_routing_test.cpp` checks one against the other.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
+#include <limits>
+#include <span>
 #include <vector>
 
 #include "congest/network.h"
@@ -53,37 +75,38 @@ enum class RoutingPriority {
 /// What each node knows about the block components through it, for one
 /// shortcut on one tree (Section 4.1's distributed representation).
 ///
-/// The arrays are CSR over nodes — node v's entries of `X` are
-/// `X[X_off[v] .. X_off[v + 1])` — except `queue_part`, which is CSR over
-/// `child_edge`. Protocols for node v read only v's entries.
+/// The slots are CSR over nodes — node v's slots are
+/// `slots[slot_off[v] .. slot_off[v + 1])`. Protocols for node v read only
+/// v's slots and, for a slot that rides v's parent edge, the parent's slot
+/// of the same part: the slot at the other end of that edge.
 struct ComponentPlan {
+  /// `Slot::parent` of a slot whose node roots its component.
+  static constexpr std::size_t kNoSlot =
+      std::numeric_limits<std::size_t>::max();
+
   /// One per part on an edge incident to the node.
   struct Slot {
     PartId part = kNoPart;
-    /// Child edges of the node that carry `part`.
-    std::int32_t expected = 0;
     /// Depth of `part`'s component root, as recorded on the node's parent
     /// edge: set on parent-edge slots by the representation broadcast, -1
     /// on the others.
     std::int32_t parent_root_depth = -1;
-    /// `part` rides the node's parent edge (else the node roots it).
-    bool has_parent = false;
+    /// The tree parent's slot of the same part if `part` rides the node's
+    /// parent edge, else kNoSlot (the node roots the component).
+    std::size_t parent = kNoSlot;
+
+    bool has_parent() const { return parent != kNoSlot; }
   };
 
-  /// The node's child edges, ascending EdgeId (the per-round flush order).
-  std::vector<std::size_t> child_off;
-  std::vector<EdgeId> child_edge;
-  /// Aligned with `child_edge` plus one: child edge k's parts, ascending,
-  /// are `queue_part[queue_off[k] .. queue_off[k + 1])`; a broadcast queues
-  /// at most one message per part, so the same range is that edge's queue.
-  std::vector<std::size_t> queue_off;
-  std::vector<PartId> queue_part;
   /// One slot per incident part, ascending by part. The slots without a
   /// parent edge are the components rooted at the node.
   std::vector<std::size_t> slot_off;
   std::vector<Slot> slots;
+  /// The nodes with at least one slot, shallowest first, ties by id: their
+  /// slot ranges in this order put every slot after its parent slot.
+  std::vector<NodeId> by_depth;
   /// Set once every parent-edge slot holds its root depth (see
-  /// representation.h); the convergecast requires it.
+  /// representation.h); the kRootDepth convergecast requires it.
   bool has_root_depths = false;
 
   /// Index in `slots` of v's slot for part j (a flat key for per-slot
@@ -91,39 +114,62 @@ struct ComponentPlan {
   std::size_t slot_index(NodeId v, PartId j) const;
 };
 
-/// Build the plan (child edges and their parts, slots without root depths)
-/// for `shortcut` on `tree`. Purely local knowledge: node v's slices come
-/// from the ids on its own incident tree edges.
+/// Build the plan (slots with their parent links, and the depth order; no
+/// root depths) for `shortcut` on `tree`. Purely local knowledge: node v's
+/// slots come from the ids on its own incident tree edges.
 ComponentPlan make_component_plan(const SpanningTree& tree,
                                   const Shortcut& shortcut);
 
-/// Broadcast one word from every block-component root to all nodes of that
-/// component.
-///
-/// `root_value(v, j)` is invoked once per component rooted at node `v` with
-/// part id `j` and returns the word to broadcast. `on_receive(v, j, value,
-/// root_depth)` fires at every node of the component, including the root
-/// itself. Returns the phase stats (rounds, messages).
-congest::PhaseStats run_component_broadcast(
-    congest::Network& net, const SpanningTree& tree, const ComponentPlan& plan,
-    const std::function<std::uint64_t(NodeId root, PartId j)>& root_value,
-    const std::function<void(NodeId v, PartId j, std::uint64_t value,
-                             std::int32_t root_depth)>& on_receive,
+/// The tree's nodes, shallowest first, ties by id.
+std::vector<NodeId> nodes_by_depth(const SpanningTree& tree);
+
+/// One item waiting on a tree edge for its round.
+struct QueuedItem {
+  /// The round its node learned it; -1 for what it knew at the start.
+  std::int64_t release = -1;
+  /// Among the released items, the smallest key departs first. Distinct
+  /// within one edge.
+  std::uint64_t key = 0;
+  /// The caller's handle on the item (a slot, a part id).
+  std::size_t ref = 0;
+  /// Set by `depart_by_key`.
+  std::int64_t departure = -1;
+};
+
+/// Departs the items queued on one tree edge, one per round: each round,
+/// the released pending item with the smallest key. Sets every item's
+/// `departure` and leaves the items in departure order.
+void depart_by_key(std::span<QueuedItem> items);
+
+/// A host-counted phase's stats: `messages` sends, the latest of them in
+/// round `latest_departure` (-1 for the start). latest departure + 2
+/// rounds, or 0 rounds without a send.
+congest::PhaseStats cast_stats(std::int64_t latest_departure,
+                               std::int64_t messages);
+
+/// A broadcast from every block-component root of a plan to all nodes of
+/// its component, counted on the host.
+struct BroadcastSchedule {
+  /// Per slot: the root of the slot's component, whose word the slot's
+  /// node receives (the node itself for a slot without a parent edge).
+  std::vector<NodeId> root;
+  /// Its rounds and messages: one message per slot that rides its parent
+  /// edge. Nothing is charged to any network.
+  congest::PhaseStats stats;
+};
+
+/// The broadcast's schedule on `plan` under `priority` (see the file
+/// comment). Needs no root depths in the plan: the pass learns them.
+BroadcastSchedule broadcast_schedule(
+    const SpanningTree& tree, const ComponentPlan& plan,
     RoutingPriority priority = RoutingPriority::kRootDepth);
 
-/// Convergecast one word from every node of each block component to the
-/// component root.
-///
-/// `contribution(v, j)` is invoked once per node per incident component and
-/// returns the word that node feeds in. `combine` must be associative and
-/// commutative. `on_root_result(v, j, agg)` fires at each component root.
+/// The rounds and messages of a convergecast from every node of each block
+/// component to the component root under `priority`, counted on the host
+/// (nothing is charged): one message per slot that rides its parent edge.
 /// The plan must carry root depths (`has_root_depths`).
-congest::PhaseStats run_component_convergecast(
-    congest::Network& net, const SpanningTree& tree, const ComponentPlan& plan,
-    const std::function<std::uint64_t(NodeId v, PartId j)>& contribution,
-    const std::function<std::uint64_t(std::uint64_t, std::uint64_t)>& combine,
-    const std::function<void(NodeId root, PartId j, std::uint64_t agg)>&
-        on_root_result,
+congest::PhaseStats convergecast_schedule(
+    const SpanningTree& tree, const ComponentPlan& plan,
     RoutingPriority priority = RoutingPriority::kRootDepth);
 
 }  // namespace lcs

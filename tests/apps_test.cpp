@@ -13,10 +13,14 @@
 #include "graph/graph.h"
 #include "graph/partition.h"
 #include "graph/reference.h"
+#include "mst/boruvka_shortcut.h"
+#include "mst/mwoe.h"
 #include "shortcut/find_shortcut.h"
 #include "shortcut/part_routing.h"
 #include "shortcut/superstep.h"
+#include "shortcut/verification.h"
 #include "test_util.h"
+#include "util/cast.h"
 #include "util/random.h"
 
 namespace lcs {
@@ -218,6 +222,52 @@ TEST(Aggregate, WheelArcsFastAggregation) {
   agg.leaders();
   // One aggregation is far cheaper than any arc diameter (~32).
   EXPECT_LT(sim.net.total_rounds() - before, 30);
+}
+
+// The shortcut layer runs no engine phase: once the BFS tree is built, the
+// construction (with either core), Verification, every aggregation and
+// MST's Boruvka loop are counted on the host, so the engine's phase
+// counter stands still.
+TEST(EnginePhases, ShortcutLayerRunsNone) {
+  for (const testutil::SuperstepFamily& f : testutil::superstep_families()) {
+    for (const int threads : {1, 3}) {
+      SCOPED_TRACE(std::string(f.name) + " threads=" + std::to_string(threads));
+      Sim sim(f.g, f.root, threads);
+      const std::int64_t bfs_phases = sim.net.phases();
+      EXPECT_GT(bfs_phases, 0);
+
+      for (const bool use_fast : {true, false}) {
+        FindShortcutParams params;
+        params.use_fast = use_fast;
+        const FindShortcutResult found =
+            find_shortcut_doubling(sim.net, sim.tree, f.p, params);
+        EXPECT_EQ(sim.net.phases(), bfs_phases) << "use_fast=" << use_fast;
+        const NeighborParts nb = exchange_neighbor_parts(sim.net, f.p);
+        (void)verify_block_parameter(sim.net, sim.tree, f.p, found.state,
+                                     3 * found.stats.used_b, nb);
+        EXPECT_EQ(sim.net.phases(), bfs_phases) << "use_fast=" << use_fast;
+      }
+
+      PartAggregator agg(sim.net, sim.tree, f.p);
+      congest::PerNode<std::uint64_t> values(
+          static_cast<std::size_t>(f.g.num_nodes()));
+      for (std::size_t v = 0; v < values.size(); ++v) values[v] = v % 13;
+      (void)agg.min(values);
+      const auto leaders = agg.leaders();
+      congest::PerNode<std::uint64_t> source(values.size(), kNoValue);
+      for (std::size_t v = 0; v < values.size(); ++v)
+        if (leaders[v] == util::checked_cast<NodeId>(v)) source[v] = v;
+      (void)agg.broadcast(source);
+      EXPECT_EQ(sim.net.phases(), bfs_phases);
+
+      const Graph weighted = with_random_weights(f.g, 1, 1000, 7);
+      Sim mst(weighted, f.root, threads);
+      const std::int64_t mst_bfs_phases = mst.net.phases();
+      const DistributedMst tree = mst_boruvka_shortcut(mst.net, mst.tree);
+      EXPECT_EQ(tree.edges, kruskal_mst(weighted).edges);
+      EXPECT_EQ(mst.net.phases(), mst_bfs_phases);
+    }
+  }
 }
 
 }  // namespace

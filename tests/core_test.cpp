@@ -1,6 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <string>
+
 #include "congest/process.h"
+#include "engine_reference.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
 #include "graph/partition.h"
@@ -10,6 +16,8 @@
 #include "shortcut/shortcut.h"
 #include "test_util.h"
 #include "tree/spanning_tree.h"
+#include "util/cast.h"
+#include "util/random.h"
 
 namespace lcs {
 namespace {
@@ -182,6 +190,86 @@ TEST(CoreFast, UnusableEdgesBlockPropagation) {
   const CoreResult result =
       core_fast(setup.net, setup.tree, p.part_of, CoreFastParams{1, 4.0, 3});
   EXPECT_LE(congestion(g, p, result.shortcut), 8);
+}
+
+// ---------------------------------------------------------------------------
+// Host-counted cores against the engine references (engine_reference.h).
+// On every reference family, at 1 and 3 threads with every engine round on
+// the parallel path and validation on, each core must put the reference's
+// ids on every edge and add its rounds and messages, and its stream must
+// declare the same parent edges unusable. CoreFast's c values reach
+// sampling probabilities well below 1.
+
+TEST(CoreReference, CoreFastMatchesEngine) {
+  for (const testutil::SuperstepFamily& f : testutil::reference_families()) {
+    for (const int threads : {1, 3}) {
+      Sim sim(f.g, f.root, threads);
+      for (const std::int32_t c : {1, 2, 8, 64, 200}) {
+        for (const double gamma : {1.0, 4.0}) {
+          SCOPED_TRACE(std::string(f.name) + " threads=" +
+                       std::to_string(threads) + " c=" + std::to_string(c) +
+                       " gamma=" + std::to_string(gamma));
+          const CoreFastParams params{c, gamma,
+                                      static_cast<std::uint64_t>(c) * 31 + 7};
+          CoreResult got;
+          const auto got_cost = testutil::measure(sim.net, [&] {
+            got = core_fast(sim.net, sim.tree, f.p.part_of, params);
+          });
+          testutil::ReferenceCore want;
+          const auto want_cost = testutil::measure(sim.net, [&] {
+            want = testutil::reference_core_fast(sim.net, sim.tree,
+                                                 f.p.part_of, params);
+          });
+          EXPECT_EQ(got.shortcut.parts_on_edge, want.shortcut.parts_on_edge);
+          EXPECT_EQ(got_cost, want_cost);
+
+          // The sampled stream over the ids whose coins come up.
+          const double p = core_fast_sampling_probability(
+              f.g.num_nodes(), c, gamma);
+          const auto threshold = util::checked_trunc<std::int32_t>(
+              std::max(1.0, std::ceil(4.0 * c * p)));
+          congest::PerNode<PartId> sampled(f.p.part_of.size(), kNoPart);
+          for (std::size_t v = 0; v < sampled.size(); ++v) {
+            const PartId j = f.p.part_of[v];
+            if (j != kNoPart &&
+                hash_coin(params.seed, static_cast<std::uint64_t>(j), p))
+              sampled[v] = j;
+          }
+          EXPECT_EQ(stream_ids_up(sim.tree, sampled, threshold,
+                                  f.g.num_edges())
+                        .unusable,
+                    want.unusable);
+        }
+      }
+    }
+  }
+}
+
+TEST(CoreReference, CoreSlowMatchesEngine) {
+  for (const testutil::SuperstepFamily& f : testutil::reference_families()) {
+    for (const int threads : {1, 3}) {
+      Sim sim(f.g, f.root, threads);
+      for (const std::int32_t c : {1, 2, 8, 64, 200}) {
+        SCOPED_TRACE(std::string(f.name) + " threads=" +
+                     std::to_string(threads) + " c=" + std::to_string(c));
+        CoreResult got;
+        const auto got_cost = testutil::measure(sim.net, [&] {
+          got = core_slow(sim.net, sim.tree, f.p.part_of, c);
+        });
+        testutil::ReferenceCore want;
+        const auto want_cost = testutil::measure(sim.net, [&] {
+          want = testutil::reference_core_slow(sim.net, sim.tree, f.p.part_of,
+                                               2 * c);
+        });
+        EXPECT_EQ(got.shortcut.parts_on_edge, want.shortcut.parts_on_edge);
+        EXPECT_EQ(got_cost, want_cost);
+        EXPECT_EQ(stream_ids_up(sim.tree, f.p.part_of, 2 * c + 1,
+                                f.g.num_edges())
+                      .unusable,
+                  want.unusable);
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -26,6 +26,7 @@
 #include "congest/message.h"
 #include "congest/network.h"
 #include "congest/process.h"
+#include "engine_reference.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
 #include "graph/partition.h"
@@ -608,11 +609,11 @@ TEST(ParallelPipeline, PartLeadersAreThreadCountInvariant) {
 
 // ---------------------------------------------------------------------------
 // Superstep runner against the engine: a SuperstepRunner makes every hook
-// call on the host and runs only the convergecast's schedule, with
-// placeholder words, on the engine. Against an engine-only superstep (the
-// exchange, the convergecast and the broadcast each an engine phase), every
-// superstep, the first included, must leave the same per-node state, add
-// the same rounds and messages, and make the same hook calls.
+// call on the host and runs no engine phase. Against an engine-only
+// superstep (the exchange and the reference convergecast and broadcast of
+// engine_reference.h, each an engine phase), every superstep, the first
+// included, must leave the same per-node state, add the same rounds and
+// messages, and make the same hook calls.
 
 /// Per-node protocol state and hook-call logs of one side of the
 /// comparison. Hooks for node v write only index v, so the logs stay
@@ -842,11 +843,12 @@ void engine_superstep(Network& net, const SpanningTree& tree,
   }
   const ComponentPlan& plan = state.plan;
   std::vector<std::uint64_t> root_agg(plan.slots.size(), h.identity);
-  run_component_convergecast(net, tree, plan, h.contribution, h.combine,
-                             [&](NodeId root, PartId j, std::uint64_t agg) {
-                               root_agg[plan.slot_index(root, j)] = agg;
-                             });
-  run_component_broadcast(
+  testutil::reference_component_convergecast(
+      net, tree, plan, h.contribution, h.combine,
+      [&](NodeId root, PartId j, std::uint64_t agg) {
+        root_agg[plan.slot_index(root, j)] = agg;
+      });
+  testutil::reference_component_broadcast(
       net, tree, plan,
       [&](NodeId root, PartId j) {
         return root_agg[plan.slot_index(root, j)];
@@ -930,7 +932,7 @@ TEST(ParallelSuperstep, ReplayMatchesEngine) {
 }
 
 // The representation broadcast's stats are the plan's broadcast schedule:
-// any other broadcast on the same plan, whatever words it carries, takes
+// any engine broadcast on the same plan, whatever words it carries, takes
 // the same rounds and sends one message per slot that rides its parent
 // edge. The superstep runner adds these stats instead of simulating it.
 TEST(ParallelRepresentation, BroadcastStatsAreThePlansSchedule) {
@@ -945,15 +947,15 @@ TEST(ParallelRepresentation, BroadcastStatsAreThePlansSchedule) {
       const auto parent_slots =
           std::count_if(plan.slots.begin(), plan.slots.end(),
                         [](const ComponentPlan::Slot& slot) {
-                          return slot.has_parent;
+                          return slot.has_parent();
                         });
       EXPECT_GT(state.broadcast.rounds, 0);
       EXPECT_EQ(state.broadcast.messages, parent_slots);
 
       const auto ignore = [](NodeId, PartId, std::uint64_t, std::int32_t) {};
-      const PhaseStats zeros = run_component_broadcast(
+      const PhaseStats zeros = testutil::reference_component_broadcast(
           sim.net, sim.tree, plan, [](NodeId, PartId) { return 0; }, ignore);
-      const PhaseStats mixed = run_component_broadcast(
+      const PhaseStats mixed = testutil::reference_component_broadcast(
           sim.net, sim.tree, plan,
           [](NodeId root, PartId j) {
             return static_cast<std::uint64_t>(root) * 7919 +

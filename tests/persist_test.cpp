@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "graph/graph.h"
@@ -223,6 +224,52 @@ TEST(ShortcutRecord, FileRoundTripAndVersionRejection) {
                                     rec.partition_hash, rec.backend),
                CheckFailure);
   std::remove(path.c_str());
+}
+
+TEST(ShortcutRecord, ForgedCountsAreDiagnosedBeforeAllocation) {
+  // A count read from the file sizes a reservation only once the bytes
+  // left can hold it; a forged one is a structured error, never bad_alloc.
+  const scenario::Scenario sc = scenario::make_scenario("grid:w=4,h=3");
+  const ShortcutRunRecord rec = sample_record(sc);
+  const std::string bytes = encode_shortcut_record(rec);
+  const auto decode = [&](const std::string& forged) {
+    (void)decode_shortcut_record(forged, sc.graph, rec.spec_hash,
+                                 rec.partition_hash, rec.backend);
+  };
+  const auto forge_u32 = [&](std::size_t at) {
+    std::string forged = bytes;
+    for (std::size_t k = 0; k < 4; ++k) forged[at + k] = '\xff';
+    return forged;
+  };
+
+  // The first listed edge's part count sits after the fixed header, the
+  // tree, the edge count, the nonempty count and that edge's id.
+  const std::size_t first_part_count =
+      3 * 8 + 8 + rec.backend.size() + 4 + 8 +
+      4 * rec.tree.parent_edge.size() + 8 + 4 + 4;
+  // The backend stat count precedes the stats, each a length-prefixed
+  // label and an i64.
+  std::size_t stats_bytes = 0;
+  for (const auto& [label, value] : rec.backend_stats)
+    stats_bytes += 8 + label.size() + 8;
+  const std::size_t stat_count = bytes.size() - stats_bytes - 4;
+
+  for (const auto& [what, at] :
+       {std::pair<std::string, std::size_t>{"part count", first_part_count},
+        std::pair<std::string, std::size_t>{"backend stat count",
+                                            stat_count}}) {
+    SCOPED_TRACE(what);
+    // The forged field really is the count: its bytes decode as 2.
+    ASSERT_EQ(bytes.substr(at, 4), std::string("\x02\0\0\0", 4));
+    try {
+      decode(forge_u32(at));
+      FAIL() << "forged " << what << " decoded";
+    } catch (const CheckFailure& e) {
+      EXPECT_NE(std::string(e.what()).find(what + " 4294967295 exceeds"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
 #include <vector>
 
@@ -21,28 +22,29 @@ using testutil::Sim;
 using testutil::central_components;
 
 /// The routing plan against the centralized components: each node's slots
-/// are exactly the parts on its incident tree edges, `expected` counts the
-/// child edges carrying the part, a parent-edge slot holds its component
-/// root's depth, and the slots without a parent edge are the components
-/// rooted there (with no depth).
+/// are exactly the parts on its incident tree edges, a parent-edge slot
+/// links to its parent's slot of the part and holds its component root's
+/// depth, and the slots without a parent edge are the components rooted
+/// there (with no depth).
 void expect_plan_matches_components(const Graph& g, const SpanningTree& tree,
                                     const Partition& p, const Shortcut& s,
                                     const ComponentPlan& plan) {
+  struct WantSlot {
+    bool has_parent = false;
+    std::int32_t root_depth = -1;
+  };
   const auto n = static_cast<std::size_t>(g.num_nodes());
-  std::vector<std::map<PartId, ComponentPlan::Slot>> want_slots(n);
+  std::vector<std::map<PartId, WantSlot>> want_slots(n);
   for (PartId j = 0; j < p.num_parts; ++j) {
     for (const auto& comp : central_components(g, tree, p, s, j)) {
       if (comp.edges.empty()) continue;  // singletons: no tree edge, no slot
       for (const EdgeId e : comp.edges) {
         const auto lower = static_cast<std::size_t>(tree.lower_endpoint(e));
         const auto upper = static_cast<std::size_t>(tree.parent[lower]);
-        ComponentPlan::Slot& down = want_slots[upper][j];
-        down.part = j;
-        ++down.expected;
-        ComponentPlan::Slot& up = want_slots[lower][j];
-        up.part = j;
+        want_slots[upper].try_emplace(j);
+        WantSlot& up = want_slots[lower][j];
         up.has_parent = true;
-        up.parent_root_depth = tree.depth[static_cast<std::size_t>(comp.root)];
+        up.root_depth = tree.depth[static_cast<std::size_t>(comp.root)];
       }
     }
   }
@@ -55,22 +57,25 @@ void expect_plan_matches_components(const Graph& g, const SpanningTree& tree,
     for (const auto& [j, want] : want_slots[i]) {
       const ComponentPlan::Slot& got = plan.slots[k++];
       EXPECT_EQ(got.part, j) << "node " << v;
-      EXPECT_EQ(got.expected, want.expected) << "node " << v << " part " << j;
-      EXPECT_EQ(got.has_parent, want.has_parent)
+      EXPECT_EQ(got.has_parent(), want.has_parent)
           << "node " << v << " part " << j;
-      EXPECT_EQ(got.parent_root_depth, want.parent_root_depth)
+      EXPECT_EQ(got.parent_root_depth, want.root_depth)
           << "node " << v << " part " << j;
+      if (want.has_parent) {
+        EXPECT_EQ(got.parent, plan.slot_index(tree.parent[i], j))
+            << "node " << v << " part " << j;
+      }
     }
-    std::vector<EdgeId> children = tree.children_edges[i];
-    std::sort(children.begin(), children.end());
-    EXPECT_EQ(std::vector<EdgeId>(
-                  plan.child_edge.begin() +
-                      static_cast<std::ptrdiff_t>(plan.child_off[i]),
-                  plan.child_edge.begin() +
-                      static_cast<std::ptrdiff_t>(plan.child_off[i + 1])),
-              children)
-        << "node " << v;
   }
+  // The nodes with slots, shallowest first, ties by id.
+  std::vector<NodeId> by_depth;
+  for (NodeId v = 0; v < g.num_nodes(); ++v)
+    if (!want_slots[static_cast<std::size_t>(v)].empty()) by_depth.push_back(v);
+  std::stable_sort(by_depth.begin(), by_depth.end(), [&](NodeId a, NodeId b) {
+    return tree.depth[static_cast<std::size_t>(a)] <
+           tree.depth[static_cast<std::size_t>(b)];
+  });
+  EXPECT_EQ(plan.by_depth, by_depth);
 }
 
 void expect_representation_correct(const Graph& g, const Partition& p,

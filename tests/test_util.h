@@ -4,6 +4,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
 #include <set>
 #include <utility>
@@ -72,6 +73,33 @@ inline std::vector<SuperstepFamily> superstep_families() {
         {"wheel", make_wheel(n), make_cycle_arcs_partition(n, 6), n - 1});
   }
   return families;
+}
+
+/// The superstep families plus a one-node graph and a path: the graphs the
+/// engine-reference tests compare the host-counted schedules on.
+inline std::vector<SuperstepFamily> reference_families() {
+  std::vector<SuperstepFamily> families = superstep_families();
+  {
+    Graph g = make_path(1);
+    Partition p = make_random_bfs_partition(g, 1, 1);
+    families.push_back({"one-node", std::move(g), std::move(p), 0});
+  }
+  {
+    Graph g = make_path(23);
+    Partition p = make_random_bfs_partition(g, 4, 3);
+    families.push_back({"path", std::move(g), std::move(p), 0});
+  }
+  return families;
+}
+
+/// Runs `body` and returns the rounds and messages it added to `net`.
+template <class Body>
+std::pair<std::int64_t, std::int64_t> measure(const congest::Network& net,
+                                              Body&& body) {
+  const std::int64_t r0 = net.total_rounds();
+  const std::int64_t m0 = net.total_messages();
+  body();
+  return {net.total_rounds() - r0, net.total_messages() - m0};
 }
 
 /// One block component of a part, computed centrally.

@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <map>
+#include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
 
 #include "congest/network.h"
+#include "engine_reference.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
 #include "graph/partition.h"
@@ -24,6 +26,8 @@ namespace {
 using testutil::CentralComponent;
 using testutil::Sim;
 using testutil::central_components;
+using testutil::reference_component_broadcast;
+using testutil::reference_component_convergecast;
 
 /// Shared scenario: graph + partition + greedy shortcut at a threshold.
 struct Scenario {
@@ -53,7 +57,7 @@ TEST(TreeRouting, BroadcastReachesEveryComponentNodeExactlyOnce) {
 
     // (node, part) -> received values.
     std::map<std::pair<NodeId, PartId>, std::vector<std::uint64_t>> seen;
-    run_component_broadcast(
+    reference_component_broadcast(
         setup.net, setup.tree, make_component_plan(setup.tree, sc.s),
         [](NodeId root, PartId j) {
           return (static_cast<std::uint64_t>(root) << 20) |
@@ -90,7 +94,7 @@ TEST(TreeRouting, ConvergecastSumsComponentContributions) {
         compute_shortcut_state(setup.net, setup.tree, p, sc.s);
 
     std::map<std::pair<NodeId, PartId>, std::uint64_t> results;
-    run_component_convergecast(
+    reference_component_convergecast(
         setup.net, setup.tree, state.plan,
         [](NodeId, PartId) -> std::uint64_t { return 1; },  // count nodes
         [](std::uint64_t a, std::uint64_t b) { return a + b; },
@@ -119,7 +123,7 @@ TEST(TreeRouting, ConvergecastMinFindsComponentMinimum) {
       compute_shortcut_state(setup.net, setup.tree, p, sc.s);
 
   std::map<std::pair<NodeId, PartId>, std::uint64_t> results;
-  run_component_convergecast(
+  reference_component_convergecast(
       setup.net, setup.tree, state.plan,
       [](NodeId v, PartId) { return static_cast<std::uint64_t>(v); },
       [](std::uint64_t a, std::uint64_t b) { return std::min(a, b); },
@@ -161,11 +165,11 @@ TEST(TreeRouting, FifoDispatchesSimultaneouslyReadyComponentsInPartOrder) {
 
   ComponentPlan plan = make_component_plan(setup.tree, s);
   for (ComponentPlan::Slot& slot : plan.slots)
-    if (slot.has_parent) slot.parent_root_depth = 0;  // root: node 0
+    if (slot.has_parent()) slot.parent_root_depth = 0;  // root: node 0
   plan.has_root_depths = true;
 
   std::vector<PartId> order;
-  run_component_convergecast(
+  reference_component_convergecast(
       setup.net, setup.tree, plan,
       [](NodeId v, PartId) { return static_cast<std::uint64_t>(v); },
       [](std::uint64_t a, std::uint64_t b) { return a + b; },
@@ -179,6 +183,13 @@ TEST(TreeRouting, FifoDispatchesSimultaneouslyReadyComponentsInPartOrder) {
   ASSERT_EQ(order.size(), static_cast<std::size_t>(kParts));
   for (PartId j = 0; j < kParts; ++j)
     EXPECT_EQ(order[static_cast<std::size_t>(j)], j) << "dispatch position " << j;
+
+  // The host schedule's (release, part) key: node 2's ten words leave in
+  // rounds -1 .. 8, and node 1 forwards each the round after it arrives.
+  const congest::PhaseStats host =
+      convergecast_schedule(setup.tree, plan, RoutingPriority::kFifo);
+  EXPECT_EQ(host.rounds, 11);
+  EXPECT_EQ(host.messages, 2 * kParts);
 }
 
 TEST(TreeRouting, SlotIndexFindsANodesSlotForAPart) {
@@ -268,8 +279,9 @@ TEST(TreeRouting, BroadcastSendOrderOnContestedEdgesPerPriority) {
     }
 
     std::vector<Delivery> got;
-    const congest::PhaseStats stats = run_component_broadcast(
-        setup.net, setup.tree, make_component_plan(setup.tree, s), word,
+    const ComponentPlan plan = make_component_plan(setup.tree, s);
+    const congest::PhaseStats stats = reference_component_broadcast(
+        setup.net, setup.tree, plan, word,
         [&](NodeId v, PartId j, std::uint64_t value, std::int32_t depth) {
           got.emplace_back(v, j, value, depth);
         },
@@ -278,7 +290,48 @@ TEST(TreeRouting, BroadcastSendOrderOnContestedEdgesPerPriority) {
     EXPECT_EQ(stats.rounds, static_cast<std::int64_t>(c.sends.size()))
         << c.name;
     EXPECT_EQ(stats.messages, messages) << c.name;
+    const congest::PhaseStats host =
+        broadcast_schedule(setup.tree, plan, c.priority).stats;
+    EXPECT_EQ(host.rounds, stats.rounds) << c.name;
+    EXPECT_EQ(host.messages, messages) << c.name;
   }
+}
+
+TEST(TreeRouting, RootDepthPriorityShortensAContestedConvergecast) {
+  // 0 - 1 - 2 - 3 rooted at 0. Part 1 rides every edge (rooted at node 0,
+  // depth 0); part 0 rides only edge 2-3 (rooted at node 2, depth 2). Leaf
+  // 3 holds both partial aggregates from the start on one edge. The root
+  // depth key sends part 1 first, so it climbs while part 0 waits a round:
+  // departures -1, 0, 1 for part 1 and 0 for part 0, 3 rounds. Part id and
+  // FIFO order send part 0 first and delay part 1's climb a round: 4.
+  const Graph g = make_path(4);
+  Sim setup(g);
+  Partition p;
+  p.part_of = {kNoPart, kNoPart, 0, 1};
+  p.num_parts = 2;
+  Shortcut s;
+  s.parts_on_edge = {{1}, {1}, {0, 1}};
+  const ShortcutState state =
+      compute_shortcut_state(setup.net, setup.tree, p, s);
+
+  const std::pair<RoutingPriority, std::int64_t> cases[] = {
+      {RoutingPriority::kRootDepth, 3},
+      {RoutingPriority::kPartId, 4},
+      {RoutingPriority::kFifo, 4}};
+  for (const auto& [priority, rounds] : cases) {
+    const congest::PhaseStats got =
+        convergecast_schedule(setup.tree, state.plan, priority);
+    const congest::PhaseStats want = reference_component_convergecast(
+        setup.net, setup.tree, state.plan,
+        [](NodeId, PartId) -> std::uint64_t { return 0; },
+        [](std::uint64_t a, std::uint64_t b) { return a | b; },
+        [](NodeId, PartId, std::uint64_t) {}, priority);
+    EXPECT_EQ(got.rounds, rounds);
+    EXPECT_EQ(got.messages, 4);
+    EXPECT_EQ(want.rounds, rounds);
+    EXPECT_EQ(want.messages, 4);
+  }
+  EXPECT_EQ(state.convergecast.rounds, 3);
 }
 
 TEST(TreeRouting, Lemma2RoundBound) {
@@ -291,12 +344,9 @@ TEST(TreeRouting, Lemma2RoundBound) {
       const auto p = make_random_bfs_partition(g, 25, seed + 9);
       Scenario sc(g, p, setup.tree, threshold);
 
-      const std::int64_t before = setup.net.total_rounds();
-      run_component_broadcast(
-          setup.net, setup.tree, make_component_plan(setup.tree, sc.s),
-          [](NodeId, PartId) -> std::uint64_t { return 7; },
-          [](NodeId, PartId, std::uint64_t, std::int32_t) {});
-      const std::int64_t rounds = setup.net.total_rounds() - before;
+      const std::int64_t rounds =
+          broadcast_schedule(setup.tree, make_component_plan(setup.tree, sc.s))
+              .stats.rounds;
       EXPECT_LE(rounds,
                 2 * (setup.tree.height + sc.max_ids_per_edge) + 8)
           << "seed " << seed << " threshold " << threshold;
@@ -316,12 +366,100 @@ TEST(TreeRouting, FullAncestorBroadcastCongestionStress) {
     c = std::max(c, util::checked_cast<std::int32_t>(
                         s.parts_on_edge[static_cast<std::size_t>(e)].size()));
 
-  const std::int64_t before = setup.net.total_rounds();
-  run_component_broadcast(
-      setup.net, setup.tree, make_component_plan(setup.tree, s),
-      [](NodeId, PartId) -> std::uint64_t { return 1; },
-      [](NodeId, PartId, std::uint64_t, std::int32_t) {});
-  EXPECT_LE(setup.net.total_rounds() - before, 2 * (setup.tree.height + c) + 8);
+  const std::int64_t rounds =
+      broadcast_schedule(setup.tree, make_component_plan(setup.tree, s))
+          .stats.rounds;
+  EXPECT_LE(rounds, 2 * (setup.tree.height + c) + 8);
+}
+
+// ---------------------------------------------------------------------------
+// Host schedules against the engine references (engine_reference.h). On
+// every reference family, at 1 and 3 threads with every engine round on the
+// parallel path and validation on, each priority's host broadcast and
+// convergecast must take the reference protocol's rounds and messages, and
+// the host broadcast must give every slot the root and root depth the
+// reference delivers. The shortcuts range from uncontested to every part on
+// every ancestor edge.
+
+TEST(TreeRoutingReference, HostSchedulesMatchEngine) {
+  const std::pair<const char*, RoutingPriority> priorities[] = {
+      {"root-depth", RoutingPriority::kRootDepth},
+      {"part-id", RoutingPriority::kPartId},
+      {"fifo", RoutingPriority::kFifo}};
+  for (const testutil::SuperstepFamily& f : testutil::reference_families()) {
+    for (const int threads : {1, 3}) {
+      Sim sim(f.g, f.root, threads);
+      std::vector<Shortcut> shortcuts;
+      for (const std::int32_t threshold : {1, 3, 1000})
+        shortcuts.push_back(
+            greedy_blocked_shortcut(f.g, sim.tree, f.p, threshold));
+      shortcuts.push_back(full_ancestor_shortcut(f.g, sim.tree, f.p));
+      for (std::size_t k = 0; k < shortcuts.size(); ++k) {
+        SCOPED_TRACE(std::string(f.name) + " threads=" +
+                     std::to_string(threads) + " shortcut " +
+                     std::to_string(k));
+        const ShortcutState state =
+            compute_shortcut_state(sim.net, sim.tree, f.p, shortcuts[k]);
+        const ComponentPlan& plan = state.plan;
+        for (const auto& [priority_name, priority] : priorities) {
+          SCOPED_TRACE(priority_name);
+          // Broadcast: every slot hears its component root's id and depth.
+          std::vector<NodeId> root(plan.slots.size(), kNoNode);
+          std::vector<std::int32_t> root_depth(plan.slots.size(), -1);
+          const congest::PhaseStats want_b = reference_component_broadcast(
+              sim.net, sim.tree, plan,
+              [](NodeId v, PartId) { return static_cast<std::uint64_t>(v); },
+              [&](NodeId v, PartId j, std::uint64_t value, std::int32_t rd) {
+                const std::size_t s = plan.slot_index(v, j);
+                root[s] = util::checked_cast<NodeId>(value);
+                root_depth[s] = rd;
+              },
+              priority);
+          const BroadcastSchedule got_b =
+              broadcast_schedule(sim.tree, plan, priority);
+          EXPECT_EQ(got_b.stats.rounds, want_b.rounds);
+          EXPECT_EQ(got_b.stats.messages, want_b.messages);
+          EXPECT_EQ(got_b.root, root);
+          for (std::size_t s = 0; s < plan.slots.size(); ++s) {
+            ASSERT_NE(got_b.root[s], kNoNode) << "slot " << s;
+            EXPECT_EQ(sim.tree.depth[static_cast<std::size_t>(got_b.root[s])],
+                      root_depth[s])
+                << "slot " << s;
+            if (plan.slots[s].has_parent()) {
+              EXPECT_EQ(plan.slots[s].parent_root_depth, root_depth[s])
+                  << "slot " << s;
+            }
+          }
+          for (NodeId v = 0; v < f.g.num_nodes(); ++v) {
+            const PartId j = f.p.part(v);
+            if (j == kNoPart) continue;
+            const std::size_t s = plan.slot_index(v, j);
+            EXPECT_EQ(state.own_block_root[static_cast<std::size_t>(v)],
+                      s < plan.slots.size() ? root[s] : v)
+                << "node " << v;
+          }
+
+          // Convergecast, with placeholder words.
+          const congest::PhaseStats want_c = reference_component_convergecast(
+              sim.net, sim.tree, plan,
+              [](NodeId, PartId) -> std::uint64_t { return 0; },
+              [](std::uint64_t a, std::uint64_t b) { return a | b; },
+              [](NodeId, PartId, std::uint64_t) {}, priority);
+          const congest::PhaseStats got_c =
+              convergecast_schedule(sim.tree, plan, priority);
+          EXPECT_EQ(got_c.rounds, want_c.rounds);
+          EXPECT_EQ(got_c.messages, want_c.messages);
+
+          if (priority == RoutingPriority::kRootDepth) {
+            EXPECT_EQ(state.broadcast.rounds, want_b.rounds);
+            EXPECT_EQ(state.broadcast.messages, want_b.messages);
+            EXPECT_EQ(state.convergecast.rounds, want_c.rounds);
+            EXPECT_EQ(state.convergecast.messages, want_c.messages);
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
