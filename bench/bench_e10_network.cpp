@@ -56,12 +56,9 @@ class FloodProcess final : public Process {
   bool heard_ = false;
 };
 
-void run_flood(benchmark::State& state, const Graph& g, bool validate,
-               int threads = 1, std::int64_t threshold = -1) {
+void run_flood(benchmark::State& state, const Graph& g, bool validate) {
   Network net(g);
   net.set_validate(validate);
-  net.set_threads(threads);
-  if (threshold >= 0) net.set_parallel_round_threshold(threshold);
   std::int64_t phases = 0;
   PhaseStats last{};
   for (auto _ : state) {
@@ -80,7 +77,6 @@ void run_flood(benchmark::State& state, const Graph& g, bool validate,
   state.counters["rounds"] = static_cast<double>(last.rounds);
   state.counters["n"] = g.num_nodes();
   state.counters["m"] = g.num_edges();
-  state.counters["threads"] = net.threads();
 }
 
 /// Local two-hop burst from node 0: a tiny active set per phase, so phase
@@ -144,19 +140,6 @@ int register_all = [] {
                                  run_flood(s, g, /*validate=*/false);
                                })
       ->Unit(benchmark::kMillisecond)->UseRealTime();
-  // Thread-count sweep on the acceptance workload: messages and rounds are
-  // bit-identical at every point (the engine's determinism contract);
-  // msgs_per_sec is the scaling curve.
-  for (const int threads : {1, 2, 4, 8}) {
-    benchmark::RegisterBenchmark(
-        ("E10/flood/erdos-renyi/100000/threads:" + std::to_string(threads))
-            .c_str(),
-        [threads](benchmark::State& s) {
-          const Graph g = make_erdos_renyi(100'000, 6.0 / 100'000.0, 42);
-          run_flood(s, g, /*validate=*/false, threads);
-        })
-        ->Unit(benchmark::kMillisecond)->UseRealTime();
-  }
   // Same workload with CONGEST validation on: the cost of the checks.
   benchmark::RegisterBenchmark("E10/flood/erdos-renyi-validate/100000",
                                [](benchmark::State& s) {
@@ -166,37 +149,11 @@ int register_all = [] {
                                })
       ->Unit(benchmark::kMillisecond)->UseRealTime();
   // 316x316 grid (~100k nodes): high-diameter, small active set per
-  // round. The thread sweep is the adaptive-fallback acceptance workload:
-  // its 630 tiny rounds all sit below the threshold, so every threaded
-  // point must track the sequential wall time (PR 2 paid 1.8x fork-join
-  // overhead here).
-  for (const int threads : {1, 2, 4, 8}) {
-    benchmark::RegisterBenchmark(
-        ("E10/flood/grid/99856/threads:" + std::to_string(threads)).c_str(),
-        [threads](benchmark::State& s) {
-          const Graph g = make_grid(316, 316);
-          run_flood(s, g, /*validate=*/false, threads);
-        })
-        ->Unit(benchmark::kMillisecond)->UseRealTime();
-  }
-  // The same worst case with the fallback disabled (threshold 0): what
-  // per-round fork-join overhead still costs when every tiny round is
-  // forced through the parallel path — the number the threshold is
-  // calibrated against.
-  benchmark::RegisterBenchmark("E10/flood/grid/99856/threads:4/no-fallback",
+  // round — 630 tiny rounds, so per-round overhead weighs here.
+  benchmark::RegisterBenchmark("E10/flood/grid/99856",
                                [](benchmark::State& s) {
                                  const Graph g = make_grid(316, 316);
-                                 run_flood(s, g, /*validate=*/false, 4,
-                                           /*threshold=*/0);
-                               })
-      ->Unit(benchmark::kMillisecond)->UseRealTime();
-  // Validation on + 4 threads: the faithfulness checks split between the
-  // workers (incidence) and the sequential lane merge (double-send).
-  benchmark::RegisterBenchmark("E10/flood/erdos-renyi-validate/100000/threads:4",
-                               [](benchmark::State& s) {
-                                 const Graph g = make_erdos_renyi(
-                                     100'000, 6.0 / 100'000.0, 42);
-                                 run_flood(s, g, /*validate=*/true, 4);
+                                 run_flood(s, g, /*validate=*/false);
                                })
       ->Unit(benchmark::kMillisecond)->UseRealTime();
   // Many near-empty phases on a 1M-node graph: measures per-phase fixed

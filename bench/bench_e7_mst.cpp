@@ -12,6 +12,8 @@
 /// of D) dominates and the classical baselines win on absolute rounds;
 /// their growth rates, however, are Θ(n)-ish versus the shortcut variant's
 /// Θ(D polylog). All results are verified against Kruskal.
+#include <memory>
+
 #include "bench_util.h"
 #include "graph/reference.h"
 #include "mst/boruvka_intra.h"

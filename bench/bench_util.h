@@ -90,13 +90,8 @@ inline Instance lower_bound_instance(NodeId k) {
 struct Rig {
   congest::Network net;
   SpanningTree tree;
-  /// `threads` selects the engine's worker count (Network::set_threads; 1 =
-  /// sequential, 0 = hardware concurrency); round counts and shortcut
-  /// quality are thread-count-invariant by the engine's determinism
-  /// contract, so only wall-time benches need a sweep.
-  explicit Rig(const Graph& g, NodeId root = 0, int threads = 1)
-      : net(g), tree((net.set_validate(false), net.set_threads(threads),
-                      build_bfs_tree(net, root))) {}
+  explicit Rig(const Graph& g, NodeId root = 0)
+      : net(g), tree((net.set_validate(false), build_bfs_tree(net, root))) {}
 };
 
 }  // namespace lcs::bench

@@ -81,75 +81,16 @@
 /// raw engine throughput. With validation off the checks are skipped
 /// entirely — behavior, delivery order, and all round/message accounting
 /// are unchanged for protocols that obey the model, but a violating
-/// protocol is no longer diagnosed. Validation works identically in
-/// parallel mode: the read-only incidence checks run inside the workers,
-/// and the one-send-per-directed-edge check runs during the (sequential,
-/// deterministically ordered) lane merge, so a violating protocol is
-/// diagnosed at every thread count.
+/// protocol is no longer diagnosed.
 ///
-/// ## Parallel mode (`set_threads`)
+/// ## One thread
 ///
-/// Rounds are data-parallel per node on the delivery side and data-parallel
-/// per *destination range* on the promotion side, so `set_threads(k)` with
-/// k > 1 runs both halves of a round on a persistent `WorkerPool`:
-///
-///  * **Delivery.** Each worker processes a *contiguous shard* of the
-///    sorted active list (shard boundaries balance inbox sizes plus a
-///    constant per activation, computed from deterministic per-round state
-///    only) and appends its sends and wakeups to a private `SendLane`
-///    instead of the shared engine state. A lane is bucketed by
-///    *destination range* — the node-id space is split into at most k
-///    power-of-two-aligned ranges — so every (worker, range) bucket's size
-///    is a ready-made per-worker per-destination-range count, and a
-///    bucket's contents are that worker's sends into that range in send
-///    order.
-///
-///  * **Promotion.** Immediately after delivery (same pool dispatch, one
-///    `run_staged` barrier later) worker r *merges* range r: it replays
-///    bucket (l, r) of every lane l in lane order — because workers own
-///    ascending shards of the active list, that concatenation is exactly
-///    the sequential engine's send order restricted to range r — stamping
-///    next-active nodes, accumulating per-node counts, and running the
-///    one-send-per-directed-edge check (a directed edge determines its
-///    destination, hence its range, so each `edge_dir_stamp_` cell has
-///    exactly one writer). At the next round's promotion the counting
-///    scatter is parallel the same way: per-range slab offsets are prefix
-///    sums of the bucket sizes, and worker r sorts its segment of the
-///    active list, builds its spans and write cursors from its exclusive
-///    base offset, and runs `scatter_block` passes over its lanes' r
-///    buckets into a disjoint destination range of the ordered slab. No
-///    O(messages) promotion step runs on one thread; only the O(active)
-///    next-active concatenation and shard planning stay serial.
-///
-/// **Adaptive sequential fallback.** Fork-join costs a few microseconds
-/// per round, which dominates tiny rounds (a high-diameter flood is
-/// thousands of rounds of a few hundred messages). When a round's pending
-/// messages + active nodes fall below `parallel_round_threshold()` the
-/// round runs on the sequential path even with `threads() > 1` — same
-/// code, same observables, no pool dispatch; rounds above it run parallel.
-/// The default (`kDefaultParallelRoundThreshold`) is calibrated so the
-/// fallback covers every round whose sequential cost is within ~2x of the
-/// measured per-round fork-join overhead; `set_parallel_round_threshold`
-/// overrides it (0 forces every round parallel — the determinism tests do
-/// this to pin the parallel promotion path).
-///
-/// **Determinism contract:** for any protocol that obeys the faithfulness
-/// rules in process.h (each process touches only its own node's state),
-/// every observable is bit-identical at every thread count and every
-/// fallback threshold: inbox contents and per-node delivery order, node
-/// processing order, `PhaseStats`, `total_rounds` / `total_messages`, and
-/// validation diagnostics. The only thing parallel mode may change is
-/// which thread a callback runs on — so process code must be race-free
-/// across *different* nodes (the faithfulness contract already requires
-/// that; a process that mutates state shared between nodes is outside the
-/// CONGEST model).
-///
-/// `set_threads(1)` (the default) is the unchanged sequential engine with
-/// zero synchronization; `set_threads(0)` resolves to the hardware
-/// concurrency. The thread count may be changed between phases at will,
-/// but never from inside a running phase (e.g. from a process callback) —
-/// that would resize the engine's live round state and is diagnosed with
-/// `LCS_CHECK`.
+/// Every process callback runs on the calling thread: `run` has one round
+/// loop and `Context::send` one path. The phases left on the engine (the
+/// BFS tree and the MST baselines) are small next to the host-counted
+/// schedules, so there is no parallel mode. `set_threads` still accepts a
+/// non-negative count for callers that pass a `threads` input through; it
+/// selects nothing.
 ///
 /// ## Engine limits
 ///
@@ -164,7 +105,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <type_traits>
 #include <utility>
@@ -175,38 +115,8 @@
 #include "graph/graph.h"
 #include "util/cast.h"
 #include "util/check.h"
-#include "util/worker_pool.h"
 
 namespace lcs::congest {
-
-/// One destination range's slice of a worker's sends: payloads in `fill`,
-/// destinations in the parallel `fill_to` (send order), wakeups in `wakes`
-/// (duplicates allowed — the merge dedupes via the epoch stamps).
-struct LaneBucket {
-  std::vector<Incoming> fill;
-  std::vector<NodeId> fill_to;
-  std::vector<NodeId> wakes;
-
-  void clear() {
-    fill.clear();
-    fill_to.clear();
-    wakes.clear();
-  }
-};
-
-/// One worker's private send-side state in parallel mode, bucketed by
-/// destination range (`Network::range_of`): bucket sizes double as the
-/// per-worker per-destination-range counts that drive the parallel merge
-/// and scatter. Capacities persist across rounds and phases, like the
-/// sequential slabs. Over-aligned so adjacent lanes' headers never share a
-/// cache line.
-struct alignas(128) SendLane {
-  std::vector<LaneBucket> buckets;  // one per destination range
-
-  void clear() {
-    for (LaneBucket& b : buckets) b.clear();
-  }
-};
 
 /// Round/message counts for one phase.
 struct PhaseStats {
@@ -237,34 +147,11 @@ class Network {
   void set_validate(bool on) { validate_ = on; }
   bool validate() const { return validate_; }
 
-  /// Number of worker threads that execute process callbacks and run
-  /// round promotion. 1 (the default) is the sequential engine; 0 resolves
-  /// to the hardware concurrency; k > 1 runs each round's delivery in k
-  /// contiguous shards and its promotion over at most k destination
-  /// ranges, on a persistent worker pool. Bit-identical observables at
-  /// every thread count — see the "Parallel mode" header comment for the
-  /// determinism contract. May be called between phases at any time, but
-  /// never from inside a running phase (diagnosed with LCS_CHECK): it
-  /// resizes the lanes and range structures a live round is using.
-  void set_threads(int threads);
-  /// The resolved thread count (never 0).
-  int threads() const { return threads_; }
-
-  /// Default `parallel_round_threshold()`: rounds whose pending messages +
-  /// active nodes fall below this run sequentially even with threads() >
-  /// 1. Calibrated on the E10 grid-flood bench (see bench_e10_network):
-  /// ~2x the round size where one round's sequential cost equals the
-  /// measured per-round fork-join overhead, so tiny rounds never pay the
-  /// dispatch and message-heavy rounds keep the full parallel path.
-  static constexpr std::int64_t kDefaultParallelRoundThreshold = 2048;
-
-  /// Override the adaptive-fallback threshold (0 forces every round onto
-  /// the parallel path; the determinism tests use that to pin parallel
-  /// promotion on small graphs). Observables are identical at any value.
-  /// Like set_threads, must not be called from inside a running phase.
-  void set_parallel_round_threshold(std::int64_t work);
-  std::int64_t parallel_round_threshold() const {
-    return parallel_threshold_;
+  /// Accepts a thread count for callers that still pass one (`threads`
+  /// in the run options); the engine is sequential, so it selects
+  /// nothing. Negative counts are diagnosed.
+  void set_threads(int threads) {
+    LCS_CHECK(threads >= 0, "thread count must be non-negative");
   }
 
   /// Add the rounds and messages of protocol steps counted without the
@@ -309,9 +196,8 @@ class Network {
   };
 
   void do_send(NodeId from, EdgeId e, const Message& m,
-               std::span<const Graph::Neighbor> from_neighbors,
-               SendLane* lane);
-  void do_wake(NodeId v, SendLane* lane);
+               std::span<const Graph::Neighbor> from_neighbors);
+  void do_wake(NodeId v);
   /// The 31-bit view of `tick_` that `NodeState::stamp` compares against.
   std::int32_t tick32() const {
     return util::checked_cast<std::int32_t>(tick_ & 0x7fffffff);
@@ -319,83 +205,12 @@ class Network {
   /// Bump the global epoch; on 31-bit wrap, invalidate all node stamps.
   void advance_tick();
   /// Ascending-id order of the active list (LSD radix over id bytes).
-  void sort_active(std::vector<NodeId>& a);
-  /// The radix core behind sort_active, callable per range segment with a
-  /// caller-owned scratch buffer so segments sort concurrently.
-  static void sort_ids(NodeId* data, std::size_t size,
-                       std::vector<NodeId>& scratch);
-
-  /// Destination range of node v (ranges are power-of-two spans of the id
-  /// space, at most threads() of them — see compute_range_layout).
-  int range_of(NodeId v) const { return util::checked_cast<int>(v >> range_shift_); }
-  /// Recompute range_shift_ / num_ranges_ from num_nodes and threads_ and
-  /// size the per-range structures.
-  void compute_range_layout();
-
-  /// Stamp `to` into the round being filled and count one message for it,
-  /// diagnosing per-node inbox overflow; newly stamped nodes append to
-  /// `out_active` (next_active_ on the sequential path, the range's
-  /// merge_next_ slot in the parallel merge replay).
-  void count_message_to(NodeId to, std::int32_t now,
-                        std::vector<NodeId>& out_active) {
-    NodeState& st = node_state_[static_cast<std::size_t>(to)];
-    if (st.stamp != now) {
-      st.stamp = now;
-      st.count = 1;
-      out_active.push_back(to);
-    } else {
-      LCS_CHECK(st.count != INT32_MAX,
-                "engine limit exceeded: a node received 2^31 - 1 messages "
-                "in one round");
-      ++st.count;
-    }
-  }
+  void sort_active();
 
   /// Produce the destination-major ordering of the fill slab and the
   /// per-active-node `spans_` into it via a counting scatter through
   /// per-node cursors; returns the ordered message array.
   const Incoming* cursor_scatter(std::size_t nmsg);
-
-  /// Shared first half of the sequential scatters: build `spans_` and turn
-  /// each active node's `NodeState::count` into its write cursor; grow the
-  /// ordered slab to `nmsg`.
-  void build_spans(std::size_t nmsg);
-  /// The count-to-cursor core of every scatter: for active_[lo, hi), fill
-  /// `spans_` and repurpose each node's count as its write cursor,
-  /// starting at slab offset `base`; returns the end offset. Disjoint
-  /// segments run concurrently (promote_parallel) or back to back
-  /// (build_spans).
-  std::int64_t build_spans_segment(std::size_t lo, std::size_t hi,
-                                   std::int64_t base);
-  /// Scatter one contiguous block of (payload, destination) pairs through
-  /// the node-state cursors into the ordered slab.
-  void scatter_block(const Incoming* fill, const NodeId* fill_to,
-                     std::size_t count);
-  /// Sequential-fallback scatter of lane-resident sends: for each range,
-  /// scatter its buckets in lane order (the sequential fill order
-  /// restricted to the range) and clear them.
-  const Incoming* scatter_lanes_sequential(std::size_t nmsg);
-  /// Parallel promotion of lane-resident sends: worker r sorts its range's
-  /// segment of the active list, builds its spans and cursors from the
-  /// prefix-summed bucket counts, and scatter_blocks its buckets into its
-  /// disjoint slice of the ordered slab. Requires fill_in_lanes_ (the
-  /// previous round merged in parallel, so range_active_bounds_ is fresh).
-  const Incoming* promote_parallel(std::size_t nmsg);
-  /// Merge replay of destination range r: walk bucket (l, r) of every lane
-  /// l in lane order — the sequential send order restricted to range r —
-  /// stamping per-node state, appending to merge_next_[r], and running the
-  /// double-send check. Runs concurrently across ranges.
-  void merge_range(int r);
-  /// Serial tail of the parallel merge: concatenate merge_next_ into
-  /// next_active_ (range-major; segments sort in the next promotion) and
-  /// record the per-range segment bounds.
-  void finish_parallel_merge();
-  /// Run one round's `on_round` callbacks and the following merge as one
-  /// two-stage pool job: stage 0 delivers contiguous weight-balanced
-  /// shards of `active_` into the lanes, stage 1 merges the destination
-  /// ranges.
-  void run_parallel_round(std::span<Process* const> procs,
-                          const Incoming* ordered, std::int64_t round);
 
   const Graph* graph_;
   bool validate_ = true;
@@ -430,37 +245,8 @@ class Network {
   std::vector<NodeId> radix_scratch_;
   std::vector<Process*> proc_scratch_;
 
-  // Parallel mode: resolved thread count (1 = sequential), the persistent
-  // worker team, one send lane per worker, and the per-round shard
-  // boundaries into `active_` (size threads_ + 1).
-  int threads_ = 1;
-  std::unique_ptr<WorkerPool> pool_;
-  std::vector<SendLane> lanes_;
-  std::vector<std::size_t> shard_bounds_;
-
-  // Destination-range layout for parallel promotion: ranges are
-  // 2^range_shift_-wide spans of the id space, num_ranges_ <= threads_ of
-  // them. Recomputed by set_threads.
-  int range_shift_ = 0;
-  int num_ranges_ = 1;
-  // Per-range promotion state: merge_next_[r] collects range r's newly
-  // active nodes during the merge stage; range_active_bounds_ (size
-  // num_ranges_ + 1) are the resulting segment bounds of the *next*
-  // active list; range_msg_base_ caches the prefix-summed per-range
-  // message offsets into the ordered slab; range_sort_scratch_[r] is
-  // range r's private radix buffer.
-  std::vector<std::vector<NodeId>> merge_next_;
-  std::vector<std::size_t> range_active_bounds_;
-  std::vector<std::int64_t> range_msg_base_;
-  std::vector<std::vector<NodeId>> range_sort_scratch_;
-
-  // Adaptive fallback: rounds below this work level (pending messages +
-  // active nodes) run sequentially even with threads_ > 1.
-  std::int64_t parallel_threshold_ = kDefaultParallelRoundThreshold;
-  // Where the pending round's sends live: the worker lanes (previous
-  // round ran parallel) or the sequential fill slab.
-  bool fill_in_lanes_ = false;
-  // A phase is currently running on this network (guards set_threads).
+  // A phase is currently running on this network (guards `run` reentry
+  // and `add_replayed`).
   bool in_phase_ = false;
 
   std::int64_t phase_messages_ = 0;
@@ -489,9 +275,9 @@ struct NetworkTestPeer {
 // entry point inlines into process code; the sender's neighbor span rides
 // along to resolve the destination from cache-warm adjacency.
 inline void Context::send(EdgeId e, const Message& m) {
-  net_.do_send(id_, e, m, neighbors_, lane_);
+  net_.do_send(id_, e, m, neighbors_);
 }
-inline void Context::wake_next_round() { net_.do_wake(id_, lane_); }
+inline void Context::wake_next_round() { net_.do_wake(id_); }
 
 /// Convenience: run a phase over a vector of concrete processes. The
 /// pointer view is built in `Network`-owned scratch, so repeated phases on

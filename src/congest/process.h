@@ -25,7 +25,6 @@
 namespace lcs::congest {
 
 class Network;
-struct SendLane;
 
 /// Per-node state carried between phases. Convention: the process for node
 /// v only touches element v; the array is merely centralized storage for
@@ -58,23 +57,18 @@ class Context {
  private:
   friend class Network;
   Context(Network& net, NodeId id, NodeId num_nodes, std::int64_t round,
-          std::span<const Graph::Neighbor> neighbors,
-          SendLane* lane = nullptr)
+          std::span<const Graph::Neighbor> neighbors)
       : net_(net),
         id_(id),
         num_nodes_(num_nodes),
         round_(round),
-        neighbors_(neighbors),
-        lane_(lane) {}
+        neighbors_(neighbors) {}
 
   Network& net_;
   NodeId id_;
   NodeId num_nodes_;
   std::int64_t round_;
   std::span<const Graph::Neighbor> neighbors_;
-  /// Worker-private send lane in parallel mode; nullptr on the sequential
-  /// engine path (see network.h).
-  SendLane* lane_;
 };
 
 class Process {

@@ -39,7 +39,6 @@
 #include "util/hash.h"
 #include "util/json_writer.h"
 #include "util/random.h"
-#include "util/worker_pool.h"
 
 namespace lcs::driver {
 
@@ -92,8 +91,6 @@ struct RunReport {
   // whose runners write only their "result" fields here for
   // set_engine_body to wrap. Unset for `none`.
   std::function<void(JsonWriter&)> body;
-  // Threads the engine ran at, emitted under "timing"; -1 = no engine ran.
-  int threads = -1;
   // Validation payload, emitted under "validation"; `ok` drives exit code.
   bool validated = false;
   bool ok = true;
@@ -111,9 +108,7 @@ struct EngineAccounting {
 
 /// Wraps an engine runner's "result" fields into the engine body: "setup"
 /// and "result" (the fields, then the algorithm's rounds and messages).
-void set_engine_body(RunReport& rep, const EngineAccounting& acc,
-                     int threads) {
-  rep.threads = threads;
+void set_engine_body(RunReport& rep, const EngineAccounting& acc) {
   rep.body = [result = std::move(rep.body), acc](JsonWriter& w) {
     w.key("setup").begin_object();
     w.kv("rounds", acc.setup_rounds);
@@ -126,13 +121,6 @@ void set_engine_body(RunReport& rep, const EngineAccounting& acc,
     w.kv("messages", acc.algo_messages);
     w.end_object();
   };
-}
-
-void configure_network(congest::Network& net, const RunOptions& o) {
-  net.set_validate(o.validate);
-  net.set_threads(o.threads);
-  if (o.parallel_threshold.has_value())
-    net.set_parallel_round_threshold(*o.parallel_threshold);
 }
 
 RunReport run_components(congest::Network& net, const SpanningTree& tree,
@@ -291,7 +279,7 @@ RunReport run_aggregate(congest::Network& net, const SpanningTree& tree,
 /// (the setup accounting), then the algorithm itself.
 RunReport run_engine(const scenario::Scenario& sc, const RunOptions& o) {
   congest::Network net(sc.graph);
-  configure_network(net, o);
+  net.set_validate(o.validate);
   const SpanningTree tree = build_bfs_tree(net, /*root=*/0);
   EngineAccounting acc;
   acc.setup_rounds = net.total_rounds();
@@ -306,7 +294,7 @@ RunReport run_engine(const scenario::Scenario& sc, const RunOptions& o) {
 
   acc.algo_rounds = net.total_rounds() - acc.setup_rounds;
   acc.algo_messages = net.total_messages() - acc.setup_messages;
-  set_engine_body(rep, acc, net.threads());
+  set_engine_body(rep, acc);
   return rep;
 }
 
@@ -428,22 +416,19 @@ RunReport run_shortcut(const scenario::Scenario& sc, const RunOptions& o,
   }
   std::shared_ptr<const ShortcutRunRecord> record;
   if (hooks.find_shortcut_record) record = hooks.find_shortcut_record(key, sc);
-  int threads = WorkerPool::resolve_threads(o.threads);
   if (!record) {
     congest::Network net(sc.graph);
-    configure_network(net, o);
+    net.set_validate(o.validate);
     const SpanningTree tree = build_bfs_tree(net, /*root=*/0);
     record = std::make_shared<const ShortcutRunRecord>(
         build_shortcut_record(net, tree, sc, key, *be));
     if (hooks.store_shortcut_record)
       hooks.store_shortcut_record(key, sc, record);
-    threads = net.threads();
   }
   RunReport rep = shortcut_report(*record, sc, o);
   set_engine_body(rep,
                   {record->setup_rounds, record->setup_messages,
-                   record->algo_rounds, record->algo_messages},
-                  threads);
+                   record->algo_rounds, record->algo_messages});
   return rep;
 }
 
@@ -481,11 +466,10 @@ dynamic::ChurnSpec churn_spec_of(const RunOptions& o) {
 
 /// `--algo=churn`: drive the base scenario through the verified churn
 /// stream; the body is the churn parameters and a per-checkpoint array.
-/// The churn run itself is centralized (thread-invariant by construction);
-/// under --validate the final snapshot is additionally solved by the
-/// distributed engine (at --threads) and cross-checked against the
-/// incrementally maintained forest, so the threads-1/2/4 golden gate
-/// exercises a real engine run too.
+/// The churn run itself is centralized; under --validate the final
+/// snapshot is additionally solved by the distributed engine and
+/// cross-checked against the incrementally maintained forest, so the churn
+/// goldens pin a real engine run too.
 RunReport churn_report(const scenario::Scenario& sc,
                        const dynamic::ChurnParams& p, const RunOptions& o) {
   dynamic::ChurnResult res =
@@ -500,12 +484,11 @@ RunReport churn_report(const scenario::Scenario& sc,
     const dynamic::DynamicGraph::Snapshot& snap = *res.final_snapshot;
     if (is_connected(snap.graph)) {
       congest::Network net(snap.graph);
-      configure_network(net, o);
+      net.set_validate(o.validate);
       const SpanningTree tree = build_bfs_tree(net, /*root=*/0);
       ShortcutMstOptions opts;
       opts.seed = o.seed;
       const DistributedMst mst = mst_boruvka_shortcut(net, tree, opts);
-      rep.threads = net.threads();
 
       std::vector<std::uint64_t> engine_seqs;
       engine_seqs.reserve(mst.edges.size());
@@ -746,8 +729,8 @@ std::string spec_with_param(const std::string& spec, const std::string& key,
 }
 
 /// Runs one (algo, scenario) cell and emits its report object into `w`:
-/// the runner for `o.algo` supplies the body, validation and engine thread
-/// count; the envelope around them is written here alone.
+/// the runner for `o.algo` supplies the body and validation; the envelope
+/// around them is written here alone.
 /// Returns 0, or 1 when --validate found a mismatch.
 int run_one(const RunOptions& o, const RunHooks& hooks, JsonWriter& w) {
   // lcs-lint: allow(D2) wall_ms report field: explicitly timed, stripped by --no-timing
@@ -822,7 +805,6 @@ int run_one(const RunOptions& o, const RunHooks& hooks, JsonWriter& w) {
 
   if (o.timing) {
     w.key("timing").begin_object();
-    if (rep.threads >= 0) w.kv("threads", rep.threads);
     w.kv("wall_ms", wall_ms);
     w.end_object();
   }
@@ -856,9 +838,6 @@ int run_document(const RunOptions& o, const RunHooks& hooks,
             "spec via --scenario and the churn parameters via --churn");
   LCS_CHECK(o.threads >= 0, "threads (--threads) must be >= 0, got " +
                                 std::to_string(o.threads));
-  LCS_CHECK(!o.parallel_threshold.has_value() || *o.parallel_threshold >= 0,
-            "parallel_threshold (--parallel-threshold) must be >= 0, got " +
-                std::to_string(o.parallel_threshold.value_or(0)));
 
   // Buffer the whole document and hand it back only once it is complete: a
   // failing run (bad spec, mid-sweep CheckFailure) must never leave partial

@@ -34,7 +34,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 
@@ -53,9 +52,7 @@ struct RunOptions {
   std::string churn;            ///< churn parameters for algo "churn"
   std::string sweep;            ///< empty = single run
   std::string save_graph_path;  ///< empty = don't save
-  int threads = 1;
-  /// Engine adaptive-fallback override, >= 0; unset = engine default.
-  std::optional<std::int64_t> parallel_threshold;
+  int threads = 1;  ///< accepted (>= 0) and validated; selects nothing
   std::uint64_t seed = 1;
   double fail_rate = 0.25;  ///< components: failed-edge fraction
   bool validate = false;

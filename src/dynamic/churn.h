@@ -38,7 +38,7 @@
 /// against an empty graph is likewise skipped and counted. Everything flows
 /// through one seeded `lcs::Rng`, so the stream — and every checkpoint
 /// record — is a pure function of (base spec, churn params), independent of
-/// platform and thread count. Unknown/duplicate/malformed parameters are
+/// platform. Unknown/duplicate/malformed parameters are
 /// diagnosed via CheckFailure, exactly like static scenario specs.
 #pragma once
 

@@ -1,6 +1,9 @@
 #include "graph/io.h"
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <atomic>
 #include <charconv>
 #include <cstdio>
 #include <cstdlib>
@@ -104,6 +107,8 @@ constexpr char kMagic[4] = {'L', 'C', 'S', 'G'};
 /// of driving a near-infinite read loop or a huge allocation.
 constexpr std::uint32_t kMaxSections = 4096;
 constexpr std::uint64_t kMaxSectionBytes = std::uint64_t{1} << 33;
+/// A section payload is read this many bytes at a time.
+constexpr std::uint64_t kSectionReadChunk = std::uint64_t{1} << 20;
 
 /// Crash-injection modes for the atomic-save regression test
 /// (tools/atomic_save_test.sh): `LCS_IO_CRASH=mid-write` kills the process
@@ -118,11 +123,15 @@ int crash_mode() {
   return 0;
 }
 
-/// Write via `<path>.tmp` + atomic rename, so the final path only ever
-/// holds a complete payload (see the io.h "Atomic writes" doc).
+/// Write via a temp file of this writer's own + atomic rename, so the
+/// final path only ever holds a complete payload (see the io.h "Atomic
+/// writes" doc). The pid separates processes and the counter separates
+/// the threads of one.
 void save_stream_atomic(const std::string& path,
                         const std::function<void(std::ostream&)>& writer) {
-  const std::string tmp = path + ".tmp";
+  static std::atomic<std::uint64_t> saves{0};
+  const std::string tmp = path + ".tmp." + std::to_string(::getpid()) + "." +
+                          std::to_string(saves.fetch_add(1));
   {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
     LCS_CHECK(out.is_open(), "cannot open '" + tmp + "' for writing");
@@ -384,13 +393,20 @@ GraphBundle read_binary_bundle(std::istream& in) {
     LCS_CHECK(len <= kMaxSectionBytes,
               "binary graph section " + std::to_string(i) +
                   " length out of range");
-    s.bytes.resize(static_cast<std::size_t>(len));
-    LCS_CHECK(len == 0 ||
-                  static_cast<bool>(in.read(
-                      s.bytes.data(), static_cast<std::streamsize>(len))),
-              "binary graph truncated in section " + std::to_string(i) +
-                  " payload (" + std::to_string(len) +
-                  " bytes declared in the header)");
+    // The declared length is untrusted until the payload proves it: read
+    // in bounded chunks, so memory follows the bytes actually present.
+    for (std::uint64_t left = len; left > 0;) {
+      const auto chunk = static_cast<std::size_t>(
+          std::min<std::uint64_t>(left, kSectionReadChunk));
+      const std::size_t at = s.bytes.size();
+      s.bytes.resize(at + chunk);
+      LCS_CHECK(static_cast<bool>(in.read(
+                    s.bytes.data() + at, static_cast<std::streamsize>(chunk))),
+                "binary graph truncated in section " + std::to_string(i) +
+                    " payload (" + std::to_string(len) +
+                    " bytes declared in the header)");
+      left -= chunk;
+    }
     bundle.sections.push_back(std::move(s));
   }
   return bundle;

@@ -46,12 +46,15 @@
 ///
 /// ## Atomic writes
 ///
-/// Every `save_*` entry point writes to `<path>.tmp` and atomically renames
+/// Every `save_*` entry point writes to a temp file of its own,
+/// `<path>.tmp.<pid>.<n>` in the same directory, and atomically renames it
 /// onto `<path>` once the payload is complete and flushed: a crash, kill,
-/// or full disk mid-write can leave a stale `<path>.tmp` behind but never a
+/// or full disk mid-write can leave a stale temp file behind but never a
 /// torn file at the final path — a later run (or the daemon's warm start)
-/// sees either the old complete cache or the new one. The regression test
-/// drives this via crash-injection hooks (see io.cpp).
+/// sees either the old complete cache or the new one. Concurrent saves of
+/// one path (two lcs_serve workers missing the same scenario) never share
+/// a temp file; the last rename wins. The regression test drives this via
+/// crash-injection hooks (see io.cpp).
 ///
 /// Every reader validates its input and throws CheckFailure with a
 /// line-numbered (text) or field-named (binary) diagnosis; the Graph

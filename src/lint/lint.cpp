@@ -186,8 +186,8 @@ const std::vector<RuleInfo>& rule_table() {
        4},
       {"S2", "safety",
        "no naked std::thread/std::async outside util/worker_pool",
-       "ad-hoc threads bypass the deterministic shard/merge discipline "
-       "the engine's guarantees are built on",
+       "an ad-hoc thread escapes the pool's join and exception capture, "
+       "and a failed spawn goes undiagnosed",
        5},
       {"S3", "safety",
        "status/result returns in io/persist/cache/bytes headers must "

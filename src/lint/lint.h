@@ -3,8 +3,8 @@
 /// static-analysis pass.
 ///
 /// The repo's headline guarantee is that every observable (reports,
-/// goldens, serve payloads, engine counters) is bit-identical at any
-/// thread count and across the run/serve/cache paths. The golden matrix
+/// goldens, serve payloads, engine counters) is bit-identical across the
+/// run/serve/cache paths and lcs_serve's worker counts. The golden matrix
 /// and TSan enforce that *dynamically, after the fact*; this pass enforces
 /// the source-level discipline that makes it true:
 ///

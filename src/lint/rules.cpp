@@ -403,10 +403,9 @@ void check_s2_naked_threads(const RuleContext& ctx) {
          is_ident(t[i + 2], "async"))) {
       ctx.report(t[i].line, t[i].col, "S2",
                  "naked 'std::" + std::string(t[i + 2].text) +
-                     "' outside util/worker_pool — ad-hoc threads bypass "
-                     "the deterministic shard/merge discipline",
-                 "dispatch through util/worker_pool.h WorkerPool (the "
-                 "engine's fork-join team)");
+                     "' outside util/worker_pool — an ad-hoc thread "
+                     "escapes the pool's join and exception capture",
+                 "dispatch through util/worker_pool.h WorkerPool");
       continue;
     }
     if (is_any_ident(t[i]) && t[i].text == "pthread_create") {
@@ -545,14 +544,13 @@ void check_s4_shared_capture(const RuleContext& ctx) {
 
   const auto& t = ctx.code;
   for (std::size_t i = 0; i + 3 < t.size(); ++i) {
-    // Receiver whose name mentions a pool, calling run / run_staged.
+    // Receiver whose name mentions a pool, calling run.
     if (!is_any_ident(t[i]) ||
         t[i].text.find("pool") == std::string_view::npos) {
       continue;
     }
     if (!(is_punct(t[i + 1], ".") || is_punct(t[i + 1], "->"))) continue;
-    if (!(is_ident(t[i + 2], "run") || is_ident(t[i + 2], "run_staged")))
-      continue;
+    if (!is_ident(t[i + 2], "run")) continue;
     if (!is_punct(t[i + 3], "(")) continue;
 
     // Locate the lambda argument: first `[` inside the call.

@@ -43,8 +43,8 @@
 /// platform. All randomness flows through the explicitly seeded `lcs::Rng`
 /// (seed defaults to 1 everywhere); no global state, clocks, or
 /// hardware-dependent paths are consulted. Combined with the engine's
-/// thread-count determinism this makes (spec, algorithm, seed) a complete
-/// reproducer — the golden-file CI gate depends on it.
+/// determinism this makes (spec, algorithm, seed) a complete reproducer —
+/// the golden-file CI gate depends on it.
 #pragma once
 
 #include <functional>

@@ -67,8 +67,6 @@ driver::RunOptions parse_request(const JsonValue& v) {
                 what + " does not fit an int, got " + std::to_string(threads));
       o.threads = util::checked_cast<int>(threads);
     }
-    else if (key == "parallel_threshold")
-      o.parallel_threshold = val.as_int(what);
     else if (key == "fail_rate") o.fail_rate = val.as_double(what);
     else if (key == "validate") o.validate = val.as_bool(what);
     else if (key == "metrics") o.metrics = val.as_bool(what);
@@ -77,8 +75,7 @@ driver::RunOptions parse_request(const JsonValue& v) {
       LCS_CHECK(false,
                 "unknown request field '" + key +
                     "' (accepted: id, algo, scenario, backend, churn, sweep, "
-                    "seed, threads, parallel_threshold, fail_rate, validate, "
-                    "metrics, timing)");
+                    "seed, threads, fail_rate, validate, metrics, timing)");
   }
   return o;
 }

@@ -7,7 +7,7 @@
 /// name, never ignored):
 ///
 ///     {"id": "r1", "algo": "shortcut", "scenario": "grid:w=64,h=64",
-///      "seed": 3, "threads": 2, "validate": true, "timing": false}
+///      "seed": 3, "validate": true, "timing": false}
 ///
 /// plus two admin forms: {"cmd": "stats"} (cache counters as JSON) and
 /// {"cmd": "quit"} (acknowledge, then shut down after draining the batch).

@@ -73,52 +73,6 @@ void WorkerPool::run_raw(void (*job)(void*, int), void* ctx) {
   }
 }
 
-void WorkerPool::run_staged_raw(void (*fn)(void*, int, int), void* ctx,
-                                int stages) {
-  if (num_workers_ == 1) {
-    for (int s = 0; s < stages; ++s) fn(ctx, s, 0);
-    return;
-  }
-  struct Staged {
-    WorkerPool* pool;
-    void (*fn)(void*, int, int);
-    void* ctx;
-    int stages;
-  };
-  Staged staged{this, fn, ctx, stages};
-  // The wrapper catches per stage into errors_ itself (run_raw's own
-  // catch never fires): a worker whose stage threw must keep hitting the
-  // barriers or the rest of the team would block forever.
-  run_raw(
-      [](void* c, int w) {
-        auto* st = static_cast<Staged*>(c);
-        for (int s = 0; s < st->stages; ++s) {
-          if (!st->pool->errors_[static_cast<std::size_t>(w)]) {
-            try {
-              st->fn(st->ctx, s, w);
-            } catch (...) {
-              st->pool->errors_[static_cast<std::size_t>(w)] =
-                  std::current_exception();
-            }
-          }
-          if (s + 1 < st->stages) st->pool->stage_barrier();
-        }
-      },
-      &staged);
-}
-
-void WorkerPool::stage_barrier() {
-  std::unique_lock<std::mutex> lock(mu_);
-  if (++barrier_arrived_ == num_workers_) {
-    barrier_arrived_ = 0;
-    ++barrier_epoch_;
-    barrier_cv_.notify_all();
-    return;
-  }
-  const std::uint64_t epoch = barrier_epoch_;
-  barrier_cv_.wait(lock, [&] { return barrier_epoch_ != epoch; });
-}
-
 void WorkerPool::worker_main(int index) {
   std::uint64_t seen = 0;
   for (;;) {

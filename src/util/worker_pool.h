@@ -8,22 +8,13 @@
 /// returned — the pool never overlaps two jobs, so a job may freely read
 /// any state the caller wrote before `run` and the caller may read anything
 /// the workers wrote after it (the internal mutex orders both directions).
-///
-/// `run_staged(stages, fn)` is the multi-stage variant used for
-/// parallel-prefix-shaped work (count → scan → scatter): it invokes
-/// `fn(s, w)` for every stage s in order with a full barrier between
-/// consecutive stages, so stage s+1 may read anything any worker wrote in
-/// stage s. Equivalent to `stages` back-to-back `run` calls, but the team
-/// is woken once and synchronizes at an internal barrier instead of
-/// sleeping and re-waking between stages.
+/// lcs_serve's batch dispatch (serve/server.h) is its one user: the workers
+/// claim one batch's requests one at a time.
 ///
 /// Exceptions thrown inside a job are captured per worker; after the join,
 /// the exception from the lowest worker index is rethrown on the calling
 /// thread (the others are discarded). Workers always run their slice to
-/// completion or to their own exception — there is no cancellation. In a
-/// staged job a worker whose stage threw skips its own later stages but
-/// still participates in every barrier, so the other workers never block
-/// on it.
+/// completion or to their own exception — there is no cancellation.
 #pragma once
 
 #include <condition_variable>
@@ -58,8 +49,7 @@ class WorkerPool {
   /// thread executes fn(0). Blocks until all invocations return, then
   /// rethrows the lowest-index captured exception, if any. The job is
   /// dispatched through a raw (function pointer, context) pair rather
-  /// than std::function so a capturing lambda posted every round never
-  /// heap-allocates.
+  /// than std::function, so a capturing lambda never heap-allocates.
   template <class Fn>
   void run(Fn&& fn) {
     using F = std::remove_reference_t<Fn>;
@@ -67,24 +57,8 @@ class WorkerPool {
             const_cast<void*>(static_cast<const void*>(&fn)));
   }
 
-  /// Run `fn(s, w)` for every stage s in [0, stages), all workers, with a
-  /// full barrier between consecutive stages (see the header comment).
-  /// Serial sections are expressed as a stage whose body is gated on
-  /// `w == 0`. Dispatched through the same raw-pointer path as `run`, so a
-  /// capturing lambda never heap-allocates.
-  template <class Fn>
-  void run_staged(int stages, Fn&& fn) {
-    using F = std::remove_reference_t<Fn>;
-    run_staged_raw(
-        [](void* ctx, int s, int w) { (*static_cast<F*>(ctx))(s, w); },
-        const_cast<void*>(static_cast<const void*>(&fn)), stages);
-  }
-
  private:
   void run_raw(void (*job)(void*, int), void* ctx);
-  void run_staged_raw(void (*fn)(void*, int, int), void* ctx, int stages);
-  /// Block until all `size()` workers of the current job arrive.
-  void stage_barrier();
   void worker_main(int index);
   /// Wake every worker with `shutdown_` set and join it.
   void shut_down();
@@ -100,12 +74,6 @@ class WorkerPool {
   int remaining_ = 0;             // workers still running the current job
   bool shutdown_ = false;
   std::vector<std::exception_ptr> errors_;  // one slot per worker
-
-  // Stage barrier for run_staged (guarded by mu_): arrivals count up to
-  // size(), the last arrival resets the count and bumps the epoch.
-  std::condition_variable barrier_cv_;
-  int barrier_arrived_ = 0;
-  std::uint64_t barrier_epoch_ = 0;
 
   // Declared last, after every member the workers use, so those outlive
   // the threads however the constructor exits.

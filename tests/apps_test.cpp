@@ -151,62 +151,58 @@ TEST(Aggregate, MinAndLeaderAndBroadcast) {
 // operation by operation.
 TEST(Aggregate, SharedRunnerMatchesPerCallSignatures) {
   for (const testutil::SuperstepFamily& f : testutil::superstep_families()) {
-    for (const int threads : {1, 3}) {
-      SCOPED_TRACE(std::string(f.name) + " threads=" + std::to_string(threads));
-      Sim shared(f.g, f.root, threads);
-      Sim per_call(f.g, f.root, threads);
-      shared.net.set_parallel_round_threshold(0);
-      per_call.net.set_parallel_round_threshold(0);
-      const auto totals = [](const Sim& sim) {
-        return std::make_pair(sim.net.total_rounds(),
-                              sim.net.total_messages());
-      };
+    SCOPED_TRACE(f.name);
+    Sim shared(f.g, f.root);
+    Sim per_call(f.g, f.root);
+    const auto totals = [](const Sim& sim) {
+      return std::make_pair(sim.net.total_rounds(),
+                            sim.net.total_messages());
+    };
 
-      PartAggregator agg(shared.net, shared.tree, f.p);
-      const FindShortcutResult found = find_shortcut_doubling(
-          per_call.net, per_call.tree, f.p, FindShortcutParams{});
-      const NeighborParts nb = exchange_neighbor_parts(per_call.net, f.p);
-      const std::int32_t b_steps = 3 * found.stats.used_b;
-      EXPECT_EQ(agg.construction_stats().used_b, found.stats.used_b);
-      EXPECT_EQ(agg.construction_stats().rounds, found.stats.rounds);
-      EXPECT_EQ(agg.neighbor_parts().parts, nb.parts);
-      EXPECT_EQ(totals(shared), totals(per_call));
+    PartAggregator agg(shared.net, shared.tree, f.p);
+    const FindShortcutResult found = find_shortcut_doubling(
+        per_call.net, per_call.tree, f.p, FindShortcutParams{});
+    const NeighborParts nb = exchange_neighbor_parts(per_call.net, f.p);
+    const std::int32_t b_steps = 3 * found.stats.used_b;
+    EXPECT_EQ(agg.construction_stats().used_b, found.stats.used_b);
+    EXPECT_EQ(agg.construction_stats().rounds, found.stats.rounds);
+    EXPECT_EQ(agg.neighbor_parts().parts, nb.parts);
+    EXPECT_EQ(totals(shared), totals(per_call));
 
-      const auto values_for = [&](std::uint64_t salt) {
-        congest::PerNode<std::uint64_t> values(
-            static_cast<std::size_t>(f.g.num_nodes()));
-        for (std::size_t v = 0; v < values.size(); ++v)
-          values[v] = (v * 2654435761u + salt) % 1000;
-        return values;
-      };
-      const auto first = values_for(17);
-      EXPECT_EQ(agg.min(first),
-                part_min_flood(per_call.net, per_call.tree, f.p, found.state,
-                               nb, b_steps, first));
-      EXPECT_EQ(totals(shared), totals(per_call));
+    const auto values_for = [&](std::uint64_t salt) {
+      congest::PerNode<std::uint64_t> values(
+          static_cast<std::size_t>(f.g.num_nodes()));
+      for (std::size_t v = 0; v < values.size(); ++v)
+        values[v] = (v * 2654435761u + salt) % 1000;
+      return values;
+    };
+    const auto first = values_for(17);
+    EXPECT_EQ(agg.min(first),
+              part_min_flood(per_call.net, per_call.tree, f.p, found.state,
+                             nb, b_steps, first));
+    EXPECT_EQ(totals(shared), totals(per_call));
 
-      const auto leaders = agg.leaders();
-      EXPECT_EQ(leaders, elect_part_leaders(per_call.net, per_call.tree, f.p,
-                                            found.state, nb, b_steps));
-      EXPECT_EQ(totals(shared), totals(per_call));
+    const auto leaders = agg.leaders();
+    EXPECT_EQ(leaders, elect_part_leaders(per_call.net, per_call.tree, f.p,
+                                          found.state, nb, b_steps));
+    EXPECT_EQ(totals(shared), totals(per_call));
 
-      congest::PerNode<std::uint64_t> source(
-          static_cast<std::size_t>(f.g.num_nodes()), kNoValue);
-      for (NodeId v = 0; v < f.g.num_nodes(); ++v)
-        if (leaders[static_cast<std::size_t>(v)] == v)
-          source[static_cast<std::size_t>(v)] =
-              static_cast<std::uint64_t>(f.p.part(v)) * 7 + 1;
-      EXPECT_EQ(agg.broadcast(source),
-                part_broadcast(per_call.net, per_call.tree, f.p, found.state,
-                               nb, b_steps, source));
-      EXPECT_EQ(totals(shared), totals(per_call));
+    congest::PerNode<std::uint64_t> source(
+        static_cast<std::size_t>(f.g.num_nodes()), kNoValue);
+    for (NodeId v = 0; v < f.g.num_nodes(); ++v)
+      if (leaders[static_cast<std::size_t>(v)] == v)
+        source[static_cast<std::size_t>(v)] =
+            static_cast<std::uint64_t>(f.p.part(v)) * 7 + 1;
+    EXPECT_EQ(agg.broadcast(source),
+              part_broadcast(per_call.net, per_call.tree, f.p, found.state,
+                             nb, b_steps, source));
+    EXPECT_EQ(totals(shared), totals(per_call));
 
-      const auto second = values_for(501);
-      EXPECT_EQ(agg.min(second),
-                part_min_flood(per_call.net, per_call.tree, f.p, found.state,
-                               nb, b_steps, second));
-      EXPECT_EQ(totals(shared), totals(per_call));
-    }
+    const auto second = values_for(501);
+    EXPECT_EQ(agg.min(second),
+              part_min_flood(per_call.net, per_call.tree, f.p, found.state,
+                             nb, b_steps, second));
+    EXPECT_EQ(totals(shared), totals(per_call));
   }
 }
 
@@ -230,43 +226,41 @@ TEST(Aggregate, WheelArcsFastAggregation) {
 // counter stands still.
 TEST(EnginePhases, ShortcutLayerRunsNone) {
   for (const testutil::SuperstepFamily& f : testutil::superstep_families()) {
-    for (const int threads : {1, 3}) {
-      SCOPED_TRACE(std::string(f.name) + " threads=" + std::to_string(threads));
-      Sim sim(f.g, f.root, threads);
-      const std::int64_t bfs_phases = sim.net.phases();
-      EXPECT_GT(bfs_phases, 0);
+    SCOPED_TRACE(f.name);
+    Sim sim(f.g, f.root);
+    const std::int64_t bfs_phases = sim.net.phases();
+    EXPECT_GT(bfs_phases, 0);
 
-      for (const bool use_fast : {true, false}) {
-        FindShortcutParams params;
-        params.use_fast = use_fast;
-        const FindShortcutResult found =
-            find_shortcut_doubling(sim.net, sim.tree, f.p, params);
-        EXPECT_EQ(sim.net.phases(), bfs_phases) << "use_fast=" << use_fast;
-        const NeighborParts nb = exchange_neighbor_parts(sim.net, f.p);
-        (void)verify_block_parameter(sim.net, sim.tree, f.p, found.state,
-                                     3 * found.stats.used_b, nb);
-        EXPECT_EQ(sim.net.phases(), bfs_phases) << "use_fast=" << use_fast;
-      }
-
-      PartAggregator agg(sim.net, sim.tree, f.p);
-      congest::PerNode<std::uint64_t> values(
-          static_cast<std::size_t>(f.g.num_nodes()));
-      for (std::size_t v = 0; v < values.size(); ++v) values[v] = v % 13;
-      (void)agg.min(values);
-      const auto leaders = agg.leaders();
-      congest::PerNode<std::uint64_t> source(values.size(), kNoValue);
-      for (std::size_t v = 0; v < values.size(); ++v)
-        if (leaders[v] == util::checked_cast<NodeId>(v)) source[v] = v;
-      (void)agg.broadcast(source);
-      EXPECT_EQ(sim.net.phases(), bfs_phases);
-
-      const Graph weighted = with_random_weights(f.g, 1, 1000, 7);
-      Sim mst(weighted, f.root, threads);
-      const std::int64_t mst_bfs_phases = mst.net.phases();
-      const DistributedMst tree = mst_boruvka_shortcut(mst.net, mst.tree);
-      EXPECT_EQ(tree.edges, kruskal_mst(weighted).edges);
-      EXPECT_EQ(mst.net.phases(), mst_bfs_phases);
+    for (const bool use_fast : {true, false}) {
+      FindShortcutParams params;
+      params.use_fast = use_fast;
+      const FindShortcutResult found =
+          find_shortcut_doubling(sim.net, sim.tree, f.p, params);
+      EXPECT_EQ(sim.net.phases(), bfs_phases) << "use_fast=" << use_fast;
+      const NeighborParts nb = exchange_neighbor_parts(sim.net, f.p);
+      (void)verify_block_parameter(sim.net, sim.tree, f.p, found.state,
+                                   3 * found.stats.used_b, nb);
+      EXPECT_EQ(sim.net.phases(), bfs_phases) << "use_fast=" << use_fast;
     }
+
+    PartAggregator agg(sim.net, sim.tree, f.p);
+    congest::PerNode<std::uint64_t> values(
+        static_cast<std::size_t>(f.g.num_nodes()));
+    for (std::size_t v = 0; v < values.size(); ++v) values[v] = v % 13;
+    (void)agg.min(values);
+    const auto leaders = agg.leaders();
+    congest::PerNode<std::uint64_t> source(values.size(), kNoValue);
+    for (std::size_t v = 0; v < values.size(); ++v)
+      if (leaders[v] == util::checked_cast<NodeId>(v)) source[v] = v;
+    (void)agg.broadcast(source);
+    EXPECT_EQ(sim.net.phases(), bfs_phases);
+
+    const Graph weighted = with_random_weights(f.g, 1, 1000, 7);
+    Sim mst(weighted, f.root);
+    const std::int64_t mst_bfs_phases = mst.net.phases();
+    const DistributedMst tree = mst_boruvka_shortcut(mst.net, mst.tree);
+    EXPECT_EQ(tree.edges, kruskal_mst(weighted).edges);
+    EXPECT_EQ(mst.net.phases(), mst_bfs_phases);
   }
 }
 

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <string>
+#include <vector>
 
 #include "congest/message.h"
 #include "congest/network.h"
@@ -20,6 +23,9 @@ using congest::Message;
 using congest::Network;
 using congest::PhaseStats;
 using congest::Process;
+using testutil::DoubleSendProcess;
+using testutil::ForeignEdgeProcess;
+using testutil::InboxOverflowProcess;
 
 /// Floods a token from node 0; records the round each node first hears it.
 class FloodProcess final : public Process {
@@ -71,21 +77,6 @@ TEST(Network, FloodDistanceMatchesBfsOnGrid) {
   EXPECT_EQ(procs[24].heard_round, 8);
 }
 
-/// Sends two messages over the same edge in one round — must be rejected.
-class DoubleSendProcess final : public Process {
- public:
-  explicit DoubleSendProcess(NodeId id) : id_(id) {}
-  void on_start(Context& ctx) override {
-    if (id_ != 0) return;
-    ctx.send(ctx.neighbors().front().edge, Message(1));
-    ctx.send(ctx.neighbors().front().edge, Message(2));
-  }
-  void on_round(Context&, std::span<const Incoming>) override {}
-
- private:
-  NodeId id_;
-};
-
 TEST(Network, RejectsTwoSendsOnOneEdgePerRound) {
   const Graph g = make_path(2);
   Network net(g);
@@ -120,19 +111,6 @@ TEST(Network, BothDirectionsOfAnEdgeAreIndependent) {
   EXPECT_EQ(procs[1].received, 1);
   EXPECT_EQ(stats.messages, 2);
 }
-
-/// Sends over an edge not incident to the sender.
-class ForeignEdgeProcess final : public Process {
- public:
-  explicit ForeignEdgeProcess(NodeId id) : id_(id) {}
-  void on_start(Context& ctx) override {
-    if (id_ == 0) ctx.send(1, Message(1));  // edge 1 connects nodes 1-2
-  }
-  void on_round(Context&, std::span<const Incoming>) override {}
-
- private:
-  NodeId id_;
-};
 
 TEST(Network, RejectsNonIncidentSend) {
   const Graph g = make_path(3);
@@ -205,21 +183,30 @@ TEST(Network, AccountingAccumulatesAcrossPhases) {
 // reimplementation of the historical vector-of-vectors engine — identical
 // PhaseStats and identical per-node delivery order — on a randomized
 // multi-phase workload over several topologies. The harness lives in
-// stress_util.h, shared with the parallel determinism suite.
+// stress_util.h.
 
 using testutil::DeliveryRecord;
 using testutil::reference_run;
 using testutil::StressBehavior;
 using testutil::StressProcess;
 
-void run_stress_comparison(const Graph& g, bool validate) {
+/// `dice` sets the send/wake moduli of every phase (its seed is replaced
+/// per phase). `wrap_tick`, when set, restarts the epoch just below the
+/// 31-bit stamp wrap after phase 0, so phases 1-2 cross the wrap while
+/// phase 0's stale stamps are still in the node state.
+void run_stress_comparison(const Graph& g, bool validate,
+                           StressBehavior dice = StressBehavior{0},
+                           bool wrap_tick = false) {
   const auto n = static_cast<std::size_t>(g.num_nodes());
   Network net(g);
   net.set_validate(validate);
   // Multiple phases on one Network exercise the epoch-stamped reuse of all
   // per-phase state (nothing is reset O(n) between phases).
   for (std::uint64_t phase = 0; phase < 3; ++phase) {
-    const StressBehavior behavior{0x5eed0000 + phase};
+    if (wrap_tick && phase == 1)
+      congest::NetworkTestPeer::set_tick(net, (std::int64_t{1} << 31) - 4);
+    StressBehavior behavior = dice;
+    behavior.seed = 0x5eed0000 + phase;
 
     std::vector<std::vector<DeliveryRecord>> got_logs(n);
     std::vector<StressProcess> procs;
@@ -234,6 +221,10 @@ void run_stress_comparison(const Graph& g, bool validate) {
     EXPECT_EQ(got.rounds, want.rounds) << "phase " << phase;
     EXPECT_EQ(got.messages, want.messages) << "phase " << phase;
     ASSERT_EQ(got_logs, want_logs) << "phase " << phase;
+  }
+  // The run really crossed the wrap (advance_tick's refill executed).
+  if (wrap_tick) {
+    EXPECT_GT(congest::NetworkTestPeer::tick(net), std::int64_t{1} << 31);
   }
 }
 
@@ -253,6 +244,26 @@ TEST(NetworkStress, MatchesReferenceEngineOnWheelHub) {
 
 TEST(NetworkStress, MatchesReferenceEngineWithValidationOff) {
   run_stress_comparison(make_grid(8, 8), /*validate=*/false);
+}
+
+TEST(NetworkStress, HeavyTrafficMatchesReferenceEngine) {
+  // Dense dice on a ~deg-12 random graph: thousands of messages per round
+  // and multi-message inboxes, so the radix sort and the counting scatter
+  // run with real work in every round.
+  const StressBehavior dense{0, /*start_send_mod=*/2, /*round_send_mod=*/2,
+                             /*wake_mod=*/3};
+  for (const bool validate : {true, false})
+    run_stress_comparison(make_erdos_renyi(600, 0.02, 13), validate, dense);
+}
+
+// 31-bit epoch-stamp wrap: stamps written at small tick32 values in an
+// early phase must never alias post-wrap ticks, which count up from small
+// values again. advance_tick's O(n) refill on the wrap is what prevents
+// it; this run crosses the wrap mid-workload and must still match the
+// reference engine bit for bit.
+TEST(NetworkTickWrap, ObservablesSurviveStampWrapMidRun) {
+  run_stress_comparison(make_erdos_renyi(90, 0.07, 5), /*validate=*/true,
+                        StressBehavior{0}, /*wrap_tick=*/true);
 }
 
 TEST(Network, DoubleSendFiresInValidateMode) {
@@ -292,6 +303,82 @@ TEST(Network, RecoversAfterAbortedPhase) {
   EXPECT_EQ(stats.rounds, 3);
   EXPECT_EQ(stats.messages, 3);
   EXPECT_EQ(procs[3].heard_round, 3);
+}
+
+// ---------------------------------------------------------------------------
+// Engine limits: a node's per-round inbox count saturating at 2^31 - 1
+// must be diagnosed at the send that would overflow it, never wrap
+// silently. InboxOverflowProcess (stress_util.h) primes the counter
+// through NetworkTestPeer; actually sending 2^31 messages would need a
+// ~100 GB slab.
+
+TEST(NetworkLimits, PerNodeInboxOverflowDiagnosedSequential) {
+  const Graph g = make_path(3);
+  Network net(g);
+  std::vector<InboxOverflowProcess> procs;
+  for (NodeId v = 0; v < g.num_nodes(); ++v) procs.emplace_back(v, &net);
+  try {
+    congest::run_phase(net, procs);
+    FAIL() << "inbox overflow must be diagnosed";
+  } catch (const CheckFailure& e) {
+    EXPECT_NE(std::string(e.what()).find("engine limit"), std::string::npos);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// `run` is not reentrant: a process callback that starts a phase on its
+// own network is diagnosed, and the aborted phase must not wedge the
+// network.
+
+class ReentrantRunProcess final : public Process {
+ public:
+  ReentrantRunProcess(NodeId id, Network* net) : id_(id), net_(net) {}
+  void on_start(Context& ctx) override {
+    if (id_ == 0) ctx.send(ctx.neighbors().front().edge, Message(1));
+  }
+  void on_round(Context&, std::span<const Incoming>) override {
+    // Its own pointer view: run_phase would refill the network's scratch,
+    // which backs the running phase's process span.
+    std::vector<FloodProcess> inner;
+    std::vector<Process*> ptrs;
+    inner.reserve(static_cast<std::size_t>(net_->num_nodes()));
+    for (NodeId v = 0; v < net_->num_nodes(); ++v) {
+      inner.emplace_back(v);
+      ptrs.push_back(&inner.back());
+    }
+    net_->run(ptrs);  // documented misuse: diagnosed
+  }
+
+ private:
+  NodeId id_;
+  Network* net_;
+};
+
+TEST(NetworkGuards, RunInsideRunningPhaseThrows) {
+  const Graph g = make_path(4);
+  Network net(g);
+  std::vector<ReentrantRunProcess> procs;
+  for (NodeId v = 0; v < g.num_nodes(); ++v) procs.emplace_back(v, &net);
+  try {
+    congest::run_phase(net, procs);
+    FAIL() << "run inside a phase must throw";
+  } catch (const CheckFailure& e) {
+    EXPECT_NE(std::string(e.what()).find("not reentrant"), std::string::npos);
+  }
+  // The guard clears on the aborted phase: the next phase runs and matches
+  // the reference engine.
+  const auto n = static_cast<std::size_t>(g.num_nodes());
+  std::vector<std::vector<DeliveryRecord>> logs(n);
+  const StressBehavior behavior{0x5eed0000};
+  std::vector<StressProcess> stress;
+  for (NodeId v = 0; v < g.num_nodes(); ++v)
+    stress.emplace_back(v, behavior, &logs[static_cast<std::size_t>(v)]);
+  const PhaseStats got = congest::run_phase(net, stress);
+  std::vector<std::vector<DeliveryRecord>> want_logs(n);
+  const PhaseStats want = reference_run(g, behavior, want_logs);
+  EXPECT_EQ(got.rounds, want.rounds);
+  EXPECT_EQ(got.messages, want.messages);
+  EXPECT_EQ(logs, want_logs);
 }
 
 TEST(Message, PayloadIsBounded) {

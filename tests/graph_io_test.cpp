@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <exception>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -12,6 +15,7 @@
 #include "graph/partition.h"
 #include "util/cast.h"
 #include "util/check.h"
+#include "util/worker_pool.h"
 
 namespace lcs {
 namespace {
@@ -246,17 +250,69 @@ TEST(BinaryCache, PartitionCodecValidates) {
                CheckFailure);
 }
 
+/// A fresh empty directory under the test temp dir.
+std::filesystem::path fresh_dir(const std::string& name) {
+  const std::filesystem::path dir =
+      std::filesystem::path(testing::TempDir()) / name;
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  return dir;
+}
+
+/// The names of the entries in `dir`, sorted.
+std::vector<std::string> dir_entries(const std::filesystem::path& dir) {
+  std::vector<std::string> names;
+  for (const auto& entry : std::filesystem::directory_iterator(dir))
+    names.push_back(entry.path().filename().string());
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
 TEST(BinaryCache, AtomicSaveLeavesNoTempFileBehind) {
-  const std::string path = testing::TempDir() + "lcs_io_atomic.bin";
+  const std::filesystem::path dir = fresh_dir("lcs_io_atomic");
+  const std::string path = (dir / "cache.bin").string();
   const Graph g = make_grid(4, 4);
   save_binary(g, path);
-  EXPECT_FALSE(std::ifstream(path + ".tmp").good());
+  // The writer's temp file (`cache.bin.tmp.<pid>.<n>`) was renamed away.
+  EXPECT_EQ(dir_entries(dir), std::vector<std::string>{"cache.bin"});
   expect_same_graph(g, load_binary(path));
   // Overwriting an existing cache is atomic too.
   save_binary(make_grid(5, 5), path);
-  EXPECT_FALSE(std::ifstream(path + ".tmp").good());
+  EXPECT_EQ(dir_entries(dir), std::vector<std::string>{"cache.bin"});
   expect_same_graph(make_grid(5, 5), load_binary(path));
-  std::remove(path.c_str());
+  std::filesystem::remove_all(dir);
+}
+
+// Two lcs_serve workers that miss the same scenario save the same path at
+// once. Each writer has its own temp file, so every save lands whole and
+// the last rename wins. The bundle is over 1 MB so the writes overlap.
+TEST(BinaryCache, ConcurrentSavesOfOnePathAllLand) {
+  const Graph g = make_grid(200, 200);
+  const std::vector<BundleSection> sections = {
+      {kSectionPartition,
+       encode_partition(make_random_bfs_partition(g, 16, 1))}};
+  WorkerPool pool(4);
+  for (int round = 0; round < 20; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    const std::filesystem::path dir = fresh_dir("lcs_io_concurrent_save");
+    const std::string path = (dir / "bundle.lcsg").string();
+    std::vector<std::string> errors(4);
+    pool.run([&](int w) {
+      try {
+        save_binary_bundle(g, sections, path);
+      } catch (const std::exception& e) {
+        errors[static_cast<std::size_t>(w)] = e.what();
+      }
+    });
+    EXPECT_EQ(errors, std::vector<std::string>(4)) << "a save threw";
+    EXPECT_EQ(dir_entries(dir), std::vector<std::string>{"bundle.lcsg"});
+    const GraphBundle back = load_binary_bundle(path);
+    expect_same_graph(g, back.graph);
+    ASSERT_EQ(back.sections.size(), 1u);
+    EXPECT_EQ(back.sections[0].tag, kSectionPartition);
+    EXPECT_EQ(back.sections[0].bytes, sections[0].bytes);
+    std::filesystem::remove_all(dir);
+  }
 }
 
 TEST(EdgeList, ParsesWeightsCommentsAndDirective) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <utility>
@@ -180,8 +181,13 @@ TEST(ShortcutRecord, FileRoundTripAndVersionRejection) {
   const ShortcutRunRecord rec = sample_record(sc);
   const std::string path = testing::TempDir() + "lcs_persist_record.lcss";
   save_shortcut_record(rec, path);
-  // The atomic write left no temp file behind.
-  EXPECT_FALSE(std::ifstream(path + ".tmp").good());
+  // The atomic write left no temp file (`<path>.tmp.<pid>.<n>`) behind.
+  for (const auto& entry :
+       std::filesystem::directory_iterator(testing::TempDir()))
+    EXPECT_NE(entry.path().filename().string().rfind(
+                  "lcs_persist_record.lcss.tmp", 0),
+              0u)
+        << entry.path();
   expect_same_record(rec, load_shortcut_record(path, sc.graph, rec.spec_hash,
                                                rec.partition_hash,
                                                rec.backend));

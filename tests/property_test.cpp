@@ -7,6 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <optional>
+#include <string>
+#include <tuple>
+#include <utility>
 
 #include "graph/generators.h"
 #include "graph/graph.h"
@@ -17,6 +22,7 @@
 #include "shortcut/shortcut.h"
 #include "shortcut/superstep.h"
 #include "test_util.h"
+#include "tree/bfs_tree.h"
 #include "tree/spanning_tree.h"
 #include "util/cast.h"
 
@@ -82,42 +88,43 @@ Scenario make_scenario(const std::string& family, std::uint64_t seed) {
   return {family, make_path(2), make_whole_graph_partition(2), 0};
 }
 
-/// (family, seed, engine thread count): every suite below runs once on the
-/// sequential engine and once on a multi-threaded Network, proving the
-/// full pipelines are thread-count-invariant end to end (the engine's
-/// determinism contract, network.h "Parallel mode").
+/// (family, seed, runs): each suite runs its pipeline `runs` times on one
+/// Network (the `_t<runs>` suffix of the test name). Every run after the
+/// first must reproduce the first bit for bit and add the same rounds and
+/// messages, so no state leaks from one call into the next.
 class PipelineProperty : public ::testing::TestWithParam<
                              std::tuple<std::string, std::uint64_t, int>> {};
 
 TEST_P(PipelineProperty, Theorem3EndToEnd) {
-  const auto& [family, seed, threads] = GetParam();
+  const auto& [family, seed, runs] = GetParam();
   Scenario sc = make_scenario(family, seed);
   validate_partition(sc.graph, sc.partition);
 
-  Sim sim(sc.graph, sc.root, threads);
+  Sim sim(sc.graph, sc.root);
   FindShortcutParams params;
   params.seed = seed + 1000;
-  const FindShortcutResult found =
-      find_shortcut_doubling(sim.net, sim.tree, sc.partition, params);
+  std::optional<FindShortcutResult> first;
+  const auto cost = testutil::measure(sim.net, [&] {
+    first.emplace(
+        find_shortcut_doubling(sim.net, sim.tree, sc.partition, params));
+  });
+  const FindShortcutResult& found = *first;
 
-  if (threads > 1) {
-    // Thread-count invariance: the multi-threaded run must reproduce the
-    // sequential run bit for bit — same BFS tree, same shortcut, same
-    // trial/iteration path, same accounting.
-    Sim ref(sc.graph, sc.root, /*threads=*/1);
-    const FindShortcutResult want =
-        find_shortcut_doubling(ref.net, ref.tree, sc.partition, params);
-    EXPECT_EQ(sim.tree.parent, ref.tree.parent);
-    EXPECT_EQ(sim.tree.depth, ref.tree.depth);
-    EXPECT_EQ(found.state.shortcut.parts_on_edge,
-              want.state.shortcut.parts_on_edge);
-    EXPECT_EQ(found.stats.iterations, want.stats.iterations);
-    EXPECT_EQ(found.stats.trials, want.stats.trials);
-    EXPECT_EQ(found.stats.used_c, want.stats.used_c);
-    EXPECT_EQ(found.stats.used_b, want.stats.used_b);
-    EXPECT_EQ(found.stats.rounds, want.stats.rounds);
-    EXPECT_EQ(sim.net.total_rounds(), ref.net.total_rounds());
-    EXPECT_EQ(sim.net.total_messages(), ref.net.total_messages());
+  for (int run = 1; run < runs; ++run) {
+    SCOPED_TRACE("run " + std::to_string(run));
+    std::optional<FindShortcutResult> again;
+    const auto again_cost = testutil::measure(sim.net, [&] {
+      again.emplace(
+          find_shortcut_doubling(sim.net, sim.tree, sc.partition, params));
+    });
+    EXPECT_EQ(again->state.shortcut.parts_on_edge,
+              found.state.shortcut.parts_on_edge);
+    EXPECT_EQ(again->stats.iterations, found.stats.iterations);
+    EXPECT_EQ(again->stats.trials, found.stats.trials);
+    EXPECT_EQ(again->stats.used_c, found.stats.used_c);
+    EXPECT_EQ(again->stats.used_b, found.stats.used_b);
+    EXPECT_EQ(again->stats.rounds, found.stats.rounds);
+    EXPECT_EQ(again_cost, cost);
   }
 
   // Structure.
@@ -175,25 +182,29 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(std::get<2>(info.param));
     });
 
+/// (family, seed, builds): the BFS tree the sweep runs on is built
+/// `builds` times on one Network (the `_t<builds>` suffix).
 class ExistentialProperty : public ::testing::TestWithParam<
                                 std::tuple<std::string, std::uint64_t, int>> {
 };
 
 TEST_P(ExistentialProperty, GreedyGeometryInvariants) {
-  const auto& [family, seed, threads] = GetParam();
+  const auto& [family, seed, builds] = GetParam();
   Scenario sc = make_scenario(family, seed);
-  // Build the tree distributedly on the requested thread count; the
-  // engine's determinism contract makes it identical to the sequential
-  // build, which pins the greedy sweep below to the same tree at every
-  // thread count.
-  Sim sim(sc.graph, sc.root, threads);
+  // Build the tree distributedly `builds` times on one Network: every
+  // rebuild runs the engine over the stamps and slabs of the earlier
+  // phases and must give the same tree for the same rounds and messages.
+  Sim sim(sc.graph, sc.root);
   const SpanningTree& tree = sim.tree;
-  if (threads > 1) {
-    Sim ref(sc.graph, sc.root, /*threads=*/1);
-    ASSERT_EQ(tree.parent, ref.tree.parent);
-    ASSERT_EQ(tree.depth, ref.tree.depth);
-    ASSERT_EQ(sim.net.total_rounds(), ref.net.total_rounds());
-    ASSERT_EQ(sim.net.total_messages(), ref.net.total_messages());
+  const std::pair<std::int64_t, std::int64_t> cost{sim.net.total_rounds(),
+                                                   sim.net.total_messages()};
+  for (int build = 1; build < builds; ++build) {
+    SpanningTree again;
+    const auto again_cost = testutil::measure(
+        sim.net, [&] { again = build_bfs_tree(sim.net, sc.root); });
+    ASSERT_EQ(again.parent, tree.parent) << "build " << build;
+    ASSERT_EQ(again.depth, tree.depth) << "build " << build;
+    ASSERT_EQ(again_cost, cost) << "build " << build;
   }
 
   const auto points = pareto_sweep(sc.graph, tree, sc.partition);

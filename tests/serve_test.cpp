@@ -2,8 +2,10 @@
 
 #include <filesystem>
 #include <fstream>
+#include <iostream>
 #include <memory>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -11,6 +13,7 @@
 #include "graph/graph.h"
 #include "scenario/scenario.h"
 #include "serve/cache.h"
+#include "serve/server.h"
 #include "shortcut/persist.h"
 #include "util/check.h"
 #include "util/json_reader.h"
@@ -276,8 +279,8 @@ std::set<std::string> timing_keys(const JsonValue& doc) {
 
 // Every golden and serve gate runs with timing off, so this pins the report
 // envelope with it on: the top-level key order of each report shape, and
-// `timing` carrying `threads` exactly when an engine ran (wall_ms is not
-// asserted — it is the one sanctioned nondeterminism).
+// `timing` carrying only `wall_ms` whether or not an engine ran (its value
+// is not asserted — it is the one sanctioned nondeterminism).
 TEST(ServeDriver, ReportEnvelopeWithTimingPinsKeyOrder) {
   const std::vector<std::string> engine_keys = {
       "schema", "algorithm", "scenario",   "config",
@@ -285,7 +288,6 @@ TEST(ServeDriver, ReportEnvelopeWithTimingPinsKeyOrder) {
   const std::vector<std::string> churn_keys = {
       "schema", "algorithm", "scenario", "config",
       "churn",  "checkpoints", "validation", "timing"};
-  const std::set<std::string> engine_timing = {"threads", "wall_ms"};
   const std::set<std::string> wall_only = {"wall_ms"};
 
   const auto run = [](const driver::RunOptions& o,
@@ -307,13 +309,10 @@ TEST(ServeDriver, ReportEnvelopeWithTimingPinsKeyOrder) {
   EXPECT_EQ(timing_keys(none), wall_only);
 
   o.algo = "mst";
-  o.threads = 2;
+  o.threads = 2;  // accepted; selects nothing and is not reported
   const JsonValue mst = run(o, {});
   EXPECT_EQ(keys_of(mst), engine_keys);
-  ASSERT_EQ(timing_keys(mst), engine_timing);
-  EXPECT_EQ(mst.find("timing", "report")->find("threads", "timing")->as_int(
-                "timing.threads"),
-            2);
+  EXPECT_EQ(timing_keys(mst), wall_only);
   o.threads = 1;
 
   // Shortcut cold (engine built) and warm (record served, no engine
@@ -329,9 +328,9 @@ TEST(ServeDriver, ReportEnvelopeWithTimingPinsKeyOrder) {
     EXPECT_EQ(records.stats().constructed, 1);
     EXPECT_EQ(records.stats().memory_hits, 1);
     EXPECT_EQ(keys_of(cold), engine_keys);
-    EXPECT_EQ(timing_keys(cold), engine_timing);
+    EXPECT_EQ(timing_keys(cold), wall_only);
     EXPECT_EQ(keys_of(warm), engine_keys);
-    EXPECT_EQ(timing_keys(warm), engine_timing);
+    EXPECT_EQ(timing_keys(warm), wall_only);
   }
   fs::remove_all(dir);
 
@@ -353,7 +352,7 @@ TEST(ServeDriver, ReportEnvelopeWithTimingPinsKeyOrder) {
                 ->find("oracle", "validation")
                 ->as_string("validation.oracle"),
             "distributed Boruvka MST over the final snapshot");
-  EXPECT_EQ(timing_keys(connected), engine_timing);
+  EXPECT_EQ(timing_keys(connected), wall_only);
 
   o.scenario = "churn:base=grid:w=6,h=6;steps=40,rate=0.1,dfrac=0.9,seed=7";
   const JsonValue disconnected = run(o, {});
@@ -385,34 +384,32 @@ TEST(ServeDriver, ErrorDocumentsAreDeterministic) {
   EXPECT_NE(doc1.find("nonsense"), std::string::npos);
 }
 
-// lcs_run's --parallel-threshold and lcs_serve's "parallel_threshold" both
-// land in RunOptions: a negative value is an error naming the key, never
-// a silent fall back to the engine default.
+// The engine has no parallel threshold, so a request carrying one, negative
+// or not, is refused as an unknown field that the error names (lcs_run
+// answers --parallel-threshold with an unknown-argument usage error).
 TEST(ServeDriver, NegativeParallelThresholdIsRejected) {
-  driver::RunOptions o;
-  o.algo = "mst";
-  o.scenario = "grid:w=4";
-  o.timing = false;
-  o.parallel_threshold = -5;
-  std::string out;
-  try {
-    driver::run_document(o, driver::RunHooks{}, out);
-    FAIL() << "negative parallel_threshold accepted";
-  } catch (const CheckFailure& e) {
-    const std::string message = e.what();
-    EXPECT_NE(message.find("parallel_threshold"), std::string::npos)
-        << message;
-    EXPECT_NE(message.find("got -5"), std::string::npos) << message;
-  }
-  EXPECT_TRUE(out.empty());
+  std::istringstream requests(
+      R"({"id":"neg","algo":"mst","scenario":"grid:w=4","parallel_threshold":-5,"timing":false})"
+      "\n"
+      R"({"id":"zero","algo":"mst","scenario":"grid:w=4","parallel_threshold":0,"timing":false})"
+      "\n");
+  std::ostringstream responses;
+  std::streambuf* const cin_buf = std::cin.rdbuf(requests.rdbuf());
+  std::streambuf* const cout_buf = std::cout.rdbuf(responses.rdbuf());
+  const int rc = serve::Server(serve::ServeOptions{}).serve_stdin();
+  std::cin.rdbuf(cin_buf);
+  std::cout.rdbuf(cout_buf);
+  EXPECT_EQ(rc, 0);
 
-  // Zero (every round parallel) is legal and moves no byte.
-  std::string unset_doc;
-  o.parallel_threshold.reset();
-  EXPECT_EQ(driver::run_document(o, driver::RunHooks{}, unset_doc), 0);
-  o.parallel_threshold = 0;
-  EXPECT_EQ(driver::run_document(o, driver::RunHooks{}, out), 0);
-  EXPECT_EQ(out, unset_doc);
+  const std::string out = responses.str();
+  for (const std::string id : {"neg", "zero"})
+    EXPECT_NE(out.find("#lcs_serve id=" + id + " exit=2 "), std::string::npos)
+        << out;
+  EXPECT_EQ(out.find("\"result\""), std::string::npos) << out;
+  const std::string unknown = "unknown request field 'parallel_threshold'";
+  const std::size_t first = out.find(unknown);
+  ASSERT_NE(first, std::string::npos) << out;
+  EXPECT_NE(out.find(unknown, first + 1), std::string::npos) << out;
 }
 
 // A negative thread count is an error naming the key on every path: the

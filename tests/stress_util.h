@@ -1,11 +1,12 @@
 /// \file stress_util.h
-/// The randomized engine stress harness (PR 1), shared by the engine
-/// semantics tests (`congest_test.cpp`) and the parallel determinism suite
+/// The randomized engine stress harness behind the engine semantics tests
+/// (`congest_test.cpp`) and the concurrent-run tests
 /// (`parallel_determinism_test.cpp`): a hash-driven multi-round workload
 /// whose behavior is a pure function of (seed, node, round, edge), a
-/// Process wrapper that logs every delivery in order, and a direct
+/// Process wrapper that logs every delivery in order, a direct
 /// transcription of the historical vector-of-vectors engine as the ground
-/// truth.
+/// truth, and three processes that break an engine rule (a double send, a
+/// non-incident send, a per-node inbox overflow).
 #pragma once
 
 #include <algorithm>
@@ -47,9 +48,8 @@ struct DeliveryRecord {
 /// over a hash-chosen subset of incident edges (at most once per edge per
 /// round, as CONGEST requires) and request hash-chosen wakeups, quiescing
 /// by round 25. The moduli are the send/wake dice denominators — the
-/// defaults reproduce the PR-1 workload; smaller values give the denser
-/// traffic the parallel-promotion tests use to get multi-message inboxes
-/// and large per-round volume.
+/// defaults are the standard workload; smaller values give denser traffic,
+/// with multi-message inboxes and large per-round volume.
 struct StressBehavior {
   std::uint64_t seed;
   std::uint64_t start_send_mod = 4;
@@ -112,6 +112,57 @@ class StressProcess final : public congest::Process {
   NodeId id_;
   StressBehavior behavior_;
   std::vector<DeliveryRecord>* log_;
+};
+
+/// Sends two messages over the same edge in one round — a CONGEST
+/// violation that validation must reject.
+class DoubleSendProcess final : public congest::Process {
+ public:
+  explicit DoubleSendProcess(NodeId id) : id_(id) {}
+  void on_start(congest::Context& ctx) override {
+    if (id_ != 0) return;
+    ctx.send(ctx.neighbors().front().edge, congest::Message(1));
+    ctx.send(ctx.neighbors().front().edge, congest::Message(2));
+  }
+  void on_round(congest::Context&,
+                std::span<const congest::Incoming>) override {}
+
+ private:
+  NodeId id_;
+};
+
+/// Sends over an edge not incident to the sender (on a path of at least
+/// three nodes).
+class ForeignEdgeProcess final : public congest::Process {
+ public:
+  explicit ForeignEdgeProcess(NodeId id) : id_(id) {}
+  void on_start(congest::Context& ctx) override {
+    if (id_ == 0) ctx.send(1, congest::Message(1));  // edge 1 joins nodes 1-2
+  }
+  void on_round(congest::Context&,
+                std::span<const congest::Incoming>) override {}
+
+ private:
+  NodeId id_;
+};
+
+/// Primes node 0's first neighbor's per-round inbox count at 2^31 - 1, then
+/// sends it one message: the engine must diagnose the overflow at that send.
+class InboxOverflowProcess final : public congest::Process {
+ public:
+  InboxOverflowProcess(NodeId id, congest::Network* net) : id_(id), net_(net) {}
+  void on_start(congest::Context& ctx) override {
+    if (id_ != 0) return;
+    congest::NetworkTestPeer::prime_inbox_count(
+        *net_, ctx.neighbors().front().node, INT32_MAX);
+    ctx.send(ctx.neighbors().front().edge, congest::Message(1));
+  }
+  void on_round(congest::Context&,
+                std::span<const congest::Incoming>) override {}
+
+ private:
+  NodeId id_;
+  congest::Network* net_;
 };
 
 /// Direct transcription of the pre-rewrite engine: per-node inbox vectors,

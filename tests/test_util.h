@@ -22,23 +22,13 @@
 namespace lcs::testutil {
 
 /// Graph + simulator + distributed BFS tree, ready for shortcut phases.
-/// `threads` selects the engine's worker count (Network::set_threads) and
-/// is applied before the BFS construction so the tree build itself runs on
-/// the requested thread count too. Threaded Sims pin the adaptive
-/// fallback threshold to 0: the test graphs are small enough that the
-/// default threshold would silently route every round onto the sequential
-/// path, and these suites exist to exercise the parallel one.
 struct Sim {
   const Graph* graph;
   congest::Network net;
   SpanningTree tree;
 
-  explicit Sim(const Graph& g, NodeId root = 0, int threads = 1)
-      : graph(&g),
-        net(g),
-        tree((net.set_threads(threads),
-              threads != 1 ? net.set_parallel_round_threshold(0) : void(),
-              build_bfs_tree(net, root))) {}
+  explicit Sim(const Graph& g, NodeId root = 0)
+      : graph(&g), net(g), tree(build_bfs_tree(net, root)) {}
 };
 
 /// A graph, its partition and the BFS root the superstep tests use.

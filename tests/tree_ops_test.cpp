@@ -259,70 +259,67 @@ Partition holey_partition(const Graph& g) {
 
 TEST(TreeOpsReference, HostCountsMatchEngineProtocols) {
   for (const auto& [name, g] : reference_graphs()) {
-    for (const int threads : {1, 3}) {
-      SCOPED_TRACE(name + " threads=" + std::to_string(threads));
-      // A threaded Sim forces every engine round onto the parallel path.
-      Sim sim(g, 0, threads);
-      auto& net = sim.net;
-      const auto n = static_cast<std::size_t>(g.num_nodes());
+    SCOPED_TRACE(name);
+    Sim sim(g, 0);
+    auto& net = sim.net;
+    const auto n = static_cast<std::size_t>(g.num_nodes());
 
-      // broadcast_word_from_root
-      congest::PerNode<std::uint64_t> got_words;
-      const auto got_b = measure(net, [&] {
-        got_words = broadcast_word_from_root(net, sim.tree, 0xC0FFEE);
-      });
-      congest::PerNode<std::uint64_t> want_words(n, 0);
-      const auto want_b = measure(net, [&] {
-        std::vector<TreeBroadcastProcess> procs;
-        for (NodeId v = 0; v < g.num_nodes(); ++v)
-          procs.emplace_back(v, sim.tree, 0xC0FFEE,
-                             want_words[static_cast<std::size_t>(v)]);
-        congest::run_phase(net, procs);
-      });
-      EXPECT_EQ(got_words, want_words);
-      EXPECT_EQ(got_b, want_b);
+    // broadcast_word_from_root
+    congest::PerNode<std::uint64_t> got_words;
+    const auto got_b = measure(net, [&] {
+      got_words = broadcast_word_from_root(net, sim.tree, 0xC0FFEE);
+    });
+    congest::PerNode<std::uint64_t> want_words(n, 0);
+    const auto want_b = measure(net, [&] {
+      std::vector<TreeBroadcastProcess> procs;
+      for (NodeId v = 0; v < g.num_nodes(); ++v)
+        procs.emplace_back(v, sim.tree, 0xC0FFEE,
+                           want_words[static_cast<std::size_t>(v)]);
+      congest::run_phase(net, procs);
+    });
+    EXPECT_EQ(got_words, want_words);
+    EXPECT_EQ(got_b, want_b);
 
-      // global_or: no bit, one bit at the deepest node, every third bit.
-      congest::PerNode<bool> none(n, false);
-      congest::PerNode<bool> deep(n, false);
-      deep[static_cast<std::size_t>(
-          std::max_element(sim.tree.depth.begin(), sim.tree.depth.end()) -
-          sim.tree.depth.begin())] = true;
-      congest::PerNode<bool> some(n, false);
-      for (std::size_t v = 0; v < n; v += 3) some[v] = true;
-      for (const auto* bits : {&none, &deep, &some}) {
-        bool got_or = false;
-        const auto got_o =
-            measure(net, [&] { got_or = global_or(net, sim.tree, *bits); });
-        std::vector<GlobalOrProcess> procs;
-        for (NodeId v = 0; v < g.num_nodes(); ++v)
-          procs.emplace_back(v, sim.tree, (*bits)[static_cast<std::size_t>(v)]);
-        const auto want_o =
-            measure(net, [&] { congest::run_phase(net, procs); });
-        for (const GlobalOrProcess& p : procs) EXPECT_EQ(p.result, got_or);
-        EXPECT_EQ(got_o, want_o);
-      }
-
-      // exchange_neighbor_parts
-      const Partition p = holey_partition(g);
-      NeighborParts got_parts;
-      const auto got_x = measure(
-          net, [&] { got_parts = exchange_neighbor_parts(net, p); });
-      congest::PerNode<std::vector<PartId>> want_parts(n);
-      const auto want_x = measure(net, [&] {
-        std::vector<PartExchangeProcess> procs;
-        for (NodeId v = 0; v < g.num_nodes(); ++v)
-          procs.emplace_back(v, p, want_parts[static_cast<std::size_t>(v)]);
-        congest::run_phase(net, procs);
-      });
-      for (NodeId v = 0; v < g.num_nodes(); ++v) {
-        const auto row = got_parts.of(v);
-        EXPECT_EQ(std::vector<PartId>(row.begin(), row.end()),
-                  want_parts[static_cast<std::size_t>(v)])
-            << "node " << v;
-      }
-      EXPECT_EQ(got_x, want_x);
+    // global_or: no bit, one bit at the deepest node, every third bit.
+    congest::PerNode<bool> none(n, false);
+    congest::PerNode<bool> deep(n, false);
+    deep[static_cast<std::size_t>(
+        std::max_element(sim.tree.depth.begin(), sim.tree.depth.end()) -
+        sim.tree.depth.begin())] = true;
+    congest::PerNode<bool> some(n, false);
+    for (std::size_t v = 0; v < n; v += 3) some[v] = true;
+    for (const auto* bits : {&none, &deep, &some}) {
+      bool got_or = false;
+      const auto got_o =
+          measure(net, [&] { got_or = global_or(net, sim.tree, *bits); });
+      std::vector<GlobalOrProcess> procs;
+      for (NodeId v = 0; v < g.num_nodes(); ++v)
+        procs.emplace_back(v, sim.tree, (*bits)[static_cast<std::size_t>(v)]);
+      const auto want_o =
+          measure(net, [&] { congest::run_phase(net, procs); });
+      for (const GlobalOrProcess& p : procs) EXPECT_EQ(p.result, got_or);
+      EXPECT_EQ(got_o, want_o);
     }
+
+    // exchange_neighbor_parts
+    const Partition p = holey_partition(g);
+    NeighborParts got_parts;
+    const auto got_x = measure(
+        net, [&] { got_parts = exchange_neighbor_parts(net, p); });
+    congest::PerNode<std::vector<PartId>> want_parts(n);
+    const auto want_x = measure(net, [&] {
+      std::vector<PartExchangeProcess> procs;
+      for (NodeId v = 0; v < g.num_nodes(); ++v)
+        procs.emplace_back(v, p, want_parts[static_cast<std::size_t>(v)]);
+      congest::run_phase(net, procs);
+    });
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      const auto row = got_parts.of(v);
+      EXPECT_EQ(std::vector<PartId>(row.begin(), row.end()),
+                want_parts[static_cast<std::size_t>(v)])
+          << "node " << v;
+    }
+    EXPECT_EQ(got_x, want_x);
   }
 }
 

@@ -374,12 +374,11 @@ TEST(TreeRouting, FullAncestorBroadcastCongestionStress) {
 
 // ---------------------------------------------------------------------------
 // Host schedules against the engine references (engine_reference.h). On
-// every reference family, at 1 and 3 threads with every engine round on the
-// parallel path and validation on, each priority's host broadcast and
-// convergecast must take the reference protocol's rounds and messages, and
-// the host broadcast must give every slot the root and root depth the
-// reference delivers. The shortcuts range from uncontested to every part on
-// every ancestor edge.
+// every reference family, with validation on, each priority's host
+// broadcast and convergecast must take the reference protocol's rounds and
+// messages, and the host broadcast must give every slot the root and root
+// depth the reference delivers. The shortcuts range from uncontested to
+// every part on every ancestor edge.
 
 TEST(TreeRoutingReference, HostSchedulesMatchEngine) {
   const std::pair<const char*, RoutingPriority> priorities[] = {
@@ -387,75 +386,71 @@ TEST(TreeRoutingReference, HostSchedulesMatchEngine) {
       {"part-id", RoutingPriority::kPartId},
       {"fifo", RoutingPriority::kFifo}};
   for (const testutil::SuperstepFamily& f : testutil::reference_families()) {
-    for (const int threads : {1, 3}) {
-      Sim sim(f.g, f.root, threads);
-      std::vector<Shortcut> shortcuts;
-      for (const std::int32_t threshold : {1, 3, 1000})
-        shortcuts.push_back(
-            greedy_blocked_shortcut(f.g, sim.tree, f.p, threshold));
-      shortcuts.push_back(full_ancestor_shortcut(f.g, sim.tree, f.p));
-      for (std::size_t k = 0; k < shortcuts.size(); ++k) {
-        SCOPED_TRACE(std::string(f.name) + " threads=" +
-                     std::to_string(threads) + " shortcut " +
-                     std::to_string(k));
-        const ShortcutState state =
-            compute_shortcut_state(sim.net, sim.tree, f.p, shortcuts[k]);
-        const ComponentPlan& plan = state.plan;
-        for (const auto& [priority_name, priority] : priorities) {
-          SCOPED_TRACE(priority_name);
-          // Broadcast: every slot hears its component root's id and depth.
-          std::vector<NodeId> root(plan.slots.size(), kNoNode);
-          std::vector<std::int32_t> root_depth(plan.slots.size(), -1);
-          const congest::PhaseStats want_b = reference_component_broadcast(
-              sim.net, sim.tree, plan,
-              [](NodeId v, PartId) { return static_cast<std::uint64_t>(v); },
-              [&](NodeId v, PartId j, std::uint64_t value, std::int32_t rd) {
-                const std::size_t s = plan.slot_index(v, j);
-                root[s] = util::checked_cast<NodeId>(value);
-                root_depth[s] = rd;
-              },
-              priority);
-          const BroadcastSchedule got_b =
-              broadcast_schedule(sim.tree, plan, priority);
-          EXPECT_EQ(got_b.stats.rounds, want_b.rounds);
-          EXPECT_EQ(got_b.stats.messages, want_b.messages);
-          EXPECT_EQ(got_b.root, root);
-          for (std::size_t s = 0; s < plan.slots.size(); ++s) {
-            ASSERT_NE(got_b.root[s], kNoNode) << "slot " << s;
-            EXPECT_EQ(sim.tree.depth[static_cast<std::size_t>(got_b.root[s])],
-                      root_depth[s])
+    Sim sim(f.g, f.root);
+    std::vector<Shortcut> shortcuts;
+    for (const std::int32_t threshold : {1, 3, 1000})
+      shortcuts.push_back(
+          greedy_blocked_shortcut(f.g, sim.tree, f.p, threshold));
+    shortcuts.push_back(full_ancestor_shortcut(f.g, sim.tree, f.p));
+    for (std::size_t k = 0; k < shortcuts.size(); ++k) {
+      SCOPED_TRACE(std::string(f.name) + " shortcut " + std::to_string(k));
+      const ShortcutState state =
+          compute_shortcut_state(sim.net, sim.tree, f.p, shortcuts[k]);
+      const ComponentPlan& plan = state.plan;
+      for (const auto& [priority_name, priority] : priorities) {
+        SCOPED_TRACE(priority_name);
+        // Broadcast: every slot hears its component root's id and depth.
+        std::vector<NodeId> root(plan.slots.size(), kNoNode);
+        std::vector<std::int32_t> root_depth(plan.slots.size(), -1);
+        const congest::PhaseStats want_b = reference_component_broadcast(
+            sim.net, sim.tree, plan,
+            [](NodeId v, PartId) { return static_cast<std::uint64_t>(v); },
+            [&](NodeId v, PartId j, std::uint64_t value, std::int32_t rd) {
+              const std::size_t s = plan.slot_index(v, j);
+              root[s] = util::checked_cast<NodeId>(value);
+              root_depth[s] = rd;
+            },
+            priority);
+        const BroadcastSchedule got_b =
+            broadcast_schedule(sim.tree, plan, priority);
+        EXPECT_EQ(got_b.stats.rounds, want_b.rounds);
+        EXPECT_EQ(got_b.stats.messages, want_b.messages);
+        EXPECT_EQ(got_b.root, root);
+        for (std::size_t s = 0; s < plan.slots.size(); ++s) {
+          ASSERT_NE(got_b.root[s], kNoNode) << "slot " << s;
+          EXPECT_EQ(sim.tree.depth[static_cast<std::size_t>(got_b.root[s])],
+                    root_depth[s])
+              << "slot " << s;
+          if (plan.slots[s].has_parent()) {
+            EXPECT_EQ(plan.slots[s].parent_root_depth, root_depth[s])
                 << "slot " << s;
-            if (plan.slots[s].has_parent()) {
-              EXPECT_EQ(plan.slots[s].parent_root_depth, root_depth[s])
-                  << "slot " << s;
-            }
           }
-          for (NodeId v = 0; v < f.g.num_nodes(); ++v) {
-            const PartId j = f.p.part(v);
-            if (j == kNoPart) continue;
-            const std::size_t s = plan.slot_index(v, j);
-            EXPECT_EQ(state.own_block_root[static_cast<std::size_t>(v)],
-                      s < plan.slots.size() ? root[s] : v)
-                << "node " << v;
-          }
+        }
+        for (NodeId v = 0; v < f.g.num_nodes(); ++v) {
+          const PartId j = f.p.part(v);
+          if (j == kNoPart) continue;
+          const std::size_t s = plan.slot_index(v, j);
+          EXPECT_EQ(state.own_block_root[static_cast<std::size_t>(v)],
+                    s < plan.slots.size() ? root[s] : v)
+              << "node " << v;
+        }
 
-          // Convergecast, with placeholder words.
-          const congest::PhaseStats want_c = reference_component_convergecast(
-              sim.net, sim.tree, plan,
-              [](NodeId, PartId) -> std::uint64_t { return 0; },
-              [](std::uint64_t a, std::uint64_t b) { return a | b; },
-              [](NodeId, PartId, std::uint64_t) {}, priority);
-          const congest::PhaseStats got_c =
-              convergecast_schedule(sim.tree, plan, priority);
-          EXPECT_EQ(got_c.rounds, want_c.rounds);
-          EXPECT_EQ(got_c.messages, want_c.messages);
+        // Convergecast, with placeholder words.
+        const congest::PhaseStats want_c = reference_component_convergecast(
+            sim.net, sim.tree, plan,
+            [](NodeId, PartId) -> std::uint64_t { return 0; },
+            [](std::uint64_t a, std::uint64_t b) { return a | b; },
+            [](NodeId, PartId, std::uint64_t) {}, priority);
+        const congest::PhaseStats got_c =
+            convergecast_schedule(sim.tree, plan, priority);
+        EXPECT_EQ(got_c.rounds, want_c.rounds);
+        EXPECT_EQ(got_c.messages, want_c.messages);
 
-          if (priority == RoutingPriority::kRootDepth) {
-            EXPECT_EQ(state.broadcast.rounds, want_b.rounds);
-            EXPECT_EQ(state.broadcast.messages, want_b.messages);
-            EXPECT_EQ(state.convergecast.rounds, want_c.rounds);
-            EXPECT_EQ(state.convergecast.messages, want_c.messages);
-          }
+        if (priority == RoutingPriority::kRootDepth) {
+          EXPECT_EQ(state.broadcast.rounds, want_b.rounds);
+          EXPECT_EQ(state.broadcast.messages, want_b.messages);
+          EXPECT_EQ(state.convergecast.rounds, want_c.rounds);
+          EXPECT_EQ(state.convergecast.messages, want_c.messages);
         }
       }
     }

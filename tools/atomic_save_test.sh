@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Kill-mid-write regression gate for the atomic binary-cache writes.
 #
-# Every save_* entry point writes `<path>.tmp` then atomically renames onto
-# `<path>` (io.h "Atomic writes"). The io layer's LCS_IO_CRASH hooks
+# Every save_* entry point writes a temp file of its own,
+# `<path>.tmp.<pid>.<n>`, then atomically renames it onto `<path>` (io.h
+# "Atomic writes"). The io layer's LCS_IO_CRASH hooks
 # simulate the two crash windows:
 #   * mid-write      — process dies with a half-written temp file,
 #   * before-rename  — process dies with a complete temp file not renamed.
@@ -77,12 +78,18 @@ check survivor_loads "$([[ $? -eq 0 ]] && echo yes || echo no)" \
   "surviving cache file no longer loads"
 
 # --- a later clean save completes the interrupted update -------------------
+# The crashed saves left their own temp files; the clean one adds none.
+temps_before=$(compgen -G 'cache.bin.tmp.*' | wc -l)
 save "er:n=400,deg=6,seed=3" cache.bin
 check clean_overwrite \
   "$(cmp -s cache.bin cache.golden && echo no || echo yes)" \
   "clean save did not replace the cache"
+check crash_left_temps \
+  "$([[ "$temps_before" -eq 2 ]] && echo yes || echo no)" \
+  "expected the two crashed saves' temp files, found $temps_before"
 check clean_overwrite_no_tmp \
-  "$([[ ! -e cache.bin.tmp ]] && echo yes || echo no)" \
+  "$([[ "$(compgen -G 'cache.bin.tmp.*' | wc -l)" -eq "$temps_before" ]] \
+     && echo yes || echo no)" \
   "temp file left behind after a clean save"
 "$run" --algo=components --scenario="file:cache.bin" --no-timing \
   --out=/dev/null 2>/dev/null

@@ -11,29 +11,24 @@
 # kkoi19 needs the ktree family's known width bound) gets a "-" row, so the
 # table shape never depends on which constructions happen to apply. The
 # table is a pure function of the binary: it is byte-pinned against
-# tests/goldens/backend_compare.txt by the `backend_compare` ctest, and
-# --threads re-runs must reproduce it bit-for-bit.
+# tests/goldens/backend_compare.txt by the `backend_compare` ctest.
 #
 # Usage:
-#   tools/backend_compare.sh <lcs_run-binary> [--threads=N] [--check=GOLDEN]
+#   tools/backend_compare.sh <lcs_run-binary> [--check=GOLDEN]
 #
-# --threads=N  forward to lcs_run (N>1 also forces --parallel-threshold=0,
-#              the golden gate's always-parallel discipline)
 # --check=F    diff the table against golden file F instead of printing it
 set -euo pipefail
 
 if [[ $# -lt 1 ]]; then
-  echo "usage: $0 <lcs_run-binary> [--threads=N] [--check=GOLDEN]" >&2
+  echo "usage: $0 <lcs_run-binary> [--check=GOLDEN]" >&2
   exit 2
 fi
 
 LCS_RUN=$(realpath "$1")
 shift
-THREADS=""
 CHECK=""
 for arg in "$@"; do
   case "$arg" in
-    --threads=*) THREADS=${arg#--threads=} ;;
     --check=*) CHECK=$(realpath "${arg#--check=}") ;;
     *) echo "backend_compare.sh: unknown argument '$arg'" >&2; exit 2 ;;
   esac
@@ -75,13 +70,9 @@ extract() {
 TMP=$(mktemp -d)
 trap 'rm -rf "$TMP"' EXIT
 
-# render_table THREADS OUT — one full backend x scenario pass.
+# render_table OUT — one full backend x scenario pass.
 render_table() {
-  local threads="$1" dest="$2"
-  local extra=()
-  if [[ "$threads" -gt 1 ]]; then
-    extra=(--threads="$threads" --parallel-threshold=0)
-  fi
+  local dest="$1"
   {
     printf '%-24s %-8s %10s %6s %9s %7s %9s\n' \
       scenario backend congestion block dilation rounds messages
@@ -94,7 +85,7 @@ render_table() {
         out="$TMP/report.json"
         errjson="$TMP/stdout.json"
         if "$LCS_RUN" --algo=shortcut --scenario="$spec" --backend="$be" \
-            --seed=7 --no-timing "${extra[@]}" --out="$out" \
+            --seed=7 --no-timing --out="$out" \
             >"$errjson" 2>/dev/null; then
           read -r cong block dil rounds msgs < <(extract "$out")
           printf '%-24s %-8s %10s %6s %9s %7s %9s\n' \
@@ -112,22 +103,16 @@ render_table() {
   } > "$dest"
 }
 
+render_table "$TMP/table.txt"
 if [[ -n "$CHECK" ]]; then
-  # The whole table must reproduce the golden bit-for-bit at every thread
-  # count (default: the golden gate's 1/2/4 discipline).
-  for threads in ${THREADS:-1 2 4}; do
-    render_table "$threads" "$TMP/table.txt"
-    if ! diff -u "$CHECK" "$TMP/table.txt" >&2; then
-      echo "backend_compare: table drifted from $CHECK at" \
-           "--threads $threads" >&2
-      echo "  (deliberate change? tools/backend_compare.sh <lcs_run> >" \
-           "$CHECK)" >&2
-      exit 1
-    fi
-    echo "backend_compare: table matches $(basename "$CHECK")" \
-         "(threads=$threads)"
-  done
+  # The whole table must reproduce the golden bit-for-bit.
+  if ! diff -u "$CHECK" "$TMP/table.txt" >&2; then
+    echo "backend_compare: table drifted from $CHECK" >&2
+    echo "  (deliberate change? tools/backend_compare.sh <lcs_run> >" \
+         "$CHECK)" >&2
+    exit 1
+  fi
+  echo "backend_compare: table matches $(basename "$CHECK")"
 else
-  render_table "${THREADS:-1}" "$TMP/table.txt"
   cat "$TMP/table.txt"
 fi

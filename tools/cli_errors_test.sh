@@ -130,14 +130,23 @@ expect_error_contains check_location_repo_relative 2 \
   'at src/graph/generators.cpp:' \
   --algo=components --scenario='grid:w=0'
 
-# A worker thread that cannot be started fails the run instead of hanging
-# it: under a 1 GB address-space limit, 999 thread stacks cannot all be
-# mapped. The subshell keeps the limit off the rest of this script.
+# A binary cache whose section header claims 2^33 bytes and carries none
+# is a truncation, diagnosed by section: the reader's memory follows the
+# bytes actually present, so a 1 GB address-space limit is plenty. The
+# 60-byte file is version 2, two nodes, one edge, one section. The
+# subshell keeps the limit off the rest of this script.
+TMP=$(mktemp -d)
+trap 'rm -rf "$TMP"' EXIT
+printf 'LCSG\x02\0\0\0\0\0\0\0\x02\0\0\0\0\0\0\0\x01\0\0\0\0\0\0\0' \
+  > "$TMP/forged.lcsg"
+printf '\0\0\0\0\x01\0\0\0\x01\0\0\0\0\0\0\0' >> "$TMP/forged.lcsg"
+printf '\x01\0\0\0XXXX\0\0\0\0\x02\0\0\0' >> "$TMP/forged.lcsg"
 limited_run() { (ulimit -v 1000000; exec timeout 20 "$lcs_run" "$@"); }
 lcs_run="$run"
 run=limited_run
-expect_error_contains worker_threads_unavailable 2 'worker threads' \
-  --algo=mst --scenario='grid:w=4' --threads=1000 --no-timing
+expect_error_contains forged_section_length 2 \
+  'truncated in section 0 payload' \
+  --algo=none --scenario="file:$TMP/forged.lcsg" --no-timing
 run="$lcs_run"
 
 # Flag parsing fails the same way: a value that does not parse (or
@@ -151,14 +160,14 @@ expect_error_contains bad_flag_value_overflow 2 \
 expect_error_contains unknown_flag 2 "unknown argument '--frobnicate=1'" \
   --algo=mst --scenario='grid:w=4' --frobnicate=1
 
-# A negative engine threshold is rejected by name, never ignored (lcs_serve
-# answers its "parallel_threshold" field with the same document).
-expect_error_contains negative_parallel_threshold 2 \
-  'parallel_threshold (--parallel-threshold) must be >= 0, got -5' \
-  --algo=mst --scenario='grid:w=4' --parallel-threshold=-5 --no-timing
+# The engine has no parallel threshold: the flag is an unknown argument
+# (lcs_serve refuses its "parallel_threshold" field the same way).
+expect_error_contains unknown_parallel_threshold 2 \
+  "unknown argument '--parallel-threshold=0'" \
+  --algo=mst --scenario='grid:w=4' --parallel-threshold=0 --no-timing
 
-# A negative thread count is rejected by name on every path, the runs that
-# start no engine included (lcs_serve answers its "threads" field with the
+# `--threads` selects nothing but is still validated: a negative count is
+# rejected by name on every path, the runs that start no engine included (lcs_serve answers its "threads" field with the
 # same document, also when the shortcut record is already cached).
 expect_error_contains negative_threads 2 \
   'threads (--threads) must be >= 0, got -1' \

@@ -4,15 +4,11 @@
 # Runs `lcs_run` over a scenario x algorithm matrix (every algorithm on
 # every spec, including the four new families and a binary `file:` corpus),
 # with --validate (CONGEST checks on + centralized-oracle verification) and
-# --no-timing (byte-stable reports), then:
-#
-#   1. diffs each report byte-for-byte against the committed golden in
-#      tests/goldens/ — any drift in round/message accounting, shortcut
-#      quality, graph generation, or report formatting fails the gate;
-#   2. re-runs each cell at --threads 2 and 4 with --parallel-threshold=0
-#      (every round forced through the parallel engine path) and requires
-#      the report to be bit-identical to the single-threaded one — the
-#      engine's determinism contract, observed end to end.
+# --no-timing (byte-stable reports), and diffs each report byte-for-byte
+# against the committed golden in tests/goldens/ — any drift in
+# round/message accounting, shortcut quality, graph generation, or report
+# formatting fails the gate. One cell also runs at --threads=4: the flag is
+# still accepted and must not move a byte.
 #
 # The matrix also pins one `--sweep` invocation (a JSON array of per-point
 # reports), so the sweep plumbing is under the same byte-exact gate.
@@ -83,23 +79,21 @@ for i in "${!NAMES[@]}"; do
       echo "      goldens in the same PR: tools/regen_goldens.sh)" >&2
       fail=1
     fi
-
-    for threads in 2 4; do
-      tout="$TMP/$name.$algo.t$threads.json"
-      if ! "$LCS_RUN" --algo="$algo" --scenario="$spec" --seed=7 \
-          --validate --no-timing --threads="$threads" --parallel-threshold=0 \
-          --out="$tout"; then
-        echo "FAIL: $name/$algo exited nonzero at --threads $threads" >&2
-        fail=1
-        continue
-      fi
-      if ! diff -u "$out" "$tout" >&2; then
-        echo "FAIL: $name/$algo not bit-identical at --threads $threads" >&2
-        fail=1
-      fi
-    done
   done
 done
+
+# `--threads` is accepted (>= 0) and selects nothing: one cell at
+# --threads=4 must still match its golden byte for byte.
+tout="$TMP/grid16.mst.t4.json"
+if ! "$LCS_RUN" --algo=mst --scenario="grid:w=16,h=16" --seed=7 \
+    --validate --no-timing --threads=4 --out="$tout"; then
+  echo "FAIL: grid16/mst exited nonzero at --threads=4" >&2
+  fail=1
+elif [[ "$UPDATE" != "--update" ]] &&
+     ! diff -u "$GOLDENS/grid16.mst.json" "$tout" >&2; then
+  echo "FAIL: grid16/mst at --threads=4 differs from its golden" >&2
+  fail=1
+fi
 
 # Backend cells: the same byte-exact gate over the non-default shortcut
 # constructions (--backend). One ktree scenario, every registered backend —
@@ -139,21 +133,6 @@ for i in "${!BK_NAMES[@]}"; do
     echo "      (deliberate change? regenerate: tools/regen_goldens.sh)" >&2
     fail=1
   fi
-
-  for threads in 2 4; do
-    tout="$TMP/$name.$be.t$threads.json"
-    if ! "$LCS_RUN" --algo=shortcut --scenario="$spec" --backend="$be" \
-        --seed=7 --validate --no-timing --threads="$threads" \
-        --parallel-threshold=0 --out="$tout"; then
-      echo "FAIL: $name/$be exited nonzero at --threads $threads" >&2
-      fail=1
-      continue
-    fi
-    if ! diff -u "$out" "$tout" >&2; then
-      echo "FAIL: $name/$be not bit-identical at --threads $threads" >&2
-      fail=1
-    fi
-  done
 done
 
 hiz16_cong=$(congestion_of "$TMP/ktree400.hiz16.json")
@@ -168,9 +147,7 @@ fi
 # Churn cells: the acceptance loop for the dynamic subsystem. Each drives a
 # 1000-step verified insert/delete stream (every mutation checked against
 # the from-scratch components + MSF oracles) over a different family, and
-# --validate adds a distributed-MST engine run over the final snapshot — so
-# the threads 2/4 re-runs exercise the parallel engine path and the whole
-# report must stay bit-identical.
+# --validate adds a distributed-MST engine run over the final snapshot.
 CHURN_NAMES=()
 CHURN_SPECS=()
 churn_add() { CHURN_NAMES+=("$1"); CHURN_SPECS+=("$2"); }
@@ -200,25 +177,10 @@ for i in "${!CHURN_NAMES[@]}"; do
     echo "      (deliberate change? regenerate: tools/regen_goldens.sh)" >&2
     fail=1
   fi
-
-  for threads in 2 4; do
-    tout="$TMP/$name.churn.t$threads.json"
-    if ! "$LCS_RUN" --algo=churn --scenario="$spec" --seed=7 \
-        --validate --no-timing --threads="$threads" --parallel-threshold=0 \
-        --out="$tout"; then
-      echo "FAIL: $name exited nonzero at --threads $threads" >&2
-      fail=1
-      continue
-    fi
-    if ! diff -u "$out" "$tout" >&2; then
-      echo "FAIL: $name not bit-identical at --threads $threads" >&2
-      fail=1
-    fi
-  done
 done
 
-# One --sweep cell: a JSON array of per-point reports, byte-pinned and
-# thread-invariant like every single-run cell.
+# One --sweep cell: a JSON array of per-point reports, byte-pinned like
+# every single-run cell.
 SWEEP_ARGS=(--algo=components --scenario="er:n=100,deg=4,seed=5"
             --sweep="n=100..400:x2" --seed=7 --validate --no-timing)
 out="$TMP/sweep_er.components.json"
@@ -234,17 +196,6 @@ else
     echo "      (deliberate change? regenerate: tools/regen_goldens.sh)" >&2
     fail=1
   fi
-  for threads in 2 4; do
-    tout="$TMP/sweep_er.components.t$threads.json"
-    if ! "$LCS_RUN" "${SWEEP_ARGS[@]}" --threads="$threads" \
-        --parallel-threshold=0 --out="$tout"; then
-      echo "FAIL: sweep_er/components exited nonzero at --threads $threads" >&2
-      fail=1
-    elif ! diff -u "$out" "$tout" >&2; then
-      echo "FAIL: sweep_er/components not bit-identical at --threads $threads" >&2
-      fail=1
-    fi
-  done
 fi
 
 if [[ "$UPDATE" == "--update" ]]; then
@@ -255,4 +206,4 @@ if [[ $fail -ne 0 ]]; then
   echo "golden matrix: FAILED" >&2
   exit 1
 fi
-echo "golden matrix: ${#NAMES[@]} scenarios x ${#ALGOS[@]} algorithms + ${#BK_NAMES[@]} backend + ${#CHURN_NAMES[@]} churn + 1 sweep OK (threads 1/2/4 bit-identical)"
+echo "golden matrix: ${#NAMES[@]} scenarios x ${#ALGOS[@]} algorithms + ${#BK_NAMES[@]} backend + ${#CHURN_NAMES[@]} churn + 1 sweep + 1 --threads=4 cell OK"

@@ -3,7 +3,7 @@
 /// emit a machine-readable JSON report.
 ///
 ///     lcs_run --algo=mst --scenario="grid:w=64,h=64,weights=1-100000"
-///             --threads=4 --seed=7 --validate
+///             --seed=7 --validate
 ///
 /// Algorithms: components | mst | mincut | aggregate | shortcut, `churn`
 /// (drive the scenario through a verified dynamic edge-churn stream, see
@@ -16,10 +16,9 @@
 ///
 /// Determinism: everything except the `timing` object is a pure function of
 /// (--scenario, --algo, --seed, --fail-rate, --validate, --metrics,
-/// --sweep) — in particular it is bit-identical at every --threads value
-/// (the engine's determinism contract). `--no-timing` omits the `timing`
-/// object so two reports can be diffed byte-for-byte; the golden CI gate
-/// runs the scenario x algorithm matrix at --threads 1/2/4 exactly that way.
+/// --sweep); `--threads` is accepted and selects nothing. `--no-timing`
+/// omits the `timing` object so two reports can be diffed byte-for-byte;
+/// the golden CI gate runs the scenario x algorithm matrix exactly that way.
 ///
 /// Scaling curves come from one invocation: `--sweep key=lo..hi[:steps|xN]`
 /// re-resolves the scenario spec once per point with `key` overridden and
@@ -73,15 +72,14 @@ constexpr const char* kUsage = R"(usage: lcs_run --algo=ALGO --scenario=SPEC [op
                      JSON array of reports. lo/hi take k/M/G suffixes;
                      ":5" = 5 evenly spaced points, ":x10" = multiply by 10
                      per point (the default is :x2)
-  --threads=N        engine worker threads (default 1; 0 = hardware)
+  --threads=N        accepted for compatibility (N >= 0); selects nothing,
+                     the engine is sequential
   --seed=S           algorithm seed (default 1)
   --fail-rate=F      components: failed-edge fraction in [0, 1) (default 0.25)
   --validate         CONGEST checks on + verify the result against the
                      centralized oracle (nonzero exit on mismatch)
   --metrics          include expensive graph metrics in the report
   --no-timing        omit the timing object (byte-stable golden output)
-  --parallel-threshold=N  engine adaptive-fallback override (0 = always
-                     parallel; default: engine built-in)
   --save-graph=PATH  also save the scenario's graph as a binary cache
   --out=PATH         write the JSON report to PATH instead of stdout
   --list             list registered scenario families and exit
@@ -131,11 +129,6 @@ Options parse_args(int argc, char** argv) {
     if (take_value(arg, "--save-graph", o.run.save_graph_path)) continue;
     if (take_value(arg, "--threads", v)) {
       o.run.threads = parse_flag<int>(v, "--threads");
-      continue;
-    }
-    if (take_value(arg, "--parallel-threshold", v)) {
-      o.run.parallel_threshold =
-          parse_flag<std::int64_t>(v, "--parallel-threshold");
       continue;
     }
     if (take_value(arg, "--seed", v)) {

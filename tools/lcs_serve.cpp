@@ -25,9 +25,9 @@ lcs_run invocation:
     #lcs_serve id=<id> exit=<rc> bytes=<N>
     <N bytes of JSON>
 
-Request fields mirror the lcs_run flags: algo, scenario, churn, sweep,
-seed, threads, parallel_threshold, fail_rate, validate, metrics, timing,
-plus an optional client-chosen id echoed in the frame. Admin requests:
+Request fields mirror the lcs_run flags: algo, scenario, backend, churn,
+sweep, seed, threads, fail_rate, validate, metrics, timing, plus an
+optional client-chosen id echoed in the frame. Admin requests:
 {"cmd": "stats"} and {"cmd": "quit"}.
 
 options:

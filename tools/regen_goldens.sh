@@ -14,7 +14,7 @@
 # Builds lcs_run in the given build directory if it is missing, then runs
 # the full golden matrix in --update mode. Afterwards, review with
 # `git diff tests/goldens/` and re-run the matrix (ctest -R golden_matrix)
-# to confirm it is green and bit-identical at --threads 1/2/4.
+# to confirm it is green.
 set -euo pipefail
 
 ROOT=$(cd "$(dirname "$0")/.." && pwd)

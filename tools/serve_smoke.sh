@@ -7,7 +7,7 @@
 # and the frame's exit code matches lcs_run's. This script:
 #
 #   1. renders a request matrix (every algorithm, a sweep, a churn cell,
-#      and two error requests) through lcs_run to get the expected bytes;
+#      and error requests) through lcs_run to get the expected bytes;
 #   2. replays the same matrix through lcs_serve at --parallel-requests
 #      1, 2, and 4 and diffs every payload byte-for-byte;
 #   3. replays the matrix in reverse order at --parallel-requests=4 and
@@ -45,16 +45,14 @@ add agg '{"id":"agg","algo":"aggregate","scenario":"wheel:n=65,arcs=4","seed":7,
   '--algo=aggregate --scenario=wheel:n=65,arcs=4 --seed=7 --validate --no-timing'
 add short '{"id":"short","algo":"shortcut","scenario":"rmat:scale=7,deg=5,seed=3","seed":7,"validate":true,"timing":false}' \
   '--algo=shortcut --scenario=rmat:scale=7,deg=5,seed=3 --seed=7 --validate --no-timing'
-# Engine-thread dimension: served bytes must match lcs_run at --threads
-# 2 and 4 too (with the adaptive fallback disabled, as in golden_smoke.sh
-# — and the engine's own contract makes all three thread counts
-# bit-identical to each other).
-add short_t2 '{"id":"short_t2","algo":"shortcut","scenario":"rmat:scale=7,deg=5,seed=3","seed":7,"threads":2,"parallel_threshold":0,"validate":true,"timing":false}' \
-  '--algo=shortcut --scenario=rmat:scale=7,deg=5,seed=3 --seed=7 --threads=2 --parallel-threshold=0 --validate --no-timing'
-add short_t4 '{"id":"short_t4","algo":"shortcut","scenario":"rmat:scale=7,deg=5,seed=3","seed":7,"threads":4,"parallel_threshold":0,"validate":true,"timing":false}' \
-  '--algo=shortcut --scenario=rmat:scale=7,deg=5,seed=3 --seed=7 --threads=4 --parallel-threshold=0 --validate --no-timing'
-add mst_t4 '{"id":"mst_t4","algo":"mst","scenario":"er:n=150,deg=5,seed=5","seed":7,"threads":4,"parallel_threshold":0,"validate":true,"timing":false}' \
-  '--algo=mst --scenario=er:n=150,deg=5,seed=5 --seed=7 --threads=4 --parallel-threshold=0 --validate --no-timing'
+# The "threads" field is accepted and selects nothing: served bytes at 2
+# and 4 must match lcs_run at the same --threads (and the unthreaded cells).
+add short_t2 '{"id":"short_t2","algo":"shortcut","scenario":"rmat:scale=7,deg=5,seed=3","seed":7,"threads":2,"validate":true,"timing":false}' \
+  '--algo=shortcut --scenario=rmat:scale=7,deg=5,seed=3 --seed=7 --threads=2 --validate --no-timing'
+add short_t4 '{"id":"short_t4","algo":"shortcut","scenario":"rmat:scale=7,deg=5,seed=3","seed":7,"threads":4,"validate":true,"timing":false}' \
+  '--algo=shortcut --scenario=rmat:scale=7,deg=5,seed=3 --seed=7 --threads=4 --validate --no-timing'
+add mst_t4 '{"id":"mst_t4","algo":"mst","scenario":"er:n=150,deg=5,seed=5","seed":7,"threads":4,"validate":true,"timing":false}' \
+  '--algo=mst --scenario=er:n=150,deg=5,seed=5 --seed=7 --threads=4 --validate --no-timing'
 # Backend dimension: a non-default shortcut construction selected through
 # the request's "backend" field, and the inapplicable-backend error object.
 add short_kkoi19 '{"id":"short_kkoi19","algo":"shortcut","scenario":"ktree:n=120,k=3,seed=8","backend":"kkoi19","seed":7,"validate":true,"timing":false}' \
@@ -70,8 +68,6 @@ add err_family '{"id":"err_family","algo":"components","scenario":"frobnicate:n=
   '--algo=components --scenario=frobnicate:n=10 --no-timing'
 add err_sweep '{"id":"err_sweep","algo":"components","scenario":"er:n=100,deg=4","sweep":"bogus=1..4","timing":false}' \
   '--algo=components --scenario=er:n=100,deg=4 --sweep=bogus=1..4 --no-timing'
-add err_threshold '{"id":"err_threshold","algo":"mst","scenario":"er:n=100,deg=4,seed=5","parallel_threshold":-5,"timing":false}' \
-  '--algo=mst --scenario=er:n=100,deg=4,seed=5 --parallel-threshold=-5 --no-timing'
 # A negative thread count on a shortcut key the matrix also requests: the
 # error must not depend on whether that record is already cached.
 add err_threads '{"id":"err_threads","algo":"shortcut","scenario":"rmat:scale=7,deg=5,seed=3","seed":7,"threads":-1,"timing":false}' \
@@ -154,6 +150,34 @@ if [[ "$payload" != *"request field 'threads' does not fit an int, got 999999999
   failures=$((failures + 1))
 else
   echo "ok   threads_range"
+fi
+
+# The engine has no parallel threshold: a "parallel_threshold" field is an
+# unknown request field, named in the error (lcs_run refuses the flag with
+# its own usage error, so this one is not a byte-identity cell either).
+payload=$(printf '%s\n' \
+  '{"id":"threshold","algo":"mst","scenario":"grid:w=4","parallel_threshold":0,"timing":false}' \
+  '{"cmd":"quit"}' | "$serve" 2>/dev/null)
+if [[ "$payload" != *"#lcs_serve id=threshold exit=2 "* ||
+      "$payload" != *"unknown request field 'parallel_threshold'"* ]]; then
+  echo "FAIL unknown_parallel_threshold: not refused by name:" >&2
+  echo "$payload" >&2
+  failures=$((failures + 1))
+else
+  echo "ok   unknown_parallel_threshold"
+fi
+
+# A batch worker that cannot be started fails the daemon at startup instead
+# of hanging it: under a 1 GB address-space limit, 999 thread stacks cannot
+# all be mapped. The subshell keeps the limit off the rest of this script.
+err=$( (ulimit -v 1000000; exec timeout 20 "$serve" --parallel-requests=1000 \
+  < /dev/null 2>&1 >/dev/null) )
+rc=$?
+if [[ "$rc" -ne 2 || "$err" != *"worker threads"* ]]; then
+  echo "FAIL worker_threads_unavailable: exit $rc, stderr: $err" >&2
+  failures=$((failures + 1))
+else
+  echo "ok   worker_threads_unavailable"
 fi
 
 if [[ "$failures" -ne 0 ]]; then
