@@ -2,12 +2,21 @@
 /// E10 — raw CONGEST-engine throughput (messages per second).
 ///
 /// Unlike E1–E9, which measure *round counts* (deterministic, one
-/// iteration), this bench measures *wall time* of the simulator itself so
-/// engine changes are visible in the bench trajectory. Workload: a token
-/// flood over a 100k-node graph — every node forwards the token on first
-/// receipt, so one phase delivers ~2m - deg(0) messages across
-/// eccentricity(0) rounds, exercising the inbox plumbing, the scheduler,
-/// and the CONGEST checks end to end.
+/// iteration), this bench measures the *wall time* of `congest::Network`
+/// itself. The engine runs only the BFS tree and the MST baselines in real
+/// runs (every other schedule is counted on the host), so no end-to-end
+/// workload depends on these numbers; they show what an engine change
+/// costs per message, per round and per phase. Four workloads:
+///
+///  * a token flood over a 100k-node Erdős–Rényi graph, with validation
+///    off and on: every node forwards the token on first receipt, so one
+///    phase delivers ~2m - deg(0) messages in eccentricity(0) rounds, with
+///    large active lists and inboxes (per-message cost, and the cost of
+///    the CONGEST checks);
+///  * the same flood over a ~100k-node grid: 630 rounds with small active
+///    lists (per-round cost);
+///  * burst-phases: 50 two-hop bursts per iteration on a 1M-node grid
+///    (per-phase cost; see `BurstProcess`).
 ///
 /// Reported counters per run:
 ///   msgs_per_sec — delivered messages / wall second (the headline number)
@@ -80,9 +89,10 @@ void run_flood(benchmark::State& state, const Graph& g, bool validate) {
 }
 
 /// Local two-hop burst from node 0: a tiny active set per phase, so phase
-/// cost is dominated by per-phase fixed overhead (process start plus any
-/// O(n + m) state resets an engine performs). This is the workload where
-/// epoch-stamped resets shine: the slab engine's startup is O(active).
+/// cost is the per-phase fixed overhead (the n `on_start` calls plus
+/// whatever the engine does to start a phase). It guards the engine's
+/// O(active) phase start: any per-phase work in n or m on this 1M-node,
+/// 2M-edge grid shows here.
 class BurstProcess final : public Process {
  public:
   explicit BurstProcess(NodeId id) : id_(id) {}
@@ -157,7 +167,7 @@ int register_all = [] {
                                })
       ->Unit(benchmark::kMillisecond)->UseRealTime();
   // Many near-empty phases on a 1M-node graph: measures per-phase fixed
-  // overhead (the seed engine's O(n + m) resets vs O(active) startup).
+  // overhead, which must not grow with n or m.
   benchmark::RegisterBenchmark("E10/burst-phases/grid/1000000",
                                [](benchmark::State& s) {
                                  const Graph g = make_grid(1000, 1000);

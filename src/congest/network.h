@@ -37,40 +37,16 @@
 ///
 /// The engine is activity-driven: per round it touches only nodes that
 /// received a message or requested a wakeup, so simulation work is
-/// proportional to the total message count, not rounds × nodes.
-///
-/// ## Engine internals (slab inboxes, epoch stamps, O(active) scheduling)
-///
-/// The hot path is allocation-free in the steady state and touches O(active
-/// + messages) memory per round:
-///
-///  * **Slab inboxes.** Messages live in two arena slabs that are
-///    double-buffered between the round being filled and the round being
-///    delivered. A send appends one `Incoming` to the *fill* slab (plus its
-///    destination in a parallel array) and bumps a per-node epoch-stamped
-///    message count — one 16-byte `NodeState` touch, no per-message or
-///    per-node heap allocation (slab capacity persists across rounds and
-///    phases). At round promotion the fill slab is counting-scattered into
-///    the *ordered* slab, destination-major in ascending node order and
-///    send-ordered within each destination, so every inbox a process sees
-///    is a contiguous slab range: the public API stays
-///    `std::span<const Incoming>` with zero per-message copies at delivery,
-///    the whole round's delivery is one sequential pass over the ordered
-///    slab, and per-node delivery order matches the historical
-///    vector-of-vectors engine bit-for-bit.
-///
-///  * **Epoch-stamped resets.** A global monotone `tick_` advances once per
-///    phase start and once per round. Membership tests that previously
-///    required O(n) or O(m) `std::fill` resets per phase — "is v already in
-///    next round's active list", "how many messages does v have in the fill
-///    round", "did this directed edge already carry a send this round" — are
-///    all expressed as `stamp[x] == tick_`, so nothing is ever cleared and
-///    `run` startup is O(active), independent of n and m.
-///
-///  * **O(active) scheduling.** The active list is ordered ascending by node
-///    id each round (the engine's determinism contract) with an LSD radix
-///    sort over the id bytes (insertion sort below a small cutoff), so
-///    scheduling costs O(active) per round instead of O(active log active).
+/// proportional to the total message count, not rounds × nodes. A send
+/// appends its destination and `Incoming` to one array in send order and
+/// queues the destination for the next round. Each round sorts the queued
+/// nodes by id (`std::sort`) and counting-scatters the sends by
+/// destination into one ordered array, whose spans are the inboxes: in
+/// ascending node order, send order within each inbox. Per-node counts and
+/// queued flags are reset over the active list only, and a per-directed-
+/// edge stamp compared with a 64-bit send-round counter catches double
+/// sends, so a phase starts in O(active) and a round costs
+/// O(active + messages), independent of n and m.
 ///
 /// ## Validation mode
 ///
@@ -91,19 +67,9 @@
 /// schedules, so there is no parallel mode. `set_threads` still accepts a
 /// non-negative count for callers that pass a `threads` input through; it
 /// selects nothing.
-///
-/// ## Engine limits
-///
-/// A single round carries at most 2^31 - 1 messages, and consequently a
-/// single node receives at most 2^31 - 1 messages per round (inbox spans
-/// and per-node counts are 32-bit by design — see `NodeState`). Exceeding
-/// the limit is diagnosed with a clear `CheckFailure` ("engine limit"), in
-/// the send path for a single hot destination and at round promotion for
-/// the round total, never silent wraparound. At ~48 bytes per pending
-/// message the limit corresponds to a ~100 GB fill slab, so real
-/// workloads hit memory long before the diagnostic.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <type_traits>
@@ -113,7 +79,6 @@
 #include "congest/message.h"
 #include "congest/process.h"
 #include "graph/graph.h"
-#include "util/cast.h"
 #include "util/check.h"
 
 namespace lcs::congest {
@@ -172,110 +137,49 @@ class Network {
 
  private:
   friend class Context;
-  friend struct NetworkTestPeer;
 
-  /// Epoch-stamped per-node round state: `stamp == tick32()` means the
-  /// node is in the round currently being filled; `count` is its message
-  /// count in that round (0 for a wakeup-only activation). During the
-  /// scatter pass `count` is repurposed as the node's write cursor into
-  /// the ordered slab. The stamp is the low 31 bits of the global tick —
-  /// an 8-byte cell halves the footprint of the engine's hottest
-  /// random-access array; `advance_tick` refills the array on the (rare)
-  /// wrap so stale stamps can never alias a live tick. The 32-bit count
-  /// is why a node's per-round inbox is capped at 2^31 - 1 messages (see
-  /// "Engine limits" above).
-  struct NodeState {
-    std::int32_t stamp;
-    std::int32_t count;
-  };
-
-  /// Contiguous range of one node's messages in the ordered slab.
-  struct InboxSpan {
-    std::int32_t start;
-    std::int32_t count;
-  };
-
-  void do_send(NodeId from, EdgeId e, const Message& m,
-               std::span<const Graph::Neighbor> from_neighbors);
+  void do_send(NodeId from, EdgeId e, const Message& m);
+  /// Queue `v` for the round being filled, once.
   void do_wake(NodeId v);
-  /// The 31-bit view of `tick_` that `NodeState::stamp` compares against.
-  std::int32_t tick32() const {
-    return util::checked_cast<std::int32_t>(tick_ & 0x7fffffff);
-  }
-  /// Bump the global epoch; on 31-bit wrap, invalidate all node stamps.
-  void advance_tick();
-  /// Ascending-id order of the active list (LSD radix over id bytes).
-  void sort_active();
-
-  /// Produce the destination-major ordering of the fill slab and the
-  /// per-active-node `spans_` into it via a counting scatter through
-  /// per-node cursors; returns the ordered message array.
-  const Incoming* cursor_scatter(std::size_t nmsg);
 
   const Graph* graph_;
   bool validate_ = true;
 
-  /// Global epoch: advances at every phase start and every round. All
-  /// "reset per round/phase" state below is stamp-guarded against it.
-  std::int64_t tick_ = 0;
+  /// Advances at every phase start and every round: the sends of one
+  /// round (or of `on_start`) share one value. Never wraps.
+  std::int64_t send_round_ = 0;
+  /// The send round of the last send over each directed edge (2e, 2e+1);
+  /// used only when validation is on.
+  std::vector<std::int64_t> edge_send_round_;
 
-  // Message arenas. Sends append the payload to `slab_fill_` and the
-  // destination to the parallel `slab_fill_to_` (send order); round
-  // promotion counting-scatters them destination-major into
-  // `slab_ordered_`, from which all inbox spans are served. Capacities
-  // persist across rounds and phases.
-  std::vector<Incoming> slab_fill_;
-  std::vector<NodeId> slab_fill_to_;
-  std::vector<Incoming> slab_ordered_;
-
-  std::vector<NodeState> node_state_;
+  /// The round being filled: its sends in send order, and its queued nodes
+  /// with their message counts (zero and unqueued for every other node).
+  std::vector<std::pair<NodeId, Incoming>> sends_;
   std::vector<NodeId> next_active_;
+  std::vector<std::size_t> count_;
+  std::vector<char> queued_;
 
-  // Endpoints of every edge, sans weight: half the footprint of the full
-  // `Graph::Edge` array for the per-send destination lookup.
-  std::vector<std::pair<NodeId, NodeId>> edge_ends_;
-
-  // Tick of the last send over each directed edge (2e, 2e+1); used only
-  // when validation is on.
-  std::vector<std::int64_t> edge_dir_stamp_;
-
-  // Reused per-round scratch (capacity persists across rounds/phases).
+  /// The round being delivered: its nodes in ascending id order, the sends
+  /// scattered by destination, and where each node's inbox ends in it.
   std::vector<NodeId> active_;
-  std::vector<InboxSpan> spans_;  // aligned with active_
-  std::vector<NodeId> radix_scratch_;
+  std::vector<Incoming> inboxes_;
+  std::vector<std::size_t> inbox_end_;
+
   std::vector<Process*> proc_scratch_;
 
   // A phase is currently running on this network (guards `run` reentry
   // and `add_replayed`).
   bool in_phase_ = false;
 
-  std::int64_t phase_messages_ = 0;
-
   std::int64_t total_rounds_ = 0;
   std::int64_t total_messages_ = 0;
   std::int64_t phases_ = 0;
 };
 
-/// White-box access for the engine's own tests — never use outside
-/// `tests/`. Lets a test start the epoch counter near the 31-bit stamp
-/// wrap and prime a node's in-flight message count at the inbox limit,
-/// states that would otherwise take ~2^31 rounds or sends to reach.
-struct NetworkTestPeer {
-  static void set_tick(Network& net, std::int64_t tick) { net.tick_ = tick; }
-  static std::int64_t tick(const Network& net) { return net.tick_; }
-  /// Pretend `v` already received `count` messages in the round currently
-  /// being filled (stamps it with the live tick).
-  static void prime_inbox_count(Network& net, NodeId v, std::int32_t count) {
-    net.node_state_[static_cast<std::size_t>(v)] =
-        Network::NodeState{net.tick32(), count};
-  }
-};
-
 // Context's send/wake are defined here (not in a .cpp) so the per-message
-// entry point inlines into process code; the sender's neighbor span rides
-// along to resolve the destination from cache-warm adjacency.
+// entry point inlines into process code.
 inline void Context::send(EdgeId e, const Message& m) {
-  net_.do_send(id_, e, m, neighbors_);
+  net_.do_send(id_, e, m);
 }
 inline void Context::wake_next_round() { net_.do_wake(id_); }
 

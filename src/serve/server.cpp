@@ -264,7 +264,8 @@ int Server::serve_stdin() {
     batch.push_back(line);
     // Greedily drain whatever the client already wrote (up to the batch
     // cap) so scripted request files dispatch in parallel, while a
-    // one-request-at-a-time client still gets an immediate answer.
+    // one-request-at-a-time client still gets an immediate answer. With
+    // synced stdio `in_avail` reads 0, so lcs_serve's main unsyncs it.
     while (util::checked_cast<int>(batch.size()) < opts_.batch &&
            std::cin.rdbuf()->in_avail() > 0 && std::getline(std::cin, line))
       batch.push_back(line);

@@ -33,7 +33,10 @@
 /// are pure functions of the request (given a fixed corpus), so batch
 /// boundaries and worker interleaving cannot change a byte — the
 /// interleaving regression test shuffles request order across runs and
-/// diffs the per-id responses.
+/// diffs the per-id responses. The exception is `stats`: in a batch with
+/// more than one worker it runs beside the batch's other requests and
+/// reads the counters mid-batch, so how many of them it counts depends on
+/// the interleaving.
 ///
 /// Deterministic responses also memoize: a repeated request with
 /// `timing=false` is answered from the response memo without re-rendering

@@ -25,7 +25,6 @@ using congest::PhaseStats;
 using congest::Process;
 using testutil::DoubleSendProcess;
 using testutil::ForeignEdgeProcess;
-using testutil::InboxOverflowProcess;
 
 /// Floods a token from node 0; records the round each node first hears it.
 class FloodProcess final : public Process {
@@ -179,7 +178,7 @@ TEST(Network, AccountingAccumulatesAcrossPhases) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine semantics stress test: the slab/epoch engine must match a direct
+// Engine semantics stress test: the engine must match a direct
 // reimplementation of the historical vector-of-vectors engine — identical
 // PhaseStats and identical per-node delivery order — on a randomized
 // multi-phase workload over several topologies. The harness lives in
@@ -191,20 +190,15 @@ using testutil::StressBehavior;
 using testutil::StressProcess;
 
 /// `dice` sets the send/wake moduli of every phase (its seed is replaced
-/// per phase). `wrap_tick`, when set, restarts the epoch just below the
-/// 31-bit stamp wrap after phase 0, so phases 1-2 cross the wrap while
-/// phase 0's stale stamps are still in the node state.
+/// per phase).
 void run_stress_comparison(const Graph& g, bool validate,
-                           StressBehavior dice = StressBehavior{0},
-                           bool wrap_tick = false) {
+                           StressBehavior dice = StressBehavior{0}) {
   const auto n = static_cast<std::size_t>(g.num_nodes());
   Network net(g);
   net.set_validate(validate);
-  // Multiple phases on one Network exercise the epoch-stamped reuse of all
-  // per-phase state (nothing is reset O(n) between phases).
+  // Multiple phases on one Network exercise the reuse of all per-phase
+  // state (nothing is reset O(n) between phases).
   for (std::uint64_t phase = 0; phase < 3; ++phase) {
-    if (wrap_tick && phase == 1)
-      congest::NetworkTestPeer::set_tick(net, (std::int64_t{1} << 31) - 4);
     StressBehavior behavior = dice;
     behavior.seed = 0x5eed0000 + phase;
 
@@ -222,10 +216,6 @@ void run_stress_comparison(const Graph& g, bool validate,
     EXPECT_EQ(got.messages, want.messages) << "phase " << phase;
     ASSERT_EQ(got_logs, want_logs) << "phase " << phase;
   }
-  // The run really crossed the wrap (advance_tick's refill executed).
-  if (wrap_tick) {
-    EXPECT_GT(congest::NetworkTestPeer::tick(net), std::int64_t{1} << 31);
-  }
 }
 
 TEST(NetworkStress, MatchesReferenceEngineOnGrid) {
@@ -237,8 +227,8 @@ TEST(NetworkStress, MatchesReferenceEngineOnErdosRenyi) {
 }
 
 TEST(NetworkStress, MatchesReferenceEngineOnWheelHub) {
-  // The hub's degree exceeds the send path's adjacency-scan cutoff, so
-  // this exercises the O(1) endpoint-lookup branch too.
+  // One hub adjacent to every rim node: the highest-degree sender and the
+  // busiest inbox.
   run_stress_comparison(make_wheel(40), /*validate=*/true);
 }
 
@@ -248,22 +238,12 @@ TEST(NetworkStress, MatchesReferenceEngineWithValidationOff) {
 
 TEST(NetworkStress, HeavyTrafficMatchesReferenceEngine) {
   // Dense dice on a ~deg-12 random graph: thousands of messages per round
-  // and multi-message inboxes, so the radix sort and the counting scatter
-  // run with real work in every round.
+  // and multi-message inboxes, so the active-list sort and the counting
+  // scatter run with real work in every round.
   const StressBehavior dense{0, /*start_send_mod=*/2, /*round_send_mod=*/2,
                              /*wake_mod=*/3};
   for (const bool validate : {true, false})
     run_stress_comparison(make_erdos_renyi(600, 0.02, 13), validate, dense);
-}
-
-// 31-bit epoch-stamp wrap: stamps written at small tick32 values in an
-// early phase must never alias post-wrap ticks, which count up from small
-// values again. advance_tick's O(n) refill on the wrap is what prevents
-// it; this run crosses the wrap mid-workload and must still match the
-// reference engine bit for bit.
-TEST(NetworkTickWrap, ObservablesSurviveStampWrapMidRun) {
-  run_stress_comparison(make_erdos_renyi(90, 0.07, 5), /*validate=*/true,
-                        StressBehavior{0}, /*wrap_tick=*/true);
 }
 
 TEST(Network, DoubleSendFiresInValidateMode) {
@@ -288,8 +268,8 @@ TEST(Network, DoubleSendIsNotDiagnosedWithValidationOff) {
 }
 
 TEST(Network, RecoversAfterAbortedPhase) {
-  // A phase that dies mid-flight (CONGEST violation) leaves messages in
-  // the fill slab; the next run on the same Network must start clean.
+  // A phase that dies mid-flight (CONGEST violation) leaves sends and
+  // queued nodes behind; the next run on the same Network must start clean.
   const Graph g = make_path(4);
   Network net(g);
   {
@@ -303,26 +283,6 @@ TEST(Network, RecoversAfterAbortedPhase) {
   EXPECT_EQ(stats.rounds, 3);
   EXPECT_EQ(stats.messages, 3);
   EXPECT_EQ(procs[3].heard_round, 3);
-}
-
-// ---------------------------------------------------------------------------
-// Engine limits: a node's per-round inbox count saturating at 2^31 - 1
-// must be diagnosed at the send that would overflow it, never wrap
-// silently. InboxOverflowProcess (stress_util.h) primes the counter
-// through NetworkTestPeer; actually sending 2^31 messages would need a
-// ~100 GB slab.
-
-TEST(NetworkLimits, PerNodeInboxOverflowDiagnosedSequential) {
-  const Graph g = make_path(3);
-  Network net(g);
-  std::vector<InboxOverflowProcess> procs;
-  for (NodeId v = 0; v < g.num_nodes(); ++v) procs.emplace_back(v, &net);
-  try {
-    congest::run_phase(net, procs);
-    FAIL() << "inbox overflow must be diagnosed";
-  } catch (const CheckFailure& e) {
-    EXPECT_NE(std::string(e.what()).find("engine limit"), std::string::npos);
-  }
 }
 
 // ---------------------------------------------------------------------------

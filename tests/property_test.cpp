@@ -192,8 +192,8 @@ TEST_P(ExistentialProperty, GreedyGeometryInvariants) {
   const auto& [family, seed, builds] = GetParam();
   Scenario sc = make_scenario(family, seed);
   // Build the tree distributedly `builds` times on one Network: every
-  // rebuild runs the engine over the stamps and slabs of the earlier
-  // phases and must give the same tree for the same rounds and messages.
+  // rebuild runs the engine over the per-phase state the earlier phases
+  // left and must give the same tree for the same rounds and messages.
   Sim sim(sc.graph, sc.root);
   const SpanningTree& tree = sim.tree;
   const std::pair<std::int64_t, std::int64_t> cost{sim.net.total_rounds(),

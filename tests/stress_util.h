@@ -146,25 +146,6 @@ class ForeignEdgeProcess final : public congest::Process {
   NodeId id_;
 };
 
-/// Primes node 0's first neighbor's per-round inbox count at 2^31 - 1, then
-/// sends it one message: the engine must diagnose the overflow at that send.
-class InboxOverflowProcess final : public congest::Process {
- public:
-  InboxOverflowProcess(NodeId id, congest::Network* net) : id_(id), net_(net) {}
-  void on_start(congest::Context& ctx) override {
-    if (id_ != 0) return;
-    congest::NetworkTestPeer::prime_inbox_count(
-        *net_, ctx.neighbors().front().node, INT32_MAX);
-    ctx.send(ctx.neighbors().front().edge, congest::Message(1));
-  }
-  void on_round(congest::Context&,
-                std::span<const congest::Incoming>) override {}
-
- private:
-  NodeId id_;
-  congest::Network* net_;
-};
-
 /// Direct transcription of the pre-rewrite engine: per-node inbox vectors,
 /// a bool active-flag array and a `std::sort`ed active list per round.
 inline congest::PhaseStats reference_run(

@@ -85,6 +85,9 @@ Options parse_args(int argc, char** argv) {
       o.serve.batch = parse_int(value, "--batch");
     } else if (take_value(arg, "--parallel-requests", value)) {
       o.serve.parallel_requests = parse_int(value, "--parallel-requests");
+      LCS_CHECK(o.serve.parallel_requests >= 0,
+                "--parallel-requests must be non-negative (0 = hardware "
+                "concurrency), got '" + value + "'");
     } else if (take_value(arg, "--preload", value)) {
       o.serve.preload.push_back(value);
     } else {
@@ -98,6 +101,9 @@ Options parse_args(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  // Unsynced, std::cin buffers what the client already wrote, so
+  // Server::serve_stdin sees it (`in_avail`) and dispatches it as a batch.
+  std::ios::sync_with_stdio(false);
   try {
     const Options o = parse_args(argc, argv);
     if (o.help) {

@@ -167,6 +167,33 @@ else
   echo "ok   unknown_parallel_threshold"
 fi
 
+# Requests already written to stdin are one batch, and a quit drains its
+# batch: from a file on real stdin, the request after the quit is answered
+# too.
+quit_drain="$TMP/quit_drain.jsonl"
+printf '%s\n' '{"id":"q","cmd":"quit"}' \
+  '{"id":"after","algo":"none","scenario":"grid:w=4","timing":false}' \
+  > "$quit_drain"
+payload=$("$serve" < "$quit_drain" 2>/dev/null)
+if [[ "$payload" != *"#lcs_serve id=q exit=0 "* ||
+      "$payload" != *"#lcs_serve id=after exit=0 "* ]]; then
+  echo "FAIL quit_drains_stdin_batch: expected frames for q and after:" >&2
+  echo "$payload" >&2
+  failures=$((failures + 1))
+else
+  echo "ok   quit_drains_stdin_batch"
+fi
+
+# A negative worker count is refused by name (0 means the hardware count).
+err=$("$serve" --parallel-requests=-3 < /dev/null 2>&1 >/dev/null)
+rc=$?
+if [[ "$rc" -ne 2 || "$err" != *"--parallel-requests must be non-negative"* ]]; then
+  echo "FAIL negative_parallel_requests: exit $rc, stderr: $err" >&2
+  failures=$((failures + 1))
+else
+  echo "ok   negative_parallel_requests"
+fi
+
 # A batch worker that cannot be started fails the daemon at startup instead
 # of hanging it: under a 1 GB address-space limit, 999 thread stacks cannot
 # all be mapped. The subshell keeps the limit off the rest of this script.
