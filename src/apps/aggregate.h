@@ -11,7 +11,8 @@
 ///   * broadcast from a designated member to the whole part.
 /// Every operation runs 3·b supersteps (b = the block parameter the doubling
 /// settled on) on one `SuperstepRunner` built with the aggregator, so the
-/// runner's convergecast schedule is simulated once for all of them.
+/// shortcut's supergraph (its supernodes and the links between them) is
+/// built once for all of them.
 /// This is the API the examples and applications build on; the Boruvka
 /// loop behind MST and components (mst/boruvka_common.h) builds one per
 /// phase.

@@ -20,15 +20,17 @@
 ///    (shortcut/tree_routing.h): `compute_shortcut_state` counts both once
 ///    per shortcut and charges the broadcast;
 ///  * a shortcut's superstep (shortcut/superstep.h): those two casts' stats
-///    plus its one-round exchange (one message per word, one round if any
-///    word was sent);
+///    plus its one-round exchange (one message per same-part directed edge
+///    whose sender speaks, one round if any did), computed on one value per
+///    block component;
 ///  * CoreSlow's id stream and CoreFast's sampled stream and routing phase
 ///    (shortcut/core_slow.h, shortcut/core_fast.h), from the tree and the
 ///    part ids;
 ///  * the supersteps past an idempotent flood's fixed point (Theorem 2's
 ///    min-floods, Verification's V1, V2 and V4) and Verification's silent
 ///    V3 levels: each repeats an earlier superstep's sends exactly and is
-///    charged as its copy (`SuperstepRunner::repeat_last`).
+///    charged as its copy (`SuperstepRunner::repeat_last`), without being
+///    computed at all.
 ///
 /// So the shortcut layer runs no engine phase. What still runs on the
 /// engine is the BFS tree (tree/bfs_tree.h) and the MST baselines

@@ -374,6 +374,14 @@ GraphBundle read_binary_bundle(std::istream& in) {
                   " endpoint out of range");
     edges.push_back({util::checked_cast<NodeId>(u), util::checked_cast<NodeId>(v), w});
   }
+  // The payload has proven m; the node count is still only declared. Every
+  // binary graph feeds a scenario, which needs a connected graph, and a
+  // connected graph on n nodes has at least n - 1 edges: refuse more nodes
+  // before allocating per-node arrays for them.
+  LCS_CHECK(n64 <= m64 + 1,
+            "binary graph declares " + std::to_string(n64) +
+                " nodes but only " + std::to_string(m64) +
+                " edges (a connected graph on n nodes has at least n - 1)");
 
   GraphBundle bundle{Graph(util::checked_cast<NodeId>(n64), std::move(edges)), {}};
   if (version < 2) return bundle;  // v1 files end after the edge payload

@@ -122,7 +122,10 @@ void save_binary_bundle(const Graph& g,
 void save_bytes_atomic(const std::string& bytes, const std::string& path);
 
 /// Load a binary cache; rejects bad magic, unknown versions, out-of-range
-/// counts, and truncated payloads with a named diagnosis. `read_binary`
+/// counts, truncated payloads, and a header declaring more than m + 1
+/// nodes (no connected graph, which every scenario needs; checked once the
+/// payload has proven m, before any per-node allocation) with a named
+/// diagnosis. `read_binary`
 /// validates but discards any sections; `read_binary_bundle` returns them.
 [[nodiscard]] Graph read_binary(std::istream& in);
 [[nodiscard]] Graph load_binary(const std::string& path);

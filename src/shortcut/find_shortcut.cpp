@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
+#include <vector>
 
 #include "congest/network.h"
 #include "congest/process.h"
@@ -44,6 +46,9 @@ std::optional<Shortcut> try_find(congest::Network& net,
   Shortcut combined;
   combined.parts_on_edge.resize(
       static_cast<std::size_t>(net.graph().num_edges()));
+  // Scratch for merging one edge's good parts into its combined list.
+  std::vector<PartId> kept;
+  std::vector<PartId> merged;
 
   for (std::int32_t iter = 0; iter < max_iterations; ++iter) {
     ++iterations_used;
@@ -70,19 +75,17 @@ std::optional<Shortcut> try_find(congest::Network& net,
     // fixed in exactly one iteration, so the per-edge id lists stay sorted
     // after a merge.
     for (EdgeId e = 0; e < net.graph().num_edges(); ++e) {
-      const auto& tentative_list =
-          tentative.shortcut.parts_on_edge[static_cast<std::size_t>(e)];
-      if (tentative_list.empty()) continue;
-      auto& out = combined.parts_on_edge[static_cast<std::size_t>(e)];
-      std::vector<PartId> merged;
-      merged.reserve(out.size() + tentative_list.size());
-      std::vector<PartId> kept;
-      for (const PartId j : tentative_list) {
+      kept.clear();
+      for (const PartId j :
+           tentative.shortcut.parts_on_edge[static_cast<std::size_t>(e)]) {
         if (verdict.part_good[static_cast<std::size_t>(j)]) kept.push_back(j);
       }
+      if (kept.empty()) continue;
+      auto& out = combined.parts_on_edge[static_cast<std::size_t>(e)];
+      merged.clear();
       std::merge(out.begin(), out.end(), kept.begin(), kept.end(),
                  std::back_inserter(merged));
-      out = std::move(merged);
+      out.assign(merged.begin(), merged.end());
     }
     congest::PerNode<bool> still_active(static_cast<std::size_t>(n), false);
     bool any = false;

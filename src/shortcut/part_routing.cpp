@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <optional>
+#include <vector>
 
 #include "congest/network.h"
 #include "congest/process.h"
@@ -23,45 +23,36 @@ congest::PerNode<std::uint64_t> part_min_flood(
   LCS_CHECK(b_steps >= 1, "need at least one superstep");
   LCS_CHECK(init.size() == partition.part_of.size(),
             "one value per node required");
+  const NodeId n = util::checked_cast<NodeId>(init.size());
 
-  congest::PerNode<std::uint64_t> value = init;
-  for (std::size_t v = 0; v < value.size(); ++v)
-    if (partition.part_of[v] == kNoPart) value[v] = kNoValue;
+  // The first superstep: every member sends its own value, and each
+  // supernode takes the smallest of its members' values and the words
+  // that reach them over links. Words inside a supernode carry values its
+  // own minimum already covers.
+  std::vector<std::uint64_t> value(runner.num_supernodes(), kNoValue);
+  for (NodeId v = 0; v < n; ++v) {
+    const SuperstepRunner::Supernode s = runner.supernode(v);
+    if (s != SuperstepRunner::kNoSupernode)
+      value[s] = std::min(value[s], init[static_cast<std::size_t>(v)]);
+  }
+  for (const SuperstepRunner::Link& link : runner.links()) {
+    std::uint64_t& mine = value[link.to_super];
+    mine = std::min(mine, init[static_cast<std::size_t>(link.from)]);
+  }
+  runner.charge(runner.all_sends());
 
-  // Every write lowers a value; a superstep that lowers none is the
-  // flood's fixed point.
-  bool changed = false;
-  const auto lower = [&](NodeId v, std::uint64_t candidate) {
-    std::uint64_t& mine = value[static_cast<std::size_t>(v)];
-    if (candidate < mine) {
-      mine = candidate;
-      changed = true;
-    }
-  };
-  const auto contribution = [&](NodeId v, PartId j) {
-    return partition.part(v) == j ? value[static_cast<std::size_t>(v)]
-                                  : kNoValue;
-  };
-  const auto min = [](std::uint64_t a, std::uint64_t b) {
-    return std::min(a, b);
-  };
-  const auto on_aggregate = [&](NodeId v, PartId j, std::uint64_t agg) {
-    if (partition.part(v) == j) lower(v, agg);
-  };
-  const auto cross_message = [&](NodeId v, NodeId, EdgeId) {
-    return std::optional<std::uint64_t>(value[static_cast<std::size_t>(v)]);
-  };
-  const auto on_cross = [&](NodeId v, NodeId, EdgeId, std::uint64_t received) {
-    lower(v, received);
-  };
-  const SuperstepHooks hooks{contribution, min,           kNoValue,
-                             on_aggregate, cross_message, on_cross};
-  run_to_fixed_point(runner, b_steps, [&] {
-    changed = false;
-    runner.run(hooks);
-    return changed;
-  });
-  return value;
+  // Every member now holds its supernode's value; the rest are supernode
+  // supersteps, up to the flood's fixed point.
+  run_to_fixed_point(runner, b_steps - 1,
+                     [&] { return runner.min_step(value); });
+
+  congest::PerNode<std::uint64_t> result(init.size(), kNoValue);
+  for (NodeId v = 0; v < n; ++v) {
+    const SuperstepRunner::Supernode s = runner.supernode(v);
+    if (s != SuperstepRunner::kNoSupernode)
+      result[static_cast<std::size_t>(v)] = value[s];
+  }
+  return result;
 }
 
 congest::PerNode<std::uint64_t> part_min_flood(

@@ -9,6 +9,12 @@
 /// supernode-hop, so `b` supersteps suffice when the shortcut has block
 /// parameter `b` (the supergraph has at most b supernodes).
 ///
+/// The flood keeps one value per supernode. Its first superstep reads each
+/// member's own value over the runner's links (members of one supernode may
+/// start with different values); after it every member holds its
+/// supernode's minimum, and each later superstep moves supernode values
+/// over the links (`SuperstepRunner::min_step`).
+///
 ///  * leader election  = min-flood of member node ids;
 ///  * convergecast     = min-flood of packed (value, origin) words — with
 ///    the (weight, edge-id) packing this is exactly the "minimum-weight

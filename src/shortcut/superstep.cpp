@@ -11,25 +11,10 @@
 #include "shortcut/representation.h"
 #include "shortcut/tree_routing.h"
 #include "tree/spanning_tree.h"
+#include "util/cast.h"
 #include "util/check.h"
 
 namespace lcs {
-
-namespace {
-
-/// `0 .. count - 1` stably sorted by `key(i)`, a value below `num_keys`.
-template <class Key>
-std::vector<std::size_t> counting_order(std::size_t count,
-                                        std::size_t num_keys, Key key) {
-  std::vector<std::size_t> first(num_keys + 1, 0);
-  for (std::size_t i = 0; i < count; ++i) ++first[key(i) + 1];
-  for (std::size_t k = 0; k < num_keys; ++k) first[k + 1] += first[k];
-  std::vector<std::size_t> order(count);
-  for (std::size_t i = 0; i < count; ++i) order[first[key(i)]++] = i;
-  return order;
-}
-
-}  // namespace
 
 NeighborParts exchange_neighbor_parts(congest::Network& net,
                                       const Partition& partition) {
@@ -60,29 +45,13 @@ SuperstepRunner::SuperstepRunner(congest::Network& net,
   const ComponentPlan& plan = state.plan;
   LCS_CHECK(tree.depth.size() == un && tree.parent.size() == un &&
                 partition.part_of.size() == un &&
+                state.own_block_root.size() == un &&
                 plan.slot_off.size() == un + 1,
             "superstep inputs sized for a different network");
   LCS_CHECK(neighbor_parts.graph == &g &&
                 neighbor_parts.parts.size() ==
                     2 * static_cast<std::size_t>(g.num_edges()),
             "neighbor parts misaligned with the adjacency");
-
-  // Same-part directed edges in the exchange's send order, then their
-  // delivery order: receiver ascending, send order within a receiver.
-  for (NodeId v = 0; v < n; ++v) {
-    const auto nbs = g.neighbors(v);
-    const auto parts = neighbor_parts.of(v);
-    const PartId j = partition.part(v);
-    if (j == kNoPart) continue;
-    for (std::size_t k = 0; k < nbs.size(); ++k) {
-      if (parts[k] != j) continue;
-      cross_.push_back(CrossEdge{v, nbs[k].node, nbs[k].edge});
-    }
-  }
-  delivery_ = counting_order(cross_.size(), un, [&](std::size_t i) {
-    return static_cast<std::size_t>(cross_[i].to);
-  });
-  cross_word_.resize(cross_.size());
 
   // Every superstep's casts repeat the schedules the representation phase
   // counted on this plan: one message per parent-edge slot each.
@@ -94,13 +63,73 @@ SuperstepRunner::SuperstepRunner(congest::Network& net,
             "shortcut state's casts are not one message per parent-edge "
             "slot");
 
-  // A part member with no slot for its part is a singleton component.
+  // Supernodes in order of their smallest member. A block component's
+  // members share its root's slot for their part; a member without a slot
+  // for its part is a supernode of its own.
+  supernode_.assign(un, kNoSupernode);
+  std::vector<Supernode> of_root_slot(plan.slots.size(), kNoSupernode);
+  const auto add_supernode = [&] {
+    sends_.push_back(0);
+    return util::checked_cast<Supernode>(sends_.size() - 1);
+  };
   for (NodeId v = 0; v < n; ++v) {
     const PartId j = partition.part(v);
-    if (j != kNoPart && plan.slot_index(v, j) == plan.slots.size())
-      singletons_.push_back(v);
+    if (j == kNoPart) continue;
+    const auto i = static_cast<std::size_t>(v);
+    if (plan.slot_index(v, j) == plan.slots.size()) {
+      supernode_[i] = add_supernode();
+      continue;
+    }
+    const std::size_t root_slot = plan.slot_index(state.own_block_root[i], j);
+    LCS_CHECK(root_slot < plan.slots.size(),
+              "a block id names no component root of the part");
+    if (of_root_slot[root_slot] == kNoSupernode)
+      of_root_slot[root_slot] = add_supernode();
+    supernode_[i] = of_root_slot[root_slot];
   }
-  acc_.resize(plan.slots.size());
+
+  // Same-part directed edges: counted per sending supernode, and kept as
+  // links when they leave it.
+  for (NodeId v = 0; v < n; ++v) {
+    const Supernode from_super = supernode(v);
+    if (from_super == kNoSupernode) continue;
+    const auto nbs = g.neighbors(v);
+    const auto parts = neighbor_parts.of(v);
+    const PartId j = partition.part(v);
+    for (std::size_t k = 0; k < nbs.size(); ++k) {
+      if (parts[k] != j) continue;
+      ++sends_[from_super];
+      const Supernode to_super = supernode(nbs[k].node);
+      if (to_super != from_super)
+        links_.push_back(
+            Link{from_super, to_super, v, nbs[k].node, nbs[k].edge});
+    }
+  }
+  for (const std::int64_t s : sends_) all_sends_ += s;
+}
+
+void SuperstepRunner::charge(std::int64_t words) {
+  LCS_CHECK(words >= 0, "a superstep sends no negative number of words");
+  last_stats_ = congest::PhaseStats{
+      state_.convergecast.rounds + state_.broadcast.rounds +
+          (words > 0 ? 1 : 0),
+      state_.convergecast.messages + state_.broadcast.messages + words};
+  net_.add_replayed(*last_stats_);
+}
+
+bool SuperstepRunner::min_step(std::vector<std::uint64_t>& value) {
+  LCS_CHECK(value.size() == num_supernodes(), "one value per supernode");
+  before_ = value;
+  bool fell = false;
+  for (const Link& link : links_) {
+    const std::uint64_t word = before_[link.from_super];
+    if (word < value[link.to_super]) {
+      value[link.to_super] = word;
+      fell = true;
+    }
+  }
+  charge(all_sends_);
+  return fell;
 }
 
 void SuperstepRunner::repeat_last(std::int64_t count) {

@@ -21,6 +21,9 @@
 /// leader, a complete BFS, and at most `b_limit` supernodes. Every member
 /// of a part reaches the same verdict (checked).
 ///
+/// The phases keep one value per supernode on the runner's supergraph
+/// (superstep.h); only the anomaly flags are kept per node.
+///
 /// Every loop is charged all of its supersteps, as the paper counts them,
 /// but not all of them run: the floods (1, 2 and 4) stop at their fixed
 /// point, and step 3 skips the levels above the deepest BFS depth. Those

@@ -6,8 +6,8 @@
 /// (shortcut/core_fast.h) are counted on the host. These are the protocols
 /// they replace, each a phase on the engine with one process per node; the
 /// reference tests run both and require the same outputs, rounds and
-/// messages. `ParallelSuperstep.ReplayMatchesEngine` builds its engine-only
-/// superstep from the two casts here.
+/// messages. superstep_reference.h builds its node-level engine superstep
+/// from the two casts here.
 #pragma once
 
 #include <algorithm>

@@ -154,6 +154,42 @@ TEST(BinaryCache, RejectsOutOfRangeEndpoint) {
   EXPECT_THROW(read_binary(corrupted), CheckFailure);
 }
 
+// A header's node count is refused once the payload has proven m, if no
+// connected graph has that many nodes on m edges: a 28-byte file declaring
+// 2^20 nodes and no edges used to build a graph of a million isolated
+// nodes (and one declaring 2^31 - 1, `cli_errors_test.sh`'s
+// `forged_node_count`, to allocate per-node arrays for all of them). The
+// diagnosis names both counts.
+TEST(BinaryCache, RejectsMoreNodesThanEdgesCanConnect) {
+  const auto expect_refused = [](const std::string& bytes,
+                                 const std::string& counts) {
+    std::stringstream in(bytes);
+    try {
+      (void)read_binary_bundle(in);
+      FAIL() << "parsed " << counts;
+    } catch (const CheckFailure& e) {
+      EXPECT_NE(std::string(e.what()).find(counts), std::string::npos)
+          << e.what();
+    }
+  };
+  std::string forged("LCSG\x01\0\0\0\0\0\0\0", 12);
+  forged += std::string("\0\0\x10\0\0\0\0\0", 8);
+  forged += std::string(8, '\0');
+  ASSERT_EQ(forged.size(), 28u);
+  expect_refused(forged, "declares 1048576 nodes but only 0 edges");
+
+  // One isolated node too many; a path has exactly n - 1 edges.
+  std::stringstream isolated;
+  write_binary(Graph(4, {{0, 1}, {1, 2}}), isolated);
+  expect_refused(isolated.str(), "declares 4 nodes but only 2 edges");
+  std::stringstream path;
+  write_binary(make_path(4), path);
+  expect_same_graph(make_path(4), read_binary(path));
+  std::stringstream one;
+  write_binary(make_path(1), one);
+  expect_same_graph(make_path(1), read_binary(one));
+}
+
 TEST(BinaryCache, BundleSectionsRoundTrip) {
   const Graph g = make_grid(6, 4);
   Partition p;

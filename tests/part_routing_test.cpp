@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <initializer_list>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -17,6 +16,7 @@
 #include "shortcut/representation.h"
 #include "shortcut/shortcut.h"
 #include "shortcut/superstep.h"
+#include "superstep_reference.h"
 #include "test_util.h"
 #include "util/check.h"
 
@@ -237,34 +237,19 @@ TEST(PartRouting, SingletonPartsTrivially) {
 // ---------------------------------------------------------------------------
 // Fixed-point stop. `part_min_flood` stops running supersteps at the first
 // one that lowers no value and charges the rest as its copies. The
-// reference below runs every superstep with the same hooks and no stop;
-// both must leave the same values and the same totals on their networks.
+// reference below is the node-level min-flood: one value per node, every
+// superstep run on the engine (the exchange and Lemma 2's casts each an
+// engine phase, superstep_reference.h), no stop. Both must leave the same
+// values and the same totals on their networks.
 
-/// part_min_flood without the stop: all `b_steps` supersteps run.
+/// part_min_flood without the stop or the supergraph: all `b_steps`
+/// node-level supersteps run on the engine.
 congest::PerNode<std::uint64_t> full_min_flood(
     Sim& sim, const Partition& p, const ShortcutState& state,
     const NeighborParts& neighbor_parts, std::int32_t b_steps,
     const congest::PerNode<std::uint64_t>& init) {
-  congest::PerNode<std::uint64_t> value = init;
-  for (NodeId v = 0; v < sim.net.num_nodes(); ++v)
-    if (p.part(v) == kNoPart) value[static_cast<std::size_t>(v)] = kNoValue;
-  const auto u = [](NodeId v) { return static_cast<std::size_t>(v); };
-  const SuperstepHooks hooks{
-      [&](NodeId v, PartId j) { return p.part(v) == j ? value[u(v)] : kNoValue; },
-      [](std::uint64_t a, std::uint64_t b) { return std::min(a, b); },
-      kNoValue,
-      [&](NodeId v, PartId j, std::uint64_t agg) {
-        if (p.part(v) == j) value[u(v)] = std::min(value[u(v)], agg);
-      },
-      [&](NodeId v, NodeId, EdgeId) {
-        return std::optional<std::uint64_t>(value[u(v)]);
-      },
-      [&](NodeId v, NodeId, EdgeId, std::uint64_t x) {
-        value[u(v)] = std::min(value[u(v)], x);
-      }};
-  SuperstepRunner runner(sim.net, sim.tree, p, state, neighbor_parts);
-  for (std::int32_t step = 0; step < b_steps; ++step) runner.run(hooks);
-  return value;
+  return testutil::reference_min_flood(sim.net, sim.tree, p, state,
+                                       neighbor_parts, b_steps, init);
 }
 
 TEST(PartRouting, FixedPointStopMatchesFullSchedule) {

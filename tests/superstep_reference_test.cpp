@@ -1,18 +1,16 @@
 /// \file superstep_reference_test.cpp
-/// The superstep runner and the representation broadcast against engine
-/// references: a `SuperstepRunner` superstep makes every hook call on the
-/// host and adds its rounds and messages with `add_replayed`, and must
-/// leave the same state, counts and hook calls as the same superstep run
-/// as engine phases (the exchange plus the reference convergecast and
-/// broadcast of engine_reference.h). The `add_replayed` guards live here
+/// The supergraph supersteps and the representation broadcast against
+/// engine references: Verification and the part min-flood, which keep one
+/// value per supernode and add their rounds and messages with
+/// `add_replayed`, must reach the same verdicts, values, rounds and
+/// messages as the node-level protocols of superstep_reference.h, which run
+/// every superstep as engine phases. The `add_replayed` guards live here
 /// too.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <array>
+#include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <optional>
 #include <span>
 #include <string>
 #include <utility>
@@ -26,12 +24,14 @@
 #include "graph/graph.h"
 #include "graph/partition.h"
 #include "shortcut/existential.h"
+#include "shortcut/part_routing.h"
 #include "shortcut/representation.h"
 #include "shortcut/shortcut.h"
 #include "shortcut/superstep.h"
 #include "shortcut/tree_routing.h"
+#include "shortcut/verification.h"
+#include "superstep_reference.h"
 #include "test_util.h"
-#include "tree/spanning_tree.h"
 #include "util/check.h"
 
 namespace lcs {
@@ -39,330 +39,238 @@ namespace {
 
 using congest::Context;
 using congest::Incoming;
-using congest::Message;
 using congest::Network;
 using congest::PhaseStats;
 using congest::Process;
 
 // ---------------------------------------------------------------------------
-// Superstep runner against the engine: a SuperstepRunner makes every hook
-// call on the host and runs no engine phase. Against an engine-only
-// superstep (the exchange and the reference convergecast and broadcast of
-// engine_reference.h, each an engine phase), every superstep, the first
-// included, must leave the same per-node state, add the same rounds and
-// messages, and make the same hook calls.
+// The supergraph against the node-level engine protocols. Verification and
+// part_min_flood keep one value per supernode and charge each superstep
+// from the runner's counts; the references of superstep_reference.h keep
+// one value per node and run every superstep as engine phases. Both must
+// reach the same verdicts and values with the same rounds and messages.
 
-/// Per-node protocol state and hook-call logs of one side of the
-/// comparison. Hooks for node v write only index v.
-struct SuperstepWorld {
-  /// One hook call: {kind, and up to three arguments}.
-  using Call = std::array<std::uint64_t, 4>;
-  enum Kind : std::uint64_t { kContribution, kCrossMessage, kOnCross };
-
-  std::vector<std::uint64_t> value;
-  std::vector<std::uint64_t> aux;
-  /// Per node, in call order: contribution, cross_message and on_cross.
-  /// The engine and the runner call these in the same order at a node.
-  std::vector<std::vector<Call>> calls;
-  /// Per node: on_aggregate as {part, aggregate}. A node's calls for
-  /// different parts may come in any order, so these compare sorted.
-  std::vector<std::vector<Call>> aggregates;
-  std::int64_t combines = 0;
-
-  explicit SuperstepWorld(NodeId n)
-      : value(static_cast<std::size_t>(n)),
-        aux(static_cast<std::size_t>(n), 0),
-        calls(static_cast<std::size_t>(n)),
-        aggregates(static_cast<std::size_t>(n)) {
-    for (std::size_t v = 0; v < value.size(); ++v)
-      value[v] = (v * 2654435761u) % 1009;
-  }
-
-  void log(Kind kind, NodeId v, std::uint64_t a, std::uint64_t b,
-           std::uint64_t c) {
-    calls[static_cast<std::size_t>(v)].push_back(Call{kind, a, b, c});
-  }
-  void log_aggregate(NodeId v, std::uint64_t j, std::uint64_t agg) {
-    aggregates[static_cast<std::size_t>(v)].push_back(Call{0, j, agg, 0});
-  }
-
-  /// This superstep's logs (aggregates sorted per node); clears them.
-  std::pair<std::vector<std::vector<Call>>, std::vector<std::vector<Call>>>
-  take_calls() {
-    for (auto& list : aggregates) std::sort(list.begin(), list.end());
-    std::pair result{calls, aggregates};
-    for (auto& list : calls) list.clear();
-    for (auto& list : aggregates) list.clear();
-    return result;
-  }
-};
-
-enum class HookSet { kMinFlood, kSaturatingSum, kMaxVerdict, kNoExchange };
-
-/// The six superstep hooks as std::function members; `cross_message` and
-/// `on_cross` are null for a superstep without the exchange.
-struct LoggedHooks {
-  std::function<std::uint64_t(NodeId, PartId)> contribution;
-  std::function<std::uint64_t(std::uint64_t, std::uint64_t)> combine;
-  std::uint64_t identity = 0;
-  std::function<void(NodeId, PartId, std::uint64_t)> on_aggregate;
-  std::function<std::optional<std::uint64_t>(NodeId, NodeId, EdgeId)>
-      cross_message;
-  std::function<void(NodeId, NodeId, EdgeId, std::uint64_t)> on_cross;
-};
-
-/// Hooks over `w` whose per-node updates commute across parts (the
-/// superstep contract); every call except `combine` is logged, and
-/// `combine` is counted.
-LoggedHooks make_logged_hooks(HookSet set, SuperstepWorld& w,
-                              const Partition& p) {
-  static constexpr std::uint64_t kMax = ~std::uint64_t{0};
-  static constexpr std::uint64_t kCap = std::uint64_t{1} << 62;
-  const auto u = [](NodeId v) { return static_cast<std::size_t>(v); };
-  const auto uj = [](PartId j) { return static_cast<std::uint64_t>(j); };
-  const auto un = [](NodeId v) { return static_cast<std::uint64_t>(v); };
-  LoggedHooks h;
-  std::function<std::uint64_t(NodeId, PartId)> contribution;
-  std::function<std::uint64_t(std::uint64_t, std::uint64_t)> combine;
-  std::function<void(NodeId, PartId, std::uint64_t)> on_aggregate;
-  std::function<std::optional<std::uint64_t>(NodeId, NodeId, EdgeId)> cross;
-  std::function<void(NodeId, NodeId, EdgeId, std::uint64_t)> on_cross;
-  switch (set) {
-    case HookSet::kMinFlood:
-      h.identity = kMax;
-      combine = [](std::uint64_t a, std::uint64_t b) { return std::min(a, b); };
-      contribution = [&w, &p, u](NodeId v, PartId j) {
-        return p.part(v) == j ? w.value[u(v)] : kMax;
-      };
-      on_aggregate = [&w, &p, u](NodeId v, PartId j, std::uint64_t agg) {
-        if (p.part(v) == j) w.value[u(v)] = std::min(w.value[u(v)], agg);
-      };
-      cross = [&w, u](NodeId v, NodeId, EdgeId) {
-        return std::optional<std::uint64_t>(w.value[u(v)]);
-      };
-      on_cross = [&w, u](NodeId v, NodeId, EdgeId, std::uint64_t x) {
-        w.value[u(v)] = std::min(w.value[u(v)], x);
-      };
-      break;
-    case HookSet::kSaturatingSum:
-      // Relays contribute too, and a third of the cross edges stay silent.
-      h.identity = 0;
-      combine = [](std::uint64_t a, std::uint64_t b) {
-        return std::min(a + b, kCap);
-      };
-      contribution = [&w, &p, u, uj, un](NodeId v, PartId j) {
-        const std::uint64_t own = p.part(v) == j ? w.value[u(v)] % 97 : 0;
-        return own + 1 + (un(v) * 7 + uj(j)) % 5;
-      };
-      on_aggregate = [&w, u, uj](NodeId v, PartId j, std::uint64_t agg) {
-        w.aux[u(v)] += agg * (uj(j) + 1);
-      };
-      cross = [&w, u, un](NodeId v, NodeId to,
-                          EdgeId e) -> std::optional<std::uint64_t> {
-        if ((un(v) + un(to) + static_cast<std::uint64_t>(e)) % 3 == 0)
-          return std::nullopt;
-        return w.value[u(v)] % 1000 + un(to);
-      };
-      on_cross = [&w, u, un](NodeId v, NodeId from, EdgeId, std::uint64_t x) {
-        w.value[u(v)] += x ^ un(from);
-      };
-      break;
-    case HookSet::kMaxVerdict:
-      h.identity = 0;
-      combine = [](std::uint64_t a, std::uint64_t b) { return std::max(a, b); };
-      contribution = [&w, &p, u](NodeId v, PartId j) -> std::uint64_t {
-        return p.part(v) == j ? w.value[u(v)] % 3 : 0;
-      };
-      on_aggregate = [&w, &p, u](NodeId v, PartId j, std::uint64_t agg) {
-        if (p.part(v) == j) w.aux[u(v)] = std::max(w.aux[u(v)], agg);
-      };
-      cross = [&w, u](NodeId v, NodeId,
-                      EdgeId) -> std::optional<std::uint64_t> {
-        if (w.aux[u(v)] == 0) return std::nullopt;
-        return w.aux[u(v)];
-      };
-      on_cross = [&w, u](NodeId v, NodeId, EdgeId, std::uint64_t x) {
-        w.aux[u(v)] = std::max(w.aux[u(v)], x);
-      };
-      break;
-    case HookSet::kNoExchange:
-      h.identity = 0;
-      combine = [](std::uint64_t a, std::uint64_t b) { return a ^ b; };
-      contribution = [&w, u, uj](NodeId v, PartId j) {
-        return w.value[u(v)] * 31 + uj(j);
-      };
-      on_aggregate = [&w, u, uj](NodeId v, PartId j, std::uint64_t agg) {
-        w.aux[u(v)] ^= agg + uj(j);
-      };
-      break;
-  }
-  h.combine = [&w, combine](std::uint64_t a, std::uint64_t b) {
-    ++w.combines;
-    return combine(a, b);
-  };
-  h.contribution = [&w, contribution, uj](NodeId v, PartId j) {
-    const std::uint64_t word = contribution(v, j);
-    w.log(SuperstepWorld::kContribution, v, uj(j), word, 0);
-    return word;
-  };
-  h.on_aggregate = [&w, on_aggregate, uj](NodeId v, PartId j,
-                                          std::uint64_t agg) {
-    w.log_aggregate(v, uj(j), agg);
-    on_aggregate(v, j, agg);
-  };
-  if (cross) {
-    h.cross_message = [&w, cross, un](NodeId v, NodeId to, EdgeId e) {
-      const auto word = cross(v, to, e);
-      w.log(SuperstepWorld::kCrossMessage, v, un(to),
-            static_cast<std::uint64_t>(e),
-            word.has_value() ? *word : ~std::uint64_t{0});
-      return word;
-    };
-    h.on_cross = [&w, on_cross, un](NodeId v, NodeId from, EdgeId e,
-                                    std::uint64_t x) {
-      w.log(SuperstepWorld::kOnCross, v, un(from),
-            static_cast<std::uint64_t>(e), x);
-      on_cross(v, from, e, x);
-    };
-  }
-  return h;
+/// Verdicts and counts of the library's Verification and the node-level
+/// reference on one network, both on `state`; returns the library's.
+VerificationResult expect_verification_matches(
+    testutil::Sim& sim, const Partition& p, const ShortcutState& state,
+    const NeighborParts& neighbor_parts, std::int32_t b_limit) {
+  SCOPED_TRACE("b_limit=" + std::to_string(b_limit));
+  VerificationResult got;
+  const auto got_cost = testutil::measure(sim.net, [&] {
+    got = verify_block_parameter(sim.net, sim.tree, p, state, b_limit,
+                                 neighbor_parts);
+  });
+  testutil::ReferenceVerification want;
+  const auto want_cost = testutil::measure(sim.net, [&] {
+    want = testutil::reference_verify(sim.net, sim.tree, p, state, b_limit,
+                                      neighbor_parts);
+  });
+  EXPECT_EQ(got.node_good, want.result.node_good);
+  EXPECT_EQ(got.part_good, want.result.part_good);
+  EXPECT_EQ(got_cost, want_cost);
+  return got;
 }
 
-/// The reference exchange: one round in which every part member sends
-/// `cross_message`'s word to each same-part neighbor, in adjacency order.
-class ReferenceExchangeProcess final : public Process {
- public:
-  ReferenceExchangeProcess(NodeId id, const Partition& partition,
-                           const NeighborParts& neighbor_parts,
-                           const LoggedHooks& hooks)
-      : id_(id),
-        partition_(&partition),
-        neighbor_parts_(&neighbor_parts),
-        hooks_(&hooks) {}
+/// Values and counts of `part_min_flood` and the node-level reference.
+void expect_min_flood_matches(testutil::Sim& sim, const Partition& p,
+                              const ShortcutState& state,
+                              const NeighborParts& neighbor_parts,
+                              std::int32_t b_steps,
+                              const congest::PerNode<std::uint64_t>& init) {
+  SCOPED_TRACE("b_steps=" + std::to_string(b_steps));
+  congest::PerNode<std::uint64_t> got;
+  const auto got_cost = testutil::measure(sim.net, [&] {
+    got = part_min_flood(sim.net, sim.tree, p, state, neighbor_parts, b_steps,
+                         init);
+  });
+  congest::PerNode<std::uint64_t> want;
+  const auto want_cost = testutil::measure(sim.net, [&] {
+    want = testutil::reference_min_flood(sim.net, sim.tree, p, state,
+                                         neighbor_parts, b_steps, init);
+  });
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(got_cost, want_cost);
+}
 
-  void on_start(Context& ctx) override {
-    const PartId j = partition_->part(id_);
-    if (j == kNoPart) return;
-    const auto nbs = ctx.neighbors();
-    const auto parts = neighbor_parts_->of(id_);
-    for (std::size_t k = 0; k < nbs.size(); ++k) {
-      if (parts[k] != j) continue;
-      const auto word = hooks_->cross_message(id_, nbs[k].node, nbs[k].edge);
-      if (word.has_value()) ctx.send(nbs[k].edge, Message(0, *word));
+/// One value per node, scattered, so a supernode's members differ.
+congest::PerNode<std::uint64_t> scattered_values(NodeId n) {
+  congest::PerNode<std::uint64_t> values(static_cast<std::size_t>(n));
+  for (std::size_t v = 0; v < values.size(); ++v)
+    values[v] = (v * 2654435761u) % 1009;
+  return values;
+}
+
+TEST(SupergraphReference, VerificationMatchesNodeLevelEngine) {
+  std::int64_t good = 0;
+  std::int64_t bad = 0;
+  for (const testutil::SuperstepFamily& f : testutil::superstep_families()) {
+    SCOPED_TRACE(f.name);
+    for (const std::int32_t threshold : {1, 3}) {
+      SCOPED_TRACE("threshold=" + std::to_string(threshold));
+      testutil::Sim sim(f.g, f.root);
+      const ShortcutState state = compute_shortcut_state(
+          sim.net, sim.tree, f.p,
+          greedy_blocked_shortcut(f.g, sim.tree, f.p, threshold));
+      const NeighborParts neighbor_parts =
+          exchange_neighbor_parts(sim.net, f.p);
+      for (const std::int32_t b_limit : {1, 2, 4, 8}) {
+        const VerificationResult r = expect_verification_matches(
+            sim, f.p, state, neighbor_parts, b_limit);
+        good += std::count(r.part_good.begin(), r.part_good.end(), true);
+        bad += std::count(r.part_good.begin(), r.part_good.end(), false);
+      }
     }
   }
-
-  void on_round(Context&, std::span<const Incoming> inbox) override {
-    for (const auto& in : inbox)
-      hooks_->on_cross(id_, in.from, in.edge, in.msg.words[0]);
-  }
-
- private:
-  NodeId id_;
-  const Partition* partition_;
-  const NeighborParts* neighbor_parts_;
-  const LoggedHooks* hooks_;
-};
-
-/// The reference superstep, every step an engine phase: the exchange (if
-/// the hooks have one), the convergecast and the broadcast on the plan, and
-/// then the singleton components' local aggregates.
-void engine_superstep(Network& net, const SpanningTree& tree,
-                      const Partition& p, const ShortcutState& state,
-                      const NeighborParts& neighbor_parts,
-                      const LoggedHooks& h) {
-  if (h.cross_message) {
-    std::vector<ReferenceExchangeProcess> procs;
-    for (NodeId v = 0; v < net.num_nodes(); ++v)
-      procs.emplace_back(v, p, neighbor_parts, h);
-    congest::run_phase(net, procs);
-  }
-  const ComponentPlan& plan = state.plan;
-  std::vector<std::uint64_t> root_agg(plan.slots.size(), h.identity);
-  testutil::reference_component_convergecast(
-      net, tree, plan, h.contribution, h.combine,
-      [&](NodeId root, PartId j, std::uint64_t agg) {
-        root_agg[plan.slot_index(root, j)] = agg;
-      });
-  testutil::reference_component_broadcast(
-      net, tree, plan,
-      [&](NodeId root, PartId j) {
-        return root_agg[plan.slot_index(root, j)];
-      },
-      [&](NodeId v, PartId j, std::uint64_t value, std::int32_t) {
-        h.on_aggregate(v, j, value);
-      });
-  // A member is a singleton when none of its tree edges carries its part;
-  // read off the shortcut itself, not the plan the runner uses.
-  const auto carries = [&](EdgeId e, PartId j) {
-    const auto& list =
-        state.shortcut.parts_on_edge[static_cast<std::size_t>(e)];
-    return std::binary_search(list.begin(), list.end(), j);
-  };
-  for (NodeId v = 0; v < net.num_nodes(); ++v) {
-    const auto i = static_cast<std::size_t>(v);
-    const PartId j = p.part(v);
-    if (j == kNoPart) continue;
-    const EdgeId up = tree.parent_edge[i];
-    if (up != kNoEdge && carries(up, j)) continue;
-    if (std::any_of(tree.children_edges[i].begin(),
-                    tree.children_edges[i].end(),
-                    [&](EdgeId e) { return carries(e, j); }))
-      continue;
-    h.on_aggregate(v, j, h.contribution(v, j));
-  }
+  EXPECT_GT(good, 0);
+  EXPECT_GT(bad, 0);
 }
 
-TEST(ParallelSuperstep, ReplayMatchesEngine) {
-  // The second superstep's verdicts are all still 0, so its exchange sends
-  // nothing and takes no round.
-  const std::vector<HookSet> steps = {
-      HookSet::kMinFlood,      HookSet::kMaxVerdict, HookSet::kSaturatingSum,
-      HookSet::kNoExchange,    HookSet::kMaxVerdict, HookSet::kSaturatingSum,
-      HookSet::kMinFlood,      HookSet::kNoExchange};
+// The first min-flood superstep sends each member's own value, not its
+// supernode's minimum: after one or two supersteps a supernode has heard
+// its neighbors' members only, so sending the minimum would reach further.
+// The scattered values give links whose sender holds more than its
+// supernode's minimum (`witnesses`).
+TEST(SupergraphReference, MinFloodMatchesNodeLevelEngine) {
+  std::int64_t witnesses = 0;
+  for (const testutil::SuperstepFamily& f : testutil::superstep_families()) {
+    SCOPED_TRACE(f.name);
+    for (const std::int32_t threshold : {1, 3}) {
+      SCOPED_TRACE("threshold=" + std::to_string(threshold));
+      testutil::Sim sim(f.g, f.root);
+      Shortcut s = greedy_blocked_shortcut(f.g, sim.tree, f.p, threshold);
+      const std::int32_t b = block_parameter(f.g, f.p, s);
+      const ShortcutState state =
+          compute_shortcut_state(sim.net, sim.tree, f.p, std::move(s));
+      const NeighborParts neighbor_parts =
+          exchange_neighbor_parts(sim.net, f.p);
+      const auto init = scattered_values(f.g.num_nodes());
 
+      const SuperstepRunner runner(sim.net, sim.tree, f.p, state,
+                                   neighbor_parts);
+      std::vector<std::uint64_t> lowest(runner.num_supernodes(), kNoValue);
+      for (NodeId v = 0; v < f.g.num_nodes(); ++v) {
+        const auto super = runner.supernode(v);
+        if (super != SuperstepRunner::kNoSupernode)
+          lowest[super] =
+              std::min(lowest[super], init[static_cast<std::size_t>(v)]);
+      }
+      for (const SuperstepRunner::Link& link : runner.links())
+        if (init[static_cast<std::size_t>(link.from)] > lowest[link.from_super])
+          ++witnesses;
+
+      for (const std::int32_t b_steps : {1, 2, b, 3 * b, 20 * b})
+        expect_min_flood_matches(sim, f.p, state, neighbor_parts, b_steps,
+                                 init);
+    }
+  }
+  EXPECT_GT(witnesses, 0);
+}
+
+// Singleton supernodes (no shortcut edge at all: every member alone) and
+// parts that are one supernode each (every ancestor edge of every member).
+TEST(SupergraphReference, SingletonAndWholePartSupernodes) {
   for (const testutil::SuperstepFamily& f : testutil::superstep_families()) {
     SCOPED_TRACE(f.name);
     testutil::Sim sim(f.g, f.root);
-    Shortcut s = greedy_blocked_shortcut(f.g, sim.tree, f.p, 3);
-    const ShortcutState state =
-        compute_shortcut_state(sim.net, sim.tree, f.p, std::move(s));
-    const NeighborParts neighbor_parts =
-        exchange_neighbor_parts(sim.net, f.p);
-
-    SuperstepWorld hosted(f.g.num_nodes());
-    SuperstepWorld engine(f.g.num_nodes());
-    SuperstepRunner runner(sim.net, sim.tree, f.p, state, neighbor_parts);
-    for (std::size_t i = 0; i < steps.size(); ++i) {
-      SCOPED_TRACE("superstep " + std::to_string(i));
-      const auto measure = [&](auto&& body) {
-        const std::int64_t r0 = sim.net.total_rounds();
-        const std::int64_t m0 = sim.net.total_messages();
-        body();
-        return std::make_pair(sim.net.total_rounds() - r0,
-                              sim.net.total_messages() - m0);
-      };
-      const auto got = measure([&] {
-        const LoggedHooks h = make_logged_hooks(steps[i], hosted, f.p);
-        if (h.cross_message) {
-          runner.run(h);
-        } else {
-          runner.run(SuperstepHooks{h.contribution, h.combine, h.identity,
-                                    h.on_aggregate});
-        }
-      });
-      const auto want = measure([&] {
-        engine_superstep(sim.net, sim.tree, f.p, state, neighbor_parts,
-                         make_logged_hooks(steps[i], engine, f.p));
-      });
-      EXPECT_EQ(got, want);
-      EXPECT_GT(want.first, 0);
-      EXPECT_EQ(hosted.value, engine.value);
-      EXPECT_EQ(hosted.aux, engine.aux);
-      EXPECT_EQ(hosted.combines, engine.combines);
-      EXPECT_EQ(hosted.take_calls(), engine.take_calls());
+    Shortcut empty;
+    empty.parts_on_edge.resize(static_cast<std::size_t>(f.g.num_edges()));
+    const auto groups = f.p.members();
+    std::size_t members = 0;
+    std::size_t parts = 0;
+    for (const auto& group : groups) {
+      members += group.size();
+      parts += group.empty() ? 0 : 1;
+    }
+    const NeighborParts neighbor_parts = exchange_neighbor_parts(sim.net, f.p);
+    const auto init = scattered_values(f.g.num_nodes());
+    for (const bool whole : {false, true}) {
+      SCOPED_TRACE(whole ? "whole parts" : "singletons");
+      const ShortcutState state = compute_shortcut_state(
+          sim.net, sim.tree, f.p,
+          whole ? full_ancestor_shortcut(f.g, sim.tree, f.p) : empty);
+      const SuperstepRunner runner(sim.net, sim.tree, f.p, state,
+                                   neighbor_parts);
+      EXPECT_EQ(runner.num_supernodes(), whole ? parts : members);
+      EXPECT_TRUE(!whole || runner.links().empty());
+      for (const std::int32_t b_limit : {1, 2})
+        expect_verification_matches(sim, f.p, state, neighbor_parts, b_limit);
+      for (const std::int32_t b_steps : {1, 2, 5})
+        expect_min_flood_matches(sim, f.p, state, neighbor_parts, b_steps,
+                                 init);
     }
   }
+}
+
+/// One part over every node of `g`.
+Partition whole_part(const Graph& g) {
+  Partition p;
+  p.num_parts = 1;
+  p.part_of.assign(static_cast<std::size_t>(g.num_nodes()), 0);
+  return p;
+}
+
+// A leader flood that has not converged within b_limit: on a path whose
+// block ids go up and down, one superstep leaves every local minimum
+// believing it leads. The part fails, and the contracted supersteps must
+// fail it the same way (the same flags, counts and verdict rounds).
+TEST(SupergraphReference, UnconvergedLeaderFloodLeavesSeveralLeaders) {
+  // Path 3-0-4-5-1-6-2-7 rooted at 3; edge 2 (4-5) carries the part, so
+  // the blocks along the path are 3, 0, {4, 5} (block id 4), 1, 6, 2, 7.
+  const Graph g(8, {{3, 0}, {0, 4}, {4, 5}, {5, 1}, {1, 6}, {6, 2}, {2, 7}});
+  const Partition p = whole_part(g);
+  testutil::Sim sim(g, 3);
+  Shortcut s;
+  s.parts_on_edge.resize(static_cast<std::size_t>(g.num_edges()));
+  s.parts_on_edge[2] = {0};
+  const ShortcutState state =
+      compute_shortcut_state(sim.net, sim.tree, p, std::move(s));
+  ASSERT_EQ(state.own_block_root[5], 4);
+  const NeighborParts neighbor_parts = exchange_neighbor_parts(sim.net, p);
+
+  const testutil::ReferenceVerification ref = testutil::reference_verify(
+      sim.net, sim.tree, p, state, 1, neighbor_parts);
+  std::vector<NodeId> leaders;
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    const auto i = static_cast<std::size_t>(v);
+    if (ref.lead[i] == static_cast<std::uint64_t>(v)) leaders.push_back(v);
+  }
+  EXPECT_EQ(leaders, (std::vector<NodeId>{0, 1, 2}));
+  EXPECT_FALSE(ref.result.part_good[0]);
+
+  for (const std::int32_t b_limit : {1, 2, 4, 8})
+    expect_verification_matches(sim, p, state, neighbor_parts, b_limit);
+}
+
+// A supernode V2 leaves unreached next to a reached one with the same
+// leader: V2.5 flags the reached side. Singletons (no shortcut edge), node
+// ids as block ids, b_limit 2:
+//
+//   0 - 2 - 3 - 1 - 4 - 5 - 6 - 3
+//
+// Nodes 0 and 1 both lead (0 is three hops from 1); 6 follows leader 1
+// through 3, which follows 0, so the BFS from 1 reaches 5 at depth 2 and
+// never 6. 5 hears an unreached neighbor with its own leader.
+TEST(SupergraphReference, UnreachedSupernodeFlagsItsNeighbor) {
+  const Graph g(7, {{0, 2}, {2, 3}, {3, 1}, {1, 4}, {4, 5}, {5, 6}, {6, 3}});
+  const Partition p = whole_part(g);
+  testutil::Sim sim(g, 0);
+  Shortcut empty;
+  empty.parts_on_edge.resize(static_cast<std::size_t>(g.num_edges()));
+  const ShortcutState state =
+      compute_shortcut_state(sim.net, sim.tree, p, std::move(empty));
+  const NeighborParts neighbor_parts = exchange_neighbor_parts(sim.net, p);
+
+  const testutil::ReferenceVerification ref = testutil::reference_verify(
+      sim.net, sim.tree, p, state, 2, neighbor_parts);
+  EXPECT_EQ(ref.lead, (std::vector<std::uint64_t>{0, 1, 0, 0, 1, 1, 1}));
+  EXPECT_EQ(ref.depth[5], 2u);
+  EXPECT_EQ(ref.depth[6], testutil::ReferenceVerification::kInfDepth);
+  EXPECT_TRUE(ref.flag[5]);
+  EXPECT_FALSE(ref.result.part_good[0]);
+
+  for (const std::int32_t b_limit : {1, 2, 4, 8})
+    expect_verification_matches(sim, p, state, neighbor_parts, b_limit);
 }
 
 // The representation broadcast's stats are the plan's broadcast schedule:

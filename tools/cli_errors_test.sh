@@ -147,6 +147,14 @@ run=limited_run
 expect_error_contains forged_section_length 2 \
   'truncated in section 0 payload' \
   --algo=none --scenario="file:$TMP/forged.lcsg" --no-timing
+# A version-1 header declaring 2^31 - 1 nodes and no edges: no connected
+# graph has more than m + 1 nodes, so the 28-byte file is refused by its
+# counts before any per-node array is allocated.
+printf 'LCSG\x01\0\0\0\0\0\0\0\xff\xff\xff\x7f\0\0\0\0\0\0\0\0\0\0\0\0' \
+  > "$TMP/forged-nodes.lcsg"
+expect_error_contains forged_node_count 2 \
+  'declares 2147483647 nodes but only 0 edges' \
+  --algo=none --scenario="file:$TMP/forged-nodes.lcsg" --no-timing
 run="$lcs_run"
 
 # Flag parsing fails the same way: a value that does not parse (or
