@@ -18,7 +18,8 @@
 ///    messages, from the graph;
 ///  * Lemma 2's broadcast and convergecast on a shortcut's routing plan
 ///    (shortcut/tree_routing.h): `compute_shortcut_state` counts both once
-///    per shortcut and charges the broadcast;
+///    per shortcut and charges the broadcast (FindShortcut charges a reused
+///    state's broadcast again from its stats);
 ///  * a shortcut's superstep (shortcut/superstep.h): those two casts' stats
 ///    plus its one-round exchange (one message per same-part directed edge
 ///    whose sender speaks, one round if any did), computed on one value per
@@ -30,7 +31,10 @@
 ///    min-floods, Verification's V1, V2 and V4) and Verification's silent
 ///    V3 levels: each repeats an earlier superstep's sends exactly and is
 ///    charged as its copy (`SuperstepRunner::repeat_last`), without being
-///    computed at all.
+///    computed at all;
+///  * the iterations left in a FindShortcut trial after one that retired
+///    no part under a core that ignores its seed (shortcut/find_shortcut.h):
+///    each repeats that iteration exactly and is charged as its copy.
 ///
 /// So the shortcut layer runs no engine phase. What still runs on the
 /// engine is the BFS tree (tree/bfs_tree.h) and the MST baselines

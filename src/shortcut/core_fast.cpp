@@ -40,8 +40,7 @@ congest::PhaseStats route_all(const SpanningTree& tree,
   std::vector<QueuedItem> queue;  // one node's ids bound up its parent edge
   std::int64_t latest = -1;
   std::int64_t messages = 0;
-  const std::vector<NodeId> order = nodes_by_depth(tree);
-  for (auto it = order.rbegin(); it != order.rend(); ++it) {
+  for (auto it = tree.by_depth.rbegin(); it != tree.by_depth.rend(); ++it) {
     const auto i = static_cast<std::size_t>(*it);
     const EdgeId pe = tree.parent_edge[i];
     if (pe == kNoEdge || unusable[i]) continue;

@@ -53,6 +53,11 @@ CoreResult core_fast(congest::Network& net, const SpanningTree& tree,
 
 /// The sampling probability CoreFast uses for a given (n, c, γ), clamped to
 /// (0, 1]. Exposed for tests and the sampling ablation bench.
+///
+/// At p = 1 (γ·log₂(n) ≥ 2c) every active part is sampled whatever the
+/// seed, and the seed flood's cost does not depend on the word, so
+/// CoreFast's shortcut, rounds and messages ignore the seed. FindShortcut
+/// relies on this to replay a stalled trial (find_shortcut.h).
 double core_fast_sampling_probability(NodeId n, std::int32_t c, double gamma);
 
 }  // namespace lcs

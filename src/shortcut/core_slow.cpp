@@ -29,8 +29,7 @@ IdStream stream_ids_up(const SpanningTree& tree,
   std::vector<PartId> ids;  // scratch: one node's distinct ids
   std::int64_t latest = -1;
   std::int64_t messages = 0;
-  const std::vector<NodeId> order = nodes_by_depth(tree);
-  for (auto it = order.rbegin(); it != order.rend(); ++it) {
+  for (auto it = tree.by_depth.rbegin(); it != tree.by_depth.rend(); ++it) {
     const auto i = static_cast<std::size_t>(*it);
     const EdgeId pe = tree.parent_edge[i];
     if (pe == kNoEdge) continue;  // the tree root informs no one

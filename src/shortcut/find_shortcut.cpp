@@ -30,18 +30,27 @@ std::int32_t auto_iteration_cap(PartId num_parts) {
   return util::checked_trunc<std::int32_t>(2.0 * log_n) + 8;
 }
 
-/// One full attempt with fixed (c, b). Returns the combined shortcut or
-/// nullopt if the iteration budget ran out with parts still unserved.
-std::optional<Shortcut> try_find(congest::Network& net,
-                                 const SpanningTree& tree,
-                                 const Partition& partition,
-                                 const FindShortcutParams& params,
-                                 std::int32_t max_iterations,
-                                 std::int32_t& iterations_used) {
+/// One full attempt with fixed (c, b). Returns the combined shortcut's
+/// state or nullopt if the iteration budget ran out with parts still
+/// unserved; adds the iterations charged to `iterations_used` (see
+/// find_shortcut.h for the replayed ones and the reused state).
+std::optional<ShortcutState> try_find(congest::Network& net,
+                                      const SpanningTree& tree,
+                                      const Partition& partition,
+                                      const FindShortcutParams& params,
+                                      std::int32_t max_iterations,
+                                      std::int32_t& iterations_used) {
   const NodeId n = net.num_nodes();
+  // The core's tentative shortcut, rounds and messages are the same for
+  // every seed: CoreSlow has none, and CoreFast ignores its seed when it
+  // samples every part (core_fast.h).
+  const bool seedless =
+      !params.use_fast ||
+      core_fast_sampling_probability(n, params.c, params.gamma) >= 1.0;
 
   // Working copy of the partition: nodes of satisfied parts flip to kNoPart.
   Partition remaining = partition;
+  bool served_any = false;  // an earlier iteration retired a node
 
   Shortcut combined;
   combined.parts_on_edge.resize(
@@ -52,6 +61,8 @@ std::optional<Shortcut> try_find(congest::Network& net,
 
   for (std::int32_t iter = 0; iter < max_iterations; ++iter) {
     ++iterations_used;
+    const std::int64_t rounds_before = net.total_rounds();
+    const std::int64_t messages_before = net.total_messages();
 
     // Core subroutine on the not-yet-satisfied parts.
     CoreResult core =
@@ -71,10 +82,49 @@ std::optional<Shortcut> try_find(congest::Network& net,
     const VerificationResult verdict = verify_block_parameter(
         net, tree, remaining, tentative, 3 * params.b, neighbor_parts);
 
-    // Fix the subgraphs of good parts and retire those parts. Each part is
-    // fixed in exactly one iteration, so the per-edge id lists stay sorted
-    // after a merge.
-    for (EdgeId e = 0; e < net.graph().num_edges(); ++e) {
+    // Retire the nodes of good parts.
+    congest::PerNode<bool> still_active(static_cast<std::size_t>(n), false);
+    bool any = false;
+    bool retired = false;
+    for (NodeId v = 0; v < n; ++v) {
+      const PartId j = remaining.part(v);
+      if (j == kNoPart) continue;
+      if (verdict.node_good[static_cast<std::size_t>(v)]) {
+        remaining.part_of[static_cast<std::size_t>(v)] = kNoPart;
+        retired = true;
+      } else {
+        still_active[static_cast<std::size_t>(v)] = true;
+        any = true;
+      }
+    }
+
+    // Global termination check: one OR-convergecast over T (O(D) rounds).
+    const bool parts_remain = global_or(net, tree, still_active);
+    LCS_CHECK(parts_remain == any, "termination check disagrees");
+
+    // The first iteration to serve any part served them all: the combined
+    // shortcut is its tentative one, on the same partition.
+    if (!parts_remain && !served_any) {
+      net.add_replayed(tentative.broadcast);
+      return tentative;
+    }
+    // A stalled iteration under a seedless core: every later iteration of
+    // the trial repeats it exactly, so charge them as its copies.
+    if (parts_remain && !retired && seedless) {
+      const std::int32_t rest = max_iterations - iter - 1;
+      net.add_replayed({(net.total_rounds() - rounds_before) * rest,
+                        (net.total_messages() - messages_before) * rest});
+      iterations_used += rest;
+      return std::nullopt;
+    }
+    served_any = served_any || retired;
+
+    // Fix the subgraphs of good parts. Each part is fixed in exactly one
+    // iteration, so the per-edge id lists stay sorted after a merge; the
+    // shortcut is T-restricted, so only tree edges carry ids.
+    for (NodeId v = 0; v < n; ++v) {
+      const EdgeId e = tree.parent_edge[static_cast<std::size_t>(v)];
+      if (e == kNoEdge) continue;
       kept.clear();
       for (const PartId j :
            tentative.shortcut.parts_on_edge[static_cast<std::size_t>(e)]) {
@@ -87,23 +137,8 @@ std::optional<Shortcut> try_find(congest::Network& net,
                  std::back_inserter(merged));
       out.assign(merged.begin(), merged.end());
     }
-    congest::PerNode<bool> still_active(static_cast<std::size_t>(n), false);
-    bool any = false;
-    for (NodeId v = 0; v < n; ++v) {
-      const PartId j = remaining.part(v);
-      if (j == kNoPart) continue;
-      if (verdict.node_good[static_cast<std::size_t>(v)]) {
-        remaining.part_of[static_cast<std::size_t>(v)] = kNoPart;
-      } else {
-        still_active[static_cast<std::size_t>(v)] = true;
-        any = true;
-      }
-    }
-
-    // Global termination check: one OR-convergecast over T (O(D) rounds).
-    const bool parts_remain = global_or(net, tree, still_active);
-    LCS_CHECK(parts_remain == any, "termination check disagrees");
-    if (!parts_remain) return combined;
+    if (!parts_remain)
+      return compute_shortcut_state(net, tree, partition, std::move(combined));
   }
   return std::nullopt;
 }
@@ -124,15 +159,13 @@ FindShortcutResult find_shortcut(congest::Network& net,
   stats.used_c = params.c;
   stats.used_b = params.b;
 
-  auto shortcut =
-      try_find(net, tree, partition, params, cap, stats.iterations);
-  LCS_CHECK(shortcut.has_value(),
+  auto state = try_find(net, tree, partition, params, cap, stats.iterations);
+  LCS_CHECK(state.has_value(),
             "FindShortcut exhausted its iteration budget; the assumed (c, b) "
             "is too small — use find_shortcut_doubling");
 
   FindShortcutResult result;
-  result.state =
-      compute_shortcut_state(net, tree, partition, *std::move(shortcut));
+  result.state = *std::move(state);
   stats.rounds = net.total_rounds() - rounds_before;
   result.stats = stats;
   return result;
@@ -156,14 +189,13 @@ FindShortcutResult find_shortcut_doubling(congest::Network& net,
   for (;;) {
     ++stats.trials;
     std::int32_t iterations = 0;
-    auto shortcut = try_find(net, tree, partition, params, cap, iterations);
+    auto state = try_find(net, tree, partition, params, cap, iterations);
     stats.iterations += iterations;
-    if (shortcut.has_value()) {
+    if (state.has_value()) {
       stats.used_c = params.c;
       stats.used_b = params.b;
       FindShortcutResult result;
-      result.state =
-          compute_shortcut_state(net, tree, partition, *std::move(shortcut));
+      result.state = *std::move(state);
       stats.rounds = net.total_rounds() - rounds_before;
       result.stats = stats;
       return result;

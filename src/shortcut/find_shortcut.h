@@ -16,6 +16,32 @@
 /// budget is exhausted, which adds a log(bc) factor — and lets the
 /// construction *discover* much better shortcuts than the theoretical bound
 /// whenever they exist (Appendix A's observation).
+///
+/// ## What a trial computes and what it charges
+///
+/// The charged schedule is always the paper's full one: every iteration a
+/// trial runs up to its success or its budget costs core, representation,
+/// neighbor exchange, Verification and termination check. Two shortcuts
+/// skip host work without changing a count:
+///
+///  * **Stalled trials are replayed.** An iteration hands the next nothing
+///    but the unserved parts; only the core's seed changes between them.
+///    If one retires no node and the core ignores its seed (CoreSlow, or
+///    CoreFast at sampling probability 1, core_fast.h), the next iteration
+///    sees the same parts, builds the same tentative shortcut, reaches the
+///    same verdicts and retires nothing either, and so does every
+///    iteration after it: the trial fails. So the remaining iterations are
+///    charged as copies of the stalled one, with one
+///    `Network::add_replayed`, and counted in
+///    `FindShortcutStats::iterations`, without being computed — the
+///    iteration-level twin of `SuperstepRunner::repeat_last`.
+///  * **A trial served by one iteration reuses its state.** When the
+///    iteration that serves the last parts is also the first to serve any,
+///    the combined shortcut is that iteration's tentative shortcut, and the
+///    partition it was built on is still the caller's. Its `ShortcutState`
+///    is the combined shortcut's state, so it is returned and its
+///    representation broadcast charged again, instead of building the plan
+///    and counting both casts a second time.
 #pragma once
 
 #include <optional>
@@ -38,7 +64,8 @@ struct FindShortcutParams {
 };
 
 struct FindShortcutStats {
-  std::int32_t iterations = 0;  ///< core+verify iterations actually run
+  /// Core+verify iterations charged, replayed ones included.
+  std::int32_t iterations = 0;
   std::int32_t trials = 1;      ///< doubling trials (1 when params known)
   std::int32_t used_c = 0;      ///< c of the successful trial
   std::int32_t used_b = 0;      ///< b of the successful trial

@@ -51,21 +51,6 @@ std::size_t ComponentPlan::slot_index(NodeId v, PartId j) const {
   return static_cast<std::size_t>(it - slots.begin());
 }
 
-std::vector<NodeId> nodes_by_depth(const SpanningTree& tree) {
-  const std::size_t n = tree.depth.size();
-  const std::int32_t height =
-      n == 0 ? 0 : *std::max_element(tree.depth.begin(), tree.depth.end());
-  // A counting sort by depth, stable in node id.
-  std::vector<std::size_t> first(util::checked_usize(height) + 2, 0);
-  for (const std::int32_t d : tree.depth) ++first[util::checked_usize(d) + 1];
-  for (std::size_t d = 1; d < first.size(); ++d) first[d] += first[d - 1];
-  std::vector<NodeId> order(n);
-  for (std::size_t v = 0; v < n; ++v)
-    order[first[static_cast<std::size_t>(tree.depth[v])]++] =
-        util::checked_cast<NodeId>(v);
-  return order;
-}
-
 ComponentPlan make_component_plan(const SpanningTree& tree,
                                   const Shortcut& shortcut) {
   const auto n = static_cast<std::size_t>(tree.num_nodes());
@@ -110,7 +95,7 @@ ComponentPlan make_component_plan(const SpanningTree& tree,
           parent;
     }
   }
-  for (const NodeId v : nodes_by_depth(tree)) {
+  for (const NodeId v : tree.by_depth) {
     const auto i = static_cast<std::size_t>(v);
     if (plan.slot_off[i + 1] > plan.slot_off[i]) plan.by_depth.push_back(v);
   }

@@ -120,9 +120,6 @@ struct ComponentPlan {
 ComponentPlan make_component_plan(const SpanningTree& tree,
                                   const Shortcut& shortcut);
 
-/// The tree's nodes, shallowest first, ties by id.
-std::vector<NodeId> nodes_by_depth(const SpanningTree& tree);
-
 /// One item waiting on a tree edge for its round.
 struct QueuedItem {
   /// The round its node learned it; -1 for what it knew at the start.

@@ -4,6 +4,7 @@
 #include <deque>
 
 #include "graph/graph.h"
+#include "util/cast.h"
 #include "util/check.h"
 
 namespace lcs {
@@ -24,6 +25,14 @@ void SpanningTree::finalize(const Graph& g) {
       edge_lower_[static_cast<std::size_t>(pe)] = v;
     }
   }
+  // A counting sort by depth, stable in node id.
+  std::vector<std::size_t> first(util::checked_usize(height) + 2, 0);
+  for (const std::int32_t d : depth) ++first[util::checked_usize(d) + 1];
+  for (std::size_t d = 1; d < first.size(); ++d) first[d] += first[d - 1];
+  by_depth.assign(n, kNoNode);
+  for (std::size_t v = 0; v < n; ++v)
+    by_depth[first[util::checked_usize(depth[v])]++] =
+        util::checked_cast<NodeId>(v);
 }
 
 void validate_spanning_tree(const Graph& g, const SpanningTree& tree) {

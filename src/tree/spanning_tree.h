@@ -32,6 +32,9 @@ struct SpanningTree {
   /// Depth of the tree (max over nodes). For a BFS tree this is <= D, the
   /// graph diameter; the paper denotes both by D.
   std::int32_t height = 0;
+  /// The nodes, shallowest first, ties by id: every node comes after its
+  /// parent. The host-counted tree passes walk it top-down or bottom-up.
+  std::vector<NodeId> by_depth;
 
   NodeId num_nodes() const { return util::checked_cast<NodeId>(depth.size()); }
 
@@ -46,8 +49,8 @@ struct SpanningTree {
     return edge_lower_[static_cast<std::size_t>(e)];
   }
 
-  /// Populate derived lookups (tree-edge flags, lower endpoints, height).
-  /// Must be called after the per-node fields are filled in.
+  /// Populate derived lookups (tree-edge flags, lower endpoints, height,
+  /// depth order). Must be called after the per-node fields are filled in.
   void finalize(const Graph& g);
 
  private:

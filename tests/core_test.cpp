@@ -165,6 +165,40 @@ TEST(CoreFast, DeterministicGivenSeed) {
   EXPECT_EQ(s1.net.total_rounds(), s2.net.total_rounds());
 }
 
+TEST(CoreFast, SeedIgnoredAtFullSampling) {
+  // At p = 1 every part is sampled, so the seed changes nothing: not the
+  // shortcut, not the rounds, not the messages (FindShortcut's stalled
+  // trials are replayed on this). Below p = 1 it does.
+  for (const auto& f : testutil::superstep_families()) {
+    for (const std::int32_t c : {1, 4}) {
+      ASSERT_GE(core_fast_sampling_probability(f.g.num_nodes(), c, 4.0), 1.0);
+      Sim s1(f.g, f.root), s2(f.g, f.root);
+      const CoreResult r1 = core_fast(s1.net, s1.tree, f.p.part_of,
+                                      CoreFastParams{c, 4.0, 1});
+      const CoreResult r2 = core_fast(s2.net, s2.tree, f.p.part_of,
+                                      CoreFastParams{c, 4.0, 0xDEADBEEF});
+      EXPECT_EQ(r1.shortcut.parts_on_edge, r2.shortcut.parts_on_edge)
+          << f.name << " c " << c;
+      EXPECT_EQ(s1.net.total_rounds(), s2.net.total_rounds());
+      EXPECT_EQ(s1.net.total_messages(), s2.net.total_messages());
+    }
+  }
+  const auto families = testutil::superstep_families();
+  const auto& f = families.front();
+  ASSERT_LT(core_fast_sampling_probability(f.g.num_nodes(), 1, 0.05), 1.0);
+  Sim setup(f.g, f.root);
+  const CoreResult first = core_fast(setup.net, setup.tree, f.p.part_of,
+                                     CoreFastParams{1, 0.05, 1});
+  bool seed_matters = false;
+  for (std::uint64_t seed = 2; seed < 10 && !seed_matters; ++seed) {
+    const CoreResult other = core_fast(setup.net, setup.tree, f.p.part_of,
+                                       CoreFastParams{1, 0.05, seed});
+    seed_matters =
+        other.shortcut.parts_on_edge != first.shortcut.parts_on_edge;
+  }
+  EXPECT_TRUE(seed_matters);
+}
+
 TEST(CoreFast, LargeCongestionBudgetAssignsEverything) {
   // With c >= c_full nothing is ever unusable: every part gets its full
   // ancestor subgraph (block parameter 1).

@@ -1,22 +1,207 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <iterator>
+#include <optional>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "congest/network.h"
+#include "congest/process.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
 #include "graph/partition.h"
+#include "scenario/scenario.h"
+#include "shortcut/core_fast.h"
+#include "shortcut/core_slow.h"
 #include "shortcut/existential.h"
 #include "shortcut/find_shortcut.h"
+#include "shortcut/representation.h"
 #include "shortcut/shortcut.h"
+#include "shortcut/superstep.h"
+#include "shortcut/tree_ops.h"
+#include "shortcut/verification.h"
 #include "test_util.h"
 #include "tree/spanning_tree.h"
 #include "util/cast.h"
 #include "util/check.h"
+#include "util/random.h"
 
 namespace lcs {
 namespace {
 
 using testutil::Sim;
+
+/// What the run-every-iteration reference saw while it ran.
+struct ReferenceTally {
+  /// Trials with an iteration that retired no node under a core that
+  /// ignores its seed: the library replays the rest of such a trial.
+  std::int32_t stalled_trials = 0;
+  /// Trials whose parts were all served by one iteration: the library
+  /// reuses that iteration's state.
+  std::int32_t one_iteration_successes = 0;
+  /// Trials won after an earlier iteration retired parts: the library
+  /// builds the combined shortcut's state afresh.
+  std::int32_t later_successes = 0;
+  /// Iterations that retired no node while parts remained, whatever the
+  /// core.
+  std::int32_t idle_iterations = 0;
+};
+
+/// FindShortcut's trial as it ran before stalled trials were replayed,
+/// from the public calls (the loop bench/e2e's replica runs): every
+/// iteration up to success or the budget runs, and the combined shortcut
+/// is returned for its state to be built afresh.
+std::optional<Shortcut> reference_try_find(congest::Network& net,
+                                           const SpanningTree& tree,
+                                           const Partition& partition,
+                                           const FindShortcutParams& params,
+                                           std::int32_t max_iterations,
+                                           std::int32_t& iterations_used,
+                                           ReferenceTally& tally) {
+  const NodeId n = net.num_nodes();
+  const bool seedless =
+      !params.use_fast ||
+      core_fast_sampling_probability(n, params.c, params.gamma) >= 1.0;
+  Partition remaining = partition;
+  Shortcut combined;
+  combined.parts_on_edge.resize(
+      static_cast<std::size_t>(net.graph().num_edges()));
+  bool stalled = false;
+  bool served_any = false;
+  for (std::int32_t iter = 0; iter < max_iterations; ++iter) {
+    ++iterations_used;
+    CoreResult core =
+        params.use_fast
+            ? core_fast(net, tree, remaining.part_of,
+                        CoreFastParams{params.c, params.gamma,
+                                       hash64(params.seed,
+                                              static_cast<std::uint64_t>(
+                                                  iterations_used))})
+            : core_slow(net, tree, remaining.part_of, params.c);
+    ShortcutState tentative = compute_shortcut_state(
+        net, tree, remaining, std::move(core.shortcut));
+    const NeighborParts neighbor_parts =
+        exchange_neighbor_parts(net, remaining);
+    const VerificationResult verdict = verify_block_parameter(
+        net, tree, remaining, tentative, 3 * params.b, neighbor_parts);
+    for (EdgeId e = 0; e < net.graph().num_edges(); ++e) {
+      std::vector<PartId> kept;
+      for (const PartId j :
+           tentative.shortcut.parts_on_edge[static_cast<std::size_t>(e)])
+        if (verdict.part_good[static_cast<std::size_t>(j)]) kept.push_back(j);
+      auto& out = combined.parts_on_edge[static_cast<std::size_t>(e)];
+      std::vector<PartId> merged;
+      std::merge(out.begin(), out.end(), kept.begin(), kept.end(),
+                 std::back_inserter(merged));
+      out = std::move(merged);
+    }
+    congest::PerNode<bool> still_active(static_cast<std::size_t>(n), false);
+    bool retired = false;
+    for (NodeId v = 0; v < n; ++v) {
+      if (remaining.part(v) == kNoPart) continue;
+      if (verdict.node_good[static_cast<std::size_t>(v)]) {
+        remaining.part_of[static_cast<std::size_t>(v)] = kNoPart;
+        retired = true;
+      } else {
+        still_active[static_cast<std::size_t>(v)] = true;
+      }
+    }
+    const bool parts_remain = global_or(net, tree, still_active);
+    if (!parts_remain) {
+      ++(served_any ? tally.later_successes : tally.one_iteration_successes);
+      return combined;
+    }
+    if (!retired) {
+      ++tally.idle_iterations;
+      stalled = stalled || seedless;
+    }
+    served_any = served_any || retired;
+  }
+  if (stalled) ++tally.stalled_trials;
+  return std::nullopt;
+}
+
+/// find_shortcut.cpp's automatic per-trial iteration cap.
+std::int32_t reference_iteration_cap(const FindShortcutParams& params,
+                                     PartId num_parts) {
+  if (params.max_iterations > 0) return params.max_iterations;
+  const double log_n = std::log2(std::max<double>(2.0, num_parts));
+  return util::checked_trunc<std::int32_t>(2.0 * log_n) + 8;
+}
+
+/// `find_shortcut` (one trial) or `find_shortcut_doubling` on the
+/// reference trial; nullopt where `find_shortcut` throws.
+std::optional<FindShortcutResult> reference_find(
+    congest::Network& net, const SpanningTree& tree,
+    const Partition& partition, FindShortcutParams params, bool doubling,
+    ReferenceTally& tally) {
+  const std::int64_t rounds_before = net.total_rounds();
+  const std::int32_t cap = reference_iteration_cap(params, partition.num_parts);
+  FindShortcutStats stats;
+  stats.trials = 0;
+  for (;;) {
+    ++stats.trials;
+    std::int32_t iterations = 0;  // the core's seed counts per trial
+    auto shortcut = reference_try_find(net, tree, partition, params, cap,
+                                       iterations, tally);
+    stats.iterations += iterations;
+    if (shortcut.has_value()) {
+      stats.used_c = params.c;
+      stats.used_b = params.b;
+      FindShortcutResult result;
+      result.state =
+          compute_shortcut_state(net, tree, partition, *std::move(shortcut));
+      stats.rounds = net.total_rounds() - rounds_before;
+      result.stats = stats;
+      return result;
+    }
+    if (!doubling) return std::nullopt;
+    params.c *= 2;
+    params.b *= 2;
+  }
+}
+
+/// Runs the library and the reference on fresh networks and requires the
+/// same outcome: rounds, messages, every stats field, and the final
+/// shortcut and its representation.
+void expect_matches_reference(const testutil::SuperstepFamily& f,
+                              const FindShortcutParams& params, bool doubling,
+                              ReferenceTally& tally, const std::string& what) {
+  SCOPED_TRACE(what);
+  Sim lib(f.g, f.root);
+  Sim ref(f.g, f.root);
+  std::optional<FindShortcutResult> got;
+  try {
+    got = doubling ? find_shortcut_doubling(lib.net, lib.tree, f.p, params)
+                   : find_shortcut(lib.net, lib.tree, f.p, params);
+  } catch (const CheckFailure&) {
+    ASSERT_FALSE(doubling) << "doubling threw";
+  }
+  const std::optional<FindShortcutResult> want =
+      reference_find(ref.net, ref.tree, f.p, params, doubling, tally);
+  ASSERT_EQ(got.has_value(), want.has_value());
+  EXPECT_EQ(lib.net.total_rounds(), ref.net.total_rounds());
+  EXPECT_EQ(lib.net.total_messages(), ref.net.total_messages());
+  EXPECT_EQ(lib.net.phases(), ref.net.phases());
+  if (!got.has_value()) return;
+  EXPECT_EQ(got->stats.iterations, want->stats.iterations);
+  EXPECT_EQ(got->stats.trials, want->stats.trials);
+  EXPECT_EQ(got->stats.used_c, want->stats.used_c);
+  EXPECT_EQ(got->stats.used_b, want->stats.used_b);
+  EXPECT_EQ(got->stats.rounds, want->stats.rounds);
+  EXPECT_EQ(got->state.shortcut.parts_on_edge,
+            want->state.shortcut.parts_on_edge);
+  EXPECT_EQ(got->state.own_block_root, want->state.own_block_root);
+  EXPECT_EQ(got->state.broadcast.rounds, want->state.broadcast.rounds);
+  EXPECT_EQ(got->state.broadcast.messages, want->state.broadcast.messages);
+  EXPECT_EQ(got->state.convergecast.rounds, want->state.convergecast.rounds);
+  EXPECT_EQ(got->state.convergecast.messages,
+            want->state.convergecast.messages);
+}
 
 /// End-to-end checks of Theorem 3's guarantees for a given scenario:
 /// validity, block parameter <= 3b, congestion <= O(c log N).
@@ -163,6 +348,59 @@ TEST(FindShortcut, SingletonPartsAreTriviallySatisfied) {
   // Every part is one node: one block component, done in one iteration.
   EXPECT_EQ(result.stats.iterations, 1);
   EXPECT_LE(block_parameter(g, p, result.state.shortcut), 3);
+}
+
+TEST(FindShortcutReference, ReplayAndReuseMatchEveryIteration) {
+  ReferenceTally tally;
+  for (const auto& f : testutil::superstep_families()) {
+    for (const bool use_fast : {true, false}) {
+      for (const std::uint64_t seed : {1, 2, 3}) {
+        FindShortcutParams params;
+        params.use_fast = use_fast;
+        params.gamma = 4.0;
+        params.seed = seed;
+        const std::string what = std::string(f.name) +
+                                 (use_fast ? " CoreFast" : " CoreSlow") +
+                                 " seed " + std::to_string(seed);
+        expect_matches_reference(f, params, true, tally, what + " doubling");
+        // One trial at (1, 1), which may fail (and throw), and one at
+        // (4, 4).
+        expect_matches_reference(f, params, false, tally, what + " (1, 1)");
+        params.c = 4;
+        params.b = 4;
+        expect_matches_reference(f, params, false, tally, what + " (4, 4)");
+      }
+    }
+  }
+  // The matrix exercises both shortcuts and the trials that take neither.
+  EXPECT_GT(tally.stalled_trials, 0);
+  EXPECT_GT(tally.one_iteration_successes, 0);
+  EXPECT_GT(tally.later_successes, 0);
+}
+
+TEST(FindShortcutReference, SeededStallRecovers) {
+  // CoreFast at γ = 0.05 samples parts (p < 1), so an iteration that
+  // retires nothing does not doom its trial: a later seed serves the
+  // parts. Replaying that stall would fail the trial and double to (2, 2).
+  const auto sc = scenario::make_scenario("grid:w=12");
+  const testutil::SuperstepFamily f{"grid:w=12", sc.graph, sc.partition, 0};
+  FindShortcutParams params;
+  params.gamma = 0.05;
+  params.seed = 2;
+  ASSERT_LT(core_fast_sampling_probability(f.g.num_nodes(), 1, params.gamma),
+            1.0);
+  ReferenceTally tally;
+  expect_matches_reference(f, params, true, tally, "grid:w=12 doubling");
+  EXPECT_GT(tally.idle_iterations, 0);
+  EXPECT_EQ(tally.stalled_trials, 0);
+
+  Sim setup(f.g, f.root);
+  const auto result =
+      find_shortcut_doubling(setup.net, setup.tree, f.p, params);
+  EXPECT_EQ(result.stats.trials, 1);
+  EXPECT_EQ(result.stats.iterations, 5);
+  EXPECT_EQ(result.stats.used_c, 1);
+  EXPECT_EQ(result.stats.used_b, 1);
 }
 
 }  // namespace
