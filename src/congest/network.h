@@ -31,10 +31,7 @@
 ///    min-floods, Verification's V1, V2 and V4) and Verification's silent
 ///    V3 levels: each repeats an earlier superstep's sends exactly and is
 ///    charged as its copy (`SuperstepRunner::repeat_last`), without being
-///    computed at all;
-///  * the iterations left in a FindShortcut trial after one that retired
-///    no part under a core that ignores its seed (shortcut/find_shortcut.h):
-///    each repeats that iteration exactly and is charged as its copy.
+///    computed at all.
 ///
 /// So the shortcut layer runs no engine phase. What still runs on the
 /// engine is the BFS tree (tree/bfs_tree.h) and the MST baselines

@@ -57,7 +57,8 @@ CoreResult core_fast(congest::Network& net, const SpanningTree& tree,
 /// At p = 1 (γ·log₂(n) ≥ 2c) every active part is sampled whatever the
 /// seed, and the seed flood's cost does not depend on the word, so
 /// CoreFast's shortcut, rounds and messages ignore the seed. FindShortcut
-/// relies on this to replay a stalled trial (find_shortcut.h).
+/// relies on this to end a trial at its first stalled iteration
+/// (find_shortcut.h).
 double core_fast_sampling_probability(NodeId n, std::int32_t c, double gamma);
 
 }  // namespace lcs

@@ -31,9 +31,9 @@ std::int32_t auto_iteration_cap(PartId num_parts) {
 }
 
 /// One full attempt with fixed (c, b). Returns the combined shortcut's
-/// state or nullopt if the iteration budget ran out with parts still
-/// unserved; adds the iterations charged to `iterations_used` (see
-/// find_shortcut.h for the replayed ones and the reused state).
+/// state, or nullopt if the trial stalled or its iteration budget ran out
+/// with parts still unserved; adds the iterations run to `iterations_used`
+/// (see find_shortcut.h for the stalled trials and the reused state).
 std::optional<ShortcutState> try_find(congest::Network& net,
                                       const SpanningTree& tree,
                                       const Partition& partition,
@@ -61,8 +61,6 @@ std::optional<ShortcutState> try_find(congest::Network& net,
 
   for (std::int32_t iter = 0; iter < max_iterations; ++iter) {
     ++iterations_used;
-    const std::int64_t rounds_before = net.total_rounds();
-    const std::int64_t messages_before = net.total_messages();
 
     // Core subroutine on the not-yet-satisfied parts.
     CoreResult core =
@@ -99,6 +97,8 @@ std::optional<ShortcutState> try_find(congest::Network& net,
     }
 
     // Global termination check: one OR-convergecast over T (O(D) rounds).
+    // Its word also carries "some node retired", so every node learns
+    // `retired` at no extra charge.
     const bool parts_remain = global_or(net, tree, still_active);
     LCS_CHECK(parts_remain == any, "termination check disagrees");
 
@@ -109,14 +109,8 @@ std::optional<ShortcutState> try_find(congest::Network& net,
       return tentative;
     }
     // A stalled iteration under a seedless core: every later iteration of
-    // the trial repeats it exactly, so charge them as its copies.
-    if (parts_remain && !retired && seedless) {
-      const std::int32_t rest = max_iterations - iter - 1;
-      net.add_replayed({(net.total_rounds() - rounds_before) * rest,
-                        (net.total_messages() - messages_before) * rest});
-      iterations_used += rest;
-      return std::nullopt;
-    }
+    // the trial would repeat it exactly, so the trial is lost here.
+    if (parts_remain && !retired && seedless) return std::nullopt;
     served_any = served_any || retired;
 
     // Fix the subgraphs of good parts. Each part is fixed in exactly one
@@ -161,8 +155,9 @@ FindShortcutResult find_shortcut(congest::Network& net,
 
   auto state = try_find(net, tree, partition, params, cap, stats.iterations);
   LCS_CHECK(state.has_value(),
-            "FindShortcut exhausted its iteration budget; the assumed (c, b) "
-            "is too small — use find_shortcut_doubling");
+            "FindShortcut left parts unserved (a seedless iteration retired "
+            "none, or the iteration budget ran out); the assumed (c, b) is "
+            "too small — use find_shortcut_doubling");
 
   FindShortcutResult result;
   result.state = *std::move(state);

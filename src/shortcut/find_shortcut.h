@@ -12,29 +12,35 @@
 /// OR-convergecast over the tree, exactly as in Section 5.2.
 ///
 /// The doubling wrapper removes the need to know (b, c): it runs trials
-/// with (b̂, ĉ) = (2^t, 2^t), declaring a trial failed when the iteration
-/// budget is exhausted, which adds a log(bc) factor — and lets the
-/// construction *discover* much better shortcuts than the theoretical bound
-/// whenever they exist (Appendix A's observation).
+/// with (b̂, ĉ) = (2^t, 2^t), declaring a trial failed when it stalls or
+/// its iteration budget is exhausted, which adds a log(bc) factor — and
+/// lets the construction *discover* much better shortcuts than the
+/// theoretical bound whenever they exist (Appendix A's observation).
 ///
 /// ## What a trial computes and what it charges
 ///
-/// The charged schedule is always the paper's full one: every iteration a
-/// trial runs up to its success or its budget costs core, representation,
-/// neighbor exchange, Verification and termination check. Two shortcuts
-/// skip host work without changing a count:
+/// Every iteration a trial runs costs core, representation, neighbor
+/// exchange, Verification and termination check, and is counted in
+/// `FindShortcutStats::iterations`. A trial runs up to its success, its
+/// budget, or its first stalled iteration:
 ///
-///  * **Stalled trials are replayed.** An iteration hands the next nothing
-///    but the unserved parts; only the core's seed changes between them.
-///    If one retires no node and the core ignores its seed (CoreSlow, or
-///    CoreFast at sampling probability 1, core_fast.h), the next iteration
-///    sees the same parts, builds the same tentative shortcut, reaches the
-///    same verdicts and retires nothing either, and so does every
-///    iteration after it: the trial fails. So the remaining iterations are
-///    charged as copies of the stalled one, with one
-///    `Network::add_replayed`, and counted in
-///    `FindShortcutStats::iterations`, without being computed — the
-///    iteration-level twin of `SuperstepRunner::repeat_last`.
+///  * **Stalled trials end.** An iteration hands the next nothing but the
+///    unserved parts; only the core's seed changes between them. If one
+///    retires no node and the core ignores its seed (CoreSlow, or CoreFast
+///    at sampling probability 1, core_fast.h), the next iteration sees the
+///    same parts, builds the same tentative shortcut, reaches the same
+///    verdicts and retires nothing either, and so does every iteration
+///    after it: the trial is lost. So it ends there, charged for the
+///    iterations it ran, stalled one included. Every node knows whether
+///    the core is seedless (it knows n, c and γ), and learns whether any
+///    node retired from the termination check itself: its OR-convergecast
+///    carries the "some node retired" bit beside "parts remain" in the
+///    same O(log n)-bit word, at the same 2·height rounds and 2(n − 1)
+///    messages. Ending there changes no output: the iterations skipped
+///    would fix no part, and each trial's core seeds count from its own
+///    first iteration, so the next trial, its (c, b), its shortcut and its
+///    representation are the ones a trial run to its budget leads to; only
+///    the rounds, messages and iterations charged are fewer.
 ///  * **A trial served by one iteration reuses its state.** When the
 ///    iteration that serves the last parts is also the first to serve any,
 ///    the combined shortcut is that iteration's tentative shortcut, and the
@@ -64,8 +70,7 @@ struct FindShortcutParams {
 };
 
 struct FindShortcutStats {
-  /// Core+verify iterations charged, replayed ones included.
-  std::int32_t iterations = 0;
+  std::int32_t iterations = 0;  ///< core+verify iterations run
   std::int32_t trials = 1;      ///< doubling trials (1 when params known)
   std::int32_t used_c = 0;      ///< c of the successful trial
   std::int32_t used_b = 0;      ///< b of the successful trial
@@ -78,9 +83,9 @@ struct FindShortcutResult {
 };
 
 /// Theorem 3: construct a T-restricted shortcut for `partition`, assuming a
-/// (c, b) shortcut exists. Throws CheckFailure if the iteration budget is
-/// exhausted (i.e. the assumption was too optimistic — use the doubling
-/// variant when unsure).
+/// (c, b) shortcut exists. Throws CheckFailure if the trial stalls or its
+/// iteration budget is exhausted (i.e. the assumption was too optimistic —
+/// use the doubling variant when unsure).
 FindShortcutResult find_shortcut(congest::Network& net,
                                  const SpanningTree& tree,
                                  const Partition& partition,

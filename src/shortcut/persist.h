@@ -20,7 +20,7 @@
 ///
 /// ## File format (`.lcss`)
 ///
-///     magic 'LCSS' | u32 version (3)
+///     magic 'LCSS' | u32 version (4)
 ///     u64 spec_hash | u64 partition_hash | u64 seed | string backend
 ///     i32 root | u64 n | n x i32 parent_edge
 ///     u64 m | per tree edge with a nonempty part list:
@@ -33,9 +33,12 @@
 ///
 /// Version history: v1 had no backend field and no backend stats; v2 stored
 /// a labelled charge list (always empty) between the algorithm messages and
-/// the backend stats. Older files are rejected loudly ("unsupported
-/// shortcut record version 2"), never misread as v3; `lcs_serve` recomputes
-/// and rewrites any record it cannot load.
+/// the backend stats; v3 has v4's layout, but its counts charge every
+/// stalled FindShortcut trial up to its iteration budget, where v4 ends the
+/// trial at its stall (find_shortcut.h). Older files are rejected loudly
+/// ("unsupported shortcut record version 3"), never misread or served with
+/// stale counts; `lcs_serve` recomputes and rewrites any record it cannot
+/// load.
 ///
 /// All fields little-endian via util/bytes.h; truncation and layout drift
 /// are diagnosed field-by-field. Writes go through the same atomic
@@ -55,7 +58,7 @@
 
 namespace lcs {
 
-inline constexpr std::uint32_t kShortcutRecordVersion = 3;
+inline constexpr std::uint32_t kShortcutRecordVersion = 4;
 
 /// One cached `--algo=shortcut` construction (see file comment).
 struct ShortcutRunRecord {

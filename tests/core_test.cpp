@@ -167,8 +167,8 @@ TEST(CoreFast, DeterministicGivenSeed) {
 
 TEST(CoreFast, SeedIgnoredAtFullSampling) {
   // At p = 1 every part is sampled, so the seed changes nothing: not the
-  // shortcut, not the rounds, not the messages (FindShortcut's stalled
-  // trials are replayed on this). Below p = 1 it does.
+  // shortcut, not the rounds, not the messages (FindShortcut ends a trial
+  // at its first stall on this). Below p = 1 it does.
   for (const auto& f : testutil::superstep_families()) {
     for (const std::int32_t c : {1, 4}) {
       ASSERT_GE(core_fast_sampling_probability(f.g.num_nodes(), c, 4.0), 1.0);

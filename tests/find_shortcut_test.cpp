@@ -35,10 +35,17 @@ namespace {
 
 using testutil::Sim;
 
+/// Rounds, messages and iterations charged.
+struct Charge {
+  std::int64_t rounds = 0;
+  std::int64_t messages = 0;
+  std::int32_t iterations = 0;
+};
+
 /// What the run-every-iteration reference saw while it ran.
 struct ReferenceTally {
   /// Trials with an iteration that retired no node under a core that
-  /// ignores its seed: the library replays the rest of such a trial.
+  /// ignores its seed: the library ends such a trial at that stall.
   std::int32_t stalled_trials = 0;
   /// Trials whose parts were all served by one iteration: the library
   /// reuses that iteration's state.
@@ -49,12 +56,19 @@ struct ReferenceTally {
   /// Iterations that retired no node while parts remained, whatever the
   /// core.
   std::int32_t idle_iterations = 0;
+  /// What the iterations after each trial's first seedless stall charged:
+  /// the ones the library does not run.
+  Charge after_stall;
+  /// Single-trial calls that stalled, where `find_shortcut` throws.
+  std::int32_t thrown_at_stall = 0;
 };
 
-/// FindShortcut's trial as it ran before stalled trials were replayed,
-/// from the public calls (the loop bench/e2e's replica runs): every
-/// iteration up to success or the budget runs, and the combined shortcut
-/// is returned for its state to be built afresh.
+/// FindShortcut's trial run to its end, from the public calls (the loop
+/// bench/e2e's replica runs): every iteration up to success or the budget
+/// runs, and the combined shortcut is returned for its state to be built
+/// afresh. Every iteration after a stall under a seedless core must repeat
+/// the stall, retiring nothing and charging what it charged: that is why
+/// the library may end the trial there.
 std::optional<Shortcut> reference_try_find(congest::Network& net,
                                            const SpanningTree& tree,
                                            const Partition& partition,
@@ -70,10 +84,12 @@ std::optional<Shortcut> reference_try_find(congest::Network& net,
   Shortcut combined;
   combined.parts_on_edge.resize(
       static_cast<std::size_t>(net.graph().num_edges()));
-  bool stalled = false;
+  std::optional<Charge> stall;  // the first seedless stall's own charge
   bool served_any = false;
   for (std::int32_t iter = 0; iter < max_iterations; ++iter) {
     ++iterations_used;
+    const std::int64_t rounds_before = net.total_rounds();
+    const std::int64_t messages_before = net.total_messages();
     CoreResult core =
         params.use_fast
             ? core_fast(net, tree, remaining.part_of,
@@ -111,17 +127,27 @@ std::optional<Shortcut> reference_try_find(congest::Network& net,
       }
     }
     const bool parts_remain = global_or(net, tree, still_active);
+    const Charge charged{net.total_rounds() - rounds_before,
+                         net.total_messages() - messages_before, 1};
+    if (stall.has_value()) {
+      EXPECT_FALSE(retired) << "iteration " << iter << " after a stall";
+      EXPECT_EQ(charged.rounds, stall->rounds) << "iteration " << iter;
+      EXPECT_EQ(charged.messages, stall->messages) << "iteration " << iter;
+      tally.after_stall.rounds += charged.rounds;
+      tally.after_stall.messages += charged.messages;
+      tally.after_stall.iterations += charged.iterations;
+    }
     if (!parts_remain) {
       ++(served_any ? tally.later_successes : tally.one_iteration_successes);
       return combined;
     }
     if (!retired) {
       ++tally.idle_iterations;
-      stalled = stalled || seedless;
+      if (seedless && !stall.has_value()) stall = charged;
     }
     served_any = served_any || retired;
   }
-  if (stalled) ++tally.stalled_trials;
+  if (stall.has_value()) ++tally.stalled_trials;
   return std::nullopt;
 }
 
@@ -166,8 +192,10 @@ std::optional<FindShortcutResult> reference_find(
 }
 
 /// Runs the library and the reference on fresh networks and requires the
-/// same outcome: rounds, messages, every stats field, and the final
-/// shortcut and its representation.
+/// same outcome: every stats field, the final shortcut and its
+/// representation, and rounds, messages and iterations equal to the
+/// reference's less what it charged after each trial's first seedless
+/// stall. Counts single trials that stalled (the library throws there).
 void expect_matches_reference(const testutil::SuperstepFamily& f,
                               const FindShortcutParams& params, bool doubling,
                               ReferenceTally& tally, const std::string& what) {
@@ -181,18 +209,28 @@ void expect_matches_reference(const testutil::SuperstepFamily& f,
   } catch (const CheckFailure&) {
     ASSERT_FALSE(doubling) << "doubling threw";
   }
+  const ReferenceTally before = tally;
   const std::optional<FindShortcutResult> want =
       reference_find(ref.net, ref.tree, f.p, params, doubling, tally);
+  const Charge skipped{
+      tally.after_stall.rounds - before.after_stall.rounds,
+      tally.after_stall.messages - before.after_stall.messages,
+      tally.after_stall.iterations - before.after_stall.iterations};
   ASSERT_EQ(got.has_value(), want.has_value());
-  EXPECT_EQ(lib.net.total_rounds(), ref.net.total_rounds());
-  EXPECT_EQ(lib.net.total_messages(), ref.net.total_messages());
+  EXPECT_EQ(lib.net.total_rounds(), ref.net.total_rounds() - skipped.rounds);
+  EXPECT_EQ(lib.net.total_messages(),
+            ref.net.total_messages() - skipped.messages);
   EXPECT_EQ(lib.net.phases(), ref.net.phases());
-  if (!got.has_value()) return;
-  EXPECT_EQ(got->stats.iterations, want->stats.iterations);
+  if (!got.has_value()) {
+    if (tally.stalled_trials > before.stalled_trials) ++tally.thrown_at_stall;
+    return;
+  }
+  EXPECT_EQ(got->stats.iterations,
+            want->stats.iterations - skipped.iterations);
   EXPECT_EQ(got->stats.trials, want->stats.trials);
   EXPECT_EQ(got->stats.used_c, want->stats.used_c);
   EXPECT_EQ(got->stats.used_b, want->stats.used_b);
-  EXPECT_EQ(got->stats.rounds, want->stats.rounds);
+  EXPECT_EQ(got->stats.rounds, want->stats.rounds - skipped.rounds);
   EXPECT_EQ(got->state.shortcut.parts_on_edge,
             want->state.shortcut.parts_on_edge);
   EXPECT_EQ(got->state.own_block_root, want->state.own_block_root);
@@ -350,7 +388,7 @@ TEST(FindShortcut, SingletonPartsAreTriviallySatisfied) {
   EXPECT_LE(block_parameter(g, p, result.state.shortcut), 3);
 }
 
-TEST(FindShortcutReference, ReplayAndReuseMatchEveryIteration) {
+TEST(FindShortcutReference, AbandonAndReuseMatchEveryIteration) {
   ReferenceTally tally;
   for (const auto& f : testutil::superstep_families()) {
     for (const bool use_fast : {true, false}) {
@@ -372,8 +410,12 @@ TEST(FindShortcutReference, ReplayAndReuseMatchEveryIteration) {
       }
     }
   }
-  // The matrix exercises both shortcuts and the trials that take neither.
+  // The matrix exercises both shortcuts and the trials that take neither,
+  // and stalls that leave iterations to skip, in doubling and in a single
+  // trial.
   EXPECT_GT(tally.stalled_trials, 0);
+  EXPECT_GT(tally.after_stall.iterations, 0);
+  EXPECT_GT(tally.thrown_at_stall, 0);
   EXPECT_GT(tally.one_iteration_successes, 0);
   EXPECT_GT(tally.later_successes, 0);
 }
@@ -381,7 +423,7 @@ TEST(FindShortcutReference, ReplayAndReuseMatchEveryIteration) {
 TEST(FindShortcutReference, SeededStallRecovers) {
   // CoreFast at γ = 0.05 samples parts (p < 1), so an iteration that
   // retires nothing does not doom its trial: a later seed serves the
-  // parts. Replaying that stall would fail the trial and double to (2, 2).
+  // parts. Ending the trial at that stall would double to (2, 2).
   const auto sc = scenario::make_scenario("grid:w=12");
   const testutil::SuperstepFamily f{"grid:w=12", sc.graph, sc.partition, 0};
   FindShortcutParams params;

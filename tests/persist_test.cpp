@@ -193,9 +193,10 @@ TEST(ShortcutRecord, FileRoundTripAndVersionRejection) {
                                                rec.backend));
 
   // Other format versions are rejected by name, never guessed at: a future
-  // version, a stale v1 file (pre-backend layout: parsing it as v3 would
-  // misread the tree root as string length) and a v2 file (its charge list
-  // would be misread as the backend stat count).
+  // version, a stale v1 file (pre-backend layout: parsing it as v4 would
+  // misread the tree root as string length), a v2 file (its charge list
+  // would be misread as the backend stat count) and a v3 file (same layout,
+  // but counts charged with stalled trials run to their budget).
   std::string bytes;
   {
     std::ifstream in(path, std::ios::binary);
@@ -203,7 +204,7 @@ TEST(ShortcutRecord, FileRoundTripAndVersionRejection) {
                  std::istreambuf_iterator<char>());
   }
   for (const std::uint32_t bad_version :
-       {kShortcutRecordVersion + 1, 1u, 2u}) {
+       {kShortcutRecordVersion + 1, 1u, 2u, 3u}) {
     bytes[4] = util::truncate_cast<char>(bad_version);
     {
       std::ofstream out(path, std::ios::binary);
