@@ -10,12 +10,17 @@
 ///   * min / leader election over each part,
 ///   * broadcast from a designated member to the whole part.
 /// Every operation runs 3·b supersteps (b = the block parameter the doubling
-/// settled on) on one `SuperstepRunner` built with the aggregator, so the
+/// settled on) on one `SuperstepRunner` the aggregator owns, so the
 /// shortcut's supergraph (its supernodes and the links between them) is
-/// built once for all of them.
+/// built once for all of them. The construction's own host structures are
+/// reused (`find_routable_shortcut`, find_shortcut.h): the neighbor parts
+/// it learned on the partition, whose exchange round the aggregator
+/// charges once more, and, when the successful trial was served by its
+/// first serving iteration, the runner that iteration's Verification built
+/// on the same state and partition, kept instead of building a second.
 /// This is the API the examples and applications build on; the Boruvka
-/// loop behind MST and components (mst/boruvka_common.h) builds one per
-/// phase.
+/// loop behind MST and components (mst/boruvka_common.h) builds one
+/// aggregator per phase.
 #pragma once
 
 #include "congest/network.h"
@@ -40,10 +45,6 @@ class PartAggregator {
                  const Partition& partition,
                  FindShortcutParams params = {});
 
-  /// The runner refers to this aggregator's own shortcut state.
-  PartAggregator(const PartAggregator&) = delete;
-  PartAggregator& operator=(const PartAggregator&) = delete;
-
   /// Minimum of `values` over each part, known to every member afterwards.
   /// Non-member entries are ignored; returns kNoValue for part-less nodes.
   congest::PerNode<std::uint64_t> min(
@@ -60,8 +61,13 @@ class PartAggregator {
   const ShortcutState& state() const { return found_.state; }
   /// The neighbors' parts learned by the construction's exchange round.
   const NeighborParts& neighbor_parts() const { return neighbor_parts_; }
+  /// The runner every operation runs on.
+  const SuperstepRunner& runner() const { return runner_; }
 
  private:
+  PartAggregator(congest::Network& net, const SpanningTree& tree,
+                 const Partition& partition, RoutableShortcut routable);
+
   FindShortcutResult found_;
   NeighborParts neighbor_parts_;
   std::int32_t b_steps_;

@@ -15,7 +15,8 @@
 ///  * `global_or` (shortcut/tree_ops.h): 2·height rounds and 2(n − 1)
 ///    messages, from the tree;
 ///  * `exchange_neighbor_parts` (shortcut/superstep.h): one round and 2m
-///    messages, from the graph;
+///    messages, from the graph (`charge_exchange` charges a rerun of the
+///    round on a partition whose array the host already has);
 ///  * Lemma 2's broadcast and convergecast on a shortcut's routing plan
 ///    (shortcut/tree_routing.h): `compute_shortcut_state` counts both once
 ///    per shortcut and charges the broadcast (FindShortcut charges a reused

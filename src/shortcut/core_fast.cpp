@@ -38,6 +38,7 @@ congest::PhaseStats route_all(const SpanningTree& tree,
   std::vector<std::size_t> first(n, 0);
   std::vector<std::size_t> count(n, 0);
   std::vector<QueuedItem> queue;  // one node's ids bound up its parent edge
+  std::vector<QueuedItem> pending;  // depart_by_key's scratch
   std::int64_t latest = -1;
   std::int64_t messages = 0;
   for (auto it = tree.by_depth.rbegin(); it != tree.by_depth.rend(); ++it) {
@@ -69,7 +70,7 @@ congest::PhaseStats route_all(const SpanningTree& tree,
     for (const QueuedItem& item : queue)
       ids.push_back(util::checked_cast<PartId>(item.key));
 
-    depart_by_key(queue);
+    depart_by_key(queue, pending);
     for (const QueuedItem& item : queue)
       latest = std::max(latest, item.departure);
     messages += static_cast<std::int64_t>(queue.size());

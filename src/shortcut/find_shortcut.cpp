@@ -30,16 +30,25 @@ std::int32_t auto_iteration_cap(PartId num_parts) {
   return util::checked_trunc<std::int32_t>(2.0 * log_n) + 8;
 }
 
+/// A successful trial: the combined shortcut's state, and the runner the
+/// serving iteration's Verification built if that iteration ran on the
+/// caller's partition.
+struct Trial {
+  ShortcutState state;
+  std::optional<SuperstepRunner> runner;
+};
+
 /// One full attempt with fixed (c, b). Returns the combined shortcut's
 /// state, or nullopt if the trial stalled or its iteration budget ran out
 /// with parts still unserved; adds the iterations run to `iterations_used`
-/// (see find_shortcut.h for the stalled trials and the reused state).
-std::optional<ShortcutState> try_find(congest::Network& net,
-                                      const SpanningTree& tree,
-                                      const Partition& partition,
-                                      const FindShortcutParams& params,
-                                      std::int32_t max_iterations,
-                                      std::int32_t& iterations_used) {
+/// (see find_shortcut.h for the stalled trials and the reused state and
+/// runner). `caller_parts` is `partition`'s neighbor parts.
+std::optional<Trial> try_find(congest::Network& net, const SpanningTree& tree,
+                              const Partition& partition,
+                              const NeighborParts& caller_parts,
+                              const FindShortcutParams& params,
+                              std::int32_t max_iterations,
+                              std::int32_t& iterations_used) {
   const NodeId n = net.num_nodes();
   // The core's tentative shortcut, rounds and messages are the same for
   // every seed: CoreSlow has none, and CoreFast ignores its seed when it
@@ -59,26 +68,36 @@ std::optional<ShortcutState> try_find(congest::Network& net,
   std::vector<PartId> kept;
   std::vector<PartId> merged;
 
-  for (std::int32_t iter = 0; iter < max_iterations; ++iter) {
+  bool parts_remain = true;
+  for (std::int32_t iter = 0; iter < max_iterations && parts_remain; ++iter) {
     ++iterations_used;
+    // Until a node retires, the iteration runs on the caller's partition
+    // itself (the same ids as `remaining`), and its exchange round teaches
+    // the caller's neighbor parts: charged, not recomputed.
+    const Partition& active = served_any ? remaining : partition;
 
     // Core subroutine on the not-yet-satisfied parts.
     CoreResult core =
         params.use_fast
-            ? core_fast(net, tree, remaining.part_of,
+            ? core_fast(net, tree, active.part_of,
                         CoreFastParams{params.c, params.gamma,
                                        hash64(params.seed,
                                               static_cast<std::uint64_t>(
                                                   iterations_used))})
-            : core_slow(net, tree, remaining.part_of, params.c);
+            : core_slow(net, tree, active.part_of, params.c);
 
     // Distributed representation + verification with block budget 3b.
     ShortcutState tentative = compute_shortcut_state(
-        net, tree, remaining, std::move(core.shortcut));
-    const NeighborParts neighbor_parts =
-        exchange_neighbor_parts(net, remaining);
-    const VerificationResult verdict = verify_block_parameter(
-        net, tree, remaining, tentative, 3 * params.b, neighbor_parts);
+        net, tree, active, std::move(core.shortcut));
+    NeighborParts learned;
+    if (served_any)
+      learned = exchange_neighbor_parts(net, remaining);
+    else
+      charge_exchange(net, caller_parts);
+    SuperstepRunner runner(net, tree, active, tentative,
+                           served_any ? learned : caller_parts);
+    const VerificationResult verdict =
+        verify_block_parameter(runner, tentative, 3 * params.b);
 
     // Retire the nodes of good parts.
     congest::PerNode<bool> still_active(static_cast<std::size_t>(n), false);
@@ -99,14 +118,15 @@ std::optional<ShortcutState> try_find(congest::Network& net,
     // Global termination check: one OR-convergecast over T (O(D) rounds).
     // Its word also carries "some node retired", so every node learns
     // `retired` at no extra charge.
-    const bool parts_remain = global_or(net, tree, still_active);
+    parts_remain = global_or(net, tree, still_active);
     LCS_CHECK(parts_remain == any, "termination check disagrees");
 
     // The first iteration to serve any part served them all: the combined
-    // shortcut is its tentative one, on the same partition.
+    // shortcut is its tentative one, on the caller's partition, and so is
+    // the runner its Verification built.
     if (!parts_remain && !served_any) {
       net.add_replayed(tentative.broadcast);
-      return tentative;
+      return Trial{std::move(tentative), std::move(runner)};
     }
     // A stalled iteration under a seedless core: every later iteration of
     // the trial would repeat it exactly, so the trial is lost here.
@@ -131,10 +151,12 @@ std::optional<ShortcutState> try_find(congest::Network& net,
                  std::back_inserter(merged));
       out.assign(merged.begin(), merged.end());
     }
-    if (!parts_remain)
-      return compute_shortcut_state(net, tree, partition, std::move(combined));
   }
-  return std::nullopt;
+  if (parts_remain) return std::nullopt;
+  // Built once the last iteration's tentative state and runner are gone.
+  return Trial{
+      compute_shortcut_state(net, tree, partition, std::move(combined)),
+      std::nullopt};
 }
 
 }  // namespace
@@ -153,14 +175,16 @@ FindShortcutResult find_shortcut(congest::Network& net,
   stats.used_c = params.c;
   stats.used_b = params.b;
 
-  auto state = try_find(net, tree, partition, params, cap, stats.iterations);
-  LCS_CHECK(state.has_value(),
+  auto trial = try_find(net, tree, partition,
+                        neighbor_parts_of(net.graph(), partition), params, cap,
+                        stats.iterations);
+  LCS_CHECK(trial.has_value(),
             "FindShortcut left parts unserved (a seedless iteration retired "
             "none, or the iteration budget ran out); the assumed (c, b) is "
             "too small — use find_shortcut_doubling");
 
   FindShortcutResult result;
-  result.state = *std::move(state);
+  result.state = std::move(trial->state);
   stats.rounds = net.total_rounds() - rounds_before;
   result.stats = stats;
   return result;
@@ -170,11 +194,19 @@ FindShortcutResult find_shortcut_doubling(congest::Network& net,
                                           const SpanningTree& tree,
                                           const Partition& partition,
                                           FindShortcutParams params) {
+  return find_routable_shortcut(net, tree, partition, params).found;
+}
+
+RoutableShortcut find_routable_shortcut(congest::Network& net,
+                                        const SpanningTree& tree,
+                                        const Partition& partition,
+                                        FindShortcutParams params) {
   LCS_CHECK(params.c >= 1 && params.b >= 1, "parameters must be positive");
   const std::int64_t rounds_before = net.total_rounds();
   const std::int32_t cap = params.max_iterations > 0
                                ? params.max_iterations
                                : auto_iteration_cap(partition.num_parts);
+  RoutableShortcut result{{}, neighbor_parts_of(net.graph(), partition), {}};
 
   FindShortcutStats stats;
   stats.trials = 0;
@@ -184,15 +216,17 @@ FindShortcutResult find_shortcut_doubling(congest::Network& net,
   for (;;) {
     ++stats.trials;
     std::int32_t iterations = 0;
-    auto state = try_find(net, tree, partition, params, cap, iterations);
+    auto trial = try_find(net, tree, partition, result.neighbor_parts, params,
+                          cap, iterations);
     stats.iterations += iterations;
-    if (state.has_value()) {
+    if (trial.has_value()) {
       stats.used_c = params.c;
       stats.used_b = params.b;
-      FindShortcutResult result;
-      result.state = *std::move(state);
       stats.rounds = net.total_rounds() - rounds_before;
-      result.stats = stats;
+      result.found.state = std::move(trial->state);
+      result.found.stats = stats;
+      if (trial->runner.has_value())
+        result.runner.emplace(*std::move(trial->runner));
       return result;
     }
     LCS_CHECK(params.c <= limit && params.b <= limit,

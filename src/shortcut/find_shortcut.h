@@ -41,13 +41,23 @@
 ///    first iteration, so the next trial, its (c, b), its shortcut and its
 ///    representation are the ones a trial run to its budget leads to; only
 ///    the rounds, messages and iterations charged are fewer.
-///  * **A trial served by one iteration reuses its state.** When the
-///    iteration that serves the last parts is also the first to serve any,
-///    the combined shortcut is that iteration's tentative shortcut, and the
-///    partition it was built on is still the caller's. Its `ShortcutState`
-///    is the combined shortcut's state, so it is returned and its
-///    representation broadcast charged again, instead of building the plan
-///    and counting both casts a second time.
+///  * **A trial served by one iteration reuses its state and runner.**
+///    When the iteration that serves the last parts is also the first to
+///    serve any, the combined shortcut is that iteration's tentative
+///    shortcut, and the partition it was built on is still the caller's.
+///    Its `ShortcutState` is the combined shortcut's state, so it is
+///    returned and its representation broadcast charged again, instead of
+///    building the plan and counting both casts a second time. The runner
+///    its Verification built on that state and the caller's partition is
+///    the one routing on the result would build, so
+///    `find_routable_shortcut` hands it over (superstep.h, "Who owns a
+///    runner").
+///  * **One exchange array per partition.** Every iteration before the
+///    first retirement runs on the caller's partition, so its exchange
+///    round teaches the same neighbor parts. The doubling computes that
+///    array once and charges the round on it in each such iteration; a
+///    `PartAggregator` (apps/aggregate.h) charges its own round on it too.
+///    Iterations after a retirement exchange the remaining parts afresh.
 #pragma once
 
 #include <optional>
@@ -55,6 +65,7 @@
 #include "congest/network.h"
 #include "graph/partition.h"
 #include "shortcut/representation.h"
+#include "shortcut/superstep.h"
 #include "tree/spanning_tree.h"
 
 namespace lcs {
@@ -98,5 +109,27 @@ FindShortcutResult find_shortcut_doubling(congest::Network& net,
                                           const SpanningTree& tree,
                                           const Partition& partition,
                                           FindShortcutParams params);
+
+/// A doubling's result with the host structures it built on the caller's
+/// partition, for part-wise routing on the shortcut (apps/aggregate.h).
+struct RoutableShortcut {
+  FindShortcutResult found;
+  /// The caller partition's neighbor parts, computed once for every
+  /// iteration that ran on that partition. A caller that routes on the
+  /// shortcut charges its own exchange round on it (`charge_exchange`).
+  NeighborParts neighbor_parts;
+  /// The runner Verification built on `found.state` and the caller's
+  /// partition, when the successful trial was served by the first
+  /// iteration to serve any part; empty otherwise. It refers to `net` and
+  /// the caller's partition.
+  std::optional<SuperstepRunner> runner;
+};
+
+/// `find_shortcut_doubling`, with the same rounds, messages and result,
+/// keeping the neighbor parts and the runner it built on `partition`.
+RoutableShortcut find_routable_shortcut(congest::Network& net,
+                                        const SpanningTree& tree,
+                                        const Partition& partition,
+                                        FindShortcutParams params);
 
 }  // namespace lcs

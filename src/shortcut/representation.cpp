@@ -21,6 +21,7 @@ ShortcutState compute_shortcut_state(congest::Network& net,
   ShortcutState state;
   state.shortcut = std::move(shortcut);
   state.own_block_root.assign(n, kNoNode);
+  state.own_root_slot.assign(n, ComponentPlan::kNoSlot);
   state.plan = make_component_plan(tree, state.shortcut);
   ComponentPlan& plan = state.plan;
 
@@ -28,29 +29,38 @@ ShortcutState compute_shortcut_state(congest::Network& net,
   // message. The broadcast gives every slot its component root: a slot
   // that rides its node's parent edge records the root's depth (each
   // component edge is filled exactly once, by its lower endpoint), and a
-  // part member its block id.
-  const BroadcastSchedule cast = broadcast_schedule(tree, plan);
-  for (std::size_t s = 0; s < plan.slots.size(); ++s) {
-    if (!plan.slots[s].has_parent()) continue;
-    LCS_CHECK(cast.root[s] != kNoNode,
-              "component broadcast missed a parent-edge slot");
-    plan.slots[s].parent_root_depth =
-        tree.depth[static_cast<std::size_t>(cast.root[s])];
-  }
-  // A part member's block id is its own-part slot's root. A member without
-  // that slot has no incident own-part shortcut edge and roots its own
-  // singleton component: purely local knowledge.
-  for (NodeId v = 0; v < net.num_nodes(); ++v) {
-    const PartId j = partition.part(v);
-    if (j == kNoPart) continue;
-    const std::size_t s = plan.slot_index(v, j);
-    state.own_block_root[static_cast<std::size_t>(v)] =
-        s < plan.slots.size() ? cast.root[s] : v;
+  // part member its block id. The per-slot roots are dropped before the
+  // convergecast is counted.
+  {
+    const BroadcastSchedule cast = broadcast_schedule(tree, plan);
+    for (std::size_t s = 0; s < plan.slots.size(); ++s) {
+      if (!plan.slots[s].has_parent()) continue;
+      LCS_CHECK(cast.root[s] != kNoNode,
+                "component broadcast missed a parent-edge slot");
+      plan.slots[s].parent_root_depth =
+          tree.depth[static_cast<std::size_t>(cast.root[s])];
+    }
+    // A part member's block id is its own-part slot's root, kept with that
+    // root's slot. A member without that slot has no incident own-part
+    // shortcut edge and roots its own singleton component: purely local
+    // knowledge.
+    for (NodeId v = 0; v < net.num_nodes(); ++v) {
+      const PartId j = partition.part(v);
+      if (j == kNoPart) continue;
+      const auto i = static_cast<std::size_t>(v);
+      const std::size_t s = plan.slot_index(v, j);
+      if (s == plan.slots.size()) {
+        state.own_block_root[i] = v;
+        continue;
+      }
+      state.own_block_root[i] = cast.root[s];
+      state.own_root_slot[i] = cast.root_slot[s];
+    }
+    state.broadcast = cast.stats;
   }
 
   plan.has_root_depths = true;
-  state.broadcast = cast.stats;
-  net.add_replayed(cast.stats);
+  net.add_replayed(state.broadcast);
   state.convergecast = convergecast_schedule(tree, plan);
   return state;
 }

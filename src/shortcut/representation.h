@@ -10,7 +10,8 @@
 /// that sees a part id on a child edge but not on its parent edge — floods
 /// (root id, root depth) down its component. The root id doubles as a
 /// *block id*, unique within each part, which verification and part routing
-/// rely on.
+/// rely on; the host keeps the root's plan slot beside it, so supernodes
+/// are numbered without a search.
 ///
 /// That knowledge, flattened per node, is the shortcut's `ComponentPlan`
 /// (tree_routing.h): built here, then completed with each parent-edge
@@ -40,6 +41,11 @@ struct ShortcutState {
   /// singleton components rooted at themselves. kNoNode for nodes outside
   /// every part.
   congest::PerNode<NodeId> own_block_root;
+  /// Beside each block id: the root's slot for the member's part in
+  /// `plan`, learned from the same broadcast (`BroadcastSchedule::
+  /// root_slot`). ComponentPlan::kNoSlot for a singleton and for nodes
+  /// outside every part. The superstep runner numbers supernodes by it.
+  congest::PerNode<std::size_t> own_root_slot;
 
   /// The routing plan of `shortcut` on the tree, root depths included. A
   /// part member is a singleton exactly when it has no slot for its part.

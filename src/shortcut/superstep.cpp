@@ -18,19 +18,29 @@ namespace lcs {
 
 NeighborParts exchange_neighbor_parts(congest::Network& net,
                                       const Partition& partition) {
-  const Graph& g = net.graph();
+  NeighborParts result = neighbor_parts_of(net.graph(), partition);
+  charge_exchange(net, result);
+  return result;
+}
+
+NeighborParts neighbor_parts_of(const Graph& g, const Partition& partition) {
   LCS_CHECK(partition.part_of.size() ==
-                static_cast<std::size_t>(net.num_nodes()),
+                static_cast<std::size_t>(g.num_nodes()),
             "partition sized for a different network");
   NeighborParts result;
   result.graph = &g;
   result.parts.reserve(2 * static_cast<std::size_t>(g.num_edges()));
-  for (NodeId v = 0; v < net.num_nodes(); ++v)
+  for (NodeId v = 0; v < g.num_nodes(); ++v)
     for (const Graph::Neighbor& nb : g.neighbors(v))
       result.parts.push_back(partition.part(nb.node));
-  const auto messages = static_cast<std::int64_t>(result.parts.size());
-  net.add_replayed({messages > 0 ? 1 : 0, messages});
   return result;
+}
+
+void charge_exchange(congest::Network& net, const NeighborParts& parts) {
+  LCS_CHECK(parts.graph == &net.graph(),
+            "neighbor parts learned on a different graph");
+  const auto messages = static_cast<std::int64_t>(parts.parts.size());
+  net.add_replayed({messages > 0 ? 1 : 0, messages});
 }
 
 SuperstepRunner::SuperstepRunner(congest::Network& net,
@@ -38,7 +48,10 @@ SuperstepRunner::SuperstepRunner(congest::Network& net,
                                  const Partition& partition,
                                  const ShortcutState& state,
                                  const NeighborParts& neighbor_parts)
-    : net_(net), partition_(partition), state_(state) {
+    : net_(net),
+      partition_(partition),
+      broadcast_(state.broadcast),
+      convergecast_(state.convergecast) {
   const Graph& g = net.graph();
   const NodeId n = net.num_nodes();
   const auto un = static_cast<std::size_t>(n);
@@ -46,6 +59,7 @@ SuperstepRunner::SuperstepRunner(congest::Network& net,
   LCS_CHECK(tree.depth.size() == un && tree.parent.size() == un &&
                 partition.part_of.size() == un &&
                 state.own_block_root.size() == un &&
+                state.own_root_slot.size() == un &&
                 plan.slot_off.size() == un + 1,
             "superstep inputs sized for a different network");
   LCS_CHECK(neighbor_parts.graph == &g &&
@@ -64,8 +78,8 @@ SuperstepRunner::SuperstepRunner(congest::Network& net,
             "slot");
 
   // Supernodes in order of their smallest member. A block component's
-  // members share its root's slot for their part; a member without a slot
-  // for its part is a supernode of its own.
+  // members share its root's slot for their part (`own_root_slot`); a
+  // member without one is a supernode of its own.
   supernode_.assign(un, kNoSupernode);
   std::vector<Supernode> of_root_slot(plan.slots.size(), kNoSupernode);
   const auto add_supernode = [&] {
@@ -76,13 +90,15 @@ SuperstepRunner::SuperstepRunner(congest::Network& net,
     const PartId j = partition.part(v);
     if (j == kNoPart) continue;
     const auto i = static_cast<std::size_t>(v);
-    if (plan.slot_index(v, j) == plan.slots.size()) {
+    const std::size_t root_slot = state.own_root_slot[i];
+    if (root_slot == ComponentPlan::kNoSlot) {
       supernode_[i] = add_supernode();
       continue;
     }
-    const std::size_t root_slot = plan.slot_index(state.own_block_root[i], j);
-    LCS_CHECK(root_slot < plan.slots.size(),
-              "a block id names no component root of the part");
+    LCS_CHECK(root_slot < plan.slots.size() &&
+                  plan.slots[root_slot].part == j &&
+                  !plan.slots[root_slot].has_parent(),
+              "a root slot names no component root of the part");
     if (of_root_slot[root_slot] == kNoSupernode)
       of_root_slot[root_slot] = add_supernode();
     supernode_[i] = of_root_slot[root_slot];
@@ -111,9 +127,8 @@ SuperstepRunner::SuperstepRunner(congest::Network& net,
 void SuperstepRunner::charge(std::int64_t words) {
   LCS_CHECK(words >= 0, "a superstep sends no negative number of words");
   last_stats_ = congest::PhaseStats{
-      state_.convergecast.rounds + state_.broadcast.rounds +
-          (words > 0 ? 1 : 0),
-      state_.convergecast.messages + state_.broadcast.messages + words};
+      convergecast_.rounds + broadcast_.rounds + (words > 0 ? 1 : 0),
+      convergecast_.messages + broadcast_.messages + words};
   net_.add_replayed(*last_stats_);
 }
 

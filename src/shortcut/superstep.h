@@ -21,17 +21,40 @@
 /// partition), holds that shortcut's supergraph, and its callers
 /// (verification.cpp, part_routing.cpp) keep one value per supernode.
 ///
+/// ## Who owns a runner
+///
+/// Whoever builds a runner owns it. The signatures of part_routing.h and
+/// verification.h that take a network build one for their call, and a
+/// `PartAggregator` (apps/aggregate.h) keeps one for all its operations.
+///
+/// One runner changes hands. When a FindShortcut trial is served by the
+/// first iteration to serve any part, that iteration ran on the caller's
+/// partition, and the runner its Verification built goes back with the
+/// shortcut (`find_routable_shortcut`, find_shortcut.h); a
+/// `PartAggregator` keeps it instead of building its own. The hand-over is
+/// exact. A runner is a function of what it was built on: the partition,
+/// the neighbor parts, the state's root slots, and the two casts' stats,
+/// which it copies. The served iteration's state is returned unchanged,
+/// its partition is the caller's partition object and its neighbor parts
+/// are the caller partition's, so a new build would give the same
+/// supernodes, links and send counts, charged the same casts. What
+/// Verification leaves in the runner is never read again: its scratch is
+/// overwritten, and the last superstep's stats that `repeat_last` copies
+/// are replaced by each operation's first `charge`.
+///
 /// ## The supergraph
 ///
 /// A part member's supernode is its part plus its block id
 /// (`ShortcutState::own_block_root`): the members of one block component,
-/// or a member alone when none of its tree edges carries its part. The
-/// runner keeps, per supernode, how many same-part directed edges its
-/// members send on, and the *links*: the same-part directed edges whose
-/// endpoints lie in different supernodes, in the exchange's send order
-/// (sender ascending, then adjacency order). A superstep walks the links
-/// and the supernodes, never the nodes, the plan's slots or the edges
-/// inside a supernode: O(supernodes + links) host work.
+/// which share the root's slot for the part (`own_root_slot`, so numbering
+/// the supernodes searches nothing), or a member alone when none of its
+/// tree edges carries its part. The runner keeps, per supernode, how many
+/// same-part directed edges its members send on, and the *links*: the
+/// same-part directed edges whose endpoints lie in different supernodes,
+/// in the exchange's send order (sender ascending, then adjacency order).
+/// A superstep walks the links and the supernodes, never the nodes, the
+/// plan's slots or the edges inside a supernode: O(supernodes + links)
+/// host work.
 ///
 /// Why one value per supernode is exact, for the floods and Verification's
 /// phases that run on it:
@@ -70,7 +93,11 @@
 /// learns in one round in which every node tells each neighbor its part id.
 /// It is one flat `PartId` array aligned with the graph's adjacency (2m
 /// entries, node-major), and `of(v)` is node v's row as a span. That round
-/// is counted on the host: 2m messages, one round.
+/// is counted on the host: 2m messages, one round. Every run of the round
+/// on an unchanged partition teaches the same array, so a caller that runs
+/// it again may charge it on the array it already has (`charge_exchange`):
+/// FindShortcut computes the caller partition's array once for every
+/// iteration that runs on that partition and for the aggregator after it.
 ///
 /// ## Fixed-point repeats
 ///
@@ -123,10 +150,18 @@ struct NeighborParts {
 NeighborParts exchange_neighbor_parts(congest::Network& net,
                                       const Partition& partition);
 
+/// What that round teaches on `g`, computed without charging it: for a
+/// caller that charges each run of the round itself (`charge_exchange`).
+NeighborParts neighbor_parts_of(const Graph& g, const Partition& partition);
+
+/// Charge `net` one run of the exchange round that teaches `parts`.
+void charge_exchange(congest::Network& net, const NeighborParts& parts);
+
 /// The supergraph of one fixed shortcut and partition, and the cost of its
-/// supersteps (see the file comment). Holds references to `net`,
-/// `partition` and `state`, which must outlive it; a runner is meant to be
-/// local to one call and is not safe to share across threads.
+/// supersteps (see the file comment). Holds references to `net` and
+/// `partition`, which must outlive it, and copies what it needs of the
+/// state. It moves but does not copy (see "Who owns a runner"), and is
+/// not safe to share across threads.
 class SuperstepRunner {
  public:
   /// A supernode index: supernodes are numbered by their smallest member.
@@ -153,6 +188,7 @@ class SuperstepRunner {
   SuperstepRunner(congest::Network& net, const SpanningTree& tree,
                   const Partition& partition, const ShortcutState& state,
                   const NeighborParts& neighbor_parts);
+  SuperstepRunner(SuperstepRunner&&) = default;
 
   const Partition& partition() const { return partition_; }
 
@@ -192,7 +228,9 @@ class SuperstepRunner {
  private:
   congest::Network& net_;
   const Partition& partition_;
-  const ShortcutState& state_;
+  /// The state's two casts, charged by every superstep.
+  congest::PhaseStats broadcast_;
+  congest::PhaseStats convergecast_;
 
   std::vector<Supernode> supernode_;
   std::vector<Link> links_;

@@ -54,47 +54,72 @@ std::size_t ComponentPlan::slot_index(NodeId v, PartId j) const {
 ComponentPlan make_component_plan(const SpanningTree& tree,
                                   const Shortcut& shortcut) {
   const auto n = static_cast<std::size_t>(tree.num_nodes());
+  const auto ids_on = [&](EdgeId e) -> const std::vector<PartId>& {
+    return shortcut.parts_on_edge[static_cast<std::size_t>(e)];
+  };
+  // Every entry of a tree edge's id list has a flat number: node v's
+  // parent-edge entries are entry_off[v] onwards.
+  std::vector<std::size_t> entry_off(n + 1, 0);
+  for (std::size_t v = 0; v < n; ++v) {
+    const EdgeId pe = tree.parent_edge[v];
+    entry_off[v + 1] = entry_off[v] + (pe == kNoEdge ? 0 : ids_on(pe).size());
+  }
+  LCS_CHECK(entry_off[n] <= 0xFFFFFFFFu,
+            "too many shortcut entries for a 32-bit entry number");
+  // Per entry: the slot of the endpoint that met it first, until the other
+  // endpoint meets it and links the lower endpoint's slot to the upper's.
+  std::vector<std::size_t> first_slot(entry_off[n], ComponentPlan::kNoSlot);
+  std::size_t links = 0;
+
   ComponentPlan plan;
   plan.slot_off.reserve(n + 1);
   plan.slot_off.push_back(0);
-
-  std::vector<PartId> parts;  // scratch: the parts on v's tree edges
+  // Each entry's lower endpoint has its own slot for the entry's part; the
+  // component roots' slots come on top.
+  plan.slots.reserve(entry_off[n]);
+  std::vector<std::uint64_t> keys;  // scratch: (part, entry) on v's edges
   for (std::size_t v = 0; v < n; ++v) {
-    parts.clear();
-    for (const EdgeId ce : tree.children_edges[v]) {
-      const auto& list = shortcut.parts_on_edge[static_cast<std::size_t>(ce)];
-      parts.insert(parts.end(), list.begin(), list.end());
-    }
+    keys.clear();
+    const auto add_edge = [&](EdgeId e) {
+      const std::vector<PartId>& ids = ids_on(e);
+      const std::size_t first =
+          entry_off[static_cast<std::size_t>(tree.lower_endpoint(e))];
+      for (std::size_t k = 0; k < ids.size(); ++k)
+        keys.push_back((static_cast<std::uint64_t>(ids[k]) << 32) |
+                       (first + k));
+    };
     const EdgeId pe = tree.parent_edge[v];
-    if (pe != kNoEdge) {
-      const auto& list = shortcut.parts_on_edge[static_cast<std::size_t>(pe)];
-      parts.insert(parts.end(), list.begin(), list.end());
-    }
-    std::sort(parts.begin(), parts.end());
-    parts.erase(std::unique(parts.begin(), parts.end()), parts.end());
-    for (const PartId j : parts) {
-      ComponentPlan::Slot slot;
-      slot.part = j;
-      plan.slots.push_back(slot);
+    if (pe != kNoEdge) add_edge(pe);
+    for (const EdgeId ce : tree.children_edges[v]) add_edge(ce);
+    std::sort(keys.begin(), keys.end());
+
+    for (const std::uint64_t key : keys) {
+      const auto j = util::checked_cast<PartId>(key >> 32);
+      if (plan.slots.size() == plan.slot_off.back() ||
+          plan.slots.back().part != j) {
+        ComponentPlan::Slot slot;
+        slot.part = j;
+        plan.slots.push_back(slot);
+      }
+      const std::size_t s = plan.slots.size() - 1;
+      const std::size_t entry = key & 0xFFFFFFFFu;
+      if (first_slot[entry] == ComponentPlan::kNoSlot) {
+        first_slot[entry] = s;
+        continue;
+      }
+      // v is the second endpoint to meet the entry: on its parent edge v
+      // is the lower one, on a child edge the upper one.
+      if (entry >= entry_off[v] && entry < entry_off[v + 1])
+        plan.slots[s].parent = first_slot[entry];
+      else
+        plan.slots[first_slot[entry]].parent = s;
+      ++links;
     }
     plan.slot_off.push_back(plan.slots.size());
   }
+  LCS_CHECK(links == entry_off[n],
+            "component plan has a slot without its parent slot");
 
-  // Every parent-edge slot links to the parent's slot of the same part.
-  for (std::size_t v = 0; v < n; ++v) {
-    const EdgeId pe = tree.parent_edge[v];
-    if (pe == kNoEdge) continue;
-    const NodeId up = tree.parent[v];
-    LCS_CHECK(up != kNoNode, "the tree root has no parent slot");
-    for (const PartId j :
-         shortcut.parts_on_edge[static_cast<std::size_t>(pe)]) {
-      const std::size_t parent = plan.slot_index(up, j);
-      LCS_CHECK(parent < plan.slots.size(),
-                "component plan has a slot without its parent slot");
-      plan.slots[plan.slot_index(util::checked_cast<NodeId>(v), j)].parent =
-          parent;
-    }
-  }
   for (const NodeId v : tree.by_depth) {
     const auto i = static_cast<std::size_t>(v);
     if (plan.slot_off[i + 1] > plan.slot_off[i]) plan.by_depth.push_back(v);
@@ -102,7 +127,8 @@ ComponentPlan make_component_plan(const SpanningTree& tree,
   return plan;
 }
 
-void depart_by_key(std::span<QueuedItem> items) {
+void depart_by_key(std::span<QueuedItem> items,
+                   std::vector<QueuedItem>& pending) {
   if (items.empty()) return;
   std::sort(items.begin(), items.end(),
             [](const QueuedItem& a, const QueuedItem& b) {
@@ -115,17 +141,17 @@ void depart_by_key(std::span<QueuedItem> items) {
       items[k].departure = items[k].release + static_cast<std::int64_t>(k);
     return;
   }
-  // Released items wait in a min-heap by key; `departed` collects them in
-  // departure order.
+  // Released items wait in a min-heap by key. An item departs only after
+  // it was read into the heap, so the write position never passes the
+  // read position: departures go back into `items` in departure order.
   const auto later = [](const QueuedItem& a, const QueuedItem& b) {
     return a.key > b.key;
   };
-  std::vector<QueuedItem> pending;
-  std::vector<QueuedItem> departed;
-  departed.reserve(items.size());
+  pending.clear();
   std::size_t next = 0;
+  std::size_t departed = 0;
   std::int64_t round = items.front().release;
-  while (departed.size() < items.size()) {
+  while (departed < items.size()) {
     if (pending.empty()) round = std::max(round, items[next].release);
     for (; next < items.size() && items[next].release <= round; ++next) {
       pending.push_back(items[next]);
@@ -133,10 +159,9 @@ void depart_by_key(std::span<QueuedItem> items) {
     }
     std::pop_heap(pending.begin(), pending.end(), later);
     pending.back().departure = round++;
-    departed.push_back(pending.back());
+    items[departed++] = pending.back();
     pending.pop_back();
   }
-  std::copy(departed.begin(), departed.end(), items.begin());
 }
 
 congest::PhaseStats cast_stats(std::int64_t latest_departure,
@@ -150,11 +175,12 @@ BroadcastSchedule broadcast_schedule(const SpanningTree& tree,
   check_plan(tree, plan);
   BroadcastSchedule result;
   result.root.assign(plan.slots.size(), kNoNode);
-  // Per slot: its component root's depth, and the round its node learned
-  // the word (-1 at the root, which knows it from the start).
-  std::vector<std::int32_t> root_depth(plan.slots.size(), -1);
+  result.root_slot.assign(plan.slots.size(), ComponentPlan::kNoSlot);
+  // Per slot: the round its node learned the word (-1 at the root, which
+  // knows it from the start).
   std::vector<std::int64_t> learned(plan.slots.size(), -1);
   std::vector<QueuedItem> queue;  // the words bound down one tree edge
+  std::vector<QueuedItem> pending;  // depart_by_key's scratch
   std::int64_t latest = -1;
   std::int64_t messages = 0;
   for (const NodeId v : plan.by_depth) {
@@ -164,17 +190,20 @@ BroadcastSchedule broadcast_schedule(const SpanningTree& tree,
       const std::size_t up = plan.slots[s].parent;
       if (up == ComponentPlan::kNoSlot) {
         result.root[s] = v;
-        root_depth[s] = tree.depth[i];
+        result.root_slot[s] = s;
         continue;
       }
-      result.root[s] = result.root[up];
-      root_depth[s] = root_depth[up];
-      queue.push_back({learned[up],
-                       cast_key(priority, learned[up], root_depth[s],
-                                plan.slots[s].part),
-                       s});
+      const NodeId root = result.root[up];
+      result.root[s] = root;
+      result.root_slot[s] = result.root_slot[up];
+      queue.push_back(
+          {learned[up],
+           cast_key(priority, learned[up],
+                    tree.depth[static_cast<std::size_t>(root)],
+                    plan.slots[s].part),
+           s});
     }
-    depart_by_key(queue);
+    depart_by_key(queue, pending);
     for (const QueuedItem& item : queue) {
       learned[item.ref] = item.departure + 1;
       latest = std::max(latest, item.departure);
@@ -195,6 +224,7 @@ congest::PhaseStats convergecast_schedule(const SpanningTree& tree,
   // without children, ready from the start).
   std::vector<std::int64_t> ready(plan.slots.size(), -1);
   std::vector<QueuedItem> queue;  // the partial aggregates bound up one edge
+  std::vector<QueuedItem> pending;  // depart_by_key's scratch
   std::int64_t latest = -1;
   std::int64_t messages = 0;
   for (auto it = plan.by_depth.rbegin(); it != plan.by_depth.rend(); ++it) {
@@ -208,7 +238,7 @@ congest::PhaseStats convergecast_schedule(const SpanningTree& tree,
            cast_key(priority, ready[s], slot.parent_root_depth, slot.part),
            s});
     }
-    depart_by_key(queue);
+    depart_by_key(queue, pending);
     for (const QueuedItem& item : queue) {
       std::int64_t& parent_ready = ready[plan.slots[item.ref].parent];
       parent_ready = std::max(parent_ready, item.departure + 1);

@@ -35,7 +35,8 @@
 /// the convergecast (each node's queue on its parent edge holds its
 /// components' partial aggregates).
 ///  * On every edge, each round, the released pending item with the
-///    smallest key departs (`depart_by_key`).
+///    smallest key departs (`depart_by_key`, on heap scratch the pass
+///    owns and reuses for every edge).
 ///  * An item is released in the round its node learned it: -1 for what
 ///    the node knows at the start, else the round after the departure that
 ///    brought it (for a convergecast, the last of its children's).
@@ -110,13 +111,17 @@ struct ComponentPlan {
   bool has_root_depths = false;
 
   /// Index in `slots` of v's slot for part j (a flat key for per-slot
-  /// state), or `slots.size()` if v has none.
+  /// state), or `slots.size()` if v has none. A binary search over v's
+  /// slots: the plan and the superstep runner are built without it.
   std::size_t slot_index(NodeId v, PartId j) const;
 };
 
 /// Build the plan (slots with their parent links, and the depth order; no
 /// root depths) for `shortcut` on `tree`. Purely local knowledge: node v's
-/// slots come from the ids on its own incident tree edges.
+/// slots come from the ids on its own incident tree edges. Each node sorts
+/// its (part, incident-edge entry) keys once; an entry of a tree edge's id
+/// list is met once from each endpoint, and the second visit links the
+/// lower endpoint's slot to the upper one's, so no slot is searched for.
 ComponentPlan make_component_plan(const SpanningTree& tree,
                                   const Shortcut& shortcut);
 
@@ -135,8 +140,12 @@ struct QueuedItem {
 
 /// Departs the items queued on one tree edge, one per round: each round,
 /// the released pending item with the smallest key. Sets every item's
-/// `departure` and leaves the items in departure order.
-void depart_by_key(std::span<QueuedItem> items);
+/// `departure` and leaves the items in departure order. `pending` is the
+/// calling pass's scratch for the released items' heap: its contents are
+/// overwritten, and a pass reuses it across edges so that it allocates
+/// only up to its largest queue.
+void depart_by_key(std::span<QueuedItem> items,
+                   std::vector<QueuedItem>& pending);
 
 /// A host-counted phase's stats: `messages` sends, the latest of them in
 /// round `latest_departure` (-1 for the start). latest departure + 2
@@ -150,6 +159,11 @@ struct BroadcastSchedule {
   /// Per slot: the root of the slot's component, whose word the slot's
   /// node receives (the node itself for a slot without a parent edge).
   std::vector<NodeId> root;
+  /// Per slot: that root's slot for the slot's part (the slot itself for
+  /// a slot without a parent edge). A flat index for the (root, part) pair
+  /// the node learns anyway, so host passes can key per-component state
+  /// by it without a search.
+  std::vector<std::size_t> root_slot;
   /// Its rounds and messages: one message per slot that rides its parent
   /// edge. Nothing is charged to any network.
   congest::PhaseStats stats;

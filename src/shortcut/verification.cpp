@@ -39,21 +39,31 @@ VerificationResult verify_block_parameter(congest::Network& net,
                                           const ShortcutState& state,
                                           std::int32_t b_limit,
                                           const NeighborParts& neighbor_parts) {
+  SuperstepRunner runner(net, tree, partition, state, neighbor_parts);
+  return verify_block_parameter(runner, state, b_limit);
+}
+
+VerificationResult verify_block_parameter(SuperstepRunner& superstep,
+                                          const ShortcutState& state,
+                                          std::int32_t b_limit) {
   LCS_CHECK(b_limit >= 1, "block budget must be positive");
-  const auto n = static_cast<std::size_t>(net.num_nodes());
+  const Partition& partition = superstep.partition();
+  const std::size_t n = partition.part_of.size();
+  const NodeId num_nodes = util::checked_cast<NodeId>(n);
+  LCS_CHECK(state.own_block_root.size() == n,
+            "shortcut state sized for a different partition");
   const auto u64 = [](NodeId v) { return static_cast<std::size_t>(v); };
 
   // Every phase below is a loop of supersteps on the same shortcut, each
   // keeping one value per supernode (superstep.h); only the anomaly flags
   // are per node.
-  SuperstepRunner superstep(net, tree, partition, state, neighbor_parts);
   using Link = SuperstepRunner::Link;
   using Supernode = SuperstepRunner::Supernode;
   const std::size_t supers = superstep.num_supernodes();
   const auto links = superstep.links();
 
   std::vector<std::uint64_t> block(supers, kIdentityMin);
-  for (NodeId v = 0; v < net.num_nodes(); ++v) {
+  for (NodeId v = 0; v < num_nodes; ++v) {
     const Supernode s = superstep.supernode(v);
     if (s != SuperstepRunner::kNoSupernode)
       block[s] = static_cast<std::uint64_t>(state.own_block_root[u64(v)]);
@@ -126,7 +136,7 @@ VerificationResult verify_block_parameter(congest::Network& net,
   // A supernode's count is the words it received plus kHuge per flagged
   // member.
   std::vector<std::uint64_t> flagged(supers, 0);
-  for (NodeId v = 0; v < net.num_nodes(); ++v) {
+  for (NodeId v = 0; v < num_nodes; ++v) {
     if (flag[u64(v)]) {
       const Supernode s = superstep.supernode(v);
       flagged[s] = sat_add(flagged[s], kHuge);
@@ -198,7 +208,7 @@ VerificationResult verify_block_parameter(congest::Network& net,
                           false);
   std::vector<char> part_seen(static_cast<std::size_t>(partition.num_parts),
                               0);
-  for (NodeId v = 0; v < net.num_nodes(); ++v) {
+  for (NodeId v = 0; v < num_nodes; ++v) {
     const PartId j = partition.part(v);
     if (j == kNoPart) continue;
     const Supernode s = superstep.supernode(v);

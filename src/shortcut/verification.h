@@ -57,4 +57,11 @@ VerificationResult verify_block_parameter(congest::Network& net,
                                           std::int32_t b_limit,
                                           const NeighborParts& neighbor_parts);
 
+/// The same Verification on a runner the caller built on `state` (and on
+/// the partition, tree and neighbor parts above), so that the caller keeps
+/// the runner afterwards: FindShortcut hands it on (find_shortcut.h).
+VerificationResult verify_block_parameter(SuperstepRunner& runner,
+                                          const ShortcutState& state,
+                                          std::int32_t b_limit);
+
 }  // namespace lcs

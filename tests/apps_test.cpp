@@ -3,7 +3,9 @@
 #include <cmath>
 #include <map>
 #include <string>
+#include <tuple>
 #include <utility>
+#include <vector>
 
 #include "apps/aggregate.h"
 #include "apps/components.h"
@@ -204,6 +206,74 @@ TEST(Aggregate, SharedRunnerMatchesPerCallSignatures) {
                              nb, b_steps, second));
     EXPECT_EQ(totals(shared), totals(per_call));
   }
+}
+
+// The aggregator keeps the runner the construction's Verification built
+// when the successful trial was served by its first serving iteration, and
+// builds its own otherwise. Either way it must be the runner a fresh build
+// on the result's state and a second exchange gives: the same supergraph,
+// and the same values, rounds and messages operation by operation. The
+// matrix must hold both kinds.
+TEST(Aggregate, HandedOverRunnerMatchesAFreshOne) {
+  int handed_over = 0;
+  int rebuilt = 0;
+  for (const testutil::SuperstepFamily& f : testutil::superstep_families()) {
+    for (const std::uint64_t seed : {1, 2, 3}) {
+      SCOPED_TRACE(std::string(f.name) + " seed " + std::to_string(seed));
+      FindShortcutParams params;
+      params.seed = seed;
+      Sim probe(f.g, f.root);
+      if (find_routable_shortcut(probe.net, probe.tree, f.p, params)
+              .runner.has_value())
+        ++handed_over;
+      else
+        ++rebuilt;
+
+      Sim shared(f.g, f.root);
+      Sim second(f.g, f.root);
+      const auto totals = [](const Sim& sim) {
+        return std::make_pair(sim.net.total_rounds(),
+                              sim.net.total_messages());
+      };
+      PartAggregator agg(shared.net, shared.tree, f.p, params);
+      const FindShortcutResult found =
+          find_shortcut_doubling(second.net, second.tree, f.p, params);
+      const NeighborParts nb = exchange_neighbor_parts(second.net, f.p);
+      SuperstepRunner fresh(second.net, second.tree, f.p, found.state, nb);
+      EXPECT_EQ(totals(shared), totals(second));
+
+      const SuperstepRunner& kept = agg.runner();
+      ASSERT_EQ(kept.num_supernodes(), fresh.num_supernodes());
+      for (NodeId v = 0; v < f.g.num_nodes(); ++v)
+        EXPECT_EQ(kept.supernode(v), fresh.supernode(v)) << "node " << v;
+      const auto link_fields = [](const SuperstepRunner& runner) {
+        std::vector<std::tuple<SuperstepRunner::Supernode,
+                               SuperstepRunner::Supernode, NodeId, NodeId,
+                               EdgeId>>
+            fields;
+        for (const SuperstepRunner::Link& link : runner.links())
+          fields.emplace_back(link.from_super, link.to_super, link.from,
+                              link.to, link.edge);
+        return fields;
+      };
+      EXPECT_EQ(link_fields(kept), link_fields(fresh));
+      for (SuperstepRunner::Supernode s = 0; s < kept.num_supernodes(); ++s)
+        EXPECT_EQ(kept.sends(s), fresh.sends(s)) << "supernode " << s;
+      EXPECT_EQ(kept.all_sends(), fresh.all_sends());
+
+      const std::int32_t b_steps = 3 * found.stats.used_b;
+      congest::PerNode<std::uint64_t> values(
+          static_cast<std::size_t>(f.g.num_nodes()));
+      for (std::size_t v = 0; v < values.size(); ++v)
+        values[v] = (v * 2654435761u + seed) % 1000;
+      EXPECT_EQ(agg.min(values), part_min_flood(fresh, b_steps, values));
+      EXPECT_EQ(totals(shared), totals(second));
+      EXPECT_EQ(agg.leaders(), elect_part_leaders(fresh, b_steps));
+      EXPECT_EQ(totals(shared), totals(second));
+    }
+  }
+  EXPECT_GT(handed_over, 0);
+  EXPECT_GT(rebuilt, 0);
 }
 
 TEST(Aggregate, WheelArcsFastAggregation) {

@@ -3,11 +3,14 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "graph/generators.h"
 #include "graph/graph.h"
 #include "graph/partition.h"
+#include "shortcut/core_fast.h"
+#include "shortcut/core_slow.h"
 #include "shortcut/existential.h"
 #include "shortcut/representation.h"
 #include "shortcut/shortcut.h"
@@ -78,30 +81,41 @@ void expect_plan_matches_components(const Graph& g, const SpanningTree& tree,
   EXPECT_EQ(plan.by_depth, by_depth);
 }
 
-void expect_representation_correct(const Graph& g, const Partition& p,
-                                   std::int32_t threshold) {
-  Sim setup(g);
-  const Shortcut s = greedy_blocked_shortcut(g, setup.tree, p, threshold);
+/// The representation of `s` on `setup`'s tree against the centralized
+/// components: the plan, and each member's block id and root slot.
+void expect_state_matches_components(const Graph& g, Sim& setup,
+                                     const Partition& p, const Shortcut& s) {
   const ShortcutState state =
       compute_shortcut_state(setup.net, setup.tree, p, s);
   EXPECT_TRUE(state.plan.has_root_depths);
   expect_plan_matches_components(g, setup.tree, p, s, state.plan);
 
-  // Part members know their block root, and a member has no slot for its
-  // part exactly when its component is a singleton.
+  // Part members know their block root and its slot for their part, and a
+  // member has no slot for its part exactly when its component is a
+  // singleton, whose root slot is none.
   const std::size_t no_slot = state.plan.slots.size();
   for (PartId j = 0; j < p.num_parts; ++j) {
     for (const auto& comp : central_components(g, setup.tree, p, s, j)) {
       for (const NodeId v : comp.nodes) {
         if (p.part(v) != j) continue;
-        EXPECT_EQ(state.own_block_root[static_cast<std::size_t>(v)],
-                  comp.root)
-            << "node " << v;
+        const auto i = static_cast<std::size_t>(v);
+        EXPECT_EQ(state.own_block_root[i], comp.root) << "node " << v;
         EXPECT_EQ(state.plan.slot_index(v, j) == no_slot, comp.edges.empty())
+            << "node " << v;
+        EXPECT_EQ(state.own_root_slot[i],
+                  comp.edges.empty() ? ComponentPlan::kNoSlot
+                                     : state.plan.slot_index(comp.root, j))
             << "node " << v;
       }
     }
   }
+}
+
+void expect_representation_correct(const Graph& g, const Partition& p,
+                                   std::int32_t threshold) {
+  Sim setup(g);
+  const Shortcut s = greedy_blocked_shortcut(g, setup.tree, p, threshold);
+  expect_state_matches_components(g, setup, p, s);
 }
 
 TEST(Representation, GridRowsPartition) {
@@ -115,6 +129,26 @@ TEST(Representation, RandomGraphsAcrossSeedsAndThresholds) {
     const auto p = make_random_bfs_partition(g, 9, seed + 3);
     for (const std::int32_t threshold : {1, 4})
       expect_representation_correct(g, p, threshold);
+  }
+}
+
+// The shortcuts FindShortcut's cores build, on every superstep family:
+// CoreFast and CoreSlow at several congestion budgets, so that tree edges
+// carry many parts and parts split into many components.
+TEST(Representation, CoreShortcutsOnSuperstepFamilies) {
+  for (const testutil::SuperstepFamily& f : testutil::superstep_families()) {
+    for (const std::int32_t c : {1, 2, 8}) {
+      for (const bool use_fast : {true, false}) {
+        SCOPED_TRACE(std::string(f.name) + " c " + std::to_string(c) +
+                     (use_fast ? " CoreFast" : " CoreSlow"));
+        Sim setup(f.g, f.root);
+        const CoreResult core =
+            use_fast ? core_fast(setup.net, setup.tree, f.p.part_of,
+                                 CoreFastParams{c, 4.0, 7})
+                     : core_slow(setup.net, setup.tree, f.p.part_of, c);
+        expect_state_matches_components(f.g, setup, f.p, core.shortcut);
+      }
+    }
   }
 }
 
@@ -132,6 +166,8 @@ TEST(Representation, SingletonsRootThemselves) {
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     ASSERT_NE(p.part(v), kNoPart);
     EXPECT_EQ(state.own_block_root[static_cast<std::size_t>(v)], v);
+    EXPECT_EQ(state.own_root_slot[static_cast<std::size_t>(v)],
+              ComponentPlan::kNoSlot);
   }
 }
 
@@ -145,6 +181,8 @@ TEST(Representation, UnassignedNodesHaveNoBlock) {
   const NodeId hub = 32;
   EXPECT_EQ(p.part(hub), kNoPart);
   EXPECT_EQ(state.own_block_root[static_cast<std::size_t>(hub)], kNoNode);
+  EXPECT_EQ(state.own_root_slot[static_cast<std::size_t>(hub)],
+            ComponentPlan::kNoSlot);
 }
 
 }  // namespace
