@@ -10,14 +10,12 @@
 ///   * min / leader election over each part,
 ///   * broadcast from a designated member to the whole part.
 /// Every operation runs 3·b supersteps (b = the block parameter the doubling
-/// settled on) on one `SuperstepRunner` the aggregator owns, so the
+/// settled on) on the one `SuperstepRunner` the construction returned with
+/// the shortcut (`find_routable_shortcut`, find_shortcut.h), so the
 /// shortcut's supergraph (its supernodes and the links between them) is
-/// built once for all of them. The construction's own host structures are
-/// reused (`find_routable_shortcut`, find_shortcut.h): the neighbor parts
-/// it learned on the partition, whose exchange round the aggregator
-/// charges once more, and, when the successful trial was served by its
-/// first serving iteration, the runner that iteration's Verification built
-/// on the same state and partition, kept instead of building a second.
+/// built once for all of them. The aggregator holds that result as it came
+/// back: the state, the runner, and the neighbor parts the construction
+/// computed on the partition, on which it charges its own exchange round.
 /// This is the API the examples and applications build on; the Boruvka
 /// loop behind MST and components (mst/boruvka_common.h) builds one
 /// aggregator per phase.
@@ -57,21 +55,20 @@ class PartAggregator {
   congest::PerNode<std::uint64_t> broadcast(
       const congest::PerNode<std::uint64_t>& value_at_source);
 
-  const FindShortcutStats& construction_stats() const { return found_.stats; }
-  const ShortcutState& state() const { return found_.state; }
+  const FindShortcutStats& construction_stats() const {
+    return routable_.found.stats;
+  }
+  const ShortcutState& state() const { return routable_.found.state; }
   /// The neighbors' parts learned by the construction's exchange round.
-  const NeighborParts& neighbor_parts() const { return neighbor_parts_; }
+  const NeighborParts& neighbor_parts() const {
+    return routable_.neighbor_parts;
+  }
   /// The runner every operation runs on.
-  const SuperstepRunner& runner() const { return runner_; }
+  const SuperstepRunner& runner() const { return routable_.runner; }
 
  private:
-  PartAggregator(congest::Network& net, const SpanningTree& tree,
-                 const Partition& partition, RoutableShortcut routable);
-
-  FindShortcutResult found_;
-  NeighborParts neighbor_parts_;
+  RoutableShortcut routable_;
   std::int32_t b_steps_;
-  SuperstepRunner runner_;
 };
 
 }  // namespace lcs

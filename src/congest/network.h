@@ -16,7 +16,8 @@
 ///    messages, from the tree;
 ///  * `exchange_neighbor_parts` (shortcut/superstep.h): one round and 2m
 ///    messages, from the graph (`charge_exchange` charges a rerun of the
-///    round on a partition whose array the host already has);
+///    round on an array the host already has: FindShortcut charges every
+///    iteration's round on the caller partition's);
 ///  * Lemma 2's broadcast and convergecast on a shortcut's routing plan
 ///    (shortcut/tree_routing.h): `compute_shortcut_state` counts both once
 ///    per shortcut and charges the broadcast (FindShortcut charges a reused

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <iterator>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "congest/network.h"
@@ -30,19 +32,19 @@ std::int32_t auto_iteration_cap(PartId num_parts) {
   return util::checked_trunc<std::int32_t>(2.0 * log_n) + 8;
 }
 
-/// A successful trial: the combined shortcut's state, and the runner the
-/// serving iteration's Verification built if that iteration ran on the
-/// caller's partition.
+/// A successful trial: the combined shortcut's state, and the runner on it,
+/// the caller's partition and that partition's neighbor parts.
 struct Trial {
   ShortcutState state;
-  std::optional<SuperstepRunner> runner;
+  SuperstepRunner runner;
 };
 
 /// One full attempt with fixed (c, b). Returns the combined shortcut's
-/// state, or nullopt if the trial stalled or its iteration budget ran out
-/// with parts still unserved; adds the iterations run to `iterations_used`
-/// (see find_shortcut.h for the stalled trials and the reused state and
-/// runner). `caller_parts` is `partition`'s neighbor parts.
+/// state and runner, or nullopt if the trial stalled or its iteration
+/// budget ran out with parts still unserved; adds the iterations run to
+/// `iterations_used` (see find_shortcut.h for the stalled trials, the
+/// reused state and runner, and why `caller_parts`, `partition`'s neighbor
+/// parts, serve every iteration).
 std::optional<Trial> try_find(congest::Network& net, const SpanningTree& tree,
                               const Partition& partition,
                               const NeighborParts& caller_parts,
@@ -72,8 +74,8 @@ std::optional<Trial> try_find(congest::Network& net, const SpanningTree& tree,
   for (std::int32_t iter = 0; iter < max_iterations && parts_remain; ++iter) {
     ++iterations_used;
     // Until a node retires, the iteration runs on the caller's partition
-    // itself (the same ids as `remaining`), and its exchange round teaches
-    // the caller's neighbor parts: charged, not recomputed.
+    // itself (the same ids as `remaining`), so a runner handed back from it
+    // refers to the caller's object.
     const Partition& active = served_any ? remaining : partition;
 
     // Core subroutine on the not-yet-satisfied parts.
@@ -89,13 +91,8 @@ std::optional<Trial> try_find(congest::Network& net, const SpanningTree& tree,
     // Distributed representation + verification with block budget 3b.
     ShortcutState tentative = compute_shortcut_state(
         net, tree, active, std::move(core.shortcut));
-    NeighborParts learned;
-    if (served_any)
-      learned = exchange_neighbor_parts(net, remaining);
-    else
-      charge_exchange(net, caller_parts);
-    SuperstepRunner runner(net, tree, active, tentative,
-                           served_any ? learned : caller_parts);
+    charge_exchange(net, caller_parts);
+    SuperstepRunner runner(net, tree, active, tentative, caller_parts);
     const VerificationResult verdict =
         verify_block_parameter(runner, tentative, 3 * params.b);
 
@@ -154,9 +151,10 @@ std::optional<Trial> try_find(congest::Network& net, const SpanningTree& tree,
   }
   if (parts_remain) return std::nullopt;
   // Built once the last iteration's tentative state and runner are gone.
-  return Trial{
-      compute_shortcut_state(net, tree, partition, std::move(combined)),
-      std::nullopt};
+  ShortcutState state =
+      compute_shortcut_state(net, tree, partition, std::move(combined));
+  SuperstepRunner runner(net, tree, partition, state, caller_parts);
+  return Trial{std::move(state), std::move(runner)};
 }
 
 }  // namespace
@@ -206,7 +204,7 @@ RoutableShortcut find_routable_shortcut(congest::Network& net,
   const std::int32_t cap = params.max_iterations > 0
                                ? params.max_iterations
                                : auto_iteration_cap(partition.num_parts);
-  RoutableShortcut result{{}, neighbor_parts_of(net.graph(), partition), {}};
+  NeighborParts neighbor_parts = neighbor_parts_of(net.graph(), partition);
 
   FindShortcutStats stats;
   stats.trials = 0;
@@ -216,18 +214,16 @@ RoutableShortcut find_routable_shortcut(congest::Network& net,
   for (;;) {
     ++stats.trials;
     std::int32_t iterations = 0;
-    auto trial = try_find(net, tree, partition, result.neighbor_parts, params,
-                          cap, iterations);
+    auto trial = try_find(net, tree, partition, neighbor_parts, params, cap,
+                          iterations);
     stats.iterations += iterations;
     if (trial.has_value()) {
       stats.used_c = params.c;
       stats.used_b = params.b;
       stats.rounds = net.total_rounds() - rounds_before;
-      result.found.state = std::move(trial->state);
-      result.found.stats = stats;
-      if (trial->runner.has_value())
-        result.runner.emplace(*std::move(trial->runner));
-      return result;
+      return RoutableShortcut{{std::move(trial->state), stats},
+                              std::move(neighbor_parts),
+                              std::move(trial->runner)};
     }
     LCS_CHECK(params.c <= limit && params.b <= limit,
               "doubling failed to converge (bug: a trivial shortcut exists)");

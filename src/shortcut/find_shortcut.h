@@ -41,26 +41,29 @@
 ///    first iteration, so the next trial, its (c, b), its shortcut and its
 ///    representation are the ones a trial run to its budget leads to; only
 ///    the rounds, messages and iterations charged are fewer.
-///  * **A trial served by one iteration reuses its state and runner.**
-///    When the iteration that serves the last parts is also the first to
-///    serve any, the combined shortcut is that iteration's tentative
-///    shortcut, and the partition it was built on is still the caller's.
-///    Its `ShortcutState` is the combined shortcut's state, so it is
-///    returned and its representation broadcast charged again, instead of
-///    building the plan and counting both casts a second time. The runner
-///    its Verification built on that state and the caller's partition is
-///    the one routing on the result would build, so
-///    `find_routable_shortcut` hands it over (superstep.h, "Who owns a
-///    runner").
-///  * **One exchange array per partition.** Every iteration before the
-///    first retirement runs on the caller's partition, so its exchange
-///    round teaches the same neighbor parts. The doubling computes that
-///    array once and charges the round on it in each such iteration; a
-///    `PartAggregator` (apps/aggregate.h) charges its own round on it too.
-///    Iterations after a retirement exchange the remaining parts afresh.
+///  * **A successful trial returns its runner**: the one on its state, the
+///    caller's partition and that partition's neighbor parts (superstep.h,
+///    "Who owns a runner"). `find_routable_shortcut` hands it over; the
+///    other two entry points drop it. When the iteration that serves the
+///    last parts is also the first to serve any, the combined shortcut is
+///    that iteration's tentative shortcut, on the caller's partition. Its
+///    `ShortcutState` and the runner its Verification built are returned,
+///    and its representation broadcast is charged again, instead of
+///    building the plan, counting both casts and building the runner a
+///    second time. Any other successful trial builds its state and runner
+///    once, after its last iteration's are gone.
+///  * **One exchange array per partition.** The doubling computes the
+///    caller partition's neighbor parts once. Every iteration charges its
+///    exchange round on that array and builds its Verification runner on
+///    it, also after parts have retired, and a `PartAggregator`
+///    (apps/aggregate.h) charges its own round on it too. This is exact:
+///    the array an exchange on the remaining partition would teach differs
+///    only where a neighbor has retired (kNoPart there, its part here).
+///    Verification's verdict is the same for every member of a part, so
+///    parts retire whole and a retired node's part is never an active
+///    node's part. The runner's same-part test therefore reads the same on
+///    both arrays, and the round costs 2m messages and one round on either.
 #pragma once
-
-#include <optional>
 
 #include "congest/network.h"
 #include "graph/partition.h"
@@ -115,14 +118,13 @@ FindShortcutResult find_shortcut_doubling(congest::Network& net,
 struct RoutableShortcut {
   FindShortcutResult found;
   /// The caller partition's neighbor parts, computed once for every
-  /// iteration that ran on that partition. A caller that routes on the
-  /// shortcut charges its own exchange round on it (`charge_exchange`).
+  /// FindShortcut iteration. A caller that routes on the shortcut charges
+  /// its own exchange round on it (`charge_exchange`).
   NeighborParts neighbor_parts;
-  /// The runner Verification built on `found.state` and the caller's
-  /// partition, when the successful trial was served by the first
-  /// iteration to serve any part; empty otherwise. It refers to `net` and
-  /// the caller's partition.
-  std::optional<SuperstepRunner> runner;
+  /// The runner on `found.state`, the caller's partition and
+  /// `neighbor_parts` (see the file comment). It refers to `net` and the
+  /// caller's partition.
+  SuperstepRunner runner;
 };
 
 /// `find_shortcut_doubling`, with the same rounds, messages and result,

@@ -24,14 +24,13 @@
 /// ## Who owns a runner
 ///
 /// Whoever builds a runner owns it. The signatures of part_routing.h and
-/// verification.h that take a network build one for their call, and a
-/// `PartAggregator` (apps/aggregate.h) keeps one for all its operations.
+/// verification.h that take a network build one for their call. A
+/// successful FindShortcut trial returns one on its shortcut
+/// (`find_routable_shortcut`, find_shortcut.h), and a `PartAggregator`
+/// (apps/aggregate.h) keeps it for all its operations.
 ///
-/// One runner changes hands. When a FindShortcut trial is served by the
-/// first iteration to serve any part, that iteration ran on the caller's
-/// partition, and the runner its Verification built goes back with the
-/// shortcut (`find_routable_shortcut`, find_shortcut.h); a
-/// `PartAggregator` keeps it instead of building its own. The hand-over is
+/// When the trial was served by the first iteration to serve any part, the
+/// runner returned is the one that iteration's Verification built. That is
 /// exact. A runner is a function of what it was built on: the partition,
 /// the neighbor parts, the state's root slots, and the two casts' stats,
 /// which it copies. The served iteration's state is returned unchanged,
@@ -93,11 +92,11 @@
 /// learns in one round in which every node tells each neighbor its part id.
 /// It is one flat `PartId` array aligned with the graph's adjacency (2m
 /// entries, node-major), and `of(v)` is node v's row as a span. That round
-/// is counted on the host: 2m messages, one round. Every run of the round
-/// on an unchanged partition teaches the same array, so a caller that runs
-/// it again may charge it on the array it already has (`charge_exchange`):
-/// FindShortcut computes the caller partition's array once for every
-/// iteration that runs on that partition and for the aggregator after it.
+/// is counted on the host: 2m messages, one round. A caller may charge a
+/// rerun of the round on an array it already has (`charge_exchange`):
+/// FindShortcut charges every iteration's round, and the aggregator its
+/// own, on the caller partition's array (find_shortcut.h, "One exchange
+/// array per partition").
 ///
 /// ## Fixed-point repeats
 ///

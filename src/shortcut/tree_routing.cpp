@@ -119,11 +119,6 @@ ComponentPlan make_component_plan(const SpanningTree& tree,
   }
   LCS_CHECK(links == entry_off[n],
             "component plan has a slot without its parent slot");
-
-  for (const NodeId v : tree.by_depth) {
-    const auto i = static_cast<std::size_t>(v);
-    if (plan.slot_off[i + 1] > plan.slot_off[i]) plan.by_depth.push_back(v);
-  }
   return plan;
 }
 
@@ -183,8 +178,9 @@ BroadcastSchedule broadcast_schedule(const SpanningTree& tree,
   std::vector<QueuedItem> pending;  // depart_by_key's scratch
   std::int64_t latest = -1;
   std::int64_t messages = 0;
-  for (const NodeId v : plan.by_depth) {
+  for (const NodeId v : tree.by_depth) {
     const auto i = static_cast<std::size_t>(v);
+    if (plan.slot_off[i + 1] == plan.slot_off[i]) continue;
     queue.clear();
     for (std::size_t s = plan.slot_off[i]; s < plan.slot_off[i + 1]; ++s) {
       const std::size_t up = plan.slots[s].parent;
@@ -227,8 +223,9 @@ congest::PhaseStats convergecast_schedule(const SpanningTree& tree,
   std::vector<QueuedItem> pending;  // depart_by_key's scratch
   std::int64_t latest = -1;
   std::int64_t messages = 0;
-  for (auto it = plan.by_depth.rbegin(); it != plan.by_depth.rend(); ++it) {
+  for (auto it = tree.by_depth.rbegin(); it != tree.by_depth.rend(); ++it) {
     const auto i = static_cast<std::size_t>(*it);
+    if (plan.slot_off[i + 1] == plan.slot_off[i]) continue;
     queue.clear();
     for (std::size_t s = plan.slot_off[i]; s < plan.slot_off[i + 1]; ++s) {
       const ComponentPlan::Slot& slot = plan.slots[s];

@@ -29,11 +29,12 @@
 /// Each cast is a set of one-message-per-round queues on tree edges. A
 /// node's sends depend only on the part ids and root depths on its tree
 /// edges and on the rounds its items reach it, never on the words being
-/// cast, so one pass over the tree gives every item's departure round:
-/// shallowest nodes first for the broadcast (each node's queue on its
-/// parent edge holds the words its parent forwards down), deepest first for
-/// the convergecast (each node's queue on its parent edge holds its
-/// components' partial aggregates).
+/// cast, so one pass over the tree gives every item's departure round. The
+/// pass walks the tree's depth order (`SpanningTree::by_depth`) and skips
+/// the nodes without slots: shallowest nodes first for the broadcast (each
+/// node's queue on its parent edge holds the words its parent forwards
+/// down), deepest first for the convergecast (each node's queue on its
+/// parent edge holds its components' partial aggregates).
 ///  * On every edge, each round, the released pending item with the
 ///    smallest key departs (`depart_by_key`, on heap scratch the pass
 ///    owns and reuses for every edge).
@@ -103,9 +104,6 @@ struct ComponentPlan {
   /// parent edge are the components rooted at the node.
   std::vector<std::size_t> slot_off;
   std::vector<Slot> slots;
-  /// The nodes with at least one slot, shallowest first, ties by id: their
-  /// slot ranges in this order put every slot after its parent slot.
-  std::vector<NodeId> by_depth;
   /// Set once every parent-edge slot holds its root depth (see
   /// representation.h); the kRootDepth convergecast requires it.
   bool has_root_depths = false;
@@ -116,12 +114,12 @@ struct ComponentPlan {
   std::size_t slot_index(NodeId v, PartId j) const;
 };
 
-/// Build the plan (slots with their parent links, and the depth order; no
-/// root depths) for `shortcut` on `tree`. Purely local knowledge: node v's
-/// slots come from the ids on its own incident tree edges. Each node sorts
-/// its (part, incident-edge entry) keys once; an entry of a tree edge's id
-/// list is met once from each endpoint, and the second visit links the
-/// lower endpoint's slot to the upper one's, so no slot is searched for.
+/// Build the plan (slots with their parent links; no root depths) for
+/// `shortcut` on `tree`. Purely local knowledge: node v's slots come from
+/// the ids on its own incident tree edges. Each node sorts its (part,
+/// incident-edge entry) keys once; an entry of a tree edge's id list is met
+/// once from each endpoint, and the second visit links the lower
+/// endpoint's slot to the upper one's, so no slot is searched for.
 ComponentPlan make_component_plan(const SpanningTree& tree,
                                   const Shortcut& shortcut);
 

@@ -48,10 +48,10 @@ struct ReferenceTally {
   /// ignores its seed: the library ends such a trial at that stall.
   std::int32_t stalled_trials = 0;
   /// Trials whose parts were all served by one iteration: the library
-  /// reuses that iteration's state.
+  /// reuses that iteration's state and runner.
   std::int32_t one_iteration_successes = 0;
   /// Trials won after an earlier iteration retired parts: the library
-  /// builds the combined shortcut's state afresh.
+  /// builds the combined shortcut's state and runner afresh.
   std::int32_t later_successes = 0;
   /// Iterations that retired no node while parts remained, whatever the
   /// core.

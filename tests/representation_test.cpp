@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -70,15 +69,6 @@ void expect_plan_matches_components(const Graph& g, const SpanningTree& tree,
       }
     }
   }
-  // The nodes with slots, shallowest first, ties by id.
-  std::vector<NodeId> by_depth;
-  for (NodeId v = 0; v < g.num_nodes(); ++v)
-    if (!want_slots[static_cast<std::size_t>(v)].empty()) by_depth.push_back(v);
-  std::stable_sort(by_depth.begin(), by_depth.end(), [&](NodeId a, NodeId b) {
-    return tree.depth[static_cast<std::size_t>(a)] <
-           tree.depth[static_cast<std::size_t>(b)];
-  });
-  EXPECT_EQ(plan.by_depth, by_depth);
 }
 
 /// The representation of `s` on `setup`'s tree against the centralized

@@ -23,6 +23,7 @@
 #include "graph/generators.h"
 #include "graph/graph.h"
 #include "graph/partition.h"
+#include "shortcut/core_fast.h"
 #include "shortcut/existential.h"
 #include "shortcut/part_routing.h"
 #include "shortcut/representation.h"
@@ -271,6 +272,82 @@ TEST(SupergraphReference, UnreachedSupernodeFlagsItsNeighbor) {
 
   for (const std::int32_t b_limit : {1, 2, 4, 8})
     expect_verification_matches(sim, p, state, neighbor_parts, b_limit);
+}
+
+// FindShortcut builds every iteration's Verification runner on the caller
+// partition's neighbor parts, also after parts have retired (find_shortcut.h,
+// "One exchange array per partition"). Parts retire whole, so the entries
+// in which that array differs from a fresh exchange on the remaining
+// partition are never an active node's own part: runners on the two arrays
+// must be the same supergraph, and Verification on them must reach the same
+// verdicts with the same rounds and messages. The parts a first
+// Verification at b_limit 1 judges good retire, as in FindShortcut, and the
+// cases where that is a nonempty proper subset are compared.
+TEST(SupergraphReference, RetiredNeighborsLeaveTheRunnerUnchanged) {
+  std::int64_t retired_parts = 0;
+  std::int64_t active_parts = 0;
+  for (const testutil::SuperstepFamily& f : testutil::superstep_families()) {
+    for (const std::uint64_t seed : {1, 2, 3}) {
+      SCOPED_TRACE(std::string(f.name) + " seed " + std::to_string(seed));
+      testutil::Sim sim(f.g, f.root);
+      // At γ = 1/4 CoreFast samples below probability 1 on these graphs,
+      // so the seed matters.
+      const CoreFastParams core{1, 0.25, seed};
+      ASSERT_LT(core_fast_sampling_probability(f.g.num_nodes(), core.c,
+                                               core.gamma),
+                1.0);
+      const NeighborParts caller = neighbor_parts_of(f.g, f.p);
+
+      const ShortcutState first = compute_shortcut_state(
+          sim.net, sim.tree, f.p,
+          core_fast(sim.net, sim.tree, f.p.part_of, core).shortcut);
+      SuperstepRunner first_runner(sim.net, sim.tree, f.p, first, caller);
+      const VerificationResult first_verdict =
+          verify_block_parameter(first_runner, first, 1);
+      Partition remaining = f.p;
+      for (NodeId v = 0; v < f.g.num_nodes(); ++v)
+        if (first_verdict.node_good[static_cast<std::size_t>(v)])
+          remaining.part_of[static_cast<std::size_t>(v)] = kNoPart;
+      std::int64_t retired = 0;
+      std::int64_t active = 0;
+      for (const auto& members : f.p.members()) {
+        if (members.empty()) continue;
+        if (remaining.part(members.front()) == kNoPart)
+          ++retired;
+        else
+          ++active;
+      }
+      if (retired == 0 || active == 0) continue;
+      retired_parts += retired;
+      active_parts += active;
+
+      const ShortcutState state = compute_shortcut_state(
+          sim.net, sim.tree, remaining,
+          core_fast(sim.net, sim.tree, remaining.part_of, core).shortcut);
+      SuperstepRunner on_caller(sim.net, sim.tree, remaining, state, caller);
+      SuperstepRunner on_fresh(sim.net, sim.tree, remaining, state,
+                               exchange_neighbor_parts(sim.net, remaining));
+      EXPECT_EQ(testutil::supergraph_values(on_caller),
+                testutil::supergraph_values(on_fresh));
+
+      for (const std::int32_t b_limit : {1, 2, 4}) {
+        SCOPED_TRACE("b_limit=" + std::to_string(b_limit));
+        VerificationResult got;
+        const auto got_cost = testutil::measure(sim.net, [&] {
+          got = verify_block_parameter(on_caller, state, b_limit);
+        });
+        VerificationResult want;
+        const auto want_cost = testutil::measure(sim.net, [&] {
+          want = verify_block_parameter(on_fresh, state, b_limit);
+        });
+        EXPECT_EQ(got.node_good, want.node_good);
+        EXPECT_EQ(got.part_good, want.part_good);
+        EXPECT_EQ(got_cost, want_cost);
+      }
+    }
+  }
+  EXPECT_GT(retired_parts, 0);
+  EXPECT_GT(active_parts, 0);
 }
 
 // The representation broadcast's stats are the plan's broadcast schedule:

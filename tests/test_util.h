@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <map>
 #include <set>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -16,8 +17,10 @@
 #include "graph/partition.h"
 #include "graph/union_find.h"
 #include "shortcut/shortcut.h"
+#include "shortcut/superstep.h"
 #include "tree/bfs_tree.h"
 #include "tree/spanning_tree.h"
+#include "util/cast.h"
 
 namespace lcs::testutil {
 
@@ -80,6 +83,30 @@ inline std::vector<SuperstepFamily> reference_families() {
     families.push_back({"path", std::move(g), std::move(p), 0});
   }
   return families;
+}
+
+/// A runner's supergraph as plain values, so that one EXPECT_EQ compares
+/// two runners: each node's supernode, each link's fields in send order,
+/// each supernode's send count, and `all_sends()`.
+using SupergraphValues =
+    std::tuple<std::vector<SuperstepRunner::Supernode>,
+               std::vector<std::tuple<SuperstepRunner::Supernode,
+                                      SuperstepRunner::Supernode, NodeId,
+                                      NodeId, EdgeId>>,
+               std::vector<std::int64_t>, std::int64_t>;
+
+inline SupergraphValues supergraph_values(const SuperstepRunner& runner) {
+  SupergraphValues values;
+  auto& [supernodes, links, sends, all_sends] = values;
+  const auto n = util::checked_cast<NodeId>(runner.partition().part_of.size());
+  for (NodeId v = 0; v < n; ++v) supernodes.push_back(runner.supernode(v));
+  for (const SuperstepRunner::Link& link : runner.links())
+    links.emplace_back(link.from_super, link.to_super, link.from, link.to,
+                       link.edge);
+  for (SuperstepRunner::Supernode s = 0; s < runner.num_supernodes(); ++s)
+    sends.push_back(runner.sends(s));
+  all_sends = runner.all_sends();
+  return values;
 }
 
 /// Runs `body` and returns the rounds and messages it added to `net`.
