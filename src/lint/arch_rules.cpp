@@ -1,8 +1,8 @@
 /// \file arch_rules.cpp
-/// Project-wide rules: A1 layering, A2 include cycles, A3 missing direct
-/// include, A4 unused direct include, U1 dead file-external symbols.
-/// These see every file's FileSummary at once — they reason about the
-/// include graph and cross-TU references, which no single file can.
+/// Project-wide rules: A1 layering, A2 include cycles, U1 dead
+/// file-external symbols. These see every file's FileSummary at once —
+/// they reason about the include graph and cross-TU references, which no
+/// single file can.
 #include <algorithm>
 #include <map>
 #include <set>
@@ -46,13 +46,6 @@ void run_project_rules(const std::vector<FileSummary>& files,
                        const IncludeGraph& graph, const LayerManifest& layers,
                        const std::function<void(Finding)>& report) {
   const std::vector<std::string>& nodes = graph.nodes();
-
-  // Summary lookup by node index (node keys == summary paths).
-  std::vector<const FileSummary*> by_node(nodes.size(), nullptr);
-  for (const FileSummary& f : files) {
-    const int n = graph.node_of(f.path);
-    if (n >= 0) by_node[util::checked_usize(n)] = &f;
-  }
 
   // ---- A1: layering violations -------------------------------------------
   if (!layers.layers().empty()) {
@@ -100,109 +93,6 @@ void run_project_rules(const std::vector<FileSummary>& files,
                        "analysis ill-defined",
                    "split the shared declarations into a lower header both "
                    "sides can include"});
-  }
-
-  // ---- Exported-symbol indexes -------------------------------------------
-  // A3 wants the one true home of a symbol. Definitions outrank
-  // declarations: a function's home is the header *declaring* it (its
-  // definition lives in a .cpp), but a type forward-declared in many
-  // headers is homed at the single header that defines it. exports: per
-  // node, every exportable name (declarations included — a forward-decl
-  // header is a legitimate thing to include for the name).
-  std::map<std::string, std::vector<int>> def_homes;   // is_definition
-  std::map<std::string, std::vector<int>> decl_homes;  // any exportable
-  std::vector<std::set<std::string>> exports(nodes.size());
-  for (std::size_t n = 0; n < nodes.size(); ++n) {
-    const FileSummary* f = by_node[n];
-    if (f == nullptr) continue;
-    for (const Decl& d : f->outline.decls) {
-      if (!exportable(d)) continue;
-      exports[n].insert(d.name);
-      if (is_header(nodes[n])) {
-        const int ni = util::checked_cast<int>(n);
-        std::vector<int>& dh = decl_homes[d.name];
-        if (dh.empty() || dh.back() != ni) dh.push_back(ni);
-        if (d.is_definition) {
-          std::vector<int>& v = def_homes[d.name];
-          if (v.empty() || v.back() != ni) v.push_back(ni);
-        }
-      }
-    }
-  }
-  // name -> its unique home header, or nothing.
-  std::map<std::string, int> definers;
-  for (const auto& [name, homes] : decl_homes) {
-    const auto dit = def_homes.find(name);
-    if (dit != def_homes.end()) {
-      if (dit->second.size() == 1) definers[name] = dit->second[0];
-    } else if (homes.size() == 1) {
-      definers[name] = homes[0];
-    }
-  }
-
-  const std::vector<std::vector<int>> reach = graph.closure();
-
-  // ---- A3 / A4 per file --------------------------------------------------
-  for (std::size_t n = 0; n < nodes.size(); ++n) {
-    const FileSummary* f = by_node[n];
-    if (f == nullptr) continue;
-
-    std::set<int> direct;
-    for (const IncludeGraph::Edge& e : graph.out_edges()[n]) {
-      direct.insert(e.to);
-    }
-    const std::set<int> reachable(reach[n].begin(), reach[n].end());
-
-    std::set<std::string> own_names;
-    for (const Decl& d : f->outline.decls) own_names.insert(d.name);
-
-    std::set<std::string> ref_names;
-    for (const Ref& r : f->refs) ref_names.insert(r.name);
-
-    // A3: symbol with a unique defining header, reached only transitively.
-    std::set<int> a3_reported;  // one finding per missing header
-    for (const Ref& r : f->refs) {
-      if (own_names.count(r.name) != 0) continue;
-      const auto it = definers.find(r.name);
-      if (it == definers.end()) continue;
-      const int h = it->second;
-      const std::size_t hu = util::checked_usize(h);
-      if (hu == n || is_pair(nodes[hu], nodes[n])) continue;
-      if (direct.count(h) != 0) continue;
-      if (reachable.count(h) == 0) continue;  // not via our includes at all
-      if (!a3_reported.insert(h).second) continue;
-      report(Finding{
-          f->path, r.line, r.col, "A3",
-          "'" + r.name + "' is defined in " + nodes[hu] +
-              ", which this file only reaches transitively — a refactor of "
-              "an intermediate header's includes breaks this file",
-          "add `#include \"" +
-              (nodes[hu].size() > 4 && nodes[hu].substr(0, 4) == "src/"
-                   ? nodes[hu].substr(4)
-                   : nodes[hu]) +
-              "\"` (include what you use)"});
-    }
-
-    // A4: direct project include whose exports are never referenced.
-    for (const IncludeGraph::Edge& e : graph.out_edges()[n]) {
-      const std::size_t hu = util::checked_usize(e.to);
-      if (!is_header(nodes[hu]) || is_pair(nodes[hu], nodes[n])) continue;
-      const std::set<std::string>& ex = exports[hu];
-      if (ex.empty()) continue;  // umbrella / operator-only header
-      bool used = false;
-      for (const std::string& name : ex) {
-        if (ref_names.count(name) != 0) {
-          used = true;
-          break;
-        }
-      }
-      if (used) continue;
-      report(Finding{f->path, e.line, e.col, "A4",
-                     "unused direct include: no symbol exported by " +
-                         nodes[hu] + " is referenced in this file",
-                     "drop the #include (or use the symbol it was added "
-                     "for)"});
-    }
   }
 
   // ---- U1: dead file-external symbols ------------------------------------

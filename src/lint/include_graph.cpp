@@ -117,12 +117,6 @@ IncludeGraph IncludeGraph::build(
   return g;
 }
 
-int IncludeGraph::node_of(std::string_view key) const {
-  const auto it = std::lower_bound(nodes_.begin(), nodes_.end(), key);
-  if (it == nodes_.end() || *it != key) return -1;
-  return util::checked_cast<int>(it - nodes_.begin());
-}
-
 std::vector<std::vector<int>> IncludeGraph::cycles() const {
   // Iterative Tarjan SCC. Nodes are visited in index order and neighbor
   // lists are sorted, so component discovery order is deterministic.
@@ -197,47 +191,6 @@ std::vector<std::vector<int>> IncludeGraph::cycles() const {
   }
   std::sort(cyc.begin(), cyc.end());
   return cyc;
-}
-
-std::vector<std::vector<int>> IncludeGraph::closure() const {
-  const std::size_t n = nodes_.size();
-  std::vector<std::vector<int>> reach(n);
-  // DFS from every node. n is the file count of the repo (~hundreds);
-  // O(n * edges) is well inside budget and keeps the code obvious.
-  std::vector<bool> seen(n);
-  std::vector<int> stack;
-  for (std::size_t f = 0; f < n; ++f) {
-    std::fill(seen.begin(), seen.end(), false);
-    stack.clear();
-    for (const Edge& e : out_[f]) stack.push_back(e.to);
-    while (!stack.empty()) {
-      const int v = stack.back();
-      stack.pop_back();
-      const std::size_t vu = util::checked_usize(v);
-      if (seen[vu]) continue;
-      seen[vu] = true;
-      for (const Edge& e : out_[vu]) stack.push_back(e.to);
-    }
-    for (std::size_t v = 0; v < n; ++v) {
-      if (seen[v]) reach[f].push_back(util::checked_cast<int>(v));
-    }
-  }
-  return reach;
-}
-
-std::string IncludeGraph::to_dot() const {
-  std::string out = "digraph includes {\n  rankdir=LR;\n";
-  for (const std::string& node : nodes_) {
-    out += "  \"" + node + "\";\n";
-  }
-  for (std::size_t f = 0; f < nodes_.size(); ++f) {
-    for (const Edge& e : out_[f]) {
-      out += "  \"" + nodes_[f] + "\" -> \"" +
-             nodes_[util::checked_usize(e.to)] + "\";\n";
-    }
-  }
-  out += "}\n";
-  return out;
 }
 
 LayerManifest LayerManifest::parse(std::string_view text, std::string* error) {

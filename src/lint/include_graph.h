@@ -5,13 +5,11 @@
 /// `tools/lcs_run.cpp`); edges are *direct* quoted `#include` directives
 /// resolved against the set of scanned files (angled/system includes are
 /// outside the project and carry no edges). On top of the raw edges the
-/// graph answers the three structural questions the rules ask:
+/// graph answers the two structural questions the rules ask:
 ///
 ///  - A2: is there an include cycle? (strongly connected components)
 ///  - A1: does any edge point from a lower layer to a higher one,
 ///    against the committed manifest `src/lint/layers.txt`?
-///  - A3/A4: which headers does a file reach transitively vs include
-///    directly? (reachability closure)
 ///
 /// Everything here is deterministic: nodes are sorted, neighbor lists
 /// are sorted, SCCs are emitted in a canonical order.
@@ -63,20 +61,10 @@ class IncludeGraph {
   const std::vector<std::string>& nodes() const { return nodes_; }
   const std::vector<std::vector<Edge>>& out_edges() const { return out_; }
 
-  /// Node index for a canonical path, or -1.
-  int node_of(std::string_view key) const;
-
   /// Strongly connected components with ≥2 nodes (i.e. include cycles),
   /// each sorted by node index, the list sorted by smallest member.
   /// A self-include (x includes x) is reported as a size-1 cycle.
   std::vector<std::vector<int>> cycles() const;
-
-  /// reach[f] = set of node indices reachable from f by following one or
-  /// more include edges (f itself only if it lies on a cycle).
-  std::vector<std::vector<int>> closure() const;
-
-  /// Graphviz dump of the project include graph (deterministic order).
-  std::string to_dot() const;
 
  private:
   std::vector<std::string> nodes_;          // sorted

@@ -212,17 +212,6 @@ const std::vector<RuleInfo>& rule_table() {
        "cyclic headers make build order and incremental analysis "
        "ill-defined",
        4},
-      {"A3", "architecture",
-       "include what you use: a project symbol's defining header must be "
-       "included directly, not reached transitively",
-       "a refactor of an intermediate header's includes silently breaks "
-       "every file that leaned on it",
-       4},
-      {"A4", "architecture",
-       "no unused direct project includes",
-       "dead includes are false dependency edges: they slow builds and "
-       "misdirect every reader and tool",
-       4},
       {"U1", "deadcode",
        "no dead file-external symbols: a non-static namespace-scope "
        "definition in src/ referenced by no other TU is file-local or "
@@ -352,7 +341,6 @@ LintResult lint_sources(const std::vector<SourceFile>& files,
     gfiles.emplace_back(s.path, s.includes);
   }
   const IncludeGraph graph = IncludeGraph::build(gfiles);
-  result.graph_dot = graph.to_dot();
 
   LayerManifest layers;
   if (!options.layers_text.empty()) {

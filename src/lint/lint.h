@@ -24,16 +24,14 @@
 ///   S4  no mutation of by-reference-captured shared state inside
 ///       `WorkerPool::run` callbacks outside the per-worker-slot idiom.
 ///
-/// And, with the whole scanned tree in view (the include graph and the
-/// per-header exported-symbol index), the structural invariants:
+/// And, with the whole scanned tree in view (the include graph and every
+/// file's namespace-scope declarations and references), the structural
+/// invariants:
 ///
 ///   A1  no include edge climbing the architecture layering committed in
 ///       src/lint/layers.txt (util -> graph -> congest -> algorithms ->
 ///       scenario -> driver -> serve -> tools);
 ///   A2  no include cycles;
-///   A3  no reliance on transitive includes: a project symbol you use
-///       must come from a header you include directly;
-///   A4  no unused direct project includes;
 ///   U1  no dead file-external symbols: a non-static namespace-scope
 ///       definition in src/ that no other TU references is either
 ///       file-local or deleted.
@@ -56,7 +54,7 @@ struct Finding {
   std::string file;
   int line = 0;
   int col = 0;
-  std::string rule;     ///< "D1".."D4", "S1".."S4", "A1".."A4", "U1", "LINT"
+  std::string rule;     ///< "D1".."D4", "S1".."S4", "A1", "A2", "U1", "LINT"
   std::string message;  ///< what is wrong
   std::string hint;     ///< how to fix it
 };
@@ -101,11 +99,10 @@ struct LintResult {
   std::vector<Finding> findings;
   int files_scanned = 0;
   int suppressions_used = 0;
-  std::string graph_dot;     ///< Graphviz dump of the project include graph
 };
 
 /// Lint a set of in-memory files as one project: per-file rules plus the
-/// project rules (A1-A4, U1) over the include graph they span. Paths are
+/// project rules (A1, A2, U1) over the include graph they span. Paths are
 /// canonicalized with include_key(). Findings are sorted by
 /// (file, line, col, rule).
 LintResult lint_sources(const std::vector<SourceFile>& files,

@@ -105,8 +105,7 @@ bool is_excluded_ref(const std::vector<Token>& toks, std::size_t i) {
 
 struct Scope {
   enum Kind { kNamespace, kType, kExtern } kind = kNamespace;
-  std::string name;  ///< namespace name ("" for anonymous / non-namespace)
-  bool anonymous = false;
+  bool anonymous = false;  ///< `namespace {`
 };
 
 }  // namespace
@@ -122,7 +121,7 @@ std::vector<Ref> collect_refs(const std::vector<Token>& toks) {
   const auto note = [&](const Token& t) {
     const auto [it, inserted] = seen.emplace(t.text, out.size());
     if (inserted) {
-      out.push_back(Ref{std::string(t.text), t.line, t.col, 1});
+      out.push_back(Ref{std::string(t.text), 1});
     } else {
       ++out[it->second].count;
     }
@@ -182,16 +181,6 @@ std::vector<Ref> collect_refs(const std::vector<Token>& toks) {
 
 namespace {
 
-std::string ns_path(const std::vector<Scope>& scopes) {
-  std::string out;
-  for (const Scope& s : scopes) {
-    if (s.kind != Scope::kNamespace || s.anonymous || s.name.empty()) continue;
-    if (!out.empty()) out += "::";
-    out += s.name;
-  }
-  return out;
-}
-
 bool in_anonymous_ns(const std::vector<Scope>& scopes) {
   for (const Scope& s : scopes) {
     if (s.kind == Scope::kNamespace && s.anonymous) return true;
@@ -213,19 +202,16 @@ Outline parse_outline(const std::vector<Token>& raw) {
   Outline out;
   std::vector<Scope> scopes;
 
-  const auto add = [&](DeclKind kind, const Token& name, bool file_local,
-                       bool is_definition) {
+  const auto add = [&](DeclKind kind, const Token& name, bool file_local) {
     // A keyword can never be a project symbol; recording one would feed
-    // the symbol indexes garbage (e.g. a missed specifier).
+    // U1 garbage (e.g. a missed specifier).
     if (is_cpp_keyword(name.text)) return;
     Decl d;
     d.kind = kind;
     d.name = std::string(name.text);
-    d.ns = ns_path(scopes);
     d.line = name.line;
     d.col = name.col;
     d.file_local = file_local || in_anonymous_ns(scopes);
-    d.is_definition = is_definition;
     out.decls.push_back(std::move(d));
   };
 
@@ -255,34 +241,7 @@ Outline parse_outline(const std::vector<Token>& raw) {
       const std::size_t end = directive_end(toks, i);
       if (i + 2 < toks.size() && is_ident(toks[i + 1], "define") &&
           toks[i + 2].kind == TokKind::kIdentifier) {
-        const Token& name = toks[i + 2];
-        add(DeclKind::kMacro, name, /*file_local=*/false,
-            /*is_definition=*/true);
-        // Record the replacement text's identifier refs (minus params)
-        // for the U1 macro-liveness fixpoint.
-        std::size_t b = i + 3;
-        std::set<std::string_view> params;
-        if (b < end && is_punct(toks[b], "(") && toks[b].line == name.line &&
-            toks[b].col == name.col + util::checked_cast<int>(name.text.size())) {
-          const std::size_t close = skip_balanced(toks, b, "(", ")");
-          for (std::size_t p = b + 1; p + 1 < close; ++p) {
-            if (toks[p].kind == TokKind::kIdentifier)
-              params.insert(toks[p].text);
-          }
-          b = close;
-        }
-        std::vector<std::string>& refs =
-            out.macro_body_refs[std::string(name.text)];
-        std::set<std::string_view> seen;
-        for (std::size_t p = b; p < end; ++p) {
-          const Token& bt = toks[p];
-          if (bt.kind != TokKind::kIdentifier || is_cpp_keyword(bt.text) ||
-              params.count(bt.text) != 0 || is_excluded_ref(toks, p)) {
-            continue;
-          }
-          if (seen.insert(bt.text).second)
-            refs.push_back(std::string(bt.text));
-        }
+        add(DeclKind::kMacro, toks[i + 2], /*file_local=*/false);
       }
       i = end;
       continue;
@@ -310,10 +269,9 @@ Outline parse_outline(const std::vector<Token>& raw) {
     if (is_ident(t, "namespace")) {
       // namespace A::B { ... } | namespace { ... } | namespace A = B;
       std::size_t j = i + 1;
-      std::string name;
+      bool named = false;
       while (j < toks.size() && toks[j].kind == TokKind::kIdentifier) {
-        if (!name.empty()) name += "::";
-        name += std::string(toks[j].text);
+        named = true;
         ++j;
         if (j < toks.size() && is_punct(toks[j], "::")) ++j;
         else break;
@@ -323,15 +281,10 @@ Outline parse_outline(const std::vector<Token>& raw) {
         continue;
       }
       if (j < toks.size() && is_punct(toks[j], "{")) {
-        if (!name.empty()) {
-          add(DeclKind::kNamespace, toks[i + 1], /*file_local=*/false,
-              /*is_definition=*/true);
+        if (named) {
+          add(DeclKind::kNamespace, toks[i + 1], /*file_local=*/false);
         }
-        Scope s;
-        s.kind = Scope::kNamespace;
-        s.name = name;
-        s.anonymous = name.empty();
-        scopes.push_back(std::move(s));
+        scopes.push_back(Scope{Scope::kNamespace, !named});
         i = j + 1;
         continue;
       }
@@ -342,7 +295,7 @@ Outline parse_outline(const std::vector<Token>& raw) {
     if (is_ident(t, "extern") && i + 1 < toks.size() &&
         toks[i + 1].kind == TokKind::kString) {
       if (i + 2 < toks.size() && is_punct(toks[i + 2], "{")) {
-        scopes.push_back(Scope{Scope::kExtern, "", false});
+        scopes.push_back(Scope{Scope::kExtern, false});
         i += 3;
       } else {
         i += 2;  // extern "C" on a single declaration: treat as specifier
@@ -354,8 +307,7 @@ Outline parse_outline(const std::vector<Token>& raw) {
       // using NAME = ...; -> alias. using namespace X; / using X::y; -> skip.
       if (i + 2 < toks.size() && toks[i + 1].kind == TokKind::kIdentifier &&
           !is_cpp_keyword(toks[i + 1].text) && is_punct(toks[i + 2], "=")) {
-        add(DeclKind::kAlias, toks[i + 1], /*file_local=*/false,
-            /*is_definition=*/true);
+        add(DeclKind::kAlias, toks[i + 1], /*file_local=*/false);
       }
       i = skip_to_semi(i);
       continue;
@@ -379,8 +331,7 @@ Outline parse_outline(const std::vector<Token>& raw) {
         }
       }
       if (name_at < toks.size()) {
-        add(DeclKind::kAlias, toks[name_at], /*file_local=*/false,
-            /*is_definition=*/true);
+        add(DeclKind::kAlias, toks[name_at], /*file_local=*/false);
       }
       i = semi + 1;
       continue;
@@ -433,8 +384,7 @@ Outline parse_outline(const std::vector<Token>& raw) {
       const Token& name = toks[j];
       ++j;
       if (j < toks.size() && is_punct(toks[j], ";")) {
-        add(DeclKind::kType, name, /*file_local=*/false,
-            /*is_definition=*/false);  // forward declaration
+        add(DeclKind::kType, name, /*file_local=*/false);  // forward declaration
         i = j + 1;
         continue;
       }
@@ -448,9 +398,8 @@ Outline parse_outline(const std::vector<Token>& raw) {
         ++j;
       }
       if (j < toks.size() && is_punct(toks[j], "{")) {
-        add(DeclKind::kType, name, /*file_local=*/false,
-            /*is_definition=*/true);
-        scopes.push_back(Scope{Scope::kType, "", false});
+        add(DeclKind::kType, name, /*file_local=*/false);
+        scopes.push_back(Scope{Scope::kType, false});
         i = j + 1;
         continue;
       }
@@ -463,7 +412,6 @@ Outline parse_outline(const std::vector<Token>& raw) {
     if (t.kind == TokKind::kIdentifier || is_punct(t, "::") ||
         is_punct(t, "[[")) {
       bool file_local = false;  // `static` at namespace scope
-      bool saw_extern = false;
       std::size_t name_at = toks.size();
       bool name_qualified = false;
       std::size_t j = i;
@@ -477,7 +425,6 @@ Outline parse_outline(const std::vector<Token>& raw) {
         }
         if (u.kind == TokKind::kIdentifier) {
           if (u.text == "static") file_local = true;
-          if (u.text == "extern") saw_extern = true;
           if (u.text == "operator") {
             // Operators are reached via their operands, not by name:
             // skip the whole declaration / definition.
@@ -516,13 +463,8 @@ Outline parse_outline(const std::vector<Token>& raw) {
           const std::size_t after = skip_balanced(toks, j, "(", ")");
           // Trailer: const/noexcept/-> T/= delete/etc. until `{` or `;`.
           std::size_t k = after;
-          bool definition = false;
           while (k < toks.size()) {
-            if (is_punct(toks[k], "{")) {
-              definition = true;
-              break;
-            }
-            if (is_punct(toks[k], ";")) break;
+            if (is_punct(toks[k], "{") || is_punct(toks[k], ";")) break;
             if (is_punct(toks[k], "<")) {
               k = skip_angles(toks, k);
               continue;
@@ -530,7 +472,7 @@ Outline parse_outline(const std::vector<Token>& raw) {
             ++k;
           }
           if (name_at < toks.size() && !name_qualified) {
-            add(DeclKind::kFunction, toks[name_at], file_local, definition);
+            add(DeclKind::kFunction, toks[name_at], file_local);
           }
           if (k < toks.size() && is_punct(toks[k], "{")) {
             j = skip_balanced(toks, k, "{", "}");
@@ -543,8 +485,7 @@ Outline parse_outline(const std::vector<Token>& raw) {
         if (is_punct(u, "=") || is_punct(u, "{") || is_punct(u, ";") ||
             is_punct(u, "[")) {
           if (name_at < toks.size() && !name_qualified) {
-            add(DeclKind::kVariable, toks[name_at], file_local,
-                !saw_extern || !is_punct(u, ";"));
+            add(DeclKind::kVariable, toks[name_at], file_local);
           }
           j = skip_to_semi(j);
           decided = true;

@@ -1,19 +1,16 @@
 /// \file parse.h
-/// Declaration-level outline parser for the lcs_lint semantic rules.
+/// Declaration-level outline parser for the lcs_lint dead-symbol rule.
 ///
 /// This is not a C++ parser. It is a scope-stack walk over the token
-/// stream (lint/lexer.h) that recovers exactly what the architecture
-/// rules need and nothing more:
+/// stream (lint/lexer.h) that recovers exactly what U1 (dead
+/// file-external symbol) needs and nothing more:
 ///
-///  - which *namespace-scope* symbols a file declares or defines
-///    (types, functions, aliases, variables, macros) — the per-header
-///    exported-symbol index behind A3 (missing direct include),
-///    A4 (unused direct include), and U1 (dead file-external symbol);
-///  - which identifiers a file *references*, with the first physical
-///    use position (for A3's "symbol used here" anchor);
-///  - which identifiers each macro's replacement text references (macro
-///    body identifiers also count as ordinary refs, which is how U1
-///    keeps a helper alive when its only caller is a macro expansion).
+///  - parse_outline(): which *namespace-scope* symbols a file declares
+///    or defines (types, functions, aliases, variables, macros), where,
+///    and whether each is file-local — U1's candidates;
+///  - collect_refs(): how many times a file references each identifier.
+///    Identifiers in a macro's replacement text count too, which is how
+///    U1 keeps a helper alive when its only caller is a macro expansion.
 ///
 /// Member declarations inside class bodies are deliberately not
 /// indexed: members are reached through their type, so the type name
@@ -21,7 +18,6 @@
 /// scanned for refs.
 #pragma once
 
-#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -43,38 +39,32 @@ enum class DeclKind {
 struct Decl {
   DeclKind kind = DeclKind::kType;
   std::string name;        ///< unqualified name
-  std::string ns;          ///< enclosing namespace path, e.g. "lcs::util"
   int line = 0;            ///< 1-based physical line of the name token
   int col = 0;
-  bool file_local = false;    ///< static or inside an anonymous namespace
-  bool is_definition = false; ///< has a body / initializer (vs forward decl)
+  bool file_local = false; ///< static or inside an anonymous namespace
 };
 
-/// First reference to an identifier in a file. Identifiers inside
+/// The references to one identifier in a file. Identifiers inside
 /// comments and string literals never count; neither do member accesses
 /// (`x.foo`, `p->foo`) nor `std::`-qualified names — those resolve
 /// through their object/namespace, not through a project header's
 /// top-level export.
 struct Ref {
   std::string name;
-  int line = 0;   ///< first occurrence
-  int col = 0;
-  int count = 0;  ///< total occurrences in the file (all positions)
+  int count = 0;  ///< total occurrences in the file
 };
 
 struct Outline {
   std::vector<Decl> decls;
-  /// Macro name -> identifiers referenced in its replacement text.
-  /// Feeds the U1 liveness fixpoint (see arch_rules.cpp).
-  std::map<std::string, std::vector<std::string>> macro_body_refs;
 };
 
 /// Walk `toks` (from lex(), splice-aware) and recover the outline.
 Outline parse_outline(const std::vector<Token>& toks);
 
-/// Collect the first reference to each distinct identifier. See Ref for
-/// what is excluded. `#include` directives contribute nothing (the
-/// header name in `#include <vector>` is not a use of `vector`).
+/// Count the references to each distinct identifier, in order of first
+/// use. See Ref for what is excluded. `#include` directives contribute
+/// nothing (the header name in `#include <vector>` is not a use of
+/// `vector`).
 std::vector<Ref> collect_refs(const std::vector<Token>& toks);
 
 /// True if `name` is a C++ keyword (or contextual keyword) — never a

@@ -4,7 +4,7 @@
 /// Two rule tiers:
 ///  - per-file rules (D1-D4, S1-S4) see one token stream at a time via
 ///    RuleContext and are pure functions of that file;
-///  - project rules (A1-A4, U1) see every file's FileSummary at once,
+///  - project rules (A1, A2, U1) see every file's FileSummary at once,
 ///    because they reason about the include graph and cross-TU symbol
 ///    references.
 #pragma once
@@ -67,9 +67,8 @@ struct FileSummary {
 /// Malformed-suppression LINT findings are included in raw_findings.
 FileSummary analyze_source(std::string_view path, std::string_view source);
 
-/// Run the project rules (A1 layering, A2 cycles, A3 missing direct
-/// include, A4 unused direct include, U1 dead symbol) over the whole
-/// scanned set. `graph` must be built from the same summaries.
+/// Run the project rules (A1 layering, A2 cycles, U1 dead symbol) over
+/// the whole scanned set. `graph` must be built from the same summaries.
 /// `layers` may be empty (no manifest found): A1 is then skipped.
 void run_project_rules(const std::vector<FileSummary>& files,
                        const IncludeGraph& graph, const LayerManifest& layers,

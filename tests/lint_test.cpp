@@ -3,8 +3,8 @@
 /// corpus in tests/lint_fixtures/ (see its README.md for the marker
 /// syntax). Flat fixtures declare the repo path they pretend to live at
 /// and run through the per-file rules; directory fixtures under
-/// project/ are whole pretend repos exercising the include-graph rules
-/// (A1-A4, U1) through lint_sources(). Plus unit tests for the lexer's
+/// project/ are whole pretend repos exercising the project rules
+/// (A1, A2, U1) through lint_sources(). Plus unit tests for the lexer's
 /// line-splice handling, the outline parser, the include graph and the
 /// layer manifest.
 #include <gtest/gtest.h>
@@ -185,8 +185,8 @@ TEST(LcsLint, EveryRuleHasAViolationFixture) {
 
 TEST(LcsLint, ProjectFixtureDirsMatchExpectations) {
   const std::vector<fs::path> dirs = project_fixture_dirs();
-  // violation/clean/suppressed/stale for each of A1-A4, U1.
-  ASSERT_EQ(dirs.size(), 20u);
+  // violation/clean/suppressed/stale for each of A1, A2, U1.
+  ASSERT_EQ(dirs.size(), 12u);
 
   for (const fs::path& dir : dirs) {
     Options options;
@@ -329,26 +329,6 @@ TEST(IncludeGraphT, ExtractIncludesSeesQuotedAndAngled) {
   EXPECT_TRUE(incs[1].angled);
 }
 
-TEST(IncludeGraphT, ClosureFollowsTransitiveEdges) {
-  const auto inc = [](std::string t) {
-    return IncludeDirective{std::move(t), 1, 1, false};
-  };
-  const IncludeGraph g = IncludeGraph::build({
-      {"src/a.h", {inc("b.h")}},
-      {"src/b.h", {inc("c.h")}},
-      {"src/c.h", {}},
-  });
-  EXPECT_TRUE(g.cycles().empty());
-  const int a = g.node_of("src/a.h");
-  const int c = g.node_of("src/c.h");
-  ASSERT_GE(a, 0);
-  ASSERT_GE(c, 0);
-  const auto reach = g.closure();
-  const auto& ra = reach[static_cast<std::size_t>(a)];
-  EXPECT_NE(std::find(ra.begin(), ra.end(), c), ra.end())
-      << "a.h should reach c.h through b.h";
-}
-
 TEST(IncludeGraphT, PlantedCycleIsDetectedDeterministically) {
   const auto inc = [](std::string t) {
     return IncludeDirective{std::move(t), 3, 1, false};
@@ -400,7 +380,7 @@ TEST(LayerManifestT, CommittedManifestParsesAndCoversTheTree) {
 }
 
 // ---------------------------------------------------------------------------
-// Outline parser / symbol index.
+// Outline parser and reference counts.
 // ---------------------------------------------------------------------------
 
 TEST(ParseOutline, RecoversNamespaceScopeDecls) {
@@ -424,19 +404,15 @@ TEST(ParseOutline, RecoversNamespaceScopeDecls) {
 
   ASSERT_TRUE(by_name.count("Foo"));
   EXPECT_EQ(by_name["Foo"]->kind, DeclKind::kType);
-  EXPECT_TRUE(by_name["Foo"]->is_definition);
-  EXPECT_EQ(by_name["Foo"]->ns, "lcs::util");
   EXPECT_FALSE(by_name.count("member"));  // members are not exports
 
-  ASSERT_TRUE(by_name.count("Bar"));
-  EXPECT_FALSE(by_name["Bar"]->is_definition);  // forward declaration
+  ASSERT_TRUE(by_name.count("Bar"));  // forward declaration
 
   ASSERT_TRUE(by_name.count("Alias"));
   EXPECT_EQ(by_name["Alias"]->kind, DeclKind::kAlias);
 
   ASSERT_TRUE(by_name.count("helper"));
   EXPECT_EQ(by_name["helper"]->kind, DeclKind::kFunction);
-  EXPECT_FALSE(by_name["helper"]->is_definition);
 
   ASSERT_TRUE(by_name.count("hidden"));
   EXPECT_TRUE(by_name["hidden"]->file_local);  // static
@@ -446,10 +422,6 @@ TEST(ParseOutline, RecoversNamespaceScopeDecls) {
 
   ASSERT_TRUE(by_name.count("MACRO_ONE"));
   EXPECT_EQ(by_name["MACRO_ONE"]->kind, DeclKind::kMacro);
-  const auto mb = o.macro_body_refs.find("MACRO_ONE");
-  ASSERT_NE(mb, o.macro_body_refs.end());
-  EXPECT_NE(std::find(mb->second.begin(), mb->second.end(), "helper"),
-            mb->second.end());
 }
 
 TEST(CollectRefs, CountsUsesAndExcludesNoise) {
@@ -468,7 +440,6 @@ TEST(CollectRefs, CountsUsesAndExcludesNoise) {
 
   ASSERT_TRUE(by_name.count("Widget"));
   EXPECT_EQ(by_name["Widget"]->count, 2);  // decl position + param type
-  EXPECT_EQ(by_name["Widget"]->line, 4);   // first occurrence
   EXPECT_FALSE(by_name.count("vector"));   // include + std:: qualified
   EXPECT_FALSE(by_name.count("clone"));    // member access
 }
@@ -487,13 +458,13 @@ TEST(LcsLint, ListRulesMatchesGolden) {
 }
 
 TEST(LcsLint, FindingsJsonMatchesGolden) {
-  // One tiny project with one deliberate A4 finding pins the whole
+  // One tiny project with one deliberate U1 finding pins the whole
   // machine-readable schema: key order, counters, finding fields.
   const std::vector<SourceFile> files = {
       {"src/a.h", "#pragma once\nstruct AThing { int v = 0; };\n"},
       {"src/b.cpp", "#include \"a.h\"\nint main() { return 0; }\n"},
       {"src/c.cpp",
-       "#include \"a.h\"\nstatic AThing keep_alive() { return {}; }\n"},
+       "#include \"a.h\"\nAThing keep_alive() { return {}; }\n"},
   };
   const LintResult result = lint_sources(files, {});
   const fs::path golden =

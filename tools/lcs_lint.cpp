@@ -9,14 +9,12 @@
 ///   --json             emit the machine-readable findings document
 ///                      (schema lcs-lint-findings-v2) on stdout instead
 ///                      of the human one-line-per-finding format
-///   --graph-dot=FILE   write the project include graph as Graphviz DOT
-///                      to FILE ('-' = stdout)
 ///
 /// Lints every .cpp/.h under the given files/directories (recursively,
 /// skipping the lint_fixtures corpus) as ONE project — the per-file rules
-/// plus the include-graph rules (layering, cycles, IWYU, dead symbols),
-/// with the layering read from the auto-discovered src/lint/layers.txt —
-/// and prints one line per finding:
+/// plus the project rules (layering, cycles, dead symbols), with the
+/// layering read from the auto-discovered src/lint/layers.txt — and
+/// prints one line per finding:
 ///
 ///   file:line:col: RULE: message (fix: hint)
 ///
@@ -27,7 +25,6 @@
 /// tools/lint_all.sh.
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -36,9 +33,7 @@
 namespace {
 
 void usage(std::FILE* out) {
-  std::fprintf(out,
-               "usage: lcs_lint [--list-rules] [--json] [--graph-dot=FILE] "
-               "<path>...\n");
+  std::fprintf(out, "usage: lcs_lint [--list-rules] [--json] <path>...\n");
 }
 
 }  // namespace
@@ -46,7 +41,6 @@ void usage(std::FILE* out) {
 int main(int argc, char** argv) {
   std::vector<std::string> paths;
   bool json = false;
-  std::string graph_dot_file;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -60,10 +54,6 @@ int main(int argc, char** argv) {
     }
     if (arg == "--json") {
       json = true;
-      continue;
-    }
-    if (arg.rfind("--graph-dot=", 0) == 0) {
-      graph_dot_file = arg.substr(12);
       continue;
     }
     if (!arg.empty() && arg[0] == '-') {
@@ -86,20 +76,6 @@ int main(int argc, char** argv) {
   }
 
   const lcs::lint::LintResult result = lcs::lint::lint_paths(paths);
-
-  if (!graph_dot_file.empty()) {
-    if (graph_dot_file == "-") {
-      std::fputs(result.graph_dot.c_str(), stdout);
-    } else {
-      std::ofstream out(graph_dot_file, std::ios::binary | std::ios::trunc);
-      if (!out) {
-        std::fprintf(stderr, "lcs_lint: cannot write '%s'\n",
-                     graph_dot_file.c_str());
-        return 2;
-      }
-      out << result.graph_dot;
-    }
-  }
 
   if (json) {
     std::fputs(lcs::lint::format_findings_json(result).c_str(), stdout);

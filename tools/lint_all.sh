@@ -16,11 +16,14 @@ BUILD_DIR="${1:-build}"
 FAILED=0
 
 # --- 1. lcs_lint -----------------------------------------------------------
-if [[ ! -x "$BUILD_DIR/lcs_lint" ]]; then
-  echo "lint_all: building lcs_lint in $BUILD_DIR ..."
+# Always build the target: a binary left over from before an edit to
+# src/lint/ would check the tree with the old rules. An up-to-date build
+# does nothing.
+if [[ ! -f "$BUILD_DIR/CMakeCache.txt" ]]; then
   cmake -B "$BUILD_DIR" -S . >/dev/null
-  cmake --build "$BUILD_DIR" -j"$(nproc)" --target lcs_lint >/dev/null
 fi
+echo "lint_all: building lcs_lint in $BUILD_DIR ..."
+cmake --build "$BUILD_DIR" -j"$(nproc)" --target lcs_lint >/dev/null
 echo "lint_all: [1/3] lcs_lint src tools tests"
 "$BUILD_DIR/lcs_lint" src tools tests || FAILED=1
 
