@@ -1,9 +1,9 @@
 /// \file bench_util.h
-/// Shared scaffolding for the experiment benches (see DESIGN.md §4 and
-/// EXPERIMENTS.md): the standard simulator setup plus thin wrappers that
-/// resolve the historical bench instances through the scenario registry
-/// (src/scenario/) — benches, examples, tests, CI, and `lcs_run` all share
-/// one scenario vocabulary. Every bench runs each configuration once
+/// Shared scaffolding for the experiment benches (see EXPERIMENTS.md): the
+/// standard simulator setup plus thin wrappers that resolve the historical
+/// bench instances through the scenario registry (src/scenario/) —
+/// benches, examples, tests, CI, and `lcs_run` all share one scenario
+/// vocabulary. Every bench runs each configuration once
 /// (Iterations(1)) — the measured quantities are *round counts and shortcut
 /// quality*, which are deterministic given the seed, not wall time.
 #pragma once

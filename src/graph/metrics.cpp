@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <deque>
+#include <utility>
 
 #include "graph/graph.h"
 #include "graph/partition.h"
+#include "util/cast.h"
 #include "util/check.h"
 
 namespace lcs {
@@ -19,30 +21,6 @@ std::vector<std::int32_t> bfs_distances(const Graph& g, NodeId src) {
     queue.pop_front();
     for (const auto& nb : g.neighbors(v)) {
       if (dist[static_cast<std::size_t>(nb.node)] < 0) {
-        dist[static_cast<std::size_t>(nb.node)] =
-            dist[static_cast<std::size_t>(v)] + 1;
-        queue.push_back(nb.node);
-      }
-    }
-  }
-  return dist;
-}
-
-std::vector<std::int32_t> bfs_distances_filtered(
-    const Graph& g, NodeId src, const std::vector<bool>& allowed) {
-  LCS_CHECK(src >= 0 && src < g.num_nodes(), "source out of range");
-  LCS_CHECK(allowed.size() == static_cast<std::size_t>(g.num_nodes()),
-            "filter size mismatch");
-  LCS_CHECK(allowed[static_cast<std::size_t>(src)], "source filtered out");
-  std::vector<std::int32_t> dist(static_cast<std::size_t>(g.num_nodes()), -1);
-  std::deque<NodeId> queue{src};
-  dist[static_cast<std::size_t>(src)] = 0;
-  while (!queue.empty()) {
-    const NodeId v = queue.front();
-    queue.pop_front();
-    for (const auto& nb : g.neighbors(v)) {
-      if (allowed[static_cast<std::size_t>(nb.node)] &&
-          dist[static_cast<std::size_t>(nb.node)] < 0) {
         dist[static_cast<std::size_t>(nb.node)] =
             dist[static_cast<std::size_t>(v)] + 1;
         queue.push_back(nb.node);
@@ -94,27 +72,41 @@ std::int32_t diameter_double_sweep(const Graph& g) {
   return farthest(g, far1).second;
 }
 
+Graph subgraph(const Graph& g, std::vector<NodeId> nodes,
+               std::vector<EdgeId> edges) {
+  std::sort(nodes.begin(), nodes.end());
+  nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
+  std::sort(edges.begin(), edges.end());
+  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+  const auto local = [&](NodeId v) {
+    const auto it = std::lower_bound(nodes.begin(), nodes.end(), v);
+    LCS_CHECK(it != nodes.end() && *it == v, "subgraph edge leaves its nodes");
+    return util::checked_cast<NodeId>(it - nodes.begin());
+  };
+  std::vector<Graph::Edge> local_edges;
+  local_edges.reserve(edges.size());
+  for (const EdgeId e : edges) {
+    const Graph::Edge& ed = g.edge(e);
+    local_edges.push_back({local(ed.u), local(ed.v), ed.w});
+  }
+  return Graph(util::checked_cast<NodeId>(nodes.size()),
+               std::move(local_edges));
+}
+
 std::int32_t part_diameter_exact(const Graph& g, const Partition& p,
                                  PartId i) {
-  std::vector<bool> allowed(static_cast<std::size_t>(g.num_nodes()), false);
   std::vector<NodeId> nodes;
+  std::vector<EdgeId> edges;
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    if (p.part(v) == i) {
-      allowed[static_cast<std::size_t>(v)] = true;
-      nodes.push_back(v);
-    }
+    if (p.part(v) != i) continue;
+    nodes.push_back(v);
+    for (const auto& nb : g.neighbors(v))
+      if (v < nb.node && p.part(nb.node) == i) edges.push_back(nb.edge);
   }
   LCS_CHECK(!nodes.empty(), "part has no members");
-  std::int32_t best = 0;
-  for (const NodeId s : nodes) {
-    const auto dist = bfs_distances_filtered(g, s, allowed);
-    for (const NodeId v : nodes) {
-      LCS_CHECK(dist[static_cast<std::size_t>(v)] >= 0,
-                "part is not connected");
-      best = std::max(best, dist[static_cast<std::size_t>(v)]);
-    }
-  }
-  return best;
+  const Graph part = subgraph(g, std::move(nodes), std::move(edges));
+  LCS_CHECK(is_connected(part), "part is not connected");
+  return diameter_exact(part);
 }
 
 std::int32_t max_part_diameter(const Graph& g, const Partition& p) {

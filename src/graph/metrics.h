@@ -1,8 +1,11 @@
 /// \file metrics.h
 /// Centralized graph measurements: BFS distances, diameters, connectivity,
-/// and per-part induced diameters. These are *reference* computations used
-/// to validate the distributed algorithms and to report workload parameters
-/// (D, part diameters) in the benches — they are not part of any protocol.
+/// and the subgraphs they measure parts on. These are *reference*
+/// computations used to validate the distributed algorithms, to report
+/// workload parameters (D, part diameters) in the benches, and to measure
+/// a shortcut's dilation (`dilation` and `dilation_estimate` in
+/// shortcut/shortcut.h measure each part's G[Pi] + Hi here) — they are not
+/// part of any protocol.
 #pragma once
 
 #include <cstdint>
@@ -17,10 +20,6 @@ namespace lcs {
 /// Hop distances from `src`; -1 for unreachable nodes.
 std::vector<std::int32_t> bfs_distances(const Graph& g, NodeId src);
 
-/// BFS restricted to nodes where `allowed[v]` is true. `src` must be allowed.
-std::vector<std::int32_t> bfs_distances_filtered(
-    const Graph& g, NodeId src, const std::vector<bool>& allowed);
-
 bool is_connected(const Graph& g);
 
 /// Exact hop diameter by n BFS sweeps. O(n·m): use for n up to ~10⁴.
@@ -30,15 +29,16 @@ std::int32_t diameter_exact(const Graph& g);
 /// always. O(m). Use to report D on large instances.
 std::int32_t diameter_double_sweep(const Graph& g);
 
+/// The subgraph of `g` on `nodes` and `edges`: the distinct nodes in
+/// ascending order, renumbered 0..k-1, and each distinct edge once, with
+/// its weight. Every edge's endpoints must be among `nodes`.
+Graph subgraph(const Graph& g, std::vector<NodeId> nodes,
+               std::vector<EdgeId> edges);
+
 /// Exact diameter of the subgraph induced by part `i`. O(|Pi|·m(Pi)).
 std::int32_t part_diameter_exact(const Graph& g, const Partition& p, PartId i);
 
 /// Max over all parts of the exact induced diameter.
 std::int32_t max_part_diameter(const Graph& g, const Partition& p);
-
-// The Steiner-subtree quality measures (ForestQuality, forest_part_quality,
-// bfs_forest_edges) moved to shortcut/quality.h — the single home of the
-// congestion × dilation vocabulary shared by the shortcut backends and the
-// dynamic churn metrics.
 
 }  // namespace lcs

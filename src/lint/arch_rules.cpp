@@ -34,12 +34,6 @@ bool is_pair(std::string_view a, std::string_view b) {
   return stem(a) == stem(b);
 }
 
-/// The symbol kinds that constitute a file's exports (namespaces are
-/// scoping, not symbols).
-bool exportable(const Decl& d) {
-  return d.kind != DeclKind::kNamespace && !d.file_local;
-}
-
 }  // namespace
 
 void run_project_rules(const std::vector<FileSummary>& files,
@@ -119,13 +113,12 @@ void run_project_rules(const std::vector<FileSummary>& files,
       stats[r.name][f.path].refs += r.count;
     }
     for (const Decl& d : f.outline.decls) {
-      if (d.kind == DeclKind::kNamespace) continue;
       if (d.kind != DeclKind::kMacro) {
         // The decl's own name token was counted by collect_refs.
         stats[d.name][f.path].decls += 1;
       }
       if (f.path.size() < 4 || f.path.substr(0, 4) != "src/") continue;
-      if (!exportable(d)) continue;
+      if (d.file_local) continue;
       if (d.name == "main") continue;
       // Registry entry points are *meant* to be referenced only by the
       // registrar; they are the plugin seam, not dead code.

@@ -281,9 +281,6 @@ Outline parse_outline(const std::vector<Token>& raw) {
         continue;
       }
       if (j < toks.size() && is_punct(toks[j], "{")) {
-        if (named) {
-          add(DeclKind::kNamespace, toks[i + 1], /*file_local=*/false);
-        }
         scopes.push_back(Scope{Scope::kNamespace, !named});
         i = j + 1;
         continue;

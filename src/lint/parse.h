@@ -27,7 +27,6 @@
 namespace lcs::lint {
 
 enum class DeclKind {
-  kNamespace,  ///< namespace NAME { (named namespaces only)
   kType,       ///< class / struct / enum / union NAME
   kFunction,   ///< NAME(...) declaration or definition
   kAlias,      ///< using NAME = ...; or typedef ... NAME;

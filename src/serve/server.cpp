@@ -26,6 +26,9 @@ namespace lcs::serve {
 
 namespace {
 
+/// The most requests dispatched as one batch.
+constexpr std::size_t kMaxBatch = 16;
+
 /// Shortest round-trip spelling, so two requests with the same value get
 /// the same memo key and two different values never collide.
 std::string double_key(double v) {
@@ -106,9 +109,7 @@ Server::Server(const ServeOptions& options)
     : opts_(options),
       scenarios_(options.cache_dir),
       records_(options.cache_dir),
-      pool_(WorkerPool::resolve_threads(options.parallel_requests)) {
-  LCS_CHECK(opts_.batch >= 1, "--batch must be at least 1");
-}
+      pool_(WorkerPool::resolve_threads(options.parallel_requests)) {}
 
 void Server::preload() {
   // Warming the cache is the whole point; the handle itself is not needed.
@@ -266,8 +267,8 @@ int Server::serve_stdin() {
     // cap) so scripted request files dispatch in parallel, while a
     // one-request-at-a-time client still gets an immediate answer. With
     // synced stdio `in_avail` reads 0, so lcs_serve's main unsyncs it.
-    while (util::checked_cast<int>(batch.size()) < opts_.batch &&
-           std::cin.rdbuf()->in_avail() > 0 && std::getline(std::cin, line))
+    while (batch.size() < kMaxBatch && std::cin.rdbuf()->in_avail() > 0 &&
+           std::getline(std::cin, line))
       batch.push_back(line);
     std::string out;
     process_batch(batch, out, quit);
@@ -315,7 +316,7 @@ int Server::serve_unix_socket() {
         buffer.append(chunk, static_cast<std::size_t>(n));
       }
       std::vector<std::string> batch;
-      while (util::checked_cast<int>(batch.size()) < opts_.batch &&
+      while (batch.size() < kMaxBatch &&
              (nl = buffer.find('\n')) != std::string::npos) {
         batch.push_back(buffer.substr(0, nl));
         buffer.erase(0, nl + 1);

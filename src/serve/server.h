@@ -27,8 +27,8 @@
 ///
 /// ## Batching and determinism
 ///
-/// Requests already buffered on the input are dispatched as one batch
-/// across a WorkerPool (`parallel_requests` workers, calling thread
+/// Requests already buffered on the input, up to 16, are dispatched as one
+/// batch across a WorkerPool (`parallel_requests` workers, calling thread
 /// included); responses are emitted strictly in request order. Responses
 /// are pure functions of the request (given a fixed corpus), so batch
 /// boundaries and worker interleaving cannot change a byte — the
@@ -59,7 +59,6 @@ namespace lcs::serve {
 struct ServeOptions {
   std::string cache_dir;    ///< empty = no disk persistence
   std::string socket_path;  ///< empty = stdin/stdout
-  int batch = 16;           ///< max requests dispatched as one batch
   int parallel_requests = 1;  ///< worker threads for batch dispatch (0 = hw)
   std::vector<std::string> preload;  ///< specs resolved before serving
 };

@@ -32,19 +32,21 @@ std::int32_t auto_iteration_cap(PartId num_parts) {
   return util::checked_trunc<std::int32_t>(2.0 * log_n) + 8;
 }
 
-/// A successful trial: the combined shortcut's state, and the runner on it,
-/// the caller's partition and that partition's neighbor parts.
+/// A successful trial: the combined shortcut's state and, when the first
+/// iteration to serve any part served them all, the runner its
+/// Verification built on that state, the caller's partition and that
+/// partition's neighbor parts.
 struct Trial {
   ShortcutState state;
-  SuperstepRunner runner;
+  std::optional<SuperstepRunner> runner;
 };
 
 /// One full attempt with fixed (c, b). Returns the combined shortcut's
-/// state and runner, or nullopt if the trial stalled or its iteration
-/// budget ran out with parts still unserved; adds the iterations run to
-/// `iterations_used` (see find_shortcut.h for the stalled trials, the
-/// reused state and runner, and why `caller_parts`, `partition`'s neighbor
-/// parts, serve every iteration).
+/// state (and runner, as above), or nullopt if the trial stalled or its
+/// iteration budget ran out with parts still unserved; adds the iterations
+/// run to `iterations_used` (see find_shortcut.h for the stalled trials,
+/// the reused state and runner, and why `caller_parts`, `partition`'s
+/// neighbor parts, serve every iteration).
 std::optional<Trial> try_find(congest::Network& net, const SpanningTree& tree,
                               const Partition& partition,
                               const NeighborParts& caller_parts,
@@ -151,10 +153,45 @@ std::optional<Trial> try_find(congest::Network& net, const SpanningTree& tree,
   }
   if (parts_remain) return std::nullopt;
   // Built once the last iteration's tentative state and runner are gone.
-  ShortcutState state =
-      compute_shortcut_state(net, tree, partition, std::move(combined));
-  SuperstepRunner runner(net, tree, partition, state, caller_parts);
-  return Trial{std::move(state), std::move(runner)};
+  return Trial{
+      compute_shortcut_state(net, tree, partition, std::move(combined)),
+      std::nullopt};
+}
+
+/// Appendix A's doubling on `caller_parts`, `partition`'s neighbor parts:
+/// the successful trial and the call's stats.
+std::pair<Trial, FindShortcutStats> run_doubling(
+    congest::Network& net, const SpanningTree& tree,
+    const Partition& partition, const NeighborParts& caller_parts,
+    FindShortcutParams params) {
+  LCS_CHECK(params.c >= 1 && params.b >= 1, "parameters must be positive");
+  const std::int64_t rounds_before = net.total_rounds();
+  const std::int32_t cap = params.max_iterations > 0
+                               ? params.max_iterations
+                               : auto_iteration_cap(partition.num_parts);
+
+  FindShortcutStats stats;
+  stats.trials = 0;
+  // A (c, b) = (n, 1) shortcut always exists (assign every ancestor edge to
+  // every part: nothing ever exceeds the threshold), so doubling terminates.
+  const std::int64_t limit = 4 * static_cast<std::int64_t>(net.num_nodes()) + 4;
+  for (;;) {
+    ++stats.trials;
+    std::int32_t iterations = 0;
+    auto trial = try_find(net, tree, partition, caller_parts, params, cap,
+                          iterations);
+    stats.iterations += iterations;
+    if (trial.has_value()) {
+      stats.used_c = params.c;
+      stats.used_b = params.b;
+      stats.rounds = net.total_rounds() - rounds_before;
+      return {std::move(*trial), stats};
+    }
+    LCS_CHECK(params.c <= limit && params.b <= limit,
+              "doubling failed to converge (bug: a trivial shortcut exists)");
+    params.c *= 2;
+    params.b *= 2;
+  }
 }
 
 }  // namespace
@@ -192,44 +229,28 @@ FindShortcutResult find_shortcut_doubling(congest::Network& net,
                                           const SpanningTree& tree,
                                           const Partition& partition,
                                           FindShortcutParams params) {
-  return find_routable_shortcut(net, tree, partition, params).found;
+  auto [trial, stats] =
+      run_doubling(net, tree, partition,
+                   neighbor_parts_of(net.graph(), partition), params);
+  return {std::move(trial.state), stats};
 }
 
 RoutableShortcut find_routable_shortcut(congest::Network& net,
                                         const SpanningTree& tree,
                                         const Partition& partition,
                                         FindShortcutParams params) {
-  LCS_CHECK(params.c >= 1 && params.b >= 1, "parameters must be positive");
-  const std::int64_t rounds_before = net.total_rounds();
-  const std::int32_t cap = params.max_iterations > 0
-                               ? params.max_iterations
-                               : auto_iteration_cap(partition.num_parts);
   NeighborParts neighbor_parts = neighbor_parts_of(net.graph(), partition);
-
-  FindShortcutStats stats;
-  stats.trials = 0;
-  // A (c, b) = (n, 1) shortcut always exists (assign every ancestor edge to
-  // every part: nothing ever exceeds the threshold), so doubling terminates.
-  const std::int64_t limit = 4 * static_cast<std::int64_t>(net.num_nodes()) + 4;
-  for (;;) {
-    ++stats.trials;
-    std::int32_t iterations = 0;
-    auto trial = try_find(net, tree, partition, neighbor_parts, params, cap,
-                          iterations);
-    stats.iterations += iterations;
-    if (trial.has_value()) {
-      stats.used_c = params.c;
-      stats.used_b = params.b;
-      stats.rounds = net.total_rounds() - rounds_before;
-      return RoutableShortcut{{std::move(trial->state), stats},
-                              std::move(neighbor_parts),
-                              std::move(trial->runner)};
-    }
-    LCS_CHECK(params.c <= limit && params.b <= limit,
-              "doubling failed to converge (bug: a trivial shortcut exists)");
-    params.c *= 2;
-    params.b *= 2;
-  }
+  auto [trial, stats] =
+      run_doubling(net, tree, partition, neighbor_parts, params);
+  // A trial that did not hand back its Verification runner gets one here,
+  // once its last iteration's state and runner are gone.
+  SuperstepRunner runner =
+      trial.runner ? std::move(*trial.runner)
+                   : SuperstepRunner(net, tree, partition, trial.state,
+                                     neighbor_parts);
+  return RoutableShortcut{{std::move(trial.state), stats},
+                          std::move(neighbor_parts),
+                          std::move(runner)};
 }
 
 }  // namespace lcs

@@ -41,17 +41,19 @@
 ///    first iteration, so the next trial, its (c, b), its shortcut and its
 ///    representation are the ones a trial run to its budget leads to; only
 ///    the rounds, messages and iterations charged are fewer.
-///  * **A successful trial returns its runner**: the one on its state, the
-///    caller's partition and that partition's neighbor parts (superstep.h,
-///    "Who owns a runner"). `find_routable_shortcut` hands it over; the
-///    other two entry points drop it. When the iteration that serves the
-///    last parts is also the first to serve any, the combined shortcut is
-///    that iteration's tentative shortcut, on the caller's partition. Its
-///    `ShortcutState` and the runner its Verification built are returned,
-///    and its representation broadcast is charged again, instead of
-///    building the plan, counting both casts and building the runner a
-///    second time. Any other successful trial builds its state and runner
-///    once, after its last iteration's are gone.
+///  * **A trial served at once hands back its runner.** When the iteration
+///    that serves the last parts is also the first to serve any, the
+///    combined shortcut is that iteration's tentative shortcut, on the
+///    caller's partition. Its `ShortcutState` and the runner its
+///    Verification built on it (on the caller's partition and that
+///    partition's neighbor parts; superstep.h, "Who owns a runner") are
+///    returned, and its representation broadcast is charged again, instead
+///    of building the plan, counting both casts and building the runner a
+///    second time. Any other successful trial builds its state once, after
+///    its last iteration's are gone, and no runner. Only
+///    `find_routable_shortcut` returns a runner: the handed-back one, or
+///    one it builds on the state. The other two entry points route on
+///    nothing, so they drop a handed-back runner and build none.
 ///  * **One exchange array per partition.** The doubling computes the
 ///    caller partition's neighbor parts once. Every iteration charges its
 ///    exchange round on that array and builds its Verification runner on
@@ -122,13 +124,13 @@ struct RoutableShortcut {
   /// its own exchange round on it (`charge_exchange`).
   NeighborParts neighbor_parts;
   /// The runner on `found.state`, the caller's partition and
-  /// `neighbor_parts` (see the file comment). It refers to `net` and the
-  /// caller's partition.
+  /// `neighbor_parts`: the successful trial's, or one built after it (see
+  /// the file comment). It refers to `net` and the caller's partition.
   SuperstepRunner runner;
 };
 
 /// `find_shortcut_doubling`, with the same rounds, messages and result,
-/// keeping the neighbor parts and the runner it built on `partition`.
+/// keeping the neighbor parts it computed and a runner on `partition`.
 RoutableShortcut find_routable_shortcut(congest::Network& net,
                                         const SpanningTree& tree,
                                         const Partition& partition,

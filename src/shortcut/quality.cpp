@@ -200,7 +200,8 @@ std::vector<EdgeId> steiner_subtree_edges(const Graph& g,
                                           const SpanningTree& tree,
                                           const std::vector<NodeId>& members) {
   const auto n = static_cast<std::size_t>(g.num_nodes());
-  LCS_CHECK(tree.depth.size() == n, "Steiner query tree/graph size mismatch");
+  LCS_CHECK(tree.by_depth.size() == n,
+            "Steiner query tree/graph size mismatch");
   std::vector<std::int32_t> cnt(n, 0);
   for (const NodeId v : members) {
     LCS_CHECK(v >= 0 && static_cast<std::size_t>(v) < n,
@@ -212,21 +213,11 @@ std::vector<EdgeId> steiner_subtree_edges(const Graph& g,
   const auto total = util::checked_cast<std::int32_t>(members.size());
   if (total < 2) return {};
 
-  // Top-down BFS order via the children lists, folded in reverse: the edge
-  // above v is in the Steiner subtree iff v's subtree holds some but not
-  // all members.
-  std::vector<NodeId> order;
-  order.reserve(n);
-  order.push_back(tree.root);
-  for (std::size_t head = 0; head < order.size(); ++head) {
-    const NodeId v = order[head];
-    for (const EdgeId ce : tree.children_edges[static_cast<std::size_t>(v)])
-      order.push_back(g.other_endpoint(ce, v));
-  }
-  LCS_CHECK(order.size() == n, "Steiner query tree does not span the graph");
-
+  // Fold member counts up the tree, deepest nodes first: the edge above v
+  // is in the Steiner subtree iff v's subtree holds some but not all
+  // members.
   std::vector<EdgeId> edges;
-  for (auto it = order.rbegin(); it != order.rend(); ++it) {
+  for (auto it = tree.by_depth.rbegin(); it != tree.by_depth.rend(); ++it) {
     const NodeId v = *it;
     if (v == tree.root) continue;
     const std::int32_t below = cnt[static_cast<std::size_t>(v)];

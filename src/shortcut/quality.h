@@ -1,21 +1,21 @@
 /// \file quality.h
-/// Steiner-subtree congestion × dilation measures on trees and forests —
-/// the shared quality vocabulary of the shortcut backends and the dynamic
-/// churn metrics.
+/// Steiner subtrees on trees and forests, for the shortcut backends and
+/// the dynamic churn metrics.
 ///
 /// A set of member nodes on a (spanning) tree spans a unique *Steiner
-/// subtree*: the minimal subtree connecting all members. Two layers measure
-/// quality in exactly these terms:
+/// subtree*: the minimal subtree connecting all members. Two layers use it:
 ///
 ///  * the shortcut backends (src/shortcut/backend/) that construct each
 ///    part's `Hi` as a Steiner subtree on some spanning tree need the edge
 ///    set itself (`steiner_subtree_edges`);
-///  * the dynamic churn metrics (src/dynamic/churn.h) score a maintained
-///    spanning forest as a routing skeleton by the congestion × dilation of
-///    the per-part Steiner subtrees (`forest_part_quality`).
+///  * the dynamic churn metrics (src/dynamic/churn.h), and only they, score
+///    a maintained spanning forest as a routing skeleton by the congestion
+///    × dilation of the per-part Steiner subtrees (`forest_part_quality`,
+///    with `bfs_forest_edges` as the fresh baseline).
 ///
-/// Both views were previously duplicated between graph/metrics and the
-/// shortcut verification path; this header is now the single home.
+/// A shortcut's own congestion and dilation are in shortcut/shortcut.h;
+/// the part-subgraph diameters its dilation takes are measured by
+/// graph/metrics.
 #pragma once
 
 #include <cstdint>
@@ -67,7 +67,8 @@ ForestQuality forest_part_quality(const Graph& g,
 /// Edge ids of the unique Steiner subtree of `members` on `tree` — the
 /// minimal subtree of the spanning tree containing every member. Sorted
 /// ascending; empty when fewer than two members. Duplicate or out-of-range
-/// members are diagnosed. O(n).
+/// members are diagnosed. `tree` must be finalized (its `by_depth` order
+/// is folded bottom-up). O(n).
 [[nodiscard]] std::vector<EdgeId> steiner_subtree_edges(
     const Graph& g, const SpanningTree& tree,
     const std::vector<NodeId>& members);

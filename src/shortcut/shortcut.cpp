@@ -1,10 +1,11 @@
 #include "shortcut/shortcut.h"
 
 #include <algorithm>
-#include <deque>
 #include <limits>
+#include <utility>
 
 #include "graph/graph.h"
+#include "graph/metrics.h"
 #include "graph/partition.h"
 #include "graph/union_find.h"
 #include "tree/spanning_tree.h"
@@ -112,81 +113,35 @@ std::int32_t count_block_components(const Graph& g, const PartView& view) {
   return util::checked_cast<std::int32_t>(roots.size());
 }
 
-/// Local adjacency of G[Pi] + Hi over view.nodes indices.
-std::vector<std::vector<std::size_t>> part_subgraph_adjacency(
-    const Graph& g, const Partition& p, PartId i, const PartView& view) {
-  std::vector<std::vector<std::size_t>> adj(view.nodes.size());
-  auto add = [&](NodeId a, NodeId b) {
-    const std::size_t la = local_index(view.nodes, a);
-    const std::size_t lb = local_index(view.nodes, b);
-    adj[la].push_back(lb);
-    adj[lb].push_back(la);
-  };
-  for (const EdgeId e : view.shortcut_edges) add(g.edge(e).u, g.edge(e).v);
-  for (const NodeId v : view.members) {
-    for (const auto& nb : g.neighbors(v)) {
-      // Each G[Pi] edge from the lower endpoint only, to avoid duplicates.
-      if (p.part(nb.node) == i && v < nb.node) add(v, nb.node);
-    }
-  }
-  return adj;
-}
-
-/// BFS in a local adjacency structure; returns distances (-1 unreachable).
-std::vector<std::int32_t> local_bfs(
-    const std::vector<std::vector<std::size_t>>& adj, std::size_t src) {
-  std::vector<std::int32_t> dist(adj.size(), -1);
-  std::deque<std::size_t> queue{src};
-  dist[src] = 0;
-  while (!queue.empty()) {
-    const std::size_t v = queue.front();
-    queue.pop_front();
-    for (const std::size_t w : adj[v]) {
-      if (dist[w] < 0) {
-        dist[w] = dist[v] + 1;
-        queue.push_back(w);
-      }
-    }
-  }
-  return dist;
-}
-
 constexpr std::int32_t kInfiniteDiameter =
     std::numeric_limits<std::int32_t>::max();
 
-/// Exact diameter of the local subgraph; kInfiniteDiameter if disconnected.
-std::int32_t local_diameter_exact(
-    const std::vector<std::vector<std::size_t>>& adj) {
-  std::int32_t best = 0;
-  for (std::size_t v = 0; v < adj.size(); ++v) {
-    const auto dist = local_bfs(adj, v);
-    for (const std::int32_t d : dist) {
-      if (d < 0) return kInfiniteDiameter;
-      best = std::max(best, d);
+/// Max over parts of `diameter` on G[Pi] + Hi (Definition 1), or
+/// kInfiniteDiameter if some part's subgraph is disconnected. A part with
+/// no node (no member, no shortcut edge) is skipped.
+std::int32_t max_part_subgraph_diameter(
+    const Graph& g, const Partition& p, const Shortcut& s,
+    std::int32_t (*diameter)(const Graph&)) {
+  const auto groups = p.members();
+  const auto edges = s.edges_of_parts(p.num_parts);
+  std::int32_t worst = 0;
+  for (PartId i = 0; i < p.num_parts; ++i) {
+    const auto view =
+        make_part_view(g, groups[static_cast<std::size_t>(i)],
+                       edges[static_cast<std::size_t>(i)]);
+    if (view.nodes.empty()) continue;
+    // Hi's edges, then each G[Pi] edge from its lower endpoint.
+    std::vector<EdgeId> subgraph_edges = view.shortcut_edges;
+    for (const NodeId v : view.members) {
+      for (const auto& nb : g.neighbors(v))
+        if (v < nb.node && p.part(nb.node) == i)
+          subgraph_edges.push_back(nb.edge);
     }
+    const Graph sub = subgraph(g, view.nodes, std::move(subgraph_edges));
+    if (!is_connected(sub)) return kInfiniteDiameter;
+    worst = std::max(worst, diameter(sub));
   }
-  return best;
-}
-
-std::int32_t local_diameter_double_sweep(
-    const std::vector<std::vector<std::size_t>>& adj) {
-  if (adj.empty()) return 0;
-  auto sweep = [&](std::size_t src) -> std::pair<std::size_t, std::int32_t> {
-    const auto dist = local_bfs(adj, src);
-    std::size_t far = src;
-    std::int32_t far_d = 0;
-    for (std::size_t v = 0; v < dist.size(); ++v) {
-      if (dist[v] < 0) return {v, kInfiniteDiameter};
-      if (dist[v] > far_d) {
-        far_d = dist[v];
-        far = v;
-      }
-    }
-    return {far, far_d};
-  };
-  const auto [far1, d1] = sweep(0);
-  if (d1 == kInfiniteDiameter) return kInfiniteDiameter;
-  return sweep(far1).second;
+  return worst;
 }
 
 }  // namespace
@@ -217,36 +172,12 @@ std::int32_t block_parameter(const Graph& g, const Partition& p,
 }
 
 std::int32_t dilation(const Graph& g, const Partition& p, const Shortcut& s) {
-  const auto groups = p.members();
-  const auto edges = s.edges_of_parts(p.num_parts);
-  std::int32_t worst = 0;
-  for (PartId i = 0; i < p.num_parts; ++i) {
-    const auto view =
-        make_part_view(g, groups[static_cast<std::size_t>(i)],
-                       edges[static_cast<std::size_t>(i)]);
-    const auto adj = part_subgraph_adjacency(g, p, i, view);
-    const std::int32_t d = local_diameter_exact(adj);
-    if (d == kInfiniteDiameter) return kInfiniteDiameter;
-    worst = std::max(worst, d);
-  }
-  return worst;
+  return max_part_subgraph_diameter(g, p, s, diameter_exact);
 }
 
 std::int32_t dilation_estimate(const Graph& g, const Partition& p,
                                const Shortcut& s) {
-  const auto groups = p.members();
-  const auto edges = s.edges_of_parts(p.num_parts);
-  std::int32_t worst = 0;
-  for (PartId i = 0; i < p.num_parts; ++i) {
-    const auto view =
-        make_part_view(g, groups[static_cast<std::size_t>(i)],
-                       edges[static_cast<std::size_t>(i)]);
-    const auto adj = part_subgraph_adjacency(g, p, i, view);
-    const std::int32_t d = local_diameter_double_sweep(adj);
-    if (d == kInfiniteDiameter) return kInfiniteDiameter;
-    worst = std::max(worst, d);
-  }
-  return worst;
+  return max_part_subgraph_diameter(g, p, s, diameter_double_sweep);
 }
 
 std::int64_t lemma1_dilation_bound(const SpanningTree& tree, std::int32_t b) {

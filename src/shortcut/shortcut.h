@@ -60,11 +60,14 @@ std::int32_t block_parameter(const Graph& g, const Partition& p,
                              const Shortcut& s);
 
 /// Exact dilation per Definition 1: max over parts of the diameter of
-/// G[Pi] + Hi. O(sum over parts of |subgraph| * BFS) — use on test-sized
-/// inputs; see dilation_estimate for large ones.
+/// G[Pi] + Hi (graph/metrics' `diameter_exact` on its `subgraph`), or
+/// INT32_MAX if some G[Pi] + Hi is disconnected. O(sum over parts of
+/// |subgraph| * BFS) — use on test-sized inputs; see dilation_estimate for
+/// large ones.
 std::int32_t dilation(const Graph& g, const Partition& p, const Shortcut& s);
 
-/// Double-sweep lower bound of the dilation (exact on trees). O(m) per part.
+/// Double-sweep lower bound of the dilation (exact on trees): the same
+/// subgraphs, measured by `diameter_double_sweep`. O(m) per part.
 std::int32_t dilation_estimate(const Graph& g, const Partition& p,
                                const Shortcut& s);
 

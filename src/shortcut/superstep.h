@@ -24,14 +24,16 @@
 /// ## Who owns a runner
 ///
 /// Whoever builds a runner owns it. The signatures of part_routing.h and
-/// verification.h that take a network build one for their call. A
-/// successful FindShortcut trial returns one on its shortcut
-/// (`find_routable_shortcut`, find_shortcut.h), and a `PartAggregator`
-/// (apps/aggregate.h) keeps it for all its operations.
+/// verification.h that take a network build one for their call.
+/// `find_routable_shortcut` (find_shortcut.h), the one FindShortcut entry
+/// point whose callers route on the shortcut, returns one on the shortcut
+/// it found, and a `PartAggregator` (apps/aggregate.h) keeps it for all
+/// its operations.
 ///
-/// When the trial was served by the first iteration to serve any part, the
-/// runner returned is the one that iteration's Verification built. That is
-/// exact. A runner is a function of what it was built on: the partition,
+/// When the successful trial was served by the first iteration to serve
+/// any part, the runner returned is the one that iteration's Verification
+/// built; otherwise `find_routable_shortcut` builds one after the trial.
+/// The hand-over is exact. A runner is a function of what it was built on: the partition,
 /// the neighbor parts, the state's root slots, and the two casts' stats,
 /// which it copies. The served iteration's state is returned unchanged,
 /// its partition is the caller's partition object and its neighbor parts

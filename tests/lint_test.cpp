@@ -402,6 +402,8 @@ TEST(ParseOutline, RecoversNamespaceScopeDecls) {
   std::map<std::string, const Decl*> by_name;
   for (const Decl& d : o.decls) by_name[d.name] = &d;
 
+  EXPECT_FALSE(by_name.count("lcs"));  // a namespace is a scope, not an export
+
   ASSERT_TRUE(by_name.count("Foo"));
   EXPECT_EQ(by_name["Foo"]->kind, DeclKind::kType);
   EXPECT_FALSE(by_name.count("member"));  // members are not exports
@@ -486,6 +488,22 @@ TEST(LcsLint, ReadmeDocumentsEveryRule) {
   }
   EXPECT_NE(readme.find("| `LINT` |"), std::string::npos)
       << "src/lint/README.md has no table row for the LINT pseudo-rule";
+
+  // And every row of the rule table names a rule that exists: a retired
+  // rule's row goes with it.
+  std::set<std::string> known = {"LINT"};
+  for (const RuleInfo& r : rule_table()) known.emplace(r.id);
+  const std::size_t table = readme.find("\n| Rule |");
+  ASSERT_NE(table, std::string::npos) << "src/lint/README.md has no rule table";
+  std::istringstream rows(readme.substr(table + 1));
+  std::string row;
+  std::getline(rows, row);  // the header
+  std::getline(rows, row);  // its separator
+  while (std::getline(rows, row) && row.rfind("| `", 0) == 0) {
+    const std::string id = row.substr(3, row.find('`', 3) - 3);
+    EXPECT_TRUE(known.count(id))
+        << "src/lint/README.md has a table row for unknown rule " << id;
+  }
 }
 
 }  // namespace

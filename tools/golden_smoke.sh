@@ -11,7 +11,9 @@
 # still accepted and must not move a byte.
 #
 # The matrix also pins one `--sweep` invocation (a JSON array of per-point
-# reports), so the sweep plumbing is under the same byte-exact gate.
+# reports), so the sweep plumbing is under the same byte-exact gate, and
+# one `--metrics` report (the graph's diameter bound and the largest part
+# diameter, the only report path into `max_part_diameter`).
 #
 # Usage:
 #   tools/golden_smoke.sh <lcs_run-binary> <goldens-dir> [--update]
@@ -39,6 +41,34 @@ cd "$TMP"  # file: specs use a relative path so reports are location-free
 "$LCS_RUN" --algo=shortcut --scenario="ktree:n=120,k=3,seed=8" \
   --no-timing --save-graph=corpus.bin --out=/dev/null
 
+fail=0
+cells=0
+
+# cell <report> <golden> <lcs_run args...>: run one report at --seed=7
+# --validate --no-timing into $TMP/<report> and diff it against
+# <golden> in the goldens dir. --update copies it there instead when
+# <report> is <golden>; a report pinned to another cell's golden (the
+# --threads=4 run) is diffed against the regenerated one.
+cell() {
+  local report=$1 golden=$2
+  shift 2
+  cells=$((cells + 1))
+  if ! "$LCS_RUN" "$@" --seed=7 --validate --no-timing \
+      --out="$TMP/$report"; then
+    echo "FAIL: $report: lcs_run exited nonzero (validation or runtime" \
+         "error)" >&2
+    fail=1
+  elif [[ "$UPDATE" == "--update" && "$report" == "$golden" ]]; then
+    mkdir -p "$GOLDENS"
+    cp "$TMP/$report" "$GOLDENS/$golden"
+  elif ! diff -u "$GOLDENS/$golden" "$TMP/$report" >&2; then
+    echo "FAIL: $report drifted from the committed golden $golden" >&2
+    echo "      (deliberate edge-stream/schema change? regenerate ALL" >&2
+    echo "      goldens in the same PR: tools/regen_goldens.sh)" >&2
+    fail=1
+  fi
+}
+
 NAMES=()
 SPECS=()
 add() { NAMES+=("$1"); SPECS+=("$2"); }
@@ -56,44 +86,17 @@ add corpus   "file:corpus.bin"
 
 ALGOS=(components mst mincut aggregate shortcut)
 
-fail=0
 for i in "${!NAMES[@]}"; do
-  name=${NAMES[$i]}
-  spec=${SPECS[$i]}
   for algo in "${ALGOS[@]}"; do
-    out="$TMP/$name.$algo.json"
-    if ! "$LCS_RUN" --algo="$algo" --scenario="$spec" --seed=7 \
-        --validate --no-timing --out="$out"; then
-      echo "FAIL: $name/$algo exited nonzero (validation or runtime error)" >&2
-      fail=1
-      continue
-    fi
-
-    golden="$GOLDENS/$name.$algo.json"
-    if [[ "$UPDATE" == "--update" ]]; then
-      mkdir -p "$GOLDENS"
-      cp "$out" "$golden"
-    elif ! diff -u "$golden" "$out" >&2; then
-      echo "FAIL: $name/$algo drifted from the committed golden" >&2
-      echo "      (deliberate edge-stream/schema change? regenerate ALL" >&2
-      echo "      goldens in the same PR: tools/regen_goldens.sh)" >&2
-      fail=1
-    fi
+    cell "${NAMES[$i]}.$algo.json" "${NAMES[$i]}.$algo.json" \
+      --algo="$algo" --scenario="${SPECS[$i]}"
   done
 done
 
 # `--threads` is accepted (>= 0) and selects nothing: one cell at
 # --threads=4 must still match its golden byte for byte.
-tout="$TMP/grid16.mst.t4.json"
-if ! "$LCS_RUN" --algo=mst --scenario="grid:w=16,h=16" --seed=7 \
-    --validate --no-timing --threads=4 --out="$tout"; then
-  echo "FAIL: grid16/mst exited nonzero at --threads=4" >&2
-  fail=1
-elif [[ "$UPDATE" != "--update" ]] &&
-     ! diff -u "$GOLDENS/grid16.mst.json" "$tout" >&2; then
-  echo "FAIL: grid16/mst at --threads=4 differs from its golden" >&2
-  fail=1
-fi
+cell grid16.mst.t4.json grid16.mst.json \
+  --algo=mst --scenario="grid:w=16,h=16" --threads=4
 
 # Backend cells: the same byte-exact gate over the non-default shortcut
 # constructions (--backend). One ktree scenario, every registered backend —
@@ -101,39 +104,14 @@ fi
 # pinning the reports, this section asserts the quality claim the backends
 # exist for: kkoi19's congestion on this cell is STRICTLY below hiz16's
 # (the elimination tree keeps every part's Steiner subtree narrow).
-BK_NAMES=()
-BK_SPECS=()
-BK_BACKENDS=()
-bk_add() { BK_NAMES+=("$1"); BK_SPECS+=("$2"); BK_BACKENDS+=("$3"); }
-bk_add ktree400 "ktree:n=400,k=4,seed=3" hiz16
-bk_add ktree400 "ktree:n=400,k=4,seed=3" kkoi19
-bk_add ktree400 "ktree:n=400,k=4,seed=3" naive
+for be in hiz16 kkoi19 naive; do
+  cell "ktree400.$be.json" "ktree400.$be.json" \
+    --algo=shortcut --scenario="ktree:n=400,k=4,seed=3" --backend="$be"
+done
 
 congestion_of() {  # first "congestion" value in a report
   grep -o '"congestion": [0-9]*' "$1" | head -1 | grep -o '[0-9]*'
 }
-
-for i in "${!BK_NAMES[@]}"; do
-  name=${BK_NAMES[$i]}
-  spec=${BK_SPECS[$i]}
-  be=${BK_BACKENDS[$i]}
-  out="$TMP/$name.$be.json"
-  if ! "$LCS_RUN" --algo=shortcut --scenario="$spec" --backend="$be" \
-      --seed=7 --validate --no-timing --out="$out"; then
-    echo "FAIL: $name/$be exited nonzero (validation or runtime error)" >&2
-    fail=1
-    continue
-  fi
-
-  golden="$GOLDENS/$name.$be.json"
-  if [[ "$UPDATE" == "--update" ]]; then
-    cp "$out" "$golden"
-  elif ! diff -u "$golden" "$out" >&2; then
-    echo "FAIL: $name/$be drifted from the committed golden" >&2
-    echo "      (deliberate change? regenerate: tools/regen_goldens.sh)" >&2
-    fail=1
-  fi
-done
 
 hiz16_cong=$(congestion_of "$TMP/ktree400.hiz16.json")
 kkoi19_cong=$(congestion_of "$TMP/ktree400.kkoi19.json")
@@ -148,62 +126,32 @@ fi
 # 1000-step verified insert/delete stream (every mutation checked against
 # the from-scratch components + MSF oracles) over a different family, and
 # --validate adds a distributed-MST engine run over the final snapshot.
-CHURN_NAMES=()
-CHURN_SPECS=()
-churn_add() { CHURN_NAMES+=("$1"); CHURN_SPECS+=("$2"); }
-churn_add churn_er300 \
-  "churn:base=er:n=300,deg=6,seed=5;steps=1000,rate=0.02,seed=7"
-churn_add churn_ktree300 \
-  "churn:base=ktree:n=300,k=3,seed=8;steps=1000,rate=0.02,dfrac=0.4,seed=7,weights=1-64"
-churn_add churn_ba300 \
-  "churn:base=ba:n=300,m=3,seed=4;steps=1000,rate=0.03,seed=7,verify=sample,vperiod=32"
-
-for i in "${!CHURN_NAMES[@]}"; do
-  name=${CHURN_NAMES[$i]}
-  spec=${CHURN_SPECS[$i]}
-  out="$TMP/$name.churn.json"
-  if ! "$LCS_RUN" --algo=churn --scenario="$spec" --seed=7 \
-      --validate --no-timing --out="$out"; then
-    echo "FAIL: $name exited nonzero (verification or runtime error)" >&2
-    fail=1
-    continue
-  fi
-
-  golden="$GOLDENS/$name.churn.json"
-  if [[ "$UPDATE" == "--update" ]]; then
-    cp "$out" "$golden"
-  elif ! diff -u "$golden" "$out" >&2; then
-    echo "FAIL: $name drifted from the committed golden" >&2
-    echo "      (deliberate change? regenerate: tools/regen_goldens.sh)" >&2
-    fail=1
-  fi
-done
+cell churn_er300.churn.json churn_er300.churn.json --algo=churn \
+  --scenario="churn:base=er:n=300,deg=6,seed=5;steps=1000,rate=0.02,seed=7"
+cell churn_ktree300.churn.json churn_ktree300.churn.json --algo=churn \
+  --scenario="churn:base=ktree:n=300,k=3,seed=8;steps=1000,rate=0.02,dfrac=0.4,seed=7,weights=1-64"
+cell churn_ba300.churn.json churn_ba300.churn.json --algo=churn \
+  --scenario="churn:base=ba:n=300,m=3,seed=4;steps=1000,rate=0.03,seed=7,verify=sample,vperiod=32"
 
 # One --sweep cell: a JSON array of per-point reports, byte-pinned like
 # every single-run cell.
-SWEEP_ARGS=(--algo=components --scenario="er:n=100,deg=4,seed=5"
-            --sweep="n=100..400:x2" --seed=7 --validate --no-timing)
-out="$TMP/sweep_er.components.json"
-if ! "$LCS_RUN" "${SWEEP_ARGS[@]}" --out="$out"; then
-  echo "FAIL: sweep_er/components exited nonzero" >&2
-  fail=1
-else
-  golden="$GOLDENS/sweep_er.components.json"
-  if [[ "$UPDATE" == "--update" ]]; then
-    cp "$out" "$golden"
-  elif ! diff -u "$golden" "$out" >&2; then
-    echo "FAIL: sweep_er/components drifted from the committed golden" >&2
-    echo "      (deliberate change? regenerate: tools/regen_goldens.sh)" >&2
-    fail=1
-  fi
-fi
+cell sweep_er.components.json sweep_er.components.json \
+  --algo=components --scenario="er:n=100,deg=4,seed=5" --sweep="n=100..400:x2"
 
-if [[ "$UPDATE" == "--update" ]]; then
-  echo "goldens regenerated in $GOLDENS"
-  exit 0
-fi
+# One --metrics cell: scenario resolution only (--algo=none), with the
+# graph's double-sweep diameter bound and every part's exact diameter.
+cell metrics_er300.none.json metrics_er300.none.json \
+  --algo=none --scenario="er:n=300,deg=6,seed=5" --metrics
+
+# A failed cell fails --update too: its golden was not rewritten.
 if [[ $fail -ne 0 ]]; then
   echo "golden matrix: FAILED" >&2
   exit 1
 fi
-echo "golden matrix: ${#NAMES[@]} scenarios x ${#ALGOS[@]} algorithms + ${#BK_NAMES[@]} backend + ${#CHURN_NAMES[@]} churn + 1 sweep + 1 --threads=4 cell OK"
+if [[ "$UPDATE" == "--update" ]]; then
+  echo "goldens regenerated in $GOLDENS"
+  exit 0
+fi
+echo "golden matrix: $cells cells OK (${#NAMES[@]} scenarios x" \
+     "${#ALGOS[@]} algorithms, 1 --threads=4, 3 backend, 3 churn," \
+     "1 sweep, 1 --metrics)"

@@ -37,8 +37,6 @@ options:
                        requests from pure I/O (no generation, no
                        construction)
   --socket=PATH        serve a unix stream socket instead of stdin
-  --batch=N            max buffered requests dispatched as one batch
-                       (default 16)
   --parallel-requests=N  worker threads for batch dispatch (default 1;
                        0 = hardware concurrency)
   --preload=SPEC       resolve SPEC before serving (repeatable)
@@ -81,8 +79,6 @@ Options parse_args(int argc, char** argv) {
       o.serve.cache_dir = value;
     } else if (take_value(arg, "--socket", value)) {
       o.serve.socket_path = value;
-    } else if (take_value(arg, "--batch", value)) {
-      o.serve.batch = parse_int(value, "--batch");
     } else if (take_value(arg, "--parallel-requests", value)) {
       o.serve.parallel_requests = parse_int(value, "--parallel-requests");
       LCS_CHECK(o.serve.parallel_requests >= 0,

@@ -11,8 +11,10 @@
 # Usage:
 #   tools/regen_goldens.sh [build-dir]     (default: ./build)
 #
-# Builds lcs_run in the given build directory if it is missing, then runs
-# the full golden matrix in --update mode. Afterwards, review with
+# Configures the given build directory if it has no CMakeCache.txt and
+# always builds lcs_run there (a no-op when it is up to date, so goldens
+# are never regenerated by a binary older than the source), then runs the
+# full golden matrix in --update mode. Afterwards, review with
 # `git diff tests/goldens/` and re-run the matrix (ctest -R golden_matrix)
 # to confirm it is green.
 set -euo pipefail
@@ -20,11 +22,11 @@ set -euo pipefail
 ROOT=$(cd "$(dirname "$0")/.." && pwd)
 BUILD=${1:-"$ROOT/build"}
 
-if [[ ! -x "$BUILD/lcs_run" ]]; then
-  echo "regen_goldens: building lcs_run in $BUILD" >&2
+if [[ ! -f "$BUILD/CMakeCache.txt" ]]; then
+  echo "regen_goldens: configuring $BUILD" >&2
   cmake -B "$BUILD" -S "$ROOT" >/dev/null
-  cmake --build "$BUILD" --target lcs_run -j"$(nproc)" >/dev/null
 fi
+cmake --build "$BUILD" --target lcs_run -j"$(nproc)" >/dev/null
 
 "$ROOT/tools/golden_smoke.sh" "$BUILD/lcs_run" "$ROOT/tests/goldens" --update
 echo "regen_goldens: review with 'git diff $ROOT/tests/goldens' before committing"
