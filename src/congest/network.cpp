@@ -14,11 +14,7 @@
 
 namespace lcs::congest {
 
-Network::Network(const Graph& graph)
-    : graph_(&graph),
-      edge_send_round_(static_cast<std::size_t>(graph.num_edges()) * 2, 0),
-      count_(static_cast<std::size_t>(graph.num_nodes()), 0),
-      queued_(static_cast<std::size_t>(graph.num_nodes()), 0) {}
+Network::Network(const Graph& graph) : graph_(&graph) {}
 
 void Network::do_send(NodeId from, EdgeId e, const Message& m) {
   const Graph::Edge& edge = graph_->edge(e);
@@ -59,6 +55,15 @@ PhaseStats Network::run(std::span<Process* const> procs,
     ~InPhaseReset() { *flag = false; }
   } in_phase_reset{&in_phase_};
 
+  // The first phase allocates the per-node and per-edge state; a network
+  // whose schedules are all counted on the host never needs it.
+  const auto n = static_cast<std::size_t>(graph_->num_nodes());
+  if (queued_.size() != n) {
+    edge_send_round_.assign(static_cast<std::size_t>(graph_->num_edges()) * 2,
+                            0);
+    count_.assign(n, 0);
+    queued_.assign(n, 0);
+  }
   // A clean phase ends with nothing queued; an aborted one may leave nodes
   // queued with counts in either list. Clearing just those keeps startup
   // O(active), and the new send round outdates every edge stamp.

@@ -10,6 +10,8 @@
 /// the graph, the routing plan and the ids, never by the words they carry.
 /// These are counted on the host and added through `add_replayed`:
 ///
+///  * the BFS tree's EXPLORE/ACCEPT/REJECT/DONE protocol
+///    (tree/bfs_tree.h), from the graph and the root;
 ///  * `broadcast_word_from_root` (shortcut/tree_ops.h): height rounds and
 ///    n − 1 messages, from the tree;
 ///  * `global_or` (shortcut/tree_ops.h): 2·height rounds and 2(n − 1)
@@ -35,10 +37,13 @@
 ///    charged as its copy (`SuperstepRunner::repeat_last`), without being
 ///    computed at all.
 ///
-/// So the shortcut layer runs no engine phase. What still runs on the
-/// engine is the BFS tree (tree/bfs_tree.h) and the MST baselines
-/// `mst_pipeline` (mst/pipeline.h) and `intra_part_min_flood`
-/// (mst/intra_flood.h); `phases()` counts the phases `run` has executed.
+/// So no `lcs_run` or `lcs_serve` path runs an engine phase. What still
+/// runs on the engine is only E7's MST baselines, `mst_pipeline`
+/// (mst/pipeline.h) and `intra_part_min_flood` (mst/intra_flood.h), and
+/// the engine protocols the tests check the host counts against;
+/// `phases()` counts the phases `run` has executed. A network allocates its
+/// per-node and per-edge engine state when its first phase starts, so one
+/// that runs none never pays for it.
 ///
 /// The engine is activity-driven: per round it touches only nodes that
 /// received a message or requested a wakeup, so simulation work is
@@ -67,9 +72,8 @@
 /// ## One thread
 ///
 /// Every process callback runs on the calling thread: `run` has one round
-/// loop and `Context::send` one path. The phases left on the engine (the
-/// BFS tree and the MST baselines) are small next to the host-counted
-/// schedules, so there is no parallel mode. `set_threads` still accepts a
+/// loop and `Context::send` one path. Only the MST baselines still run on
+/// the engine, so there is no parallel mode. `set_threads` still accepts a
 /// non-negative count for callers that pass a `threads` input through; it
 /// selects nothing.
 #pragma once
@@ -154,7 +158,8 @@ class Network {
   /// round (or of `on_start`) share one value. Never wraps.
   std::int64_t send_round_ = 0;
   /// The send round of the last send over each directed edge (2e, 2e+1);
-  /// used only when validation is on.
+  /// used only when validation is on. Like `count_` and `queued_`, sized
+  /// by the first phase.
   std::vector<std::int64_t> edge_send_round_;
 
   /// The round being filled: its sends in send order, and its queued nodes

@@ -93,26 +93,38 @@ Graph subgraph(const Graph& g, std::vector<NodeId> nodes,
                std::move(local_edges));
 }
 
-std::int32_t part_diameter_exact(const Graph& g, const Partition& p,
-                                 PartId i) {
-  std::vector<NodeId> nodes;
+namespace {
+
+/// The exact diameter of G[P_i], given P_i's members in ascending order.
+std::int32_t induced_diameter(const Graph& g, const Partition& p, PartId i,
+                              std::vector<NodeId> members) {
+  LCS_CHECK(!members.empty(), "part has no members");
   std::vector<EdgeId> edges;
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    if (p.part(v) != i) continue;
-    nodes.push_back(v);
+  for (const NodeId v : members)
     for (const auto& nb : g.neighbors(v))
       if (v < nb.node && p.part(nb.node) == i) edges.push_back(nb.edge);
-  }
-  LCS_CHECK(!nodes.empty(), "part has no members");
-  const Graph part = subgraph(g, std::move(nodes), std::move(edges));
+  const Graph part = subgraph(g, std::move(members), std::move(edges));
   LCS_CHECK(is_connected(part), "part is not connected");
   return diameter_exact(part);
 }
 
+}  // namespace
+
+std::int32_t part_diameter_exact(const Graph& g, const Partition& p,
+                                 PartId i) {
+  std::vector<NodeId> members;
+  for (NodeId v = 0; v < g.num_nodes(); ++v)
+    if (p.part(v) == i) members.push_back(v);
+  return induced_diameter(g, p, i, std::move(members));
+}
+
 std::int32_t max_part_diameter(const Graph& g, const Partition& p) {
+  std::vector<std::vector<NodeId>> members = p.members();
   std::int32_t best = 0;
-  for (PartId i = 0; i < p.num_parts; ++i)
-    best = std::max(best, part_diameter_exact(g, p, i));
+  for (PartId i = 0; i < p.num_parts; ++i) {
+    std::vector<NodeId>& part = members[static_cast<std::size_t>(i)];
+    best = std::max(best, induced_diameter(g, p, i, std::move(part)));
+  }
   return best;
 }
 

@@ -35,10 +35,12 @@ std::int32_t diameter_double_sweep(const Graph& g);
 Graph subgraph(const Graph& g, std::vector<NodeId> nodes,
                std::vector<EdgeId> edges);
 
-/// Exact diameter of the subgraph induced by part `i`. O(|Pi|·m(Pi)).
+/// Exact diameter of the subgraph induced by part `i`. O(n + |Pi|·m(Pi)).
+/// Throws if the part has no members or is not connected.
 std::int32_t part_diameter_exact(const Graph& g, const Partition& p, PartId i);
 
-/// Max over all parts of the exact induced diameter.
+/// Max over all parts of the exact induced diameter, with the same errors.
+/// Lists every part's members in one pass: O(n + Σ |Pi|·m(Pi)).
 std::int32_t max_part_diameter(const Graph& g, const Partition& p);
 
 }  // namespace lcs

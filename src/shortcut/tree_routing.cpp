@@ -75,8 +75,10 @@ ComponentPlan make_component_plan(const SpanningTree& tree,
   plan.slot_off.reserve(n + 1);
   plan.slot_off.push_back(0);
   // Each entry's lower endpoint has its own slot for the entry's part; the
-  // component roots' slots come on top.
-  plan.slots.reserve(entry_off[n]);
+  // component roots' slots come on top. A root slot (v, j) owns the entry
+  // of j on one of v's child edges, and no other root slot owns that entry,
+  // so there are at most as many root slots as entries.
+  plan.slots.reserve(2 * entry_off[n]);
   std::vector<std::uint64_t> keys;  // scratch: (part, entry) on v's edges
   for (std::size_t v = 0; v < n; ++v) {
     keys.clear();

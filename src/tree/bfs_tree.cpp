@@ -1,156 +1,87 @@
 #include "tree/bfs_tree.h"
 
 #include <algorithm>
-#include <limits>
+#include <cstddef>
+#include <cstdint>
+#include <vector>
 
-#include "congest/message.h"
 #include "congest/network.h"
-#include "congest/process.h"
 #include "graph/graph.h"
 #include "tree/spanning_tree.h"
-#include "util/cast.h"
 #include "util/check.h"
 
 namespace lcs {
 
-namespace {
-
-using congest::Context;
-using congest::Incoming;
-using congest::Message;
-
-enum MsgTag : std::uint32_t { kExplore, kAccept, kReject, kDone };
-
-class BfsProcess final : public congest::Process {
- public:
-  BfsProcess(NodeId id, NodeId root) : id_(id), root_(root) {}
-
-  // Protocol outputs (valid after the phase quiesces).
-  EdgeId parent_edge = kNoEdge;
-  NodeId parent = kNoNode;
-  std::int32_t depth = -1;
-  std::vector<EdgeId> children;
-
-  void on_start(Context& ctx) override {
-    if (id_ != root_) return;
-    depth = 0;
-    pending_replies_ = util::checked_cast<int>(ctx.neighbors().size());
-    for (const auto& nb : ctx.neighbors())
-      ctx.send(nb.edge, Message(kExplore, 0));
-    maybe_finish(ctx);
-  }
-
-  void on_round(Context& ctx, std::span<const Incoming> inbox) override {
-    // Collect this round's explorers first: if the node is still orphaned it
-    // adopts exactly one of them and must reject the rest, and it must not
-    // explore back over edges that explored it.
-    std::vector<const Incoming*> explorers;
-    bool adopted_this_round = false;
-    for (const auto& in : inbox) {
-      switch (in.msg.tag) {
-        case kExplore:
-          explorers.push_back(&in);
-          break;
-        case kAccept:
-          children.push_back(in.edge);
-          --pending_replies_;
-          ++pending_done_;
-          break;
-        case kReject:
-          --pending_replies_;
-          break;
-        case kDone:
-          --pending_done_;
-          break;
-        default:
-          LCS_CHECK(false, "unknown BFS message tag");
-      }
-    }
-
-    if (!explorers.empty()) {
-      if (depth < 0) {
-        // Adopt the explorer with the smallest edge id (deterministic).
-        const Incoming* chosen = explorers.front();
-        for (const auto* e : explorers)
-          if (e->edge < chosen->edge) chosen = e;
-        parent_edge = chosen->edge;
-        parent = chosen->from;
-        depth = util::checked_cast<std::int32_t>(chosen->msg.words[0]) + 1;
-        adopted_this_round = true;
-        ctx.send(parent_edge, Message(kAccept));
-        for (const auto* e : explorers) {
-          if (e != chosen)
-            ctx.send(e->edge, Message(kReject));
-        }
-        // Explore everyone who did not contact us this round.
-        for (const auto& nb : ctx.neighbors()) {
-          const bool contacted =
-              nb.edge == parent_edge ||
-              std::any_of(explorers.begin(), explorers.end(),
-                          [&](const Incoming* e) { return e->edge == nb.edge; });
-          if (!contacted) {
-            ctx.send(nb.edge, Message(kExplore,
-                                      static_cast<std::uint64_t>(depth)));
-            ++pending_replies_;
-          }
-        }
-      } else {
-        // Already in the tree: reject all late explorers.
-        for (const auto* e : explorers) ctx.send(e->edge, Message(kReject));
-      }
-    }
-
-    if (adopted_this_round) {
-      // ACCEPT already went over the parent edge this round; a DONE (if we
-      // are a leaf) must wait for the next round or it would be a second
-      // send on the same edge.
-      ctx.wake_next_round();
-    } else {
-      maybe_finish(ctx);
-    }
-  }
-
- private:
-  void maybe_finish(Context& ctx) {
-    if (done_sent_ || depth < 0) return;
-    if (pending_replies_ > 0 || pending_done_ > 0) return;
-    done_sent_ = true;
-    if (parent_edge != kNoEdge) ctx.send(parent_edge, Message(kDone));
-  }
-
-  NodeId id_;
-  NodeId root_;
-  int pending_replies_ = 0;
-  int pending_done_ = 0;
-  bool done_sent_ = false;
-};
-
-}  // namespace
-
 SpanningTree build_bfs_tree(congest::Network& net, NodeId root) {
-  const NodeId n = net.num_nodes();
+  const Graph& g = net.graph();
+  const NodeId n = g.num_nodes();
   LCS_CHECK(root >= 0 && root < n, "root out of range");
+  const auto at = [](NodeId v) { return static_cast<std::size_t>(v); };
 
-  std::vector<BfsProcess> procs;
-  procs.reserve(static_cast<std::size_t>(n));
-  for (NodeId v = 0; v < n; ++v) procs.emplace_back(v, root);
-  congest::run_phase(net, procs);
-
+  // The EXPLORE wave: each node's depth is its hop distance from the root.
   SpanningTree tree;
   tree.root = root;
-  tree.parent_edge.resize(static_cast<std::size_t>(n));
-  tree.parent.resize(static_cast<std::size_t>(n));
-  tree.depth.resize(static_cast<std::size_t>(n));
-  tree.children_edges.resize(static_cast<std::size_t>(n));
-  for (NodeId v = 0; v < n; ++v) {
-    auto& p = procs[static_cast<std::size_t>(v)];
-    LCS_CHECK(p.depth >= 0, "BFS did not reach every node; graph connected?");
-    tree.parent_edge[static_cast<std::size_t>(v)] = p.parent_edge;
-    tree.parent[static_cast<std::size_t>(v)] = p.parent;
-    tree.depth[static_cast<std::size_t>(v)] = p.depth;
-    tree.children_edges[static_cast<std::size_t>(v)] = std::move(p.children);
+  tree.depth.assign(at(n), -1);
+  std::vector<NodeId> wave{root};
+  wave.reserve(at(n));
+  tree.depth[at(root)] = 0;
+  for (std::size_t head = 0; head < wave.size(); ++head) {
+    const NodeId v = wave[head];
+    for (const auto& nb : g.neighbors(v)) {
+      if (tree.depth[at(nb.node)] >= 0) continue;
+      tree.depth[at(nb.node)] = tree.depth[at(v)] + 1;
+      wave.push_back(nb.node);
+    }
   }
-  tree.finalize(net.graph());
+  LCS_CHECK(wave.size() == at(n),
+            "BFS did not reach every node; graph connected?");
+
+  // Parent: the smallest edge among the explorers, all one level up.
+  // Children: in ascending child id, the order their ACCEPTs arrive.
+  // done_round[v], the round v sends DONE (F(v) in bfs_tree.h), starts at
+  // the round its own EXPLOREs are all answered, d + 1, or at d, the round
+  // after it adopts, if it sent none.
+  tree.parent_edge.assign(at(n), kNoEdge);
+  tree.parent.assign(at(n), kNoNode);
+  tree.children_edges.resize(at(n));
+  std::vector<std::int64_t> done_round(at(n));
+  std::int64_t level_ends = 0;  // ends of edges inside one level: 2s
+  for (NodeId v = 0; v < n; ++v) {
+    const std::int32_t d = tree.depth[at(v)];
+    bool explores = false;
+    for (const auto& nb : g.neighbors(v)) {
+      const std::int32_t nd = tree.depth[at(nb.node)];
+      if (nd < d) {
+        if (tree.parent_edge[at(v)] == kNoEdge ||
+            nb.edge < tree.parent_edge[at(v)]) {
+          tree.parent_edge[at(v)] = nb.edge;
+          tree.parent[at(v)] = nb.node;
+        }
+        continue;
+      }
+      explores = true;
+      if (nd == d) ++level_ends;
+    }
+    done_round[at(v)] = d + (explores ? 1 : 0);
+    if (v != root)
+      tree.children_edges[at(tree.parent[at(v)])].push_back(
+          tree.parent_edge[at(v)]);
+  }
+  tree.finalize(g);
+
+  // Bottom-up: a node's DONE also waits for the round its last child's
+  // DONE arrives; the phase ends with the round the last DONE is
+  // delivered.
+  congest::PhaseStats stats;
+  for (auto it = tree.by_depth.rbegin(); it != tree.by_depth.rend(); ++it) {
+    const NodeId v = *it;
+    if (v == root) continue;
+    std::int64_t& up = done_round[at(tree.parent[at(v)])];
+    up = std::max(up, done_round[at(v)] + 1);
+    stats.rounds = std::max(stats.rounds, done_round[at(v)] + 2);
+  }
+  stats.messages = 2 * (g.num_edges() + level_ends / 2) + (n - 1);
+  net.add_replayed(stats);
   return tree;
 }
 

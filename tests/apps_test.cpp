@@ -278,47 +278,57 @@ TEST(Aggregate, WheelArcsFastAggregation) {
   EXPECT_LT(sim.net.total_rounds() - before, 30);
 }
 
-// The shortcut layer runs no engine phase: once the BFS tree is built, the
-// construction (with either core), Verification, every aggregation and
-// MST's Boruvka loop are counted on the host, so the engine's phase
-// counter stands still.
+// No run-path layer runs an engine phase: the BFS tree, the construction
+// (with either core), Verification, every aggregation, components, min cut
+// and MST's Boruvka loop are counted on the host, so the engine's phase
+// counter stays at zero.
 TEST(EnginePhases, ShortcutLayerRunsNone) {
   for (const testutil::SuperstepFamily& f : testutil::superstep_families()) {
     SCOPED_TRACE(f.name);
     Sim sim(f.g, f.root);
-    const std::int64_t bfs_phases = sim.net.phases();
-    EXPECT_GT(bfs_phases, 0);
+    EXPECT_EQ(sim.net.phases(), 0);
 
     for (const bool use_fast : {true, false}) {
       FindShortcutParams params;
       params.use_fast = use_fast;
       const FindShortcutResult found =
           find_shortcut_doubling(sim.net, sim.tree, f.p, params);
-      EXPECT_EQ(sim.net.phases(), bfs_phases) << "use_fast=" << use_fast;
+      EXPECT_EQ(sim.net.phases(), 0) << "use_fast=" << use_fast;
       const NeighborParts nb = exchange_neighbor_parts(sim.net, f.p);
       (void)verify_block_parameter(sim.net, sim.tree, f.p, found.state,
                                    3 * found.stats.used_b, nb);
-      EXPECT_EQ(sim.net.phases(), bfs_phases) << "use_fast=" << use_fast;
+      EXPECT_EQ(sim.net.phases(), 0) << "use_fast=" << use_fast;
     }
 
     PartAggregator agg(sim.net, sim.tree, f.p);
+    EXPECT_EQ(sim.net.phases(), 0);
     congest::PerNode<std::uint64_t> values(
         static_cast<std::size_t>(f.g.num_nodes()));
     for (std::size_t v = 0; v < values.size(); ++v) values[v] = v % 13;
     (void)agg.min(values);
+    EXPECT_EQ(sim.net.phases(), 0);
     const auto leaders = agg.leaders();
+    EXPECT_EQ(sim.net.phases(), 0);
     congest::PerNode<std::uint64_t> source(values.size(), kNoValue);
     for (std::size_t v = 0; v < values.size(); ++v)
       if (leaders[v] == util::checked_cast<NodeId>(v)) source[v] = v;
     (void)agg.broadcast(source);
-    EXPECT_EQ(sim.net.phases(), bfs_phases);
+    EXPECT_EQ(sim.net.phases(), 0);
+
+    std::vector<bool> alive(static_cast<std::size_t>(f.g.num_edges()));
+    for (std::size_t e = 0; e < alive.size(); ++e) alive[e] = e % 3 != 0;
+    const auto components = distributed_components(sim.net, sim.tree, alive);
+    expect_same_grouping(components.label, connected_components(f.g, alive));
+    EXPECT_EQ(sim.net.phases(), 0);
+    (void)approx_mincut(sim.net, sim.tree);
+    EXPECT_EQ(sim.net.phases(), 0);
 
     const Graph weighted = with_random_weights(f.g, 1, 1000, 7);
     Sim mst(weighted, f.root);
-    const std::int64_t mst_bfs_phases = mst.net.phases();
+    EXPECT_EQ(mst.net.phases(), 0);
     const DistributedMst tree = mst_boruvka_shortcut(mst.net, mst.tree);
     EXPECT_EQ(tree.edges, kruskal_mst(weighted).edges);
-    EXPECT_EQ(mst.net.phases(), mst_bfs_phases);
+    EXPECT_EQ(mst.net.phases(), 0);
   }
 }
 

@@ -1,13 +1,14 @@
 /// \file engine_reference.h
-/// The engine protocols behind the shortcut layer's host-counted schedules.
+/// The engine protocols behind the host-counted schedules.
 ///
-/// Lemma 2's casts (shortcut/tree_routing.h), CoreSlow's stream
-/// (shortcut/core_slow.h), and CoreFast's sampled stream and routing phase
-/// (shortcut/core_fast.h) are counted on the host. These are the protocols
-/// they replace, each a phase on the engine with one process per node; the
-/// reference tests run both and require the same outputs, rounds and
-/// messages. superstep_reference.h builds its node-level engine superstep
-/// from the two casts here.
+/// The BFS tree (tree/bfs_tree.h), Lemma 2's casts
+/// (shortcut/tree_routing.h), CoreSlow's stream (shortcut/core_slow.h), and
+/// CoreFast's sampled stream and routing phase (shortcut/core_fast.h) are
+/// counted on the host. These are the protocols they replace, each a phase
+/// on the engine with one process per node; the reference tests run both
+/// and require the same outputs, rounds and messages.
+/// superstep_reference.h builds its node-level engine superstep from the
+/// two casts here.
 #pragma once
 
 #include <algorithm>
@@ -591,7 +592,142 @@ class RouteAllProcess final : public congest::Process {
       unforwarded_;
 };
 
+// ---------------------------------------------------------------------------
+// BFS tree
+// ---------------------------------------------------------------------------
+
+enum BfsTag : std::uint32_t { kExplore, kAccept, kReject, kDone };
+
+/// The EXPLORE/ACCEPT/REJECT/DONE protocol of tree/bfs_tree.h.
+class BfsProcess final : public congest::Process {
+ public:
+  BfsProcess(NodeId id, NodeId root) : id_(id), root_(root) {}
+
+  // Protocol outputs (valid after the phase quiesces).
+  EdgeId parent_edge = kNoEdge;
+  NodeId parent = kNoNode;
+  std::int32_t depth = -1;
+  std::vector<EdgeId> children;
+
+  void on_start(Context& ctx) override {
+    if (id_ != root_) return;
+    depth = 0;
+    pending_replies_ = util::checked_cast<int>(ctx.neighbors().size());
+    for (const auto& nb : ctx.neighbors())
+      ctx.send(nb.edge, Message(kExplore, 0));
+    maybe_finish(ctx);
+  }
+
+  void on_round(Context& ctx, std::span<const Incoming> inbox) override {
+    // Collect this round's explorers first: if the node is still orphaned it
+    // adopts exactly one of them and must reject the rest, and it must not
+    // explore back over edges that explored it.
+    std::vector<const Incoming*> explorers;
+    bool adopted_this_round = false;
+    for (const auto& in : inbox) {
+      switch (in.msg.tag) {
+        case kExplore:
+          explorers.push_back(&in);
+          break;
+        case kAccept:
+          children.push_back(in.edge);
+          --pending_replies_;
+          ++pending_done_;
+          break;
+        case kReject:
+          --pending_replies_;
+          break;
+        case kDone:
+          --pending_done_;
+          break;
+        default:
+          LCS_CHECK(false, "unknown BFS message tag");
+      }
+    }
+
+    if (!explorers.empty()) {
+      if (depth < 0) {
+        // Adopt the explorer with the smallest edge id (deterministic).
+        const Incoming* chosen = explorers.front();
+        for (const auto* e : explorers)
+          if (e->edge < chosen->edge) chosen = e;
+        parent_edge = chosen->edge;
+        parent = chosen->from;
+        depth = util::checked_cast<std::int32_t>(chosen->msg.words[0]) + 1;
+        adopted_this_round = true;
+        ctx.send(parent_edge, Message(kAccept));
+        for (const auto* e : explorers) {
+          if (e != chosen)
+            ctx.send(e->edge, Message(kReject));
+        }
+        // Explore everyone who did not contact us this round.
+        for (const auto& nb : ctx.neighbors()) {
+          const bool contacted =
+              nb.edge == parent_edge ||
+              std::any_of(explorers.begin(), explorers.end(),
+                          [&](const Incoming* e) { return e->edge == nb.edge; });
+          if (!contacted) {
+            ctx.send(nb.edge, Message(kExplore,
+                                      static_cast<std::uint64_t>(depth)));
+            ++pending_replies_;
+          }
+        }
+      } else {
+        // Already in the tree: reject all late explorers.
+        for (const auto* e : explorers) ctx.send(e->edge, Message(kReject));
+      }
+    }
+
+    if (adopted_this_round) {
+      // ACCEPT already went over the parent edge this round; a DONE (if we
+      // are a leaf) must wait for the next round or it would be a second
+      // send on the same edge.
+      ctx.wake_next_round();
+    } else {
+      maybe_finish(ctx);
+    }
+  }
+
+ private:
+  void maybe_finish(Context& ctx) {
+    if (done_sent_ || depth < 0) return;
+    if (pending_replies_ > 0 || pending_done_ > 0) return;
+    done_sent_ = true;
+    if (parent_edge != kNoEdge) ctx.send(parent_edge, Message(kDone));
+  }
+
+  NodeId id_;
+  NodeId root_;
+  int pending_replies_ = 0;
+  int pending_done_ = 0;
+  bool done_sent_ = false;
+};
+
 }  // namespace reference_detail
+
+/// The BFS protocol on the engine, rooted at `root`: the tree assembled
+/// from the per-node outputs, with the phase charged to `net`.
+inline SpanningTree reference_bfs(congest::Network& net, NodeId root) {
+  const NodeId n = net.num_nodes();
+  LCS_CHECK(root >= 0 && root < n, "root out of range");
+
+  std::vector<reference_detail::BfsProcess> procs;
+  procs.reserve(static_cast<std::size_t>(n));
+  for (NodeId v = 0; v < n; ++v) procs.emplace_back(v, root);
+  congest::run_phase(net, procs);
+
+  SpanningTree tree;
+  tree.root = root;
+  for (auto& p : procs) {
+    LCS_CHECK(p.depth >= 0, "BFS did not reach every node; graph connected?");
+    tree.parent_edge.push_back(p.parent_edge);
+    tree.parent.push_back(p.parent);
+    tree.depth.push_back(p.depth);
+    tree.children_edges.push_back(std::move(p.children));
+  }
+  tree.finalize(net.graph());
+  return tree;
+}
 
 /// The engine broadcast from every block-component root to all nodes of
 /// its component. `root_value(v, j)` is invoked once per component rooted

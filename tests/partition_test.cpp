@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <string>
+#include <vector>
 
 #include "graph/generators.h"
 #include "graph/graph.h"
@@ -118,6 +121,35 @@ TEST(Partition, LowerBoundPartitionPathsAreParts) {
       std::count_if(p.part_of.begin(), p.part_of.end(),
                     [](PartId i) { return i != kNoPart; }));
   EXPECT_EQ(assigned, paths * len);
+}
+
+TEST(Partition, MaxPartDiameterIsTheLargestPartDiameter) {
+  const Graph g = make_grid(14, 14);
+  const Partition p = make_random_bfs_partition(g, 40, 3);
+  validate_partition(g, p);
+  std::int32_t largest = 0;
+  for (PartId i = 0; i < p.num_parts; ++i)
+    largest = std::max(largest, part_diameter_exact(g, p, i));
+  EXPECT_GT(largest, 0);
+  EXPECT_EQ(max_part_diameter(g, p), largest);
+}
+
+TEST(Partition, MaxPartDiameterRejectsAnEmptyPart) {
+  const Graph g = make_path(6);
+  Partition p;
+  p.num_parts = 3;
+  p.part_of = {0, 0, 0, 2, 2, 2};  // part 1 has no members
+  for (const bool all_parts : {false, true}) {
+    try {
+      (void)(all_parts ? max_part_diameter(g, p)
+                       : part_diameter_exact(g, p, 1));
+      FAIL() << "an empty part must throw";
+    } catch (const CheckFailure& e) {
+      EXPECT_NE(std::string(e.what()).find("part has no members"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 }  // namespace

@@ -6,11 +6,13 @@
 #   tools/tripwires.sh <lcs_run-binary> <table>     (e.g. tests/goldens/tripwires.txt)
 #
 # A table row is `<time limit, s> <algo> <scenario> [<key>=<value> ...]`;
-# blank lines and lines starting with `#` are skipped. A row fails if
-# lcs_run exits non-zero, outlives its limit, or its report's "result"
-# object holds another value under a pinned key. Every row runs; the
-# failures are named by their table line, and the exit status is 1 if any
-# row failed (2 on a malformed table). Needs python3 to read the reports.
+# blank lines and lines starting with `#` are skipped. A plain key names a
+# key of the report's "result" object, and `<section>.<key>` one of another
+# top-level object (`setup.rounds=16`). A row fails if lcs_run exits
+# non-zero, outlives its limit, or its report holds another value under a
+# pinned key. Every row runs; the failures are named by their table line,
+# and the exit status is 1 if any row failed (2 on a malformed table).
+# Needs python3 to read the reports.
 set -euo pipefail
 
 if [[ $# -ne 2 ]]; then
@@ -50,17 +52,19 @@ while IFS= read -r line || [[ -n "$line" ]]; do
     fail=1
     continue
   fi
-  # Compare each pinned key=value with the report's "result" object.
+  # Compare each pinned [section.]key=value with the report.
   if ! python3 - "$report" "$row" ${pins:-} <<'EOF'
 import json
 import sys
 
 report, row, pins = sys.argv[1], sys.argv[2], sys.argv[3:]
-result = json.load(open(report)).get("result", {})
+sections = json.load(open(report))
 bad = False
 for pin in pins:
     key, _, want = pin.partition("=")
-    got = result.get(key)
+    section, _, name = key.rpartition(".")
+    obj = sections.get(section or "result")
+    got = obj.get(name) if isinstance(obj, dict) else None
     if str(got) != want:
         print(f"FAIL: {row}: {key} = {got}, pinned {want}", file=sys.stderr)
         bad = True
